@@ -65,8 +65,6 @@ canonicalConfig(const SimConfig &config)
     // added to any of the config structs MUST be added here, or configs
     // differing only in that field will collide on one cache key (the
     // CanonicalConfig tests enumerate these keys as a tripwire).
-    // gpu.runThreads is intentionally absent: results are byte-identical
-    // at every run-thread count, so it must not split the cache.
     std::string out;
     const GpuConfig &gpu = config.gpu;
     line(out, "gpu.numSms", gpu.numSms);

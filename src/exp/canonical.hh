@@ -13,9 +13,6 @@
  * same simulation, no matter how their specs were built (figure
  * registry, parsed spec file, code): overrides, presets, FUSE_FAST
  * budget scaling and seeds are all applied *before* serialization.
- * gpu.runThreads is deliberately excluded — the parallel in-run engine
- * is byte-identical to the serial clock at every worker count (PR 8),
- * so it must never split the cache.
  */
 
 #ifndef FUSE_EXP_CANONICAL_HH
@@ -34,7 +31,7 @@ namespace fuse
  * lines in fixed order. New SimConfig fields MUST be added here (and to
  * the CanonicalConfig tests in test_serve.cc): a field missing from the
  * canonical text would let two different configurations share a cache
- * key. Excludes gpu.runThreads (see file comment).
+ * key.
  */
 std::string canonicalConfig(const SimConfig &config);
 

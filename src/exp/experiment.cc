@@ -202,6 +202,7 @@ ExperimentSpec::configFor(std::size_t variant) const
         for (const auto &o : variants[variant].overrides)
             applyOverride(config, o);
     }
+    config.validate();
     return config;
 }
 
@@ -321,7 +322,7 @@ ExperimentSpec::parse(const std::string &text)
         spec.benchmarks = resolveBenchmarks("all");
     if (spec.kinds.empty())
         spec.kinds = {L1DKind::L1Sram, L1DKind::DyFuse};
-    // Validate override keys up front rather than mid-sweep.
+    // Validate override keys and values up front rather than mid-sweep.
     for (std::size_t v = 0; v < spec.variantCount(); ++v)
         spec.configFor(v);
     return spec;

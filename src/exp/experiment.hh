@@ -75,7 +75,8 @@ struct ExperimentSpec
     SimConfig baseConfig() const;
 
     /** Fully materialised configuration of variant @p variant: base
-     *  preset + overrides + deterministic trace seeding. */
+     *  preset + overrides + deterministic trace seeding, validated
+     *  (fatal on an invalid value, see SimConfig::validate). */
     SimConfig configFor(std::size_t variant) const;
 
     /** Parse the text format documented above (fatal on errors). */

@@ -817,35 +817,21 @@ runFigureMain(const std::string &figure, int argc, char **argv)
         fuse_fatal("unknown figure '%s'", figure.c_str());
 
     ExperimentSpec spec = fig->makeSpec();
-    // --run-threads N parallelises each simulation's GPU (byte-identical
-    // output at every value; 1 is the serial reference engine).
-    std::uint32_t run_threads = 0;
-    std::vector<char *> benchmark_args;
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) == "--run-threads") {
-            if (i + 1 >= argc)
-                fuse_fatal("--run-threads expects a positive integer");
-            run_threads = parseThreadCount("--run-threads", argv[++i]);
-        } else {
-            benchmark_args.push_back(argv[i]);
-        }
-    }
-    if (!benchmark_args.empty()) {
+    if (argc > 1) {
         if (spec.benchmarks.empty()) {
             // Static tables have no benchmark dimension to restrict.
             fuse_warn("%s takes no benchmark arguments; ignoring them",
                       fig->name);
         } else {
             spec.benchmarks.clear();
-            for (char *arg : benchmark_args)
+            for (int i = 1; i < argc; ++i)
                 for (const auto &name :
-                     ExperimentSpec::resolveBenchmarks(arg))
+                     ExperimentSpec::resolveBenchmarks(argv[i]))
                     spec.benchmarks.push_back(name);
         }
     }
 
     SweepRunner runner;
-    runner.setRunThreads(run_threads);
     ResultSet results = runner.run(spec);
     fig->render(results, runner.threads());
     return 0;

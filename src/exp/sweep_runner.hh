@@ -11,7 +11,6 @@
 #define FUSE_EXP_SWEEP_RUNNER_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 
 #include "exp/experiment.hh"
@@ -32,11 +31,10 @@ void parallelFor(std::size_t n, unsigned threads,
 unsigned defaultThreadCount();
 
 /**
- * Strict CLI thread-count parsing shared by fuse_bench / fuse_sweep /
- * the figure binaries: parseCount (common/cli.hh) at the historical
- * [1, 4096] bounds. Kept as a named forwarder so thread-flag call
- * sites state their intent; new non-thread count flags should call
- * parseCount directly.
+ * Strict --threads parsing shared by fuse_bench and fuse_sweep:
+ * parseCount (common/cli.hh) at the historical [1, 4096] bounds. Kept
+ * as a named forwarder so thread-flag call sites state their intent;
+ * count flags that are not thread counts call parseCount directly.
  */
 unsigned parseThreadCount(const char *flag, const char *value);
 
@@ -47,20 +45,6 @@ class SweepRunner
     explicit SweepRunner(unsigned threads = 0);
 
     unsigned threads() const { return threads_; }
-
-    /**
-     * Worker threads ticking SMs INSIDE each simulation (GpuConfig::
-     * runThreads), orthogonal to the sweep-level pool: sweep threads
-     * decide which cells run concurrently, run threads parallelise one
-     * cell's GPU. 0 leaves the spec's configuration untouched (the
-     * serial engine); any value is safe — results are byte-identical at
-     * every thread count.
-     */
-    void setRunThreads(std::uint32_t run_threads)
-    {
-        runThreads_ = run_threads;
-    }
-    std::uint32_t runThreads() const { return runThreads_; }
 
     /** Called after each finished run with (result, done, total). May be
      *  invoked from any worker; calls are serialised internally. */
@@ -82,7 +66,6 @@ class SweepRunner
 
   private:
     unsigned threads_ = 1;
-    std::uint32_t runThreads_ = 0;
     Progress progress_;
 };
 

@@ -1,10 +1,8 @@
 #include "gpu/gpu.hh"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/log.hh"
-#include "common/order_gate.hh"
 #include "prof/prof.hh"
 
 namespace fuse
@@ -37,16 +35,6 @@ Gpu::Gpu(const GpuConfig &config, L1DKind l1d_kind, const L1DParams &l1d,
 
 Cycle
 Gpu::run()
-{
-    if (config_.runThreads > 1 && sms_.size() > 1) {
-        const auto cap = static_cast<std::uint32_t>(sms_.size());
-        return runParallel(std::min(config_.runThreads, cap));
-    }
-    return runSerial();
-}
-
-Cycle
-Gpu::runSerial()
 {
     // Next-event clock. Instead of lock-step ticking every SM every
     // cycle, each SM carries the next cycle it must observe: the next
@@ -146,145 +134,6 @@ Gpu::runSerial()
     // Warps holding a partially issued instruction still carry batched
     // transaction counts; drain them so stats are exact for every reader
     // downstream of run().
-    for (const auto &sm : sms_)
-        sm->flushIssueStats();
-    return cycles_;
-}
-
-Cycle
-Gpu::runParallel(std::uint32_t workers)
-{
-    // Same clock as runSerial, distributed: worker w owns SMs {i : i %
-    // workers == w} and runs a private next-event loop over them,
-    // always ticking its owned SM with the minimal (next_tick, index)
-    // key. The only cross-SM coupling in the model is the shared
-    // MemoryHierarchy, and every call into it passes the OrderGate,
-    // which admits calls in exactly the serial clock's (cycle, smId)
-    // order — so arbitration, MSHR interleaving, and every stat are
-    // byte-identical to runSerial at any worker count. Between
-    // hierarchy touches, SMs advance concurrently: each one is free to
-    // run up to its next off-chip interaction.
-    FUSE_PROF_SCOPE(gpu, run);
-    constexpr Cycle kNever = OrderGate::kNever;
-    cycles_ = 0;
-    const std::size_t n = sms_.size();
-    if (n == 0)
-        return 0;
-
-    OrderGate gate(n);
-    hierarchy_->setOrderGate(&gate);
-    // Cycles below accounted[i] are reflected in SM i's stats (ticked,
-    // or credited through skipIdle). Written only by the owning worker;
-    // read by this thread after the join for cap crediting.
-    std::vector<Cycle> accounted(n, 0);
-    // Done-at-start SMs are recorded before workers launch so the drain
-    // gate's bookkeeping starts from the same state the serial loop's
-    // initial done_count scan observes.
-    for (std::size_t i = 0; i < n; ++i) {
-        if (sms_[i]->done())
-            gate.markDone(i, 0);
-    }
-
-    const Cycle max_cycles = config_.maxCycles;
-    auto worker = [&](std::size_t wid) {
-        std::vector<std::size_t> owned;
-        for (std::size_t i = wid; i < n; i += workers)
-            owned.push_back(i);
-        std::vector<Cycle> next(owned.size(), 0);
-        std::size_t active = owned.size();
-        while (active > 0) {
-            // Minimal (next_tick, index) among owned SMs. owned[] is
-            // ascending, so the first strict minimum breaks cycle ties
-            // by SM index — the thread's current SM always holds its
-            // locally minimal key and can never block on a sibling it
-            // owns inside the gate.
-            std::size_t best = ~std::size_t(0);
-            for (std::size_t p = 0; p < owned.size(); ++p) {
-                if (next[p] == kNever)
-                    continue;
-                if (best == ~std::size_t(0) || next[p] < next[best])
-                    best = p;
-            }
-            const std::size_t i = owned[best];
-            const Cycle t = next[best];
-            Sm &sm = *sms_[i];
-            if (t >= max_cycles) {
-                // Past the safety cap. finish() leaves the done flag
-                // false: the permanent witness that keeps other SMs'
-                // drain ticks running to the cap, as the serial loop
-                // would.
-                gate.finish(i);
-                next[best] = kNever;
-                --active;
-                continue;
-            }
-            const bool was_done = sm.done();
-            if (was_done && !gate.awaitDrainTick(i, t)) {
-                // The serial loop breaks at the last done transition;
-                // cycle t lies beyond it, so this drain tick (and all
-                // later ones) must not run.
-                gate.finish(i);
-                next[best] = kNever;
-                --active;
-                continue;
-            }
-            if (t > accounted[i] && !was_done)
-                sm.skipIdle(t - accounted[i]);
-            FUSE_PROF_COUNT(gpu, sm_ticks);
-            // Register the admission identity for every hierarchy call
-            // this tick makes (requests may carry a foreign port id —
-            // see OrderGate::beginTick).
-            gate.beginTick(i);
-            sm.tick(t);
-            accounted[i] = t + 1;
-            if (!was_done && sm.done())
-                gate.markDone(i, t);
-            Cycle nx;
-            if (!sm.l1d().tickIdle())
-                nx = t + 1;   // Deferred L1D work runs cycle by cycle.
-            else if (sm.done())
-                nx = kNever;
-            else
-                nx = std::max(t + 1, sm.sleepUntil());
-            if (nx == kNever) {
-                gate.finish(i);
-                next[best] = kNever;
-                --active;
-            } else {
-                gate.publish(i, nx);
-                next[best] = nx;
-            }
-        }
-    };
-
-    {
-        std::vector<std::thread> pool;
-        pool.reserve(workers - 1);
-        for (std::uint32_t w = 1; w < workers; ++w)
-            pool.emplace_back(worker, w);
-        worker(0);
-        for (auto &th : pool)
-            th.join();
-    }
-    hierarchy_->setOrderGate(nullptr);
-
-    const bool all_done = gate.doneCount() == n;
-    const Cycle done_max = gate.doneMax();
-    if (all_done && done_max < max_cycles) {
-        // Serial break at done_count == n: now was the last transition.
-        cycles_ = done_max + 1;
-    } else {
-        // The clock ran into the safety cap: account the remaining idle
-        // window of every unfinished SM up to the cap and stop there.
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!sms_[i]->done() && max_cycles > accounted[i])
-                sms_[i]->skipIdle(max_cycles - accounted[i]);
-        }
-        cycles_ = max_cycles;
-    }
-    if (cycles_ >= max_cycles)
-        fuse_warn("simulation hit the %llu-cycle safety cap",
-                  static_cast<unsigned long long>(max_cycles));
     for (const auto &sm : sms_)
         sm->flushIssueStats();
     return cycles_;

@@ -1,6 +1,5 @@
 #include "mem/hierarchy.hh"
 
-#include "common/order_gate.hh"
 #include "prof/prof.hh"
 
 namespace fuse
@@ -24,10 +23,6 @@ MemoryHierarchy::MemoryHierarchy(const NocConfig &noc_config,
 OffchipResult
 MemoryHierarchy::access(const MemRequest &req, Cycle now)
 {
-    // Admission identity comes from the gate's registered ticking SM,
-    // not req.smId: drain-path writebacks carry a foreign port id.
-    if (gate_)
-        gate_->admit();
     OffchipResult result;
     FUSE_PROF_COUNT(mem, offchip_requests);
     ++(*statRequests_);
@@ -69,10 +64,6 @@ MemoryHierarchy::access(const MemRequest &req, Cycle now)
 void
 MemoryHierarchy::writeback(const MemRequest &req, Cycle now)
 {
-    // Admission identity comes from the gate's registered ticking SM,
-    // not req.smId: drain-path writebacks carry a foreign port id.
-    if (gate_)
-        gate_->admit();
     FUSE_PROF_COUNT(mem, offchip_writebacks);
     ++(*statRequests_);
     ++(*statWritebacks_);

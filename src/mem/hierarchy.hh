@@ -30,26 +30,16 @@ struct OffchipResult
     Cycle dramCycles = 0;     ///< Extra time spent in DRAM (0 on L2 hit).
 };
 
-class OrderGate;
-
 /**
- * The shared memory system below the L1Ds. The model itself is
- * thread-unsafe by design: requests must arrive in the serial clock's
- * (cycle, smId) order. Under the parallel in-run engine an OrderGate is
- * attached, and every entry point first blocks until the calling SM's
- * key is the minimal live one — reproducing the serial arbitration
- * order exactly while SMs otherwise tick concurrently.
+ * The shared memory system below the L1Ds. Not thread-safe: one GPU
+ * clock drives it, and requests arrive in that clock's (cycle, smId)
+ * order, which is the arbitration order every stat depends on.
  */
 class MemoryHierarchy
 {
   public:
     MemoryHierarchy(const NocConfig &noc_config, const L2Config &l2_config,
                     const DramConfig &dram_config);
-
-    /** Attach (or detach with nullptr) the parallel engine's admission
-     *  gate. Serial runs leave it detached: zero overhead beyond one
-     *  predictable branch per off-chip request. */
-    void setOrderGate(OrderGate *gate) { gate_ = gate; }
 
     /**
      * Service an L1D miss (or bypassed access).
@@ -83,7 +73,6 @@ class MemoryHierarchy
     L2Cache l2_;
     Dram dram_;
     StatGroup stats_;
-    OrderGate *gate_ = nullptr;
     // Hot-path counters cached out of the string-keyed map.
     StatGroup::Scalar *statRequests_;
     StatGroup::Scalar *statReadRequests_;

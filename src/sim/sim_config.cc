@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "common/log.hh"
+
 namespace fuse
 {
 
@@ -65,6 +67,33 @@ SimConfig::testScale()
     c.gpu.warpsPerSm = 16;
     c.gpu.instructionBudgetPerSm = 20000;
     return c;
+}
+
+void
+SimConfig::validate() const
+{
+    const struct
+    {
+        const char *key;
+        std::uint64_t value;
+    } counts[] = {
+        {"gpu.numSms", gpu.numSms},
+        {"gpu.warpsPerSm", gpu.warpsPerSm},
+        {"gpu.maxCycles", gpu.maxCycles},
+        {"l1d.mshrEntries", l1d.mshrEntries},
+        {"l1d.sramWays", l1d.sramWays},
+        {"l1d.sttWays", l1d.sttWays},
+        {"l1d.baselineWays", l1d.baselineWays},
+        {"l1d.nvmWays", l1d.nvmWays},
+    };
+    for (const auto &c : counts) {
+        if (c.value == 0)
+            fuse_fatal("invalid config: %s must be positive", c.key);
+    }
+    // Written so NaN fails too.
+    if (!(l1d.sramAreaFraction > 0.0 && l1d.sramAreaFraction < 1.0))
+        fuse_fatal("invalid config: l1d.sramAreaFraction must lie in "
+                   "(0, 1), got %g", l1d.sramAreaFraction);
 }
 
 } // namespace fuse

@@ -31,6 +31,14 @@ struct SimConfig
 
     /** A reduced-scale preset for unit tests (fast, same structure). */
     static SimConfig testScale();
+
+    /**
+     * Fatal, naming the offending override key, on a configuration no
+     * run can simulate: zero SMs, warps per SM, cycle cap, MSHR entries
+     * or ways, or an SRAM area fraction outside (0, 1). A zero
+     * instruction budget is legal (every SM is done at cycle 0).
+     */
+    void validate() const;
 };
 
 } // namespace fuse

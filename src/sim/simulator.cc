@@ -15,6 +15,7 @@ Metrics
 Simulator::run(const BenchmarkSpec &benchmark, L1DKind kind) const
 {
     FUSE_PROF_SCOPE(sim, run);
+    config_.validate();
     // Per-run attribution: the difference of global snapshots around the
     // run. Exact only when this thread is the only one simulating (the
     // fuse_bench --profile regime); a multi-threaded sweep's per-run

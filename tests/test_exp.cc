@@ -196,6 +196,89 @@ TEST(ExperimentSpec, RejectsMalformedLine)
                 ::testing::ExitedWithCode(1), "expected 'key: value'");
 }
 
+// ----------------------------------------------- config validation
+
+TEST(ConfigValidateDeathTest, SpecRejectsZeroWarpsPerSm)
+{
+    // A GPU without warps runs out of events before any SM is done: it
+    // would report one cycle, no instructions, and exit 0.
+    EXPECT_EXIT(
+        {
+            ExperimentSpec::parse("benchmarks: ATAX\n"
+                                  "kinds: Dy-FUSE\n"
+                                  "variant: x | gpu.warpsPerSm=0\n");
+        },
+        ::testing::ExitedWithCode(1), "gpu.warpsPerSm");
+}
+
+TEST(ConfigValidateDeathTest, SpecRejectsSramAreaFractionAboveOne)
+{
+    // Dy-FUSE would size a negative STT partition and die in
+    // std::bad_alloc.
+    EXPECT_EXIT(
+        {
+            ExperimentSpec::parse("benchmarks: ATAX\n"
+                                  "kinds: Dy-FUSE\n"
+                                  "variant: x | l1d.sramAreaFraction=1.5\n");
+        },
+        ::testing::ExitedWithCode(1), "l1d.sramAreaFraction");
+}
+
+TEST(ConfigValidateDeathTest, EveryRejectedValueNamesItsKey)
+{
+    const ConfigOverride bad[] = {
+        {"gpu.numSms", 0},
+        {"gpu.warpsPerSm", 0},
+        {"gpu.maxCycles", 0},
+        {"l1d.mshrEntries", 0},
+        {"l1d.sramWays", 0},
+        {"l1d.sttWays", 0},
+        {"l1d.baselineWays", 0},
+        {"l1d.nvmWays", 0},
+        {"l1d.sramAreaFraction", 0.0},
+        {"l1d.sramAreaFraction", 1.0},
+        {"l1d.sramAreaFraction", -0.25},
+    };
+    for (const ConfigOverride &o : bad) {
+        SimConfig config = SimConfig::testScale();
+        applyOverride(config, o);
+        EXPECT_EXIT(config.validate(), ::testing::ExitedWithCode(1),
+                    o.key.c_str())
+            << o.key << " = " << o.value;
+    }
+}
+
+TEST(ConfigValidateDeathTest, SimulatorRejectsInvalidConfig)
+{
+    SimConfig config = SimConfig::testScale();
+    config.l1d.mshrEntries = 0;
+    EXPECT_EXIT(Simulator(config).run("ATAX", L1DKind::DyFuse),
+                ::testing::ExitedWithCode(1), "l1d.mshrEntries");
+}
+
+TEST(ConfigValidate, ZeroInstructionBudgetIsLegal)
+{
+    SimConfig config = SimConfig::testScale();
+    config.gpu.instructionBudgetPerSm = 0;
+    EXPECT_EQ(Simulator(config).run("ATAX", L1DKind::DyFuse).instructions,
+              0u);
+}
+
+TEST(ConfigValidate, EveryFigureVariantValidates)
+{
+    // configFor() validates, so an invalid figure variant exits this
+    // binary with the offending key on stderr.
+    std::size_t checked = 0;
+    for (const Figure &fig : figures()) {
+        const ExperimentSpec spec = fig.makeSpec();
+        for (std::size_t v = 0; v < spec.variantCount(); ++v) {
+            spec.configFor(v).validate();
+            ++checked;
+        }
+    }
+    EXPECT_GT(checked, figures().size());
+}
+
 TEST(L1DKindNames, RoundTrip)
 {
     for (L1DKind kind : allL1DKinds()) {

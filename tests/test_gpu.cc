@@ -240,6 +240,32 @@ TEST(Gpu, StatsAggregationSumsAcrossSms)
     EXPECT_GT(manual, 0.0);
 }
 
+TEST(Gpu, StopsAtMaxCyclesCap)
+{
+    // A budget no SM can retire under the cap: the clock stops at
+    // maxCycles and credits every unfinished SM's idle window up to it.
+    SimConfig c = SimConfig::testScale();
+    c.gpu.maxCycles = 5000;
+    Gpu gpu(c.gpu, L1DKind::DyFuse, c.l1d, benchmarkByName("PVC"));
+    EXPECT_EQ(gpu.run(), 5000u);
+    EXPECT_EQ(gpu.cycles(), 5000u);
+    EXPECT_EQ(gpu.totalInstructions(), 5091u);
+    EXPECT_DOUBLE_EQ(gpu.sumSmStat("idle_cycles"), 14622.0);
+    EXPECT_DOUBLE_EQ(gpu.sumSmStat("mem_wait_cycles"), 14622.0);
+}
+
+TEST(Gpu, ZeroBudgetTicksOnceAndRetiresNothing)
+{
+    // Every SM is done before cycle 0; the clock still ticks each SM
+    // once at cycle 0 and reports one elapsed cycle.
+    SimConfig c = SimConfig::testScale();
+    c.gpu.instructionBudgetPerSm = 0;
+    Gpu gpu(c.gpu, L1DKind::DyFuse, c.l1d, benchmarkByName("ATAX"));
+    EXPECT_EQ(gpu.run(), 1u);
+    EXPECT_EQ(gpu.cycles(), 1u);
+    EXPECT_EQ(gpu.totalInstructions(), 0u);
+}
+
 TEST(Gpu, MemoryBoundWorkloadWaitsOnMemory)
 {
     Gpu gpu(tinyGpu(), L1DKind::L1Sram, L1DParams{},

@@ -119,19 +119,6 @@ TEST(Canonical, ConfigTextIsDeterministic)
               std::string::npos);
 }
 
-TEST(Canonical, RunThreadsDoesNotSplitTheCache)
-{
-    // Results are byte-identical at every run-thread count (PR 8), so
-    // the canonical text must not mention it.
-    SimConfig serial = SimConfig::testScale();
-    SimConfig parallel = SimConfig::testScale();
-    serial.gpu.runThreads = 1;
-    parallel.gpu.runThreads = 8;
-    EXPECT_EQ(canonicalConfig(serial), canonicalConfig(parallel));
-    EXPECT_EQ(canonicalConfig(serial).find("runThreads"),
-              std::string::npos);
-}
-
 TEST(Canonical, BehaviouralFieldsSplitTheCache)
 {
     SimConfig a = SimConfig::testScale();

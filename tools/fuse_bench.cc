@@ -7,18 +7,13 @@
  * measured on every PR instead of assumed.
  *
  * Usage:
- *   fuse_bench [--figure NAME] [--threads N] [--run-threads N]
- *              [--repeat N] [--out FILE] [--smoke] [--profile]
+ *   fuse_bench [--figure NAME] [--threads N] [--repeat N]
+ *              [--out FILE] [--smoke] [--profile]
  *
  *   --figure NAME  sweep grid to time (default: fig13, the headline IPC
  *                  grid — every organisation x every workload)
  *   --threads N    sweep worker threads (default: 1 so runs/sec measures
  *                  the core, not the pool; FUSE_THREADS still wins)
- *   --run-threads N  threads ticking SMs inside each simulation (the
- *                  parallel in-run engine; byte-identical results at
- *                  every value). Default 1 = the serial reference
- *                  engine. Applies to the single-run and sweep sections;
- *                  the scaling section measures 1/2/4 regardless.
  *   --repeat N     best-of-N for the single-run section (default: 3)
  *   --out FILE     output path (default: BENCH_sim_core.json)
  *   --smoke        CI mode: FUSE_FAST budgets and a two-benchmark grid,
@@ -37,9 +32,9 @@
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "exp/figures.hh"
 #include "exp/sweep_runner.hh"
@@ -74,9 +69,6 @@ usage()
         "usage: fuse_bench [options]\n"
         "  --figure NAME  figure grid to sweep (default: fig13)\n"
         "  --threads N    sweep worker threads, N >= 1 (default: 1)\n"
-        "  --run-threads N  threads ticking SMs inside each simulation,\n"
-        "                 N >= 1 (default: 1 = the serial engine;\n"
-        "                 results are byte-identical at every value)\n"
         "  --repeat N     best-of-N single-run timing (default: 3)\n"
         "  --out FILE     output JSON path (default: BENCH_sim_core.json)\n"
         "  --smoke        small CI grid with FUSE_FAST budgets\n"
@@ -94,7 +86,6 @@ main(int argc, char **argv)
     std::string out_path = "BENCH_sim_core.json";
     bool threads_set = false;
     unsigned threads = 1;
-    unsigned run_threads = 1;
     int repeat = 3;
     bool smoke = false;
     bool profile = false;
@@ -113,12 +104,9 @@ main(int argc, char **argv)
             // silent clamps (strtoul would wrap "-1" into a huge pool).
             threads = fuse::parseThreadCount("--threads", value().c_str());
             threads_set = true;
-        } else if (arg == "--run-threads") {
-            run_threads =
-                fuse::parseThreadCount("--run-threads", value().c_str());
         } else if (arg == "--repeat") {
             repeat = static_cast<int>(
-                fuse::parseThreadCount("--repeat", value().c_str()));
+                fuse::parseCount("--repeat", value().c_str()));
         } else if (arg == "--out") {
             out_path = value();
         } else if (arg == "--smoke") {
@@ -160,8 +148,7 @@ main(int argc, char **argv)
     // Dy-FUSE stack, on the spec's first two workloads.
     std::vector<SingleRun> singles;
     {
-        fuse::SimConfig config = spec.configFor(0);
-        config.gpu.runThreads = run_threads;
+        const fuse::SimConfig config = spec.configFor(0);
         std::vector<std::string> benchmarks(
             spec.benchmarks.begin(),
             spec.benchmarks.begin()
@@ -199,7 +186,6 @@ main(int argc, char **argv)
     // ---- Section 2: the full sweep grid through SweepRunner (what a
     // perf regression would slow down for every figure reproduction).
     fuse::SweepRunner runner(threads);
-    runner.setRunThreads(run_threads);
     std::fprintf(stderr, "sweep %s: %zu runs on %u threads...\n",
                  spec.name.c_str(), spec.runCount(), runner.threads());
     if (profile && !fuse::prof::enabled())
@@ -314,58 +300,6 @@ main(int argc, char **argv)
         }
     }
 
-    // ---- Section 3: intra-run parallel scaling. Find the grid's
-    // heaviest single point (largest serial wall across the spec's
-    // benchmarks on the full Dy-FUSE stack), then time that one run at
-    // 1/2/4 in-run threads — the latency the parallel engine exists to
-    // cut. Results are byte-identical across thread counts (CI proves
-    // it); this section only measures the wall clock.
-    struct ScalePoint
-    {
-        unsigned threads = 0;
-        double wallMs = 0.0;
-    };
-    std::string scale_benchmark;
-    std::vector<ScalePoint> scale_points;
-    {
-        fuse::SimConfig config = spec.configFor(0);
-        config.gpu.runThreads = 1;
-        fuse::Simulator sim(config);
-        double heaviest = -1.0;
-        for (const auto &benchmark : spec.benchmarks) {
-            const auto start = Clock::now();
-            sim.run(benchmark, fuse::L1DKind::DyFuse);
-            const double ms = msSince(start);
-            if (ms > heaviest) {
-                heaviest = ms;
-                scale_benchmark = benchmark;
-            }
-        }
-        for (unsigned t : {1u, 2u, 4u}) {
-            config.gpu.runThreads = t;
-            fuse::Simulator scaled(config);
-            ScalePoint p;
-            p.threads = t;
-            p.wallMs = -1.0;
-            for (int r = 0; r < repeat; ++r) {
-                const auto start = Clock::now();
-                scaled.run(scale_benchmark, fuse::L1DKind::DyFuse);
-                const double ms = msSince(start);
-                if (p.wallMs < 0.0 || ms < p.wallMs)
-                    p.wallMs = ms;
-            }
-            std::fprintf(stderr,
-                         "scaling %-6s Dy-FUSE %u run-thread%s %8.1f ms"
-                         "  (%.2fx)\n",
-                         scale_benchmark.c_str(), t, t == 1 ? " " : "s",
-                         p.wallMs,
-                         scale_points.empty() || p.wallMs <= 0.0
-                             ? 1.0
-                             : scale_points.front().wallMs / p.wallMs);
-            scale_points.push_back(p);
-        }
-    }
-
     std::ofstream os(out_path);
     if (!os)
         fuse_fatal("cannot open '%s' for writing", out_path.c_str());
@@ -391,36 +325,6 @@ main(int argc, char **argv)
     os << "    \"runs_per_sec\": " << runs_per_sec << ",\n";
     os << "    \"sim_cycles_total\": " << total_cycles << ",\n";
     os << "    \"cycles_per_sec\": " << cycles_per_sec << "\n";
-    os << "  },\n";
-    // The scaling section records what this host actually delivered,
-    // including how many hardware threads it had to offer: a ~1.0x
-    // curve on a 1-core container is the honest result, not a bug, and
-    // host_cpus is what lets a reader tell the two apart.
-    const unsigned host_cpus = std::thread::hardware_concurrency();
-    os << "  \"parallel_scaling\": {\n";
-    os << "    \"benchmark\": \"" << scale_benchmark << "\",\n";
-    os << "    \"kind\": \"" << toString(fuse::L1DKind::DyFuse) << "\",\n";
-    os << "    \"host_cpus\": " << host_cpus << ",\n";
-    os << "    \"note\": \"best-of-" << repeat
-       << " wall ms per point; results are byte-identical across "
-          "run_threads, only latency changes"
-       << (host_cpus < 4
-               ? "; this host has fewer hardware threads than the "
-                 "4-thread point, so speedup is hardware-bound, not "
-                 "engine-bound"
-               : "")
-       << "\",\n";
-    os << "    \"points\": [\n";
-    for (std::size_t i = 0; i < scale_points.size(); ++i) {
-        const ScalePoint &p = scale_points[i];
-        const double base = scale_points.front().wallMs;
-        os << "      {\"run_threads\": " << p.threads << ", "
-           << "\"wall_ms\": " << p.wallMs << ", "
-           << "\"speedup\": "
-           << (p.wallMs > 0.0 ? base / p.wallMs : 0.0) << "}"
-           << (i + 1 < scale_points.size() ? "," : "") << "\n";
-    }
-    os << "    ]\n";
     os << "  }";
     if (profile) {
         os << ",\n";
