@@ -2,8 +2,9 @@
  * @file
  * Counting Bloom filter (CBF) with configurable hash-function count, slot
  * count, and counter width — the building block of FUSE's associativity
- * approximation (§III-B, §IV-C) and the Counting fallback mode of the
- * presence-summary layer (cache/presence.hh).
+ * approximation (§III-B, §IV-C). The presence-summary layer
+ * (cache/presence.hh) keeps exact u16 counters instead and never
+ * saturates.
  *
  * Saturation semantics (the never-false-negative contract, audited for
  * the presence-filter work and regression-tested in tests/test_bloom.cc):

@@ -14,6 +14,12 @@ PresenceSummary::PresenceSummary(std::uint32_t max_members,
         fuse_fatal("PresenceSummary needs nonzero members (%u) and "
                    "hashes (%u)",
                    max_members, num_hashes);
+    // Exact counting is safe iff the worst case — every live member's
+    // every hash landing in one slot — still fits the u16 counter.
+    if (std::uint64_t(max_members) * num_hashes > kCounterMax)
+        fuse_fatal("PresenceSummary bound %u members x %u hashes exceeds "
+                   "the u16 counter (%u)",
+                   max_members, num_hashes, unsigned(kCounterMax));
 
     if (num_slots == 0) {
         // Auto-size: 16 slots per member keeps a full structure's expected
@@ -29,28 +35,14 @@ PresenceSummary::PresenceSummary(std::uint32_t max_members,
                    num_slots);
     numSlots_ = num_slots;
     slotMask_ = num_slots - 1;
-
-    // Exact mode is safe iff the worst case — every live member's every
-    // hash landing in one slot — still fits the u16 counter.
-    if (std::uint64_t(max_members) * num_hashes <= kCounterMax) {
-        mode_ = Mode::Exact;
-        counters_.assign(numSlots_, 0);
-    } else {
-        mode_ = Mode::Counting;
-        cbf_ = std::make_unique<CountingBloomFilter>(numSlots_, numHashes_,
-                                                     8);
-    }
+    counters_.assign(numSlots_, 0);
 }
 
 void
 PresenceSummary::clear()
 {
     members_ = 0;
-    if (mode_ == Mode::Exact) {
-        std::fill(counters_.begin(), counters_.end(), 0);
-        return;
-    }
-    cbf_->clear();
+    std::fill(counters_.begin(), counters_.end(), 0);
 }
 
 } // namespace fuse

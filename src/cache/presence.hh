@@ -8,22 +8,14 @@
  * the filter only proves absence, never presence — so eliding the consult
  * is timing-invisible and every figure output stays byte-identical.
  *
- * Two modes, selected at construction from the owner's geometry:
- *
- *  - Exact: u16 counters, one per hash slot. When the owner can bound its
- *    concurrent membership (maxMembers * numHashes <= 0xFFFF — true for
- *    every MSHR file and L1D bank geometry in the repo), counters can
- *    never saturate, so decrements are exact and "counter == 0" means
- *    *definitely absent* forever: no residue, no false-negative risk, no
- *    periodic refresh. A zero-counter remove is a maintenance bug in the
- *    owner and trips fuse_fatal rather than silently corrupting the
- *    no-false-negative contract.
- *
- *  - Counting: falls back to the saturating CountingBloomFilter
- *    (cache/bloom.hh, 8-bit counters) when the membership bound is too
- *    large for exact counters. Saturation pins counters high (false
- *    positives only), so the contract still holds; residue just lowers
- *    the skip rate.
+ * Counters are u16, one per hash slot. The owner bounds its concurrent
+ * membership (maxMembers * numHashes <= 0xFFFF, checked at construction;
+ * the largest geometry in the repo, the 1x512 FA SRAM bank at one hash,
+ * is far inside it), so counters can never saturate: decrements are
+ * exact and "counter == 0" means *definitely absent* forever — no
+ * residue, no false-negative risk, no periodic refresh. A zero-counter
+ * remove is a maintenance bug in the owner and trips fuse_fatal rather
+ * than silently corrupting the no-false-negative contract.
  *
  * The owner maintains the summary at exactly the points membership
  * changes (allocate/retire, fill/evict/invalidate) and consults
@@ -36,10 +28,8 @@
 #define FUSE_CACHE_PRESENCE_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "cache/bloom.hh"
 #include "common/bitops.hh"
 #include "common/log.hh"
 
@@ -47,18 +37,16 @@ namespace fuse
 {
 
 /**
- * Exact (or gracefully degrading) presence summary over 64-bit keys.
- * mayContain() == false is always authoritative: the key is absent.
+ * Exact presence summary over 64-bit keys. mayContain() == false is
+ * always authoritative: the key is absent.
  */
 class PresenceSummary
 {
   public:
-    enum class Mode : std::uint8_t { Exact, Counting };
-
     /**
      * @param max_members greatest number of keys ever live at once (the
-     *        owner's capacity: MSHR entries, tag-array lines). Selects
-     *        Exact mode when max_members * num_hashes fits a u16 counter.
+     *        owner's capacity: MSHR entries, tag-array lines). Fatal
+     *        unless max_members * num_hashes fits a u16 counter.
      * @param num_slots   counter-array length; 0 auto-sizes to the next
      *        power of two >= 16 * max_members (clamped to [256, 2^20]),
      *        which keeps the expected false-positive rate in the
@@ -75,58 +63,46 @@ class PresenceSummary
      *  structure. The gate on the consult hot path. */
     bool mayContain(std::uint64_t key) const
     {
-        if (mode_ == Mode::Exact) {
-            for (std::uint32_t h = 0; h < numHashes_; ++h) {
-                if (counters_[slotOf(key, h)] == 0)
-                    return false;
-            }
-            return true;
+        for (std::uint32_t h = 0; h < numHashes_; ++h) {
+            if (counters_[slotOf(key, h)] == 0)
+                return false;
         }
-        return cbf_->test(key);
+        return true;
     }
 
     /** Record @p key becoming a member (owner inserted it). */
     void insert(std::uint64_t key)
     {
         ++members_;
-        if (mode_ == Mode::Exact) {
-            for (std::uint32_t h = 0; h < numHashes_; ++h) {
-                std::uint16_t &c = counters_[slotOf(key, h)];
-                if (c == kCounterMax)
-                    fuse_fatal("PresenceSummary exact counter overflow: "
-                               "owner exceeded max_members=%u",
-                               maxMembers_);
-                ++c;
-            }
-            return;
+        for (std::uint32_t h = 0; h < numHashes_; ++h) {
+            std::uint16_t &c = counters_[slotOf(key, h)];
+            if (c == kCounterMax)
+                fuse_fatal("PresenceSummary exact counter overflow: "
+                           "owner exceeded max_members=%u",
+                           maxMembers_);
+            ++c;
         }
-        cbf_->insert(key);
     }
 
     /** Record @p key leaving (owner removed it). Pre-condition: @p key
      *  was insert()ed and not yet removed — unbalanced removes corrupt
-     *  the no-false-negative contract, so Exact mode traps them. */
+     *  the no-false-negative contract, so they trap. */
     void remove(std::uint64_t key)
     {
         --members_;
-        if (mode_ == Mode::Exact) {
-            for (std::uint32_t h = 0; h < numHashes_; ++h) {
-                std::uint16_t &c = counters_[slotOf(key, h)];
-                if (c == 0)
-                    fuse_fatal("PresenceSummary remove of absent key %llu: "
-                               "owner maintenance bug",
-                               static_cast<unsigned long long>(key));
-                --c;
-            }
-            return;
+        for (std::uint32_t h = 0; h < numHashes_; ++h) {
+            std::uint16_t &c = counters_[slotOf(key, h)];
+            if (c == 0)
+                fuse_fatal("PresenceSummary remove of absent key %llu: "
+                           "owner maintenance bug",
+                           static_cast<unsigned long long>(key));
+            --c;
         }
-        cbf_->remove(key);
     }
 
     /** Forget everything (owner cleared the structure). */
     void clear();
 
-    Mode mode() const { return mode_; }
     std::uint32_t numSlots() const { return numSlots_; }
     std::uint32_t numHashes() const { return numHashes_; }
     std::uint32_t maxMembers() const { return maxMembers_; }
@@ -145,14 +121,12 @@ class PresenceSummary
                                           slotMask_);
     }
 
-    Mode mode_ = Mode::Exact;
     std::uint32_t maxMembers_;
     std::uint32_t numSlots_ = 0;
     std::uint32_t slotMask_ = 0;   ///< numSlots_ - 1 (always a power of 2).
     std::uint32_t numHashes_;
     std::uint64_t members_ = 0;
-    std::vector<std::uint16_t> counters_;        ///< Exact mode.
-    std::unique_ptr<CountingBloomFilter> cbf_;   ///< Counting mode.
+    std::vector<std::uint16_t> counters_;
 };
 
 } // namespace fuse

@@ -3,8 +3,8 @@
  * Bit-scan and hash-mix helpers shared by the hot-path structures
  * (tag-array free-way bitmap, warp-scheduler ready bitmap, flat address
  * map, counting Bloom filters, presence summaries) plus the FNV-1a
- * content hash the golden-checksum tier and the serve-layer cache keys
- * are built on. One definition so a portability fix lands everywhere at
+ * content hash the golden-checksum tier and the result-store keys are
+ * built on. One definition so a portability fix lands everywhere at
  * once.
  */
 
@@ -54,7 +54,7 @@ hashMix64(std::uint64_t key, std::uint64_t salt)
 /**
  * FNV-1a over a byte string — the repository's standing content hash
  * (the golden-checksum tier hashes canonical JSON exports with exactly
- * these constants, and the serve layer keys its result store with it).
+ * these constants, and the result store keys its records with it).
  * Deliberately tiny and dependency-free; not for hot-path hash tables
  * (those use hashMix64 above).
  */

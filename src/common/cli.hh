@@ -1,8 +1,7 @@
 /**
  * @file
  * Shared strict CLI number parsing. Every user-facing count flag in the
- * tree (--threads on fuse_bench and fuse_sweep, --repeat on fuse_bench,
- * and fuse_serve's worker/queue/attempt flags)
+ * tree (--threads on fuse_bench and fuse_sweep, --repeat on fuse_bench)
  * parses through parseCount so the rejection behaviour is identical
  * everywhere: the whole string must be a decimal integer inside the
  * stated bounds, and zero, negatives, fractions and garbage are fatal

@@ -1,7 +1,8 @@
 /**
  * @file
  * Canonical serialization of experiment points, for content-addressed
- * result caching (the fuse_serve campaign service). One run of the
+ * result caching (the result store behind `fuse_sweep --store`, see
+ * exp/result_store.hh). One run of the
  * simulator is fully determined by (materialised SimConfig, benchmark,
  * L1D kind) — the trace seed lives inside the config — so the canonical
  * text of a spec point is exactly that triple, spelled as a sorted,
@@ -29,7 +30,7 @@ namespace fuse
 /**
  * Every simulated-behaviour-relevant field of @p config as "key = value"
  * lines in fixed order. New SimConfig fields MUST be added here (and to
- * the CanonicalConfig tests in test_serve.cc): a field missing from the
+ * the Canonical tests in test_result_store.cc): a field missing from the
  * canonical text would let two different configurations share a cache
  * key.
  */
@@ -45,9 +46,9 @@ std::string canonicalSpecPoint(const ExperimentSpec &spec, std::size_t b,
 
 /**
  * FNV-1a content hash of canonicalSpecPoint — the pure-content half of
- * a serve cache key (the other half is the binary's behavioural
- * fingerprint, see serve/campaign.hh). Stable across processes,
- * schedules and hosts; pinned by committed goldens in test_serve.cc.
+ * a store key (the other half is the binary's behavioural fingerprint,
+ * see exp/result_store.hh). Stable across processes, schedules and
+ * hosts; pinned by committed goldens in test_result_store.cc.
  */
 std::uint64_t pointContentHash(const ExperimentSpec &spec, std::size_t b,
                                std::size_t v, std::size_t k);

@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/cli.hh"
 #include "common/log.hh"
 #include "prof/prof.hh"
 #include "sim/simulator.hh"
@@ -64,10 +63,17 @@ defaultThreadCount()
     return hw > 0 ? hw : 1;
 }
 
-unsigned
-parseThreadCount(const char *flag, const char *value)
+std::vector<std::size_t>
+shardCells(std::size_t grid_size, std::size_t shard_index,
+           std::size_t shard_count)
 {
-    return parseCount(flag, value, 1, 4096);
+    if (shard_count == 0 || shard_index >= shard_count)
+        fuse_fatal("invalid shard %zu/%zu (want 0 <= index < count)",
+                   shard_index, shard_count);
+    std::vector<std::size_t> cells;
+    for (std::size_t i = shard_index; i < grid_size; i += shard_count)
+        cells.push_back(i);
+    return cells;
 }
 
 SweepRunner::SweepRunner(unsigned threads)
@@ -78,9 +84,15 @@ ResultSet
 SweepRunner::run(const ExperimentSpec &spec, std::size_t shard_index,
                  std::size_t shard_count) const
 {
-    if (shard_count == 0 || shard_index >= shard_count)
-        fuse_fatal("invalid shard %zu/%zu (want 0 <= index < count)",
-                   shard_index, shard_count);
+    return runCells(spec,
+                    shardCells(spec.runCount(), shard_index, shard_count));
+}
+
+ResultSet
+SweepRunner::runCells(const ExperimentSpec &spec,
+                      const std::vector<std::size_t> &cells,
+                      const CellDone &cell_done) const
+{
     FUSE_PROF_SCOPE(exp, sweep);
 
     ResultSet results(spec.name, spec.benchmarks, spec.kinds,
@@ -92,12 +104,6 @@ SweepRunner::run(const ExperimentSpec &spec, std::size_t shard_index,
     configs.reserve(spec.variantCount());
     for (std::size_t v = 0; v < spec.variantCount(); ++v)
         configs.push_back(spec.configFor(v));
-
-    // This shard's slice of the flat grid (everything when unsharded).
-    std::vector<std::size_t> cells;
-    for (std::size_t i = shard_index; i < results.size();
-         i += shard_count)
-        cells.push_back(i);
 
     const std::size_t total = cells.size();
     std::size_t done = 0; // Guarded by progress_mutex.
@@ -119,6 +125,8 @@ SweepRunner::run(const ExperimentSpec &spec, std::size_t shard_index,
         run.variantLabel = results.variantLabels()[v];
         run.metrics = sim.run(run.benchmark, run.kind);
         run.valid = true;
+        if (cell_done)
+            cell_done(run, i);
 
         if (progress_) {
             // Count under the same lock that serialises the callback so

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <vector>
 
 #include "exp/experiment.hh"
 #include "exp/result_set.hh"
@@ -31,12 +32,14 @@ void parallelFor(std::size_t n, unsigned threads,
 unsigned defaultThreadCount();
 
 /**
- * Strict --threads parsing shared by fuse_bench and fuse_sweep:
- * parseCount (common/cli.hh) at the historical [1, 4096] bounds. Kept
- * as a named forwarder so thread-flag call sites state their intent;
- * count flags that are not thread counts call parseCount directly.
+ * The flat grid indices of shard @p shard_index of @p shard_count over a
+ * grid of @p grid_size cells: every index congruent to @p shard_index
+ * mod @p shard_count (round-robin, so every shard gets a balanced
+ * benchmark mix). Fatal on an invalid shard.
  */
-unsigned parseThreadCount(const char *flag, const char *value);
+std::vector<std::size_t> shardCells(std::size_t grid_size,
+                                    std::size_t shard_index,
+                                    std::size_t shard_count);
 
 class SweepRunner
 {
@@ -54,15 +57,27 @@ class SweepRunner
 
     /**
      * Execute the grid and return the dense, ordered results. With
-     * @p shard_count > 1 only the cells whose flat index is congruent to
-     * @p shard_index mod @p shard_count are simulated (round-robin, so
-     * every shard gets a balanced benchmark mix); the other cells stay
-     * invalid. Because every run is seeded purely from the spec, merging
-     * the N shard ResultSets reproduces the unsharded sweep cell for
-     * cell (see ResultSet::merge).
+     * @p shard_count > 1 only shardCells(..., @p shard_index,
+     * @p shard_count) are simulated; the other cells stay invalid.
+     * Because every run is seeded purely from the spec, merging the N
+     * shard ResultSets reproduces the unsharded sweep cell for cell (see
+     * ResultSet::merge).
      */
     ResultSet run(const ExperimentSpec &spec, std::size_t shard_index = 0,
                   std::size_t shard_count = 1) const;
+
+    /** Called on the worker thread with each simulated cell and its flat
+     *  index, concurrently across workers. */
+    using CellDone = std::function<void(const RunResult &, std::size_t)>;
+
+    /**
+     * Simulate exactly the grid cells whose flat indices (see
+     * ResultSet::index) are listed in @p cells; every other cell of the
+     * returned grid stays invalid. Progress counts these cells only.
+     */
+    ResultSet runCells(const ExperimentSpec &spec,
+                       const std::vector<std::size_t> &cells,
+                       const CellDone &cell_done = {}) const;
 
   private:
     unsigned threads_ = 1;

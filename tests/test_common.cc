@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the common substrate: types, stats, RNG.
+ * Unit tests for the common substrate: types, stats, RNG, and the
+ * strict CLI count parser.
  */
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/cli.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -159,6 +161,33 @@ TEST(Rng, CoversRange)
     for (int i = 0; i < 200; ++i)
         seen.insert(rng.below(8));
     EXPECT_EQ(seen.size(), 8u);
+}
+
+TEST(ParseCount, AcceptsBounds)
+{
+    EXPECT_EQ(parseCount("--threads", "1"), 1u);
+    EXPECT_EQ(parseCount("--threads", "4096"), 4096u);
+    EXPECT_EQ(parseCount("--threads", "17"), 17u);
+}
+
+TEST(ParseCountDeathTest, RejectsOutOfRangeAndGarbage)
+{
+    EXPECT_EXIT({ parseCount("--threads", "0"); },
+                ::testing::ExitedWithCode(1), "--threads expects");
+    EXPECT_EXIT({ parseCount("--threads", "4097"); },
+                ::testing::ExitedWithCode(1), "\\[1, 4096\\]");
+    EXPECT_EXIT({ parseCount("--threads", "-1"); },
+                ::testing::ExitedWithCode(1), "--threads expects");
+    EXPECT_EXIT({ parseCount("--threads", "abc"); },
+                ::testing::ExitedWithCode(1), "--threads expects");
+    EXPECT_EXIT({ parseCount("--threads", "1.5"); },
+                ::testing::ExitedWithCode(1), "--threads expects");
+    EXPECT_EXIT({ parseCount("--threads", ""); },
+                ::testing::ExitedWithCode(1), "--threads expects");
+    EXPECT_EXIT({ parseCount("--threads", "12x"); },
+                ::testing::ExitedWithCode(1), "--threads expects");
+    EXPECT_EXIT({ parseCount("--q", "5", 1, 4); },
+                ::testing::ExitedWithCode(1), "\\[1, 4\\]");
 }
 
 } // namespace

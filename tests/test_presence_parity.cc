@@ -4,8 +4,7 @@
  * presence.hh): the filtered consult paths must be observably identical
  * to the unfiltered reference — zero false negatives, identical visible
  * results — under ~1e5 random churn events per geometry, including the
- * 1x512 fully-associative SRAM bank and saturation-adversarial key sets
- * that pin the Counting fallback's counters.
+ * 1x512 fully-associative SRAM bank.
  *
  * Three layers of differential:
  *  - PresenceSummary vs an exact ground-truth set (raw contract);
@@ -22,7 +21,6 @@
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "cache/mshr.hh"
 #include "cache/presence.hh"
@@ -45,7 +43,6 @@ struct RawParams
     std::uint32_t numSlots;    ///< 0 = auto.
     std::uint32_t numHashes;
     std::uint64_t keySpan;     ///< Key pool size (small = heavy reuse).
-    PresenceSummary::Mode wantMode;
 };
 
 class PresenceRaw : public ::testing::TestWithParam<RawParams>
@@ -55,7 +52,6 @@ TEST_P(PresenceRaw, ChurnNeverFalseNegative)
 {
     const auto &p = GetParam();
     PresenceSummary summary(p.maxMembers, p.numSlots, p.numHashes);
-    ASSERT_EQ(summary.mode(), p.wantMode);
 
     std::unordered_set<std::uint64_t> truth;
     Rng rng(0xF17Cull * (p.maxMembers + p.numHashes));
@@ -86,42 +82,16 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, PresenceRaw,
     ::testing::Values(
         // The MSHR file: tiny exact summary, heavy key reuse.
-        RawParams{"mshr32", 32, 0, 1, 96, PresenceSummary::Mode::Exact},
+        RawParams{"mshr32", 32, 0, 1, 96},
         // The default SRAM bank (64x4 = 256 lines).
-        RawParams{"sram256", 256, 0, 1, 1024, PresenceSummary::Mode::Exact},
+        RawParams{"sram256", 256, 0, 1, 1024},
         // The 1x512 fully-associative SRAM geometry.
-        RawParams{"fa512", 512, 0, 1, 1536, PresenceSummary::Mode::Exact},
-        // Multi-hash exact variant.
-        RawParams{"twohash", 256, 0, 2, 1024, PresenceSummary::Mode::Exact},
-        // Membership bound too large for u16 counters: Counting fallback
-        // (saturating CBF) must still never false-negative.
-        RawParams{"counting", 1u << 20, 1u << 12, 2, 512,
-                  PresenceSummary::Mode::Counting}),
+        RawParams{"fa512", 512, 0, 1, 1536},
+        // Multi-hash variant.
+        RawParams{"twohash", 256, 0, 2, 1024}),
     [](const ::testing::TestParamInfo<RawParams> &info) {
         return info.param.name;
     });
-
-TEST(PresenceCounting, SaturationAdversarialKeysNeverFalseNegative)
-{
-    // Force the Counting fallback onto 16 slots so hundreds of members
-    // share each 8-bit counter: saturation is guaranteed and every
-    // remove afterwards hits a pinned counter.
-    PresenceSummary summary(1u << 20, 16, 2);
-    ASSERT_EQ(summary.mode(), PresenceSummary::Mode::Counting);
-
-    std::vector<std::uint64_t> keys;
-    for (std::uint64_t k = 0; k < 3000; ++k) {
-        keys.push_back(0x1000 + k * 64);
-        summary.insert(keys.back());
-    }
-    // Remove the first half against saturated counters; the second half
-    // must keep testing positive.
-    for (std::size_t i = 0; i < keys.size() / 2; ++i)
-        summary.remove(keys[i]);
-    for (std::size_t i = keys.size() / 2; i < keys.size(); ++i)
-        ASSERT_TRUE(summary.mayContain(keys[i]))
-            << "saturated-counter removal caused a false negative";
-}
 
 TEST(PresenceSummaryDeathTest, ExactModeTrapsUnbalancedRemove)
 {
@@ -131,6 +101,18 @@ TEST(PresenceSummaryDeathTest, ExactModeTrapsUnbalancedRemove)
     PresenceSummary summary(8);
     EXPECT_EXIT(summary.remove(0xDEAD), ::testing::ExitedWithCode(1),
                 "maintenance bug");
+}
+
+TEST(PresenceSummaryDeathTest, OverBoundGeometryIsFatal)
+{
+    // A membership bound the u16 counters cannot hold exactly has no
+    // fallback: refuse it at construction.
+    EXPECT_EXIT(PresenceSummary(65536), ::testing::ExitedWithCode(1),
+                "exceeds the u16 counter");
+    EXPECT_EXIT(PresenceSummary(32768, 0, 2), ::testing::ExitedWithCode(1),
+                "exceeds the u16 counter");
+    PresenceSummary at_bound(65535);
+    EXPECT_EQ(at_bound.maxMembers(), 65535u);
 }
 
 // ---------------------------------------------------------------------

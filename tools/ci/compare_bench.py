@@ -21,14 +21,6 @@ intentional (that is the point of an optimisation) but should never be
 silent. Drift therefore warns, and the fix is to recommit the baseline
 with the new counts, stating the delta in the commit message.
 
-A fresh file produced by ``fuse_serve --stats-out`` (its ``bench`` field
-is ``"serve"``) is compared against the baseline's ``serve_baseline``
-section instead: the CI serve round trip is deterministic (fixed
-campaigns against a store built in the same job), so its cache
-hit/miss/simulation/retry/failure counters must match the committed
-values exactly. Drift warns like the profile counts — the fix is to
-recommit ``serve_baseline`` with the new counters and say why.
-
 Exit status is 0 unless a file is unreadable or structurally wrong
 (those are CI configuration bugs and should fail loudly).
 
@@ -108,50 +100,6 @@ def compare_profile(baseline, fresh):
     return drifted
 
 
-def compare_serve(baseline, fresh):
-    """Warn on serve-counter drift; return the number of drifts.
-
-    The smoke campaign's counters are deterministic, so every tracked
-    ``serve/<name>`` count must match exactly. A counter in the fresh
-    stats that the baseline doesn't track warns too (a new counter the
-    baseline was never taught about)."""
-    base_section = baseline.get("serve_baseline")
-    serve = fresh.get("serve")
-    if serve is None:
-        return 0
-    if not base_section:
-        print("serve: no committed serve_baseline section — counters "
-              "not compared (commit one to BENCH_sim_core.json)")
-        return 0
-
-    tracked = base_section["counts"]
-    fresh_counts = {f"serve/{name}": int(value)
-                    for name, value in serve.items()}
-    drifted = 0
-    for key in sorted(tracked):
-        want = int(tracked[key])
-        got = fresh_counts.get(key, 0)
-        if got == want:
-            continue
-        drifted += 1
-        delta = got - want
-        print(f"::warning title=serve counter drift::{key}: {got} vs "
-              f"committed {want} ({delta:+d}); the CI serve round trip "
-              "is deterministic, so this push changed the campaign "
-              "service's cache behaviour — if intended, recommit "
-              "serve_baseline in BENCH_sim_core.json")
-    for key in sorted(set(fresh_counts) - set(tracked)):
-        drifted += 1
-        print(f"::warning title=serve counter missing from baseline::"
-              f"{key}: {fresh_counts[key]} in the fresh stats but no "
-              "committed value — recommit serve_baseline in "
-              "BENCH_sim_core.json")
-    if not drifted:
-        print(f"serve: all {len(tracked)} tracked counters match the "
-              "committed baseline exactly")
-    return drifted
-
-
 def self_test():
     """Exercise compare_profile on synthetic reports; exit 1 on any
     wrong verdict. Keeps CI from trusting a broken comparator."""
@@ -212,34 +160,6 @@ def self_test():
         print(f"self-test [{status}]: {label} "
               f"(warnings: got {got}, want {want})")
 
-    serve_baseline = {"serve_baseline": {"counts": {
-        "serve/campaigns": 2, "serve/points": 28, "serve/hits": 28,
-        "serve/misses": 0, "serve/simulations": 0, "serve/retries": 0,
-        "serve/failures": 0,
-    }}}
-    warm = {"campaigns": 2, "points": 28, "hits": 28, "misses": 0,
-            "simulations": 0, "retries": 0, "failures": 0}
-    serve_checks = [
-        ("serve exact match is silent", serve_baseline,
-         {"serve": dict(warm)}, 0),
-        ("serve hit-count drift warns", serve_baseline,
-         {"serve": dict(warm, hits=27, misses=1, simulations=1)}, 3),
-        ("serve retry drift warns", serve_baseline,
-         {"serve": dict(warm, retries=2)}, 1),
-        ("serve counter missing from baseline warns", serve_baseline,
-         {"serve": dict(warm, evictions=1)}, 1),
-        ("non-serve stats file is a no-op", serve_baseline,
-         {"smoke": True}, 0),
-        ("missing serve_baseline is informational", {},
-         {"serve": dict(warm)}, 0),
-    ]
-    for label, base, fresh, want in serve_checks:
-        got = compare_serve(base, fresh)
-        status = "ok" if got == want else "FAIL"
-        if got != want:
-            failures += 1
-        print(f"self-test [{status}]: {label} "
-              f"(warnings: got {got}, want {want})")
     if failures:
         sys.exit(f"compare_bench.py --self-test: {failures} check(s) "
                  "failed")
@@ -258,13 +178,6 @@ def main(argv):
         baseline = json.load(f)
     with open(argv[2]) as f:
         fresh = json.load(f)
-
-    if fresh.get("bench") == "serve":
-        # fuse_serve --stats-out: counters only, no speed band.
-        if "serve" not in fresh:
-            sys.exit(f"{argv[2]}: serve stats without a serve section")
-        compare_serve(baseline, fresh)
-        return 0
 
     base_section = baseline.get("smoke_baseline")
     if not base_section:

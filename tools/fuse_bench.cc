@@ -102,7 +102,7 @@ main(int argc, char **argv)
         } else if (arg == "--threads") {
             // Strict: 0, negatives, and garbage are user errors, not
             // silent clamps (strtoul would wrap "-1" into a huge pool).
-            threads = fuse::parseThreadCount("--threads", value().c_str());
+            threads = fuse::parseCount("--threads", value().c_str());
             threads_set = true;
         } else if (arg == "--repeat") {
             repeat = static_cast<int>(

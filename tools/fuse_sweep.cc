@@ -11,6 +11,7 @@
  *   fuse_sweep --figure fig13 [--threads N] [--json out.json]
  *   fuse_sweep --spec sweep.spec [--csv out.csv] [--quiet]
  *   fuse_sweep --spec - < sweep.spec
+ *   fuse_sweep --figure fig14 --store ~/.fuse-store   # reuse fig13's cells
  *   fuse_sweep --merge shard1.json shard2.json ... [--json merged.json]
  *
  * Spec files (see exp/experiment.hh for the full key set):
@@ -31,9 +32,11 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "exp/export.hh"
 #include "exp/figures.hh"
+#include "exp/result_store.hh"
 #include "exp/sweep_runner.hh"
 #include "prof/prof.hh"
 #include "sim/report.hh"
@@ -61,6 +64,9 @@ usage()
         "                    full grid and re-render the figure tables\n"
         "                    (use --json/--csv to re-export; the merged\n"
         "                    output is identical to an unsharded run)\n"
+        "  --store DIR       serve cells already simulated from the result\n"
+        "                    store DIR (created if missing), simulate only\n"
+        "                    the rest and add them to it\n"
         "  --json FILE       export results as JSON ('-' = stdout)\n"
         "  --csv FILE        export results as CSV ('-' = stdout)\n"
         "  --profile-out F   write the sweep's exact profiling\n"
@@ -256,6 +262,7 @@ main(int argc, char **argv)
     std::string json_path;
     std::string csv_path;
     std::string profile_path;
+    std::string store_dir;
     unsigned threads = 0;
     std::size_t shard_index = 0;
     std::size_t shard_count = 1;
@@ -286,7 +293,7 @@ main(int argc, char **argv)
         } else if (arg == "--kinds") {
             kinds = value();
         } else if (arg == "--threads") {
-            threads = fuse::parseThreadCount("--threads", value().c_str());
+            threads = fuse::parseCount("--threads", value().c_str());
         } else if (arg == "--shard") {
             const std::string text = value();
             char *end = nullptr;
@@ -303,6 +310,8 @@ main(int argc, char **argv)
             json_path = value();
         } else if (arg == "--csv") {
             csv_path = value();
+        } else if (arg == "--store") {
+            store_dir = value();
         } else if (arg == "--profile-out") {
             profile_path = value();
         } else if (arg == "--quiet") {
@@ -323,9 +332,10 @@ main(int argc, char **argv)
     if (merge) {
         // Merge mode simulates nothing: it stitches shard exports back
         // into the full grid and renders/exports like an unsharded run.
-        if (!figure.empty() || shard_count > 1)
-            fuse_fatal("--merge takes shard files, not --figure/--shard "
-                       "(the figure comes from the shards themselves)");
+        if (!figure.empty() || shard_count > 1 || !store_dir.empty())
+            fuse_fatal("--merge takes shard files, not --figure/--shard/"
+                       "--store (the figure comes from the shards "
+                       "themselves)");
         const fuse::ExperimentSpec *grid = nullptr;
         fuse::ExperimentSpec parsed_spec;
         if (!spec_path.empty()) {
@@ -429,23 +439,39 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "warning: --profile-out on a FUSE_PROF=OFF build — "
                      "counts will be zero (rebuild with -DFUSE_PROF=ON)\n");
+    // Fingerprint first: its probe sweep is not part of the profile.
+    const std::uint64_t fingerprint =
+        store_dir.empty() ? 0 : fuse::binaryFingerprint();
     const fuse::prof::ProfileReport prof_before = fuse::prof::snapshot();
-    fuse::ResultSet results = runner.run(spec, shard_index, shard_count);
+    fuse::StoreStats stored;
+    fuse::ResultSet results;
+    if (store_dir.empty()) {
+        results = runner.run(spec, shard_index, shard_count);
+    } else {
+        const fuse::ResultStore store(store_dir);
+        results = fuse::runWithStore(runner, spec, store, fingerprint,
+                                     stored, shard_index, shard_count);
+        std::fprintf(stderr, "%s: %zu cells, %zu from store, %zu simulated\n",
+                     spec.name.c_str(), stored.cells, stored.hits,
+                     stored.simulated);
+    }
 
     if (!profile_path.empty()) {
         const fuse::prof::ProfileReport report =
             fuse::prof::snapshot().diffSince(prof_before);
-        std::size_t valid = 0;
+        // Cells served from the store cost the profile nothing.
+        std::size_t simulated = 0;
         for (const auto &run : results.runs())
-            valid += run.valid;
+            simulated += run.valid;
+        simulated -= stored.hits;
         if (profile_path == "-") {
-            fuse::writeProfileJson(std::cout, spec.name, report, valid);
+            fuse::writeProfileJson(std::cout, spec.name, report, simulated);
         } else {
             std::ofstream os(profile_path);
             if (!os)
                 fuse_fatal("cannot open '%s' for writing",
                            profile_path.c_str());
-            fuse::writeProfileJson(os, spec.name, report, valid);
+            fuse::writeProfileJson(os, spec.name, report, simulated);
             std::fprintf(stderr, "wrote %s\n", profile_path.c_str());
         }
     }
