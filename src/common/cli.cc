@@ -1,7 +1,9 @@
 #include "common/cli.hh"
 
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
+#include <string>
 
 #include "common/log.hh"
 
@@ -25,6 +27,21 @@ parseCount(const char *flag, const char *value, unsigned lo, unsigned hi)
         fuse_fatal("%s expects an integer in [%u, %u], got '%s'", flag,
                    lo, hi, value);
     return static_cast<unsigned>(n);
+}
+
+Shard
+parseShard(const char *flag, const char *value)
+{
+    const std::string text = value ? value : "";
+    const std::size_t slash = text.find('/');
+    if (slash == std::string::npos)
+        fuse_fatal("%s wants I/N with 1 <= I <= N, got '%s'", flag,
+                   text.c_str());
+    const unsigned count =
+        parseCount(flag, text.substr(slash + 1).c_str(), 1, UINT_MAX);
+    const unsigned index =
+        parseCount(flag, text.substr(0, slash).c_str(), 1, count);
+    return {index - 1, count};
 }
 
 } // namespace fuse

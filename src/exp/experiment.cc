@@ -1,6 +1,8 @@
 #include "exp/experiment.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <utility>
@@ -22,6 +24,32 @@ trim(const std::string &s)
         return "";
     std::size_t last = s.find_last_not_of(" \t\r\n");
     return s.substr(first, last - first + 1);
+}
+
+/** Spec `seed:` value: unsigned decimal digits only, no sign. */
+std::uint64_t
+parseSeed(const std::string &text, int line_no)
+{
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long n = std::strtoull(text.c_str(), &end, 10);
+    if (text.empty() || text[0] < '0' || text[0] > '9' || *end != '\0'
+        || errno == ERANGE)
+        fuse_fatal("spec line %d: seed expects a non-negative integer, "
+                   "got '%s'", line_no, text.c_str());
+    return n;
+}
+
+/** Spec variant override value: a number consumed whole. */
+double
+parseOverrideValue(const std::string &text, int line_no)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0')
+        fuse_fatal("spec line %d: override value expects a number, "
+                   "got '%s'", line_no, text.c_str());
+    return v;
 }
 
 /** Table of assignable SimConfig fields, keyed by dotted path. */
@@ -279,7 +307,7 @@ ExperimentSpec::parse(const std::string &text)
         } else if (key == "base") {
             spec.base = value;
         } else if (key == "seed") {
-            spec.seed = std::strtoull(value.c_str(), nullptr, 10);
+            spec.seed = parseSeed(value, line_no);
         } else if (key == "benchmarks") {
             for (const auto &word : splitList(value))
                 for (const auto &name : resolveBenchmarks(word))
@@ -305,8 +333,8 @@ ExperimentSpec::parse(const std::string &text)
                                line_no, assign.c_str());
                 ConfigOverride o;
                 o.key = trim(assign.substr(0, eq));
-                o.value = std::strtod(assign.substr(eq + 1).c_str(),
-                                      nullptr);
+                o.value =
+                    parseOverrideValue(trim(assign.substr(eq + 1)), line_no);
                 variant.overrides.push_back(std::move(o));
             }
             if (variant.label.empty())

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <map>
 
-#include "common/log.hh"
 #include "device/area_model.hh"
 #include "device/sram_model.hh"
 #include "device/sttmram_model.hh"
@@ -807,34 +806,6 @@ findFigure(const std::string &name)
         if (name == fig.name)
             return &fig;
     return nullptr;
-}
-
-int
-runFigureMain(const std::string &figure, int argc, char **argv)
-{
-    const Figure *fig = findFigure(figure);
-    if (!fig)
-        fuse_fatal("unknown figure '%s'", figure.c_str());
-
-    ExperimentSpec spec = fig->makeSpec();
-    if (argc > 1) {
-        if (spec.benchmarks.empty()) {
-            // Static tables have no benchmark dimension to restrict.
-            fuse_warn("%s takes no benchmark arguments; ignoring them",
-                      fig->name);
-        } else {
-            spec.benchmarks.clear();
-            for (int i = 1; i < argc; ++i)
-                for (const auto &name :
-                     ExperimentSpec::resolveBenchmarks(argv[i]))
-                    spec.benchmarks.push_back(name);
-        }
-    }
-
-    SweepRunner runner;
-    ResultSet results = runner.run(spec);
-    fig->render(results, runner.threads());
-    return 0;
 }
 
 } // namespace fuse

@@ -1,10 +1,9 @@
 /**
  * @file
  * The paper's figures and tables as declarative experiments: each Figure
- * pairs an ExperimentSpec factory with a renderer that prints the exact
- * table layout the corresponding bench/ binary has always produced. The
- * bench binaries and the fuse_sweep CLI both route through this registry,
- * so `fuse_sweep --figure fig13` and `bench/fig13_ipc` are one code path.
+ * pairs an ExperimentSpec factory with a renderer that prints the
+ * figure's table layout. `fuse_sweep --figure NAME` runs any entry;
+ * `--list` prints the registry.
  */
 
 #ifndef FUSE_EXP_FIGURES_HH
@@ -35,13 +34,6 @@ const std::vector<Figure> &figures();
 
 /** Look up a figure by name; nullptr when unknown. */
 const Figure *findFigure(const std::string &name);
-
-/**
- * Shared main() of the bench binaries: build the figure's spec
- * (restricted to the benchmarks named in @p argv, if any), sweep it on
- * the default worker-thread count, and render. Returns an exit code.
- */
-int runFigureMain(const std::string &figure, int argc, char **argv);
 
 } // namespace fuse
 

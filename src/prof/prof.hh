@@ -19,12 +19,13 @@
  * registry simply never sees a hot-path site.
  *
  * Threading: counters are relaxed atomics and site registration takes a
- * mutex, so the sweep thread pool can profile concurrently. Per-run
- * attribution (snapshot + diffSince around one run) is only meaningful
- * when nothing else increments in between — i.e. single-threaded, the
- * fuse_bench --profile regime. Scoped timers attribute exclusive wall
- * time per thread: a timer's children are the timers nested inside it
- * on the same thread.
+ * mutex, so the sweep thread pool can profile concurrently and a
+ * sweep's totals are exact at any worker count (what fuse_sweep
+ * --profile-out reports). Per-run attribution (snapshot + diffSince
+ * around one run) is only meaningful when nothing else increments in
+ * between — i.e. single-threaded. Scoped timers attribute exclusive
+ * wall time per thread: a timer's children are the timers nested inside
+ * it on the same thread.
  */
 
 #ifndef FUSE_PROF_PROF_HH

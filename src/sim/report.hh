@@ -1,9 +1,10 @@
 /**
  * @file
- * Table-rendering helpers shared by the bench binaries: fixed-width
- * columns and number formatting so every figure prints the same
- * row/series layout the paper uses. The statistical aggregation helpers
- * (geomean, normalisation) live with the ResultSet in exp/result_set.hh.
+ * Table-rendering helpers shared by the figure renderers and the CLI:
+ * fixed-width columns and number formatting so every figure prints the
+ * same row/series layout the paper uses. The statistical aggregation
+ * helpers (geomean, normalisation) live with the ResultSet in
+ * exp/result_set.hh.
  */
 
 #ifndef FUSE_SIM_REPORT_HH

@@ -17,9 +17,9 @@ Simulator::run(const BenchmarkSpec &benchmark, L1DKind kind) const
     FUSE_PROF_SCOPE(sim, run);
     config_.validate();
     // Per-run attribution: the difference of global snapshots around the
-    // run. Exact only when this thread is the only one simulating (the
-    // fuse_bench --profile regime); a multi-threaded sweep's per-run
-    // diffs overlap but the global totals stay exact.
+    // run. Exact only when this thread is the only one simulating (a
+    // one-worker sweep); a multi-threaded sweep's per-run diffs overlap
+    // but the global totals stay exact.
     prof::ProfileReport before;
     if (prof::enabled())
         before = prof::snapshot();

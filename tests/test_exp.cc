@@ -190,6 +190,53 @@ TEST(ExperimentSpec, RejectsUnknownOverrideKey)
         ::testing::ExitedWithCode(1), "unknown config override key");
 }
 
+TEST(ExperimentSpec, RejectsLenientSeed)
+{
+    // strtoull alone would run "7x" as seed 7 and wrap "-1"; every
+    // value must be unsigned decimal digits, consumed whole.
+    for (const char *seed : {"7x", "-1", "+7", "", "0x10", "1 2",
+                             "99999999999999999999"}) {
+        const std::string text = std::string("name: s\nseed: ") + seed
+                                 + "\n";
+        EXPECT_EXIT({ ExperimentSpec::parse(text); },
+                    ::testing::ExitedWithCode(1),
+                    "spec line 2: seed expects a non-negative integer")
+            << "seed: " << seed;
+    }
+}
+
+TEST(ExperimentSpec, RejectsLenientOverrideValue)
+{
+    // strtod alone would run "abc" as 0.0 and "0.25junk" as 0.25.
+    for (const char *assign :
+         {"l1d.sttDensity=abc", "l1d.sramAreaFraction=0.25junk",
+          "l1d.sramAreaFraction=", "l1d.sramAreaFraction= "}) {
+        const std::string text = std::string("benchmarks: ATAX\n"
+                                             "variant: x | ")
+                                 + assign + "\n";
+        EXPECT_EXIT({ ExperimentSpec::parse(text); },
+                    ::testing::ExitedWithCode(1),
+                    "spec line 2: override value expects a number")
+            << assign;
+    }
+}
+
+TEST(ExperimentSpec, StrictNumbersKeepValidSpellings)
+{
+    const ExperimentSpec spec = ExperimentSpec::parse(
+        "benchmarks: ATAX\n"
+        "seed:   0042  \n"
+        "variant: a | l1d.sramAreaFraction = 0.25 , gpu.maxCycles=1e6\n"
+        "variant: l1d.sttDensity=4\n");
+    EXPECT_EQ(spec.seed, 42u);
+    ASSERT_EQ(spec.variants.size(), 2u);
+    ASSERT_EQ(spec.variants[0].overrides.size(), 2u);
+    EXPECT_DOUBLE_EQ(spec.variants[0].overrides[0].value, 0.25);
+    EXPECT_DOUBLE_EQ(spec.variants[0].overrides[1].value, 1e6);
+    EXPECT_EQ(spec.variants[1].label, "l1d.sttDensity=4");
+    EXPECT_DOUBLE_EQ(spec.variants[1].overrides[0].value, 4.0);
+}
+
 TEST(ExperimentSpec, RejectsMalformedLine)
 {
     EXPECT_EXIT({ ExperimentSpec::parse("just some words\n"); },
@@ -522,10 +569,9 @@ TEST(Export, MetricValueLooksUpByName)
 
 // --------------------------------------------------------- figures
 
-TEST(Figures, RegistryCoversEveryBenchBinary)
+TEST(Figures, RegistryCoversEveryPaperFigure)
 {
-    // One entry per figure/table binary in bench/ (micro_components is
-    // a host-side google-benchmark suite, not a paper figure).
+    // One entry per reproduced paper figure/table (fuse_sweep --list).
     EXPECT_EQ(figures().size(), 15u);
     for (const auto &fig : figures()) {
         EXPECT_NE(findFigure(fig.name), nullptr);

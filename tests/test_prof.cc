@@ -6,8 +6,8 @@
  * clock, report JSON round-trips (bare and exp-document framing), and
  * the OFF build's no-op macro contract. The registry/report API is
  * compiled in both configurations, so most of the file runs either way;
- * the macro-driven and simulator cross-check suites are gated on
- * FUSE_PROF_ENABLED.
+ * the macro-driven, simulator cross-check and sweep thread-count suites
+ * are gated on FUSE_PROF_ENABLED.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,9 @@
 #include <cstdint>
 #include <sstream>
 
+#include "exp/experiment.hh"
 #include "exp/export.hh"
+#include "exp/sweep_runner.hh"
 #include "prof/prof.hh"
 #include "sim/simulator.hh"
 
@@ -352,6 +354,36 @@ TEST(ProfSimulator, PresenceFilterSitesConsistent)
     EXPECT_LE(p.count("l1d_sram", "filter_removes"),
               p.count("l1d_sram", "filter_inserts"));
     (void)m;
+}
+
+/**
+ * Sweep totals are exact at any pool size: counters are process-global
+ * atomics, so a 4-worker sweep must count every site exactly as often
+ * as a serial sweep of the same spec (fuse_sweep --profile-out relies
+ * on this for its totals).
+ */
+TEST(ProfSweep, TotalsDoNotDependOnThreadCount)
+{
+    const ExperimentSpec spec = ExperimentSpec::parse(
+        "base: test\n"
+        "benchmarks: ATAX, BICG\n"
+        "kinds: L1-SRAM, Dy-FUSE\n");
+    const auto sweepProfile = [&spec](unsigned threads) {
+        const prof::ProfileReport before = prof::snapshot();
+        SweepRunner(threads).run(spec);
+        return prof::snapshot().diffSince(before);
+    };
+    const prof::ProfileReport serial = sweepProfile(1);
+    const prof::ProfileReport pooled = sweepProfile(4);
+
+    EXPECT_GT(serial.count("workload", "instructions"), 0u);
+    EXPECT_GT(serial.count("tag_array", "lookups"), 0u);
+    for (const auto &s : serial.sites)
+        EXPECT_EQ(pooled.count(s.component, s.name), s.count)
+            << s.component << "/" << s.name;
+    for (const auto &s : pooled.sites)
+        EXPECT_EQ(serial.count(s.component, s.name), s.count)
+            << s.component << "/" << s.name;
 }
 
 #else // !FUSE_PROF_ENABLED

@@ -1,10 +1,12 @@
 /**
  * @file
- * fuse_sweep: the experiment-orchestration CLI. Expresses any paper
- * figure/table as a declarative sweep (shared with the bench/ binaries,
- * so the printed tables are identical), or runs a custom ExperimentSpec
- * file, fanning the (benchmark x variant x organisation) grid across
- * worker threads. Results can additionally be exported as JSON or CSV.
+ * fuse_sweep: the experiment-orchestration CLI and the one way to run
+ * the paper's figures and tables. Expresses any registered figure/table
+ * (exp/figures.hh) as a declarative sweep, or runs a custom
+ * ExperimentSpec file, fanning the (benchmark x variant x organisation)
+ * grid across worker threads. Results can additionally be exported as
+ * JSON or CSV, and a FUSE_PROF=ON build writes the sweep's exact
+ * profiling counts with --profile-out.
  *
  * Usage:
  *   fuse_sweep --list
@@ -25,8 +27,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -235,19 +237,49 @@ mergeShards(const std::vector<std::string> &paths,
     return merged;
 }
 
+/** Parse the ExperimentSpec file at @p path ('-' = stdin). */
+fuse::ExperimentSpec
+readSpec(const std::string &path)
+{
+    std::stringstream buffer;
+    if (path == "-") {
+        buffer << std::cin.rdbuf();
+    } else {
+        std::ifstream is(path);
+        if (!is)
+            fuse_fatal("cannot read spec file '%s'", path.c_str());
+        buffer << is.rdbuf();
+    }
+    return fuse::ExperimentSpec::parse(buffer.str());
+}
+
+/** Run @p write on the file at @p path ('-' = stdout). */
 void
-exportTo(const std::string &path, const fuse::ResultSet &results,
-         void (*write)(std::ostream &, const fuse::ResultSet &))
+writeTo(const std::string &path,
+        const std::function<void(std::ostream &)> &write)
 {
     if (path == "-") {
-        write(std::cout, results);
+        write(std::cout);
         return;
     }
     std::ofstream os(path);
     if (!os)
         fuse_fatal("cannot open '%s' for writing", path.c_str());
-    write(os, results);
+    write(os);
     std::fprintf(stderr, "wrote %s\n", path.c_str());
+}
+
+/** The --json / --csv exports of @p results (empty path: skipped). */
+void
+exportResults(const fuse::ResultSet &results, const std::string &json_path,
+              const std::string &csv_path)
+{
+    if (!json_path.empty())
+        writeTo(json_path,
+                [&](std::ostream &os) { fuse::writeJson(os, results); });
+    if (!csv_path.empty())
+        writeTo(csv_path,
+                [&](std::ostream &os) { fuse::writeCsv(os, results); });
 }
 
 } // namespace
@@ -295,17 +327,10 @@ main(int argc, char **argv)
         } else if (arg == "--threads") {
             threads = fuse::parseCount("--threads", value().c_str());
         } else if (arg == "--shard") {
-            const std::string text = value();
-            char *end = nullptr;
-            const unsigned long i = std::strtoul(text.c_str(), &end, 10);
-            unsigned long n = 0;
-            if (end != text.c_str() && *end == '/')
-                n = std::strtoul(end + 1, &end, 10);
-            if (*end != '\0' || n == 0 || i == 0 || i > n)
-                fuse_fatal("--shard wants I/N with 1 <= I <= N, got '%s'",
-                           text.c_str());
-            shard_index = static_cast<std::size_t>(i - 1);
-            shard_count = static_cast<std::size_t>(n);
+            const fuse::Shard shard =
+                fuse::parseShard("--shard", value().c_str());
+            shard_index = shard.index;
+            shard_count = shard.count;
         } else if (arg == "--json") {
             json_path = value();
         } else if (arg == "--csv") {
@@ -336,19 +361,11 @@ main(int argc, char **argv)
             fuse_fatal("--merge takes shard files, not --figure/--shard/"
                        "--store (the figure comes from the shards "
                        "themselves)");
-        const fuse::ExperimentSpec *grid = nullptr;
-        fuse::ExperimentSpec parsed_spec;
-        if (!spec_path.empty()) {
-            std::ifstream is(spec_path);
-            if (!is)
-                fuse_fatal("cannot read spec file '%s'",
-                           spec_path.c_str());
-            std::stringstream buffer;
-            buffer << is.rdbuf();
-            parsed_spec = fuse::ExperimentSpec::parse(buffer.str());
-            grid = &parsed_spec;
-        }
-        fuse::ResultSet results = mergeShards(merge_paths, grid);
+        fuse::ExperimentSpec grid;
+        if (!spec_path.empty())
+            grid = readSpec(spec_path);
+        fuse::ResultSet results =
+            mergeShards(merge_paths, spec_path.empty() ? nullptr : &grid);
         if (!quiet) {
             // Renderers that fan out extra work (the trace studies) honor
             // the same --threads the sweep path would.
@@ -359,10 +376,7 @@ main(int argc, char **argv)
             else
                 renderGeneric(results);
         }
-        if (!json_path.empty())
-            exportTo(json_path, results, fuse::writeJson);
-        if (!csv_path.empty())
-            exportTo(csv_path, results, fuse::writeCsv);
+        exportResults(results, json_path, csv_path);
         return 0;
     }
 
@@ -385,21 +399,7 @@ main(int argc, char **argv)
                        figure.c_str());
         spec = fig->makeSpec();
     } else {
-        std::string text;
-        if (spec_path == "-") {
-            std::stringstream buffer;
-            buffer << std::cin.rdbuf();
-            text = buffer.str();
-        } else {
-            std::ifstream is(spec_path);
-            if (!is)
-                fuse_fatal("cannot read spec file '%s'",
-                           spec_path.c_str());
-            std::stringstream buffer;
-            buffer << is.rdbuf();
-            text = buffer.str();
-        }
-        spec = fuse::ExperimentSpec::parse(text);
+        spec = readSpec(spec_path);
     }
 
     if (!benchmarks.empty()) {
@@ -464,16 +464,9 @@ main(int argc, char **argv)
         for (const auto &run : results.runs())
             simulated += run.valid;
         simulated -= stored.hits;
-        if (profile_path == "-") {
-            fuse::writeProfileJson(std::cout, spec.name, report, simulated);
-        } else {
-            std::ofstream os(profile_path);
-            if (!os)
-                fuse_fatal("cannot open '%s' for writing",
-                           profile_path.c_str());
+        writeTo(profile_path, [&](std::ostream &os) {
             fuse::writeProfileJson(os, spec.name, report, simulated);
-            std::fprintf(stderr, "wrote %s\n", profile_path.c_str());
-        }
+        });
     }
 
     if (!quiet) {
@@ -488,9 +481,6 @@ main(int argc, char **argv)
         else
             renderGeneric(results);
     }
-    if (!json_path.empty())
-        exportTo(json_path, results, fuse::writeJson);
-    if (!csv_path.empty())
-        exportTo(csv_path, results, fuse::writeCsv);
+    exportResults(results, json_path, csv_path);
     return 0;
 }
