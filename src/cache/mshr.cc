@@ -38,7 +38,6 @@ Mshr::access(Addr line_addr, Cycle ready_at, BankId destination)
                            : nullptr;
     if (entry) {
         ++entry->mergedCount;
-        FUSE_PROF_COUNT(mshr, merges);
         if (statMerged_)
             ++(*statMerged_);
         return {MshrResult::Kind::Merged, entry};
@@ -60,11 +59,9 @@ Mshr::allocate(Addr line_addr, Cycle ready_at, BankId destination)
     entry->readyAt = ready_at;
     entry->destination = destination;
     presence_.insert(line_addr);
-    FUSE_PROF_COUNT(mshr, filter_inserts);
     pushReady(ready_at, line_addr);
     if (ready_at < minReadyAt_)
         minReadyAt_ = ready_at;
-    FUSE_PROF_COUNT(mshr, allocations);
     if (statAllocated_)
         ++(*statAllocated_);
     return entry;

@@ -164,7 +164,6 @@ class Mshr
         if (!entries_.erase(line_addr))
             return false;
         presence_.remove(line_addr);
-        FUSE_PROF_COUNT(mshr, filter_removes);
         return true;
     }
 

@@ -348,8 +348,24 @@ writeProfileJson(std::ostream &os, const std::string &experiment,
     os << "  \"prof_enabled\": " << (prof::enabled() ? "true" : "false")
        << ",\n";
     os << "  \"profile\":\n";
-    report.writeJson(os, runs, 2);
-    os << "\n}\n";
+    os << "  {\n";
+    os << "    \"runs\": " << runs << ",\n";
+    os << "    \"sites\": [\n";
+    for (std::size_t i = 0; i < report.sites.size(); ++i) {
+        const prof::SiteSample &s = report.sites[i];
+        os << "      {\"component\": " << jsonString(s.component)
+           << ", \"name\": " << jsonString(s.name)
+           << ", \"count\": " << s.count;
+        if (runs > 0) {
+            os << ", \"count_per_run\": "
+               << static_cast<double>(s.count)
+                      / static_cast<double>(runs);
+        }
+        os << "}" << (i + 1 < report.sites.size() ? "," : "") << "\n";
+    }
+    os << "    ]\n";
+    os << "  }\n";
+    os << "}\n";
 }
 
 Metrics

@@ -15,8 +15,8 @@
  * hashed to the key, so a store can be audited by hand.
  *
  * Records hold the exported metric set (metricFields()); like shard
- * merges, non-exported diagnostics (predOutcomes, profile) are not
- * preserved across the store.
+ * merges, non-exported diagnostics (predOutcomes) are not preserved
+ * across the store.
  */
 
 #ifndef FUSE_EXP_RESULT_STORE_HH

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/log.hh"
-#include "prof/prof.hh"
 #include "sim/simulator.hh"
 
 namespace fuse
@@ -93,8 +92,6 @@ SweepRunner::runCells(const ExperimentSpec &spec,
                       const std::vector<std::size_t> &cells,
                       const CellDone &cell_done) const
 {
-    FUSE_PROF_SCOPE(exp, sweep);
-
     ResultSet results(spec.name, spec.benchmarks, spec.kinds,
                       spec.variantLabels());
 

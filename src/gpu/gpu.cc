@@ -50,7 +50,6 @@ Gpu::run()
     // and merely counting them — and unlike the old all-SMs-asleep
     // fast-forward, one busy SM no longer forces per-cycle ticks on the
     // fourteen sleeping ones.
-    FUSE_PROF_SCOPE(gpu, run);
     constexpr Cycle kNever = ~Cycle(0);
     cycles_ = 0;
     const std::size_t n = sms_.size();

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "prof/prof.hh"
 
 namespace fuse
 {
@@ -50,7 +49,6 @@ Dram::channelOf(Addr line_addr) const
 Cycle
 Dram::service(Addr line_addr, bool is_write, Cycle now)
 {
-    FUSE_PROF_COUNT(dram, services);
     const std::uint32_t channel = channelOf(line_addr);
     // Lines interleave across channels; consecutive lines within a channel
     // land in the same row until rowBytes is exhausted.

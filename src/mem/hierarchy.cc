@@ -1,7 +1,5 @@
 #include "mem/hierarchy.hh"
 
-#include "prof/prof.hh"
-
 namespace fuse
 {
 
@@ -24,7 +22,6 @@ OffchipResult
 MemoryHierarchy::access(const MemRequest &req, Cycle now)
 {
     OffchipResult result;
-    FUSE_PROF_COUNT(mem, offchip_requests);
     ++(*statRequests_);
     ++(*(req.isWrite() ? statWriteRequests_ : statReadRequests_));
 
@@ -64,7 +61,6 @@ MemoryHierarchy::access(const MemRequest &req, Cycle now)
 void
 MemoryHierarchy::writeback(const MemRequest &req, Cycle now)
 {
-    FUSE_PROF_COUNT(mem, offchip_writebacks);
     ++(*statRequests_);
     ++(*statWritebacks_);
     const Addr line = req.line();

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "prof/prof.hh"
 
 namespace fuse
 {
@@ -37,10 +36,6 @@ L2Cache::bankOf(Addr line_addr) const
 L2Result
 L2Cache::access(Addr line_addr, AccessType type, Cycle now)
 {
-    // Each bank access resolves residency exactly once (accessAndFill
-    // threads one probe through hit and fill), so this also counts L2
-    // tag resolutions.
-    FUSE_PROF_COUNT(l2, bank_accesses);
     const std::uint32_t bank = bankOf(line_addr);
     // Bank conflict: wait for the bank to free up.
     Cycle start = std::max(now, bankBusyUntil_[bank]);

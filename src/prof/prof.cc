@@ -1,21 +1,15 @@
 /**
  * @file
- * Profiling registry, scoped-timer clock plumbing, and the committed
- * report format. See prof.hh for the subsystem contract.
+ * Profiling registry and report snapshots. See prof.hh for the
+ * subsystem contract.
  */
 
 #include "prof/prof.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <chrono>
-#include <istream>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <tuple>
-
-#include "common/log.hh"
 
 namespace fuse
 {
@@ -28,7 +22,7 @@ namespace
 /**
  * The process-global site registry. Sites are stored behind unique_ptr
  * so the references handed out by site() survive vector growth; a site
- * is never removed (reset() zeroes values but keeps registration).
+ * is never removed.
  */
 struct Registry
 {
@@ -42,23 +36,6 @@ registry()
     static Registry r;
     return r;
 }
-
-/** Test-overridable monotonic-nanosecond clock (see setClockForTest). */
-std::uint64_t (*g_clock_fn)() = nullptr;
-
-std::uint64_t
-nowNs()
-{
-    if (g_clock_fn)
-        return g_clock_fn();
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-/** Innermost live ScopedTimer on this thread (exclusive-time chain). */
-thread_local ScopedTimer *t_current_scope = nullptr;
 
 bool
 sampleBefore(const SiteSample &a, const SiteSample &b)
@@ -81,23 +58,6 @@ site(const char *component, const char *name)
     return *r.sites.back();
 }
 
-ScopedTimer::ScopedTimer(Site &s)
-    : site_(s), parent_(t_current_scope), startNs_(nowNs())
-{
-    t_current_scope = this;
-}
-
-ScopedTimer::~ScopedTimer()
-{
-    const std::uint64_t end = nowNs();
-    const std::uint64_t total = end >= startNs_ ? end - startNs_ : 0;
-    const std::uint64_t exclusive = total >= childNs_ ? total - childNs_ : 0;
-    site_.addTime(total, exclusive);
-    if (parent_)
-        parent_->childNs_ += total;
-    t_current_scope = parent_;
-}
-
 ProfileReport
 snapshot()
 {
@@ -106,34 +66,11 @@ snapshot()
     {
         std::lock_guard<std::mutex> lock(r.mutex);
         report.sites.reserve(r.sites.size());
-        for (const auto &s : r.sites) {
-            SiteSample sample;
-            sample.component = s->component();
-            sample.name = s->name();
-            sample.count = s->count();
-            sample.timedScopes = s->timedScopes();
-            sample.inclusiveNs = s->inclusiveNs();
-            sample.exclusiveNs = s->exclusiveNs();
-            report.sites.push_back(std::move(sample));
-        }
+        for (const auto &s : r.sites)
+            report.sites.push_back({s->component(), s->name(), s->count()});
     }
     std::sort(report.sites.begin(), report.sites.end(), sampleBefore);
     return report;
-}
-
-void
-reset()
-{
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mutex);
-    for (const auto &s : r.sites)
-        s->reset();
-}
-
-void
-setClockForTest(std::uint64_t (*clock_fn)())
-{
-    g_clock_fn = clock_fn;
 }
 
 const SiteSample *
@@ -161,263 +98,13 @@ ProfileReport::diffSince(const ProfileReport &before) const
     ProfileReport delta;
     for (const SiteSample &after : sites) {
         SiteSample d = after;
-        if (const SiteSample *b = before.find(after.component, after.name)) {
+        if (const SiteSample *b = before.find(after.component, after.name))
             d.count -= std::min(b->count, d.count);
-            d.timedScopes -= std::min(b->timedScopes, d.timedScopes);
-            d.inclusiveNs -= std::min(b->inclusiveNs, d.inclusiveNs);
-            d.exclusiveNs -= std::min(b->exclusiveNs, d.exclusiveNs);
-        }
-        if (d.count == 0 && d.timedScopes == 0 && d.inclusiveNs == 0
-            && d.exclusiveNs == 0) {
+        if (d.count == 0)
             continue;
-        }
         delta.sites.push_back(std::move(d));
     }
     return delta;
-}
-
-namespace
-{
-
-/** Escape for the identifier-ish strings site names are in practice. */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-} // namespace
-
-void
-ProfileReport::writeJson(std::ostream &os, std::size_t runs,
-                         int indent) const
-{
-    const std::string pad(indent > 0 ? static_cast<std::size_t>(indent) : 0,
-                          ' ');
-    os << pad << "{\n";
-    os << pad << "  \"runs\": " << runs << ",\n";
-    os << pad << "  \"sites\": [\n";
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-        const SiteSample &s = sites[i];
-        os << pad << "    {\"component\": \"" << jsonEscape(s.component)
-           << "\", \"name\": \"" << jsonEscape(s.name)
-           << "\", \"count\": " << s.count
-           << ", \"timed_scopes\": " << s.timedScopes
-           << ", \"inclusive_ns\": " << s.inclusiveNs
-           << ", \"exclusive_ns\": " << s.exclusiveNs;
-        // Derived conveniences for human readers; fromJson ignores them.
-        os << ", \"exclusive_ms\": "
-           << static_cast<double>(s.exclusiveNs) / 1e6;
-        if (runs > 0) {
-            os << ", \"count_per_run\": "
-               << static_cast<double>(s.count)
-                      / static_cast<double>(runs);
-        }
-        os << "}" << (i + 1 < sites.size() ? "," : "") << "\n";
-    }
-    os << pad << "  ]\n";
-    os << pad << "}";
-}
-
-namespace
-{
-
-/**
- * Minimal recursive-descent parser for the writeJson grammar (objects,
- * arrays, strings, numbers, true/false/null) — the same shape as the
- * export-layer reader, kept local so src/prof stays dependency-free.
- * Malformed input is fatal: profile JSON is machine-written.
- */
-class JsonParser
-{
-  public:
-    explicit JsonParser(std::istream &is) : is_(is) {}
-
-    void skipWs()
-    {
-        while (std::isspace(is_.peek()))
-            is_.get();
-    }
-
-    char peek()
-    {
-        skipWs();
-        const int c = is_.peek();
-        if (c == std::istream::traits_type::eof())
-            fuse_fatal("profile json: unexpected end of input");
-        return static_cast<char>(c);
-    }
-
-    void expect(char c)
-    {
-        if (peek() != c)
-            fuse_fatal("profile json: expected '%c', got '%c'", c, peek());
-        is_.get();
-    }
-
-    bool consume(char c)
-    {
-        if (peek() != c)
-            return false;
-        is_.get();
-        return true;
-    }
-
-    std::string parseString()
-    {
-        expect('"');
-        std::string out;
-        for (;;) {
-            const int c = is_.get();
-            if (c == std::istream::traits_type::eof())
-                fuse_fatal("profile json: unterminated string");
-            if (c == '"')
-                break;
-            if (c == '\\') {
-                const int e = is_.get();
-                if (e == std::istream::traits_type::eof())
-                    fuse_fatal("profile json: unterminated escape");
-                out.push_back(static_cast<char>(e));
-            } else {
-                out.push_back(static_cast<char>(c));
-            }
-        }
-        return out;
-    }
-
-    /** Number as raw text (caller decides integer vs double). */
-    std::string parseNumberText()
-    {
-        skipWs();
-        std::string out;
-        int c = is_.peek();
-        while (c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
-               || std::isdigit(c)) {
-            out.push_back(static_cast<char>(is_.get()));
-            c = is_.peek();
-        }
-        if (out.empty())
-            fuse_fatal("profile json: expected a number");
-        return out;
-    }
-
-    /** Skip any one value (used for derived fields we ignore). */
-    void skipValue()
-    {
-        const char c = peek();
-        if (c == '"') {
-            parseString();
-        } else if (c == '{') {
-            expect('{');
-            if (!consume('}')) {
-                do {
-                    parseString();
-                    expect(':');
-                    skipValue();
-                } while (consume(','));
-                expect('}');
-            }
-        } else if (c == '[') {
-            expect('[');
-            if (!consume(']')) {
-                do {
-                    skipValue();
-                } while (consume(','));
-                expect(']');
-            }
-        } else if (c == 't' || c == 'f' || c == 'n') {
-            while (std::isalpha(is_.peek()))
-                is_.get();
-        } else {
-            parseNumberText();
-        }
-    }
-
-  private:
-    std::istream &is_;
-};
-
-std::uint64_t
-toU64(const std::string &text)
-{
-    return static_cast<std::uint64_t>(std::strtoull(text.c_str(), nullptr,
-                                                    10));
-}
-
-SiteSample
-parseSiteObject(JsonParser &p)
-{
-    SiteSample s;
-    p.expect('{');
-    if (!p.consume('}')) {
-        do {
-            const std::string key = p.parseString();
-            p.expect(':');
-            if (key == "component")
-                s.component = p.parseString();
-            else if (key == "name")
-                s.name = p.parseString();
-            else if (key == "count")
-                s.count = toU64(p.parseNumberText());
-            else if (key == "timed_scopes")
-                s.timedScopes = toU64(p.parseNumberText());
-            else if (key == "inclusive_ns")
-                s.inclusiveNs = toU64(p.parseNumberText());
-            else if (key == "exclusive_ns")
-                s.exclusiveNs = toU64(p.parseNumberText());
-            else
-                p.skipValue();
-        } while (p.consume(','));
-        p.expect('}');
-    }
-    return s;
-}
-
-/** Object parse shared by bare reports and exp-layer documents (whose
- *  site list is nested one level down under a "profile" key). */
-void
-parseReportObject(JsonParser &p, ProfileReport &report)
-{
-    p.expect('{');
-    if (!p.consume('}')) {
-        do {
-            const std::string key = p.parseString();
-            p.expect(':');
-            if (key == "sites") {
-                p.expect('[');
-                if (!p.consume(']')) {
-                    do {
-                        report.sites.push_back(parseSiteObject(p));
-                    } while (p.consume(','));
-                    p.expect(']');
-                }
-            } else if (key == "profile" || key == "report") {
-                parseReportObject(p, report);
-            } else {
-                p.skipValue();
-            }
-        } while (p.consume(','));
-        p.expect('}');
-    }
-}
-
-} // namespace
-
-ProfileReport
-ProfileReport::fromJson(std::istream &is)
-{
-    JsonParser p(is);
-    ProfileReport report;
-    parseReportObject(p, report);
-    std::sort(report.sites.begin(), report.sites.end(), sampleBefore);
-    return report;
 }
 
 } // namespace prof

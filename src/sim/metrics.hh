@@ -13,7 +13,6 @@
 #include "common/types.hh"
 #include "energy/energy_model.hh"
 #include "fuse/l1d.hh"
-#include "prof/prof.hh"
 
 namespace fuse
 {
@@ -53,12 +52,6 @@ struct Metrics
     double dramShare = 0.0;        ///< Of off-chip latency, DRAM part.
 
     EnergyBreakdown energy;
-
-    /** This run's exact profiling attribution (FUSE_PROF=ON builds with
-     *  a single-threaded runner; empty otherwise). Deliberately not part
-     *  of metricFields(): exports stay byte-identical in both build
-     *  configurations. */
-    prof::ProfileReport profile;
 };
 
 } // namespace fuse

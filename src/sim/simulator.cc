@@ -1,7 +1,5 @@
 #include "sim/simulator.hh"
 
-#include "prof/prof.hh"
-
 namespace fuse
 {
 
@@ -14,21 +12,11 @@ Simulator::run(const std::string &benchmark, L1DKind kind) const
 Metrics
 Simulator::run(const BenchmarkSpec &benchmark, L1DKind kind) const
 {
-    FUSE_PROF_SCOPE(sim, run);
     config_.validate();
-    // Per-run attribution: the difference of global snapshots around the
-    // run. Exact only when this thread is the only one simulating (a
-    // one-worker sweep); a multi-threaded sweep's per-run diffs overlap
-    // but the global totals stay exact.
-    prof::ProfileReport before;
-    if (prof::enabled())
-        before = prof::snapshot();
     Gpu gpu(config_.gpu, kind, config_.l1d, benchmark);
     gpu.run();
 
     Metrics m;
-    if (prof::enabled())
-        m.profile = prof::snapshot().diffSince(before);
     m.benchmark = benchmark.name;
     m.l1dKind = kind;
     m.cycles = gpu.cycles();

@@ -1,10 +1,13 @@
 /**
  * @file
  * Tests for the GPU model: coalescer, warp scheduler, SM issue/stall
- * behaviour, and the top-level Gpu tick loop.
+ * behaviour, the top-level Gpu tick loop, and the conservation
+ * identities between component statistics.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "gpu/coalescer.hh"
 #include "gpu/gpu.hh"
@@ -274,6 +277,59 @@ TEST(Gpu, MemoryBoundWorkloadWaitsOnMemory)
     const double waits = gpu.sumSmStat("mem_wait_cycles")
                          + gpu.sumSmStat("l1d_stall_cycles");
     EXPECT_GT(waits, 0.0);
+}
+
+/**
+ * Conservation identities between the statistics of neighbouring
+ * components: each count the machine makes is recorded once, by the
+ * component that owns it, and every other view of it must agree. They
+ * hold exactly, per run, so they also hold at any sweep --threads.
+ */
+TEST(Gpu, StatIdentitiesHoldForEveryOrganisation)
+{
+    const SimConfig c = SimConfig::testScale();
+    for (const char *benchmark : {"ATAX", "2MM"}) {
+        for (L1DKind kind : allL1DKinds()) {
+            SCOPED_TRACE(std::string(benchmark) + " " + toString(kind));
+            Gpu gpu(c.gpu, kind, c.l1d, benchmarkByName(benchmark));
+            gpu.run();
+            const StatGroup &hier = gpu.hierarchy().stats();
+            L2Cache &l2 = gpu.hierarchy().l2();
+            l2.finalizeStats();
+            const double misses = gpu.sumL1dStat("misses");
+            const double secondary = gpu.sumL1dStat("mshr_secondary");
+            const double hits = gpu.sumL1dStat("hits");
+            const double bypasses = gpu.sumL1dStat("bypasses");
+
+            // Every primary miss and every bypass is one demand request
+            // off chip; writebacks are counted apart from them.
+            EXPECT_GT(hier.get("requests"), 0.0);
+            EXPECT_EQ(hier.get("read_requests") + hier.get("write_requests"),
+                      misses - secondary + bypasses);
+            if (kind != L1DKind::Oracle) {   // The oracle has no MSHR.
+                EXPECT_EQ(gpu.sumL1dStat("mshr_allocated"),
+                          misses - secondary);
+            }
+            EXPECT_EQ(hier.get("writebacks"),
+                      gpu.sumL1dStat("writebacks"));
+
+            // Each request is one L2 bank access; each L2 miss one DRAM
+            // fetch; DRAM also serves the L2's dirty evictions.
+            EXPECT_EQ(l2.stats().get("hits") + l2.stats().get("misses"),
+                      hier.get("requests"));
+            EXPECT_EQ(l2.stats().get("misses"), hier.get("dram_requests"));
+            EXPECT_EQ(gpu.hierarchy().dram().stats().get("requests"),
+                      hier.get("dram_requests") + hier.get("l2_writebacks"));
+
+            // Every accepted L1D transaction has exactly one outcome, and
+            // every issued instruction is compute or memory.
+            EXPECT_EQ(gpu.sumSmStat("l1d_transactions"),
+                      hits + misses + bypasses);
+            EXPECT_EQ(static_cast<double>(gpu.totalInstructions()),
+                      gpu.sumSmStat("compute_instructions")
+                          + gpu.sumSmStat("mem_instructions"));
+        }
+    }
 }
 
 } // namespace

@@ -6,7 +6,7 @@
  * ExperimentSpec file, fanning the (benchmark x variant x organisation)
  * grid across worker threads. Results can additionally be exported as
  * JSON or CSV, and a FUSE_PROF=ON build writes the sweep's exact
- * profiling counts with --profile-out.
+ * consult counts with --profile-out.
  *
  * Usage:
  *   fuse_sweep --list
@@ -71,9 +71,9 @@ usage()
         "                    the rest and add them to it\n"
         "  --json FILE       export results as JSON ('-' = stdout)\n"
         "  --csv FILE        export results as CSV ('-' = stdout)\n"
-        "  --profile-out F   write the sweep's exact profiling\n"
-        "                    attribution as JSON ('-' = stdout; counts\n"
-        "                    are non-zero only in FUSE_PROF=ON builds)\n"
+        "  --profile-out F   write the sweep's exact consult counts as\n"
+        "                    JSON ('-' = stdout; counts are non-zero\n"
+        "                    only in FUSE_PROF=ON builds)\n"
         "  --quiet           skip the rendered tables (exports only)\n"
         "  --keys            list the spec override keys\n");
 }
@@ -357,10 +357,15 @@ main(int argc, char **argv)
     if (merge) {
         // Merge mode simulates nothing: it stitches shard exports back
         // into the full grid and renders/exports like an unsharded run.
-        if (!figure.empty() || shard_count > 1 || !store_dir.empty())
+        // Sweep flags have nothing to act on here; dropping them
+        // silently would export a grid the caller did not ask for.
+        if (!figure.empty() || shard_count > 1 || !store_dir.empty()
+            || !benchmarks.empty() || !kinds.empty()
+            || !profile_path.empty())
             fuse_fatal("--merge takes shard files, not --figure/--shard/"
-                       "--store (the figure comes from the shards "
-                       "themselves)");
+                       "--store/--benchmarks/--kinds/--profile-out (the "
+                       "grid comes from the shards themselves, and a "
+                       "merge simulates nothing)");
         fuse::ExperimentSpec grid;
         if (!spec_path.empty())
             grid = readSpec(spec_path);
