@@ -13,9 +13,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "exp/trace_studies.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
-#include "workload/generator.hh"
 
 namespace
 {
@@ -33,32 +33,27 @@ struct Profile
 Profile
 profile(const fuse::BenchmarkSpec &spec)
 {
-    fuse::KernelGenerator gen(spec, 0, 15, 48, 1);
     std::unordered_map<fuse::Addr, std::pair<std::uint32_t,
                                              std::uint32_t>> blocks;
-    std::uint64_t instrs = 0;
+    const std::uint64_t instrs = 200000;
     std::uint64_t mem_instrs = 0;
     std::uint64_t writes = 0;
     std::uint64_t transactions = 0;
-    const std::uint64_t budget = 200000;
-    while (instrs < budget) {
-        for (fuse::WarpId w = 0; w < 48 && instrs < budget; ++w) {
-            fuse::WarpInstruction wi = gen.next(w);
-            ++instrs;
-            if (!wi.isMem)
-                continue;
-            ++mem_instrs;
-            writes += wi.type == fuse::AccessType::Write;
-            transactions += wi.transactions.size();
-            for (fuse::Addr a : wi.transactions) {
-                auto &b = blocks[fuse::lineAddr(a)];
-                if (wi.type == fuse::AccessType::Write)
-                    ++b.second;
-                else
-                    ++b.first;
-            }
-        }
-    }
+    fuse::walkTrace(spec, instrs,
+                    [&](fuse::AccessType type, const fuse::Addr *begin,
+                        const fuse::Addr *end) {
+                        ++mem_instrs;
+                        writes += type == fuse::AccessType::Write;
+                        transactions +=
+                            static_cast<std::uint64_t>(end - begin);
+                        for (const fuse::Addr *a = begin; a != end; ++a) {
+                            auto &b = blocks[fuse::lineAddr(*a)];
+                            if (type == fuse::AccessType::Write)
+                                ++b.second;
+                            else
+                                ++b.first;
+                        }
+                    });
 
     Profile p;
     p.apki = 1000.0 * static_cast<double>(transactions)

@@ -2,41 +2,13 @@
 
 #include <algorithm>
 
-#include "common/log.hh"
-
 namespace fuse
 {
 
-const char *
-toString(ReplPolicy policy)
-{
-    switch (policy) {
-      case ReplPolicy::LRU: return "LRU";
-      case ReplPolicy::FIFO: return "FIFO";
-      case ReplPolicy::PseudoLRU: return "PseudoLRU";
-    }
-    return "?";
-}
-
-std::unique_ptr<ReplacementPolicy>
-ReplacementPolicy::create(ReplPolicy policy, std::uint32_t num_sets,
-                          std::uint32_t num_ways)
-{
-    switch (policy) {
-      case ReplPolicy::LRU:
-        return std::make_unique<LruPolicy>(num_sets, num_ways);
-      case ReplPolicy::FIFO:
-        return std::make_unique<FifoPolicy>(num_sets, num_ways);
-      case ReplPolicy::PseudoLRU:
-        return std::make_unique<PseudoLruPolicy>(num_sets, num_ways);
-    }
-    fuse_panic("unknown replacement policy");
-}
-
-// ------------------------------------------------------------ age list
-
-AgeListPolicy::AgeListPolicy(std::uint32_t num_sets, std::uint32_t num_ways)
-    : numWays_(num_ways),
+AgeListPolicy::AgeListPolicy(ReplPolicy policy, std::uint32_t num_sets,
+                             std::uint32_t num_ways)
+    : reageOnHit_(policy == ReplPolicy::LRU),
+      numWays_(num_ways),
       head_(num_sets, kNone),
       tail_(num_sets, kNone),
       next_(std::size_t(num_sets) * num_ways, kNone),
@@ -132,61 +104,6 @@ AgeListPolicy::reset()
     std::fill(head_.begin(), head_.end(), kNone);
     std::fill(tail_.begin(), tail_.end(), kNone);
     std::fill(linked_.begin(), linked_.end(), 0);
-}
-
-// ----------------------------------------------------------- pseudo-LRU
-
-PseudoLruPolicy::PseudoLruPolicy(std::uint32_t num_sets,
-                                 std::uint32_t num_ways)
-    : numWays_(num_ways),
-      treeNodes_(num_ways > 1 ? num_ways - 1 : 1),
-      bits_(static_cast<std::size_t>(num_sets) * treeNodes_, 0)
-{
-    if (num_ways & (num_ways - 1))
-        fuse_fatal("PseudoLRU requires power-of-two associativity, got %u",
-                   num_ways);
-}
-
-std::uint32_t
-PseudoLruPolicy::victim(std::uint32_t set) const
-{
-    if (numWays_ == 1)
-        return 0;
-    const std::uint8_t *tree = &bits_[std::size_t(set) * treeNodes_];
-    // Walk from the root following the bits: 0 means "left is older".
-    std::uint32_t node = 0;
-    while (node < treeNodes_) {
-        std::uint32_t next = 2 * node + 1 + tree[node];
-        if (next >= treeNodes_) {
-            std::uint32_t way = next - treeNodes_;
-            return way < numWays_ ? way : 0;
-        }
-        node = next;
-    }
-    return 0;
-}
-
-void
-PseudoLruPolicy::touch(std::uint32_t set, std::uint32_t way)
-{
-    if (numWays_ == 1)
-        return;
-    std::uint8_t *tree = &bits_[std::size_t(set) * treeNodes_];
-    // Walk from the leaf up, pointing every node away from this way.
-    std::uint32_t node = treeNodes_ + way;
-    while (node > 0) {
-        std::uint32_t parent = (node - 1) / 2;
-        bool came_from_right = (node == 2 * parent + 2);
-        // Point at the *other* child so the victim walk avoids this way.
-        tree[parent] = came_from_right ? 0 : 1;
-        node = parent;
-    }
-}
-
-void
-PseudoLruPolicy::reset()
-{
-    std::fill(bits_.begin(), bits_.end(), 0);
 }
 
 } // namespace fuse

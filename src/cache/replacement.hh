@@ -1,25 +1,23 @@
 /**
  * @file
- * Event-driven replacement engines for set-associative tag arrays: LRU,
- * FIFO, and tree-based pseudo-LRU. The paper uses LRU for SRAM banks and
- * FIFO for the (approximately) fully-associative STT-MRAM bank, whose
- * circuit cannot afford true LRU.
+ * The event-driven replacement engine of the set-associative tag arrays:
+ * LRU for SRAM banks and FIFO for the (approximately) fully-associative
+ * STT-MRAM bank, whose circuit cannot afford true LRU.
  *
- * The engine is notified of every fill/hit/invalidate and keeps per-set
- * intrusive state (an age list, a PLRU tree), so victim() is O(1) instead
- * of scanning all ways — the 512-way approximated-FA STT bank used to pay
- * a full-way timestamp scan per eviction. The victim choice is
- * *bit-identical* to the historical scan implementations, including the
- * lowest-way-index tie break on equal timestamps; the differential parity
- * tier (tests/test_replacement_parity.cc) drives both against each other,
- * and the golden-figure tier pins the end-to-end output.
+ * The engine is notified of every fill/hit/invalidate and keeps a
+ * per-set intrusive age list, so victim() is O(1) instead of scanning
+ * all ways — the 512-way approximated-FA STT bank used to pay a full-way
+ * timestamp scan per eviction. The victim choice is *bit-identical* to
+ * the historical scan implementations, including the lowest-way-index
+ * tie break on equal timestamps; the differential parity tier
+ * (tests/test_replacement_parity.cc) drives both against each other, and
+ * the golden-figure tier pins the end-to-end output.
  */
 
 #ifndef FUSE_CACHE_REPLACEMENT_HH
 #define FUSE_CACHE_REPLACEMENT_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -27,17 +25,26 @@
 namespace fuse
 {
 
-/** Which replacement policy a tag array should instantiate. */
-enum class ReplPolicy : std::uint8_t { LRU, FIFO, PseudoLRU };
-
-const char *toString(ReplPolicy policy);
+/** Which replacement policy a tag array runs. */
+enum class ReplPolicy : std::uint8_t { LRU, FIFO };
 
 /**
- * Event-driven replacement engine. The owner (TagArray) reports every
- * state change; the engine answers victim() from its own bookkeeping
- * without looking at the lines.
+ * Replacement engine for both policies: one intrusive doubly-linked list
+ * per set, kept sorted ascending by (stamp, way). The head is therefore
+ * always argmin(stamp, way) — exactly what the historical "scan all ways
+ * for the minimum, lowest index wins ties" implementations computed — and
+ * victim() is a single head read. Fills stamp a way with the fill cycle;
+ * under LRU hits re-stamp it too, under FIFO they are ignored, so the
+ * stamp is the last touch or the insertion time respectively.
  *
- * Protocol:
+ * promote() re-links a way with a new stamp. Because simulation time is
+ * monotonic, the insertion point is the tail or a few steps before it
+ * (only same-cycle touches of the same set walk further), so updates are
+ * O(1) amortised; the walk degrades gracefully (stays correct) if a
+ * caller ever hands in non-monotonic stamps.
+ *
+ * Protocol (the owner, TagArray, reports every state change; the engine
+ * answers victim() without looking at the lines):
  *  - onFill(set, way, now): a line was installed into @p way. Replacing a
  *    valid line is signalled by the victim(set) -> onFill(set, victim)
  *    pair — no separate eviction event is raised for the displaced line.
@@ -50,49 +57,24 @@ const char *toString(ReplPolicy policy);
  *    @p set is valid (the owner prefers free ways first).
  *  - reset(): the array was cleared (kernel boundary / test reset).
  */
-class ReplacementPolicy
+class AgeListPolicy
 {
   public:
-    virtual ~ReplacementPolicy() = default;
+    AgeListPolicy(ReplPolicy policy, std::uint32_t num_sets,
+                  std::uint32_t num_ways);
 
-    virtual void onFill(std::uint32_t set, std::uint32_t way,
-                        Cycle now) = 0;
-    virtual void onHit(std::uint32_t set, std::uint32_t way, Cycle now) = 0;
-    virtual void onEvict(std::uint32_t set, std::uint32_t way) = 0;
-    virtual std::uint32_t victim(std::uint32_t set) const = 0;
-    virtual void reset() = 0;
-
-    /** Factory. @p num_sets/@p num_ways size the per-set state. */
-    static std::unique_ptr<ReplacementPolicy> create(ReplPolicy policy,
-                                                     std::uint32_t num_sets,
-                                                     std::uint32_t num_ways);
-};
-
-/**
- * Shared engine of the two timestamp-ordered policies: one intrusive
- * doubly-linked list per set, kept sorted ascending by (stamp, way). The
- * head is therefore always argmin(stamp, way) — exactly what the
- * historical "scan all ways for the minimum, lowest index wins ties"
- * implementations computed — and victim() is a single head read.
- *
- * promote() re-links a way with a new stamp. Because simulation time is
- * monotonic, the insertion point is the tail or a few steps before it
- * (only same-cycle touches of the same set walk further), so updates are
- * O(1) amortised; the walk degrades gracefully (stays correct) if a
- * caller ever hands in non-monotonic stamps.
- */
-class AgeListPolicy : public ReplacementPolicy
-{
-  public:
-    AgeListPolicy(std::uint32_t num_sets, std::uint32_t num_ways);
-
-    void onEvict(std::uint32_t set, std::uint32_t way) override;
-    std::uint32_t victim(std::uint32_t set) const override;
-    void reset() override;
-
-  protected:
-    /** Unlink @p way if linked, then insert it in (stamp, way) order. */
-    void promote(std::uint32_t set, std::uint32_t way, Cycle stamp);
+    void onFill(std::uint32_t set, std::uint32_t way, Cycle now)
+    {
+        promote(set, way, now);
+    }
+    void onHit(std::uint32_t set, std::uint32_t way, Cycle now)
+    {
+        if (reageOnHit_)
+            promote(set, way, now);
+    }
+    void onEvict(std::uint32_t set, std::uint32_t way);
+    std::uint32_t victim(std::uint32_t set) const;
+    void reset();
 
   private:
     static constexpr std::uint32_t kNone = ~std::uint32_t(0);
@@ -101,8 +83,11 @@ class AgeListPolicy : public ReplacementPolicy
     {
         return std::size_t(set) * numWays_ + way;
     }
+    /** Unlink @p way if linked, then insert it in (stamp, way) order. */
+    void promote(std::uint32_t set, std::uint32_t way, Cycle stamp);
     void unlink(std::uint32_t set, std::uint32_t way);
 
+    bool reageOnHit_;                  ///< LRU: hits re-stamp the way.
     std::uint32_t numWays_;
     std::vector<std::uint32_t> head_;  ///< Oldest way per set (the victim).
     std::vector<std::uint32_t> tail_;  ///< Youngest way per set.
@@ -110,70 +95,6 @@ class AgeListPolicy : public ReplacementPolicy
     std::vector<std::uint32_t> prev_;  ///< Towards older, kNone at head.
     std::vector<Cycle> stamp_;         ///< Age key of each linked way.
     std::vector<std::uint8_t> linked_; ///< Way currently in its set list?
-};
-
-/** Evict the least-recently-touched way: hits and fills both re-age. */
-class LruPolicy : public AgeListPolicy
-{
-  public:
-    using AgeListPolicy::AgeListPolicy;
-
-    void onFill(std::uint32_t set, std::uint32_t way, Cycle now) override
-    {
-        promote(set, way, now);
-    }
-    void onHit(std::uint32_t set, std::uint32_t way, Cycle now) override
-    {
-        promote(set, way, now);
-    }
-};
-
-/** Evict the oldest-inserted way: only fills age, hits are ignored. */
-class FifoPolicy : public AgeListPolicy
-{
-  public:
-    using AgeListPolicy::AgeListPolicy;
-
-    void onFill(std::uint32_t set, std::uint32_t way, Cycle now) override
-    {
-        promote(set, way, now);
-    }
-    void onHit(std::uint32_t, std::uint32_t, Cycle) override {}
-};
-
-/**
- * Tree-based pseudo-LRU: one bit per internal node of a binary tree over
- * the ways; touching a way flips the path bits away from it, the victim
- * follows the bits. O(log ways) state updates, 1 bit per node — the
- * policy hardware actually ships in L1 caches. Invalidations leave the
- * tree untouched (matching the historical behaviour; the owner's
- * free-way preference covers the hole).
- */
-class PseudoLruPolicy : public ReplacementPolicy
-{
-  public:
-    PseudoLruPolicy(std::uint32_t num_sets, std::uint32_t num_ways);
-
-    void onFill(std::uint32_t set, std::uint32_t way, Cycle now) override
-    {
-        (void)now;
-        touch(set, way);
-    }
-    void onHit(std::uint32_t set, std::uint32_t way, Cycle now) override
-    {
-        (void)now;
-        touch(set, way);
-    }
-    void onEvict(std::uint32_t, std::uint32_t) override {}
-    std::uint32_t victim(std::uint32_t set) const override;
-    void reset() override;
-
-  private:
-    void touch(std::uint32_t set, std::uint32_t way);
-
-    std::uint32_t numWays_;
-    std::uint32_t treeNodes_;
-    std::vector<std::uint8_t> bits_;  ///< treeNodes_ bits per set, flattened.
 };
 
 } // namespace fuse

@@ -78,11 +78,4 @@ SetAssocCache::accessAndFill(Addr line_addr, AccessType type, Cycle now)
     return r;
 }
 
-double
-SetAssocCache::missRate() const
-{
-    double total = stats_.get("hits") + stats_.get("misses");
-    return total > 0 ? stats_.get("misses") / total : 0.0;
-}
-
 } // namespace fuse

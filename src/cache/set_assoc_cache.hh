@@ -1,8 +1,9 @@
 /**
  * @file
- * A generic timing-annotated set-associative write-back cache built on
- * TagArray: probe/fill plus hit/miss/eviction statistics. Reused by the
- * shared L2 cache and as the tag store inside several L1D organisations.
+ * A set-associative write-back cache built on TagArray: one combined
+ * access-or-fill call plus hit/miss/eviction statistics. Each bank of the
+ * shared L2 cache is one; the L1D organisations build on CacheBank
+ * instead.
  */
 
 #ifndef FUSE_CACHE_SET_ASSOC_CACHE_HH
@@ -60,39 +61,13 @@ class SetAssocCache
   public:
     SetAssocCache(const CacheGeometry &geometry, std::string stat_prefix);
 
-    /**
-     * Access @p line_addr. On hit, updates read/write/dirty bookkeeping.
-     * On miss, *does not* fill — call fill() when the data returns (or
-     * immediately, for an atomic access+fill model).
-     */
-    bool access(Addr line_addr, AccessType type, Cycle now)
-    {
-        return accessAt(tags_.lookup(line_addr), type, now);
-    }
-
-    /** access() against an already-resolved residency probe. */
-    bool accessAt(const TagArray::Probe &p, AccessType type, Cycle now);
-
-    /** Allocate @p line_addr; marks dirty if the triggering access wrote. */
-    CacheAccessResult fill(Addr line_addr, AccessType type, Cycle now)
-    {
-        return fillAt(tags_.lookup(line_addr), line_addr, type, now);
-    }
-
-    /** fill() against an already-resolved residency probe. */
-    CacheAccessResult fillAt(const TagArray::Probe &p, Addr line_addr,
-                             AccessType type, Cycle now);
-
-    /** Combined access-or-fill convenience used by the L2 model: one
-     *  residency lookup serves both halves (the access pipeline's
-     *  single-probe contract — the old access-then-fill pair re-ran the
-     *  tag search on every miss). */
+    /** Access @p line_addr and, on a miss, fill it at once (an atomic
+     *  access+fill model). One residency lookup serves both halves (the
+     *  access pipeline's single-probe contract — the old access-then-fill
+     *  pair re-ran the tag search on every miss). */
     CacheAccessResult accessAndFill(Addr line_addr, AccessType type,
                                     Cycle now);
 
-    TagArray &tags() { return tags_; }
-    const TagArray &tags() const { return tags_; }
-    StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
 
     std::uint64_t hits() const
@@ -103,9 +78,16 @@ class SetAssocCache
     {
         return static_cast<std::uint64_t>(stats_.get("misses"));
     }
-    double missRate() const;
 
   private:
+    /** The hit half: on a hit, update read/write/dirty bookkeeping. */
+    bool accessAt(const TagArray::Probe &p, AccessType type, Cycle now);
+
+    /** The miss half: allocate @p line_addr; marks dirty if the
+     *  triggering access wrote. */
+    CacheAccessResult fillAt(const TagArray::Probe &p, Addr line_addr,
+                             AccessType type, Cycle now);
+
     TagArray tags_;
     StatGroup stats_;
     // Hot-path counters cached out of the string-keyed map.

@@ -14,7 +14,7 @@ TagArray::TagArray(std::uint32_t num_sets, std::uint32_t num_ways,
     : numSets_(num_sets),
       numWays_(num_ways),
       lines_(std::size_t(num_sets) * num_ways),
-      repl_(ReplacementPolicy::create(policy, num_sets, num_ways)),
+      repl_(policy, num_sets, num_ways),
       wordsPerSet_((num_ways + 63) / 64),
       tagMap_(std::size_t(num_sets) * num_ways, kEmptyTag)
 {
@@ -91,7 +91,7 @@ TagArray::hitLine(const Probe &p, Cycle now)
 {
     CacheLine &line = lines_[p.slot];
     line.lastTouch = now;
-    repl_->onHit(p.set, p.way, now);
+    repl_.onHit(p.set, p.way, now);
     return &line;
 }
 
@@ -113,7 +113,7 @@ TagArray::fillAt(const Probe &p, Addr line_addr, Cycle now,
     // safe): recency updates, insertion age does not.
     if (p.hit()) {
         ways[p.way].lastTouch = now;
-        repl_->onHit(set, p.way, now);
+        repl_.onHit(set, p.way, now);
         if (filled)
             *filled = &ways[p.way];
         return std::nullopt;
@@ -124,7 +124,7 @@ TagArray::fillAt(const Probe &p, Addr line_addr, Cycle now,
         const std::uint32_t w = lowestFreeWay(set);
         markOccupied(set, w);
         ways[w].resetForFill(line_addr, now);
-        repl_->onFill(set, w, now);
+        repl_.onFill(set, w, now);
         tagMap_[std::size_t(set) * numWays_ + w] = line_addr;
         if (index_)
             *index_->insert(line_addr) = w;
@@ -134,7 +134,7 @@ TagArray::fillAt(const Probe &p, Addr line_addr, Cycle now,
     }
 
     // Evict per policy: O(1) from the engine's per-set state.
-    const std::uint32_t victim = repl_->victim(set);
+    const std::uint32_t victim = repl_.victim(set);
     Eviction ev{ways[victim]};
     tagMap_[std::size_t(set) * numWays_ + victim] = line_addr;
     if (index_) {
@@ -142,7 +142,7 @@ TagArray::fillAt(const Probe &p, Addr line_addr, Cycle now,
         *index_->insert(line_addr) = victim;
     }
     ways[victim].resetForFill(line_addr, now);
-    repl_->onFill(set, victim, now);
+    repl_.onFill(set, victim, now);
     if (filled)
         *filled = &ways[victim];
     return ev;
@@ -157,7 +157,7 @@ TagArray::invalidateAt(const Probe &p)
     CacheLine copy = line;
     line.valid = false;
     markFree(p.set, p.way);
-    repl_->onEvict(p.set, p.way);
+    repl_.onEvict(p.set, p.way);
     tagMap_[p.slot] = kEmptyTag;
     if (index_)
         index_->erase(copy.tag);
@@ -194,7 +194,7 @@ TagArray::clear()
     }
     std::fill(tagMap_.begin(), tagMap_.end(), kEmptyTag);
     occupied_ = 0;
-    repl_->reset();
+    repl_.reset();
     if (index_)
         index_->clear();
 }

@@ -35,8 +35,8 @@ struct Eviction
 };
 
 /**
- * Set-associative tag array with pluggable replacement. A fully-associative
- * array is simply numSets == 1.
+ * Set-associative tag array with LRU or FIFO replacement. A
+ * fully-associative array is simply numSets == 1.
  */
 class TagArray
 {
@@ -175,7 +175,7 @@ class TagArray
     Addr setMask_ = kNoMask;   ///< numSets_-1 when numSets_ is a power of 2.
     /** All lines, set-major: the ways of set s start at s * numWays_. */
     std::vector<CacheLine> lines_;
-    std::unique_ptr<ReplacementPolicy> repl_;
+    AgeListPolicy repl_;
 
     /** Free-way bitmap, wordsPerSet_ 64-bit words per set. Bit w of the
      *  set's words is 1 iff way w is invalid; the lowest set bit is the

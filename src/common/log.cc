@@ -6,23 +6,6 @@
 namespace fuse
 {
 
-namespace
-{
-bool g_verbose = true;
-} // namespace
-
-void
-setVerbose(bool verbose)
-{
-    g_verbose = verbose;
-}
-
-bool
-verbose()
-{
-    return g_verbose;
-}
-
 namespace detail
 {
 
@@ -62,15 +45,13 @@ fatalImpl(const char *file, int line, const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (g_verbose)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 void
 informImpl(const std::string &msg)
 {
-    if (g_verbose)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
+    std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 } // namespace detail

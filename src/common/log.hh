@@ -28,10 +28,6 @@ void informImpl(const std::string &msg);
 std::string format(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 } // namespace detail
 
-/** Set to false to silence warn()/inform() (used by tests). */
-void setVerbose(bool verbose);
-bool verbose();
-
 } // namespace fuse
 
 /** Something that should never happen happened: a simulator bug. Aborts. */

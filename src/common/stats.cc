@@ -63,14 +63,4 @@ StatGroup::dump(std::ostream &os) const
            << " (n=" << a.count() << ")\n";
 }
 
-std::vector<std::string>
-StatGroup::scalarNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(scalars_.size());
-    for (const auto &[name, s] : scalars_)
-        names.push_back(name);
-    return names;
-}
-
 } // namespace fuse

@@ -12,7 +12,6 @@
 #include <map>
 #include <ostream>
 #include <string>
-#include <vector>
 
 namespace fuse
 {
@@ -151,9 +150,6 @@ class StatGroup
     void dump(std::ostream &os) const;
 
     const std::string &name() const { return name_; }
-
-    /** Stable iteration over scalar names (for reporting). */
-    std::vector<std::string> scalarNames() const;
 
   private:
     std::string name_;

@@ -43,19 +43,6 @@ line(std::string &out, const char *key, std::uint32_t v)
     line(out, key, static_cast<std::uint64_t>(v));
 }
 
-const char *
-schedName(SchedPolicy policy)
-{
-    // No toString(SchedPolicy) exists elsewhere; keep a local mapping so
-    // the canonical text stays readable and enum reordering can't
-    // silently change cache keys.
-    switch (policy) {
-    case SchedPolicy::RoundRobin: return "RoundRobin";
-    case SchedPolicy::GreedyThenOldest: return "GreedyThenOldest";
-    }
-    return "Unknown";
-}
-
 } // namespace
 
 std::string
@@ -69,9 +56,8 @@ canonicalConfig(const SimConfig &config)
     const GpuConfig &gpu = config.gpu;
     line(out, "gpu.numSms", gpu.numSms);
     line(out, "gpu.warpsPerSm", gpu.warpsPerSm);
-    out += "gpu.scheduler = ";
-    out += schedName(gpu.scheduler);
-    out += '\n';
+    // The only scheduler; the line keeps existing store keys valid.
+    out += "gpu.scheduler = RoundRobin\n";
     line(out, "gpu.instructionBudgetPerSm", gpu.instructionBudgetPerSm);
     line(out, "gpu.maxCycles", static_cast<std::uint64_t>(gpu.maxCycles));
     line(out, "gpu.traceSeed", gpu.traceSeed);

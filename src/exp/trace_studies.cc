@@ -3,6 +3,7 @@
 #include <deque>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "cache/bloom.hh"
 #include "workload/generator.hh"
@@ -38,30 +39,41 @@ classify(const BlockStats &b)
 
 } // namespace
 
+void
+walkTrace(const BenchmarkSpec &spec, std::uint64_t instructions,
+          const std::function<void(AccessType type, const Addr *begin,
+                                   const Addr *end)> &fn)
+{
+    constexpr std::uint32_t kWarps = 48;
+    KernelGenerator gen(spec, /*sm=*/0, /*num_sms=*/15, kWarps,
+                        /*seed=*/1);
+    std::vector<InstructionBatch> batches(kWarps);
+    for (std::uint64_t i = 0; i < instructions; ++i) {
+        const auto w = static_cast<WarpId>(i % kWarps);
+        InstructionBatch &batch = batches[w];
+        if (batch.exhausted())
+            gen.nextBatch(w, batch);
+        const InstructionBatch::Decoded &d = batch.instr[batch.consumed++];
+        if (d.isMem)
+            fn(d.type, batch.addrs.data() + d.txBegin,
+               batch.addrs.data() + d.txEnd);
+    }
+}
+
 ReadLevelMix
 readLevelMix(const BenchmarkSpec &spec)
 {
-    // Trace one SM's worth of warps (workloads are symmetric across SMs).
-    KernelGenerator gen(spec, /*sm=*/0, /*num_sms=*/15,
-                        /*warps_per_sm=*/48, /*seed=*/1);
     std::unordered_map<Addr, BlockStats> blocks;
-    const std::uint64_t instructions = 240000;
-    std::uint64_t issued = 0;
-    while (issued < instructions) {
-        for (WarpId w = 0; w < 48 && issued < instructions; ++w) {
-            WarpInstruction wi = gen.next(w);
-            ++issued;
-            if (!wi.isMem)
-                continue;
-            for (Addr a : wi.transactions) {
-                auto &b = blocks[lineAddr(a)];
-                if (wi.type == AccessType::Write)
-                    ++b.writes;
-                else
-                    ++b.reads;
-            }
-        }
-    }
+    walkTrace(spec, 240000,
+              [&](AccessType type, const Addr *begin, const Addr *end) {
+                  for (const Addr *a = begin; a != end; ++a) {
+                      auto &b = blocks[lineAddr(*a)];
+                      if (type == AccessType::Write)
+                          ++b.writes;
+                      else
+                          ++b.reads;
+                  }
+              });
     ReadLevelMix mix;
     for (const auto &[line, b] : blocks) {
         (void)line;
@@ -88,7 +100,6 @@ cbfFalsePositiveRate(const BenchmarkSpec &spec, std::uint32_t slots,
 {
     CountingBloomFilter cbf(slots, hashes);
     BloomAccuracy acc;
-    KernelGenerator gen(spec, 0, 15, 48, 1);
     std::deque<Addr> window;
     std::unordered_set<Addr> resident;
     // Each CBF guards one partition of the 512-line STT bank: with 128
@@ -97,38 +108,32 @@ cbfFalsePositiveRate(const BenchmarkSpec &spec, std::uint32_t slots,
     const std::size_t capacity = 4;
 
     std::uint64_t last_saturations = 0;
-    std::uint64_t issued = 0;
-    while (issued < 120000) {
-        for (WarpId w = 0; w < 48 && issued < 120000; ++w) {
-            WarpInstruction wi = gen.next(w);
-            ++issued;
-            if (!wi.isMem)
+    walkTrace(spec, 120000, [&](AccessType, const Addr *begin,
+                                const Addr *end) {
+        for (const Addr *a = begin; a != end; ++a) {
+            const Addr line = lineAddr(*a);
+            const bool present = resident.count(line) != 0;
+            acc.record(cbf.test(line), present);
+            if (present)
                 continue;
-            for (Addr a : wi.transactions) {
-                const Addr line = lineAddr(a);
-                const bool present = resident.count(line) != 0;
-                acc.record(cbf.test(line), present);
-                if (present)
-                    continue;
-                cbf.insert(line);
-                resident.insert(line);
-                window.push_back(line);
-                if (window.size() > capacity) {
-                    Addr victim = window.front();
-                    window.pop_front();
-                    cbf.remove(victim);
-                    resident.erase(victim);
-                    // Saturation refresh, as in AssocApprox::refresh().
-                    if (cbf.saturations() != last_saturations) {
-                        cbf.clear();
-                        for (Addr r : resident)
-                            cbf.insert(r);
-                        last_saturations = cbf.saturations();
-                    }
+            cbf.insert(line);
+            resident.insert(line);
+            window.push_back(line);
+            if (window.size() > capacity) {
+                Addr victim = window.front();
+                window.pop_front();
+                cbf.remove(victim);
+                resident.erase(victim);
+                // Saturation refresh, as in AssocApprox::refresh().
+                if (cbf.saturations() != last_saturations) {
+                    cbf.clear();
+                    for (Addr r : resident)
+                        cbf.insert(r);
+                    last_saturations = cbf.saturations();
                 }
             }
         }
-    }
+    });
     return acc.falsePositiveRate();
 }
 

@@ -60,14 +60,6 @@ CacheBank::accessAt(const TagArray::Probe &p, AccessType type, Cycle now,
     return line;
 }
 
-CacheLine *
-CacheBank::peekMutable(Addr line_addr)
-{
-    // probe() without a timestamp update would disturb LRU; reuse peek and
-    // cast away constness — the tag array owns the storage.
-    return const_cast<CacheLine *>(tags_.peek(line_addr));
-}
-
 std::optional<Eviction>
 CacheBank::fillAt(const TagArray::Probe &p, Addr line_addr, AccessType type,
                   Cycle now, Cycle *done, CacheLine **filled, Port port)

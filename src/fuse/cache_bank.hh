@@ -119,10 +119,9 @@ class CacheBank
         FUSE_PROF_COUNT(l1d_bank, peek_resolutions);
         return tags_.peek(line_addr);
     }
-    CacheLine *peekMutable(Addr line_addr);
 
     /** Line behind a resolved probe, mutable (no occupancy, no LRU
-     *  disturbance — the probe-pipeline flavour of peekMutable). */
+     *  disturbance). */
     CacheLine *peekAt(const TagArray::Probe &p) { return tags_.lineAt(p); }
 
     /**

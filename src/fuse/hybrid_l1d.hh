@@ -75,7 +75,6 @@ class HybridL1D : public L1DCache
     CacheBank &sramBank() { return sram_; }
     CacheBank &sttBank() { return stt_; }
     ReadLevelPredictor &predictor() { return predictor_; }
-    TagQueue &tagQueue() { return tagQueue_; }
     SwapBuffer &swapBuffer() { return swapBuffer_; }
     AssocApprox *approx() { return approx_.get(); }
     Mshr &mshr() { return mshr_; }

@@ -1,47 +1,18 @@
 #include "gpu/coalescer.hh"
 
-#include <algorithm>
-
 #include "prof/prof.hh"
 
 namespace fuse
 {
 
 void
-Coalescer::coalesceInPlace(std::vector<Addr> &addresses)
-{
-    const std::size_t lanes = addresses.size();
-    // Stable dedupe: lane i's line survives iff no earlier lane touched
-    // the same line. Lane counts are tiny (<= warp size), so the
-    // quadratic scan beats any hashing scheme.
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < lanes; ++i) {
-        const Addr base = lineBase(addresses[i]);
-        bool seen = false;
-        for (std::size_t j = 0; j < out; ++j) {
-            if (addresses[j] == base) {
-                seen = true;
-                break;
-            }
-        }
-        if (!seen)
-            addresses[out++] = base;
-    }
-    addresses.resize(out);
-
-    if (statInstructions_) {
-        ++(*statInstructions_);
-        statTransactions_->add(out);
-        statLanesMerged_->add(lanes - out);
-    }
-}
-
-void
 Coalescer::coalesceBatch(InstructionBatch &batch)
 {
     FUSE_PROF_COUNT(coalescer, batches);
-    // Same stable dedupe as coalesceInPlace, applied to each memory
-    // instruction's span of the shared buffer. Spans shrink in place:
+    // Stable dedupe of each memory instruction's span of the shared
+    // buffer: lane l's line survives iff no earlier lane of the span
+    // touched the same line. Lane counts are tiny (<= warp size), so the
+    // quadratic scan beats any hashing scheme. Spans shrink in place:
     // survivors compact to the span's start and txEnd moves down; later
     // spans keep their offsets (the issue path walks [txBegin, txEnd)).
     for (std::uint32_t i = 0; i < batch.size; ++i) {
@@ -65,14 +36,6 @@ Coalescer::coalesceBatch(InstructionBatch &batch)
         }
         d.txEnd = static_cast<std::uint16_t>(d.txBegin + out);
     }
-}
-
-std::vector<Addr>
-Coalescer::coalesce(const std::vector<Addr> &addresses)
-{
-    std::vector<Addr> lines(addresses);
-    coalesceInPlace(lines);
-    return lines;
 }
 
 } // namespace fuse

@@ -1,16 +1,17 @@
 /**
  * @file
- * Memory coalescer: collapses the per-thread addresses of one warp memory
- * instruction into the minimal set of 128B transactions (§III-A: a warp's
- * 32 4B lanes coalesce into one 128B request when contiguous; divergent
- * warps emit several transactions).
+ * Memory coalescer: collapses the per-thread addresses of each warp memory
+ * instruction in a decoded batch into the minimal set of 128B
+ * transactions (§III-A: a warp's 32 4B lanes coalesce into one 128B
+ * request when contiguous; divergent warps emit several transactions).
+ * The per-instruction coalescer the batch path replaced survives as the
+ * reference model in tests/frontend_reference.hh.
  */
 
 #ifndef FUSE_GPU_COALESCER_HH
 #define FUSE_GPU_COALESCER_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -36,27 +37,15 @@ class Coalescer
     }
 
     /**
-     * Deduplicate @p addresses to unique line-aligned transactions,
-     * preserving first-touch order (the LSU issues them serially).
-     */
-    std::vector<Addr> coalesce(const std::vector<Addr> &addresses);
-
-    /**
-     * In-place variant: rewrites @p addresses to its coalesced form
-     * without allocating. Same first-touch order as coalesce(). The
-     * scalar reference model of the batch parity tier; the simulation
-     * hot path uses coalesceBatch().
-     */
-    void coalesceInPlace(std::vector<Addr> &addresses);
-
-    /**
-     * Batch form of the hot path: coalesce every memory instruction's
-     * transaction span of @p batch in place within the shared buffer
-     * (spans shrink — txEnd moves, later spans stay put). Statistics
-     * are NOT recorded here: a prefetched batch can outlive the run
-     * half-consumed, so the SM records each instruction as it consumes
-     * it via noteConsumed(), keeping coalesce_* counters exactly what
-     * the per-instruction pipeline reported at every observation point.
+     * Coalesce every memory instruction's transaction span of @p batch
+     * in place within the shared buffer: each span is deduplicated to
+     * unique line-aligned transactions in first-touch order (the LSU
+     * issues them serially), so spans shrink — txEnd moves, later spans
+     * stay put. Statistics are NOT recorded here: a prefetched batch can
+     * outlive the run half-consumed, so the SM records each instruction
+     * as it consumes it via noteConsumed(), keeping coalesce_* counters
+     * exactly what a per-instruction pipeline would report at every
+     * observation point.
      */
     void coalesceBatch(InstructionBatch &batch);
 

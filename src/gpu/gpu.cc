@@ -21,7 +21,6 @@ Gpu::Gpu(const GpuConfig &config, L1DKind l1d_kind, const L1DParams &l1d,
     for (SmId s = 0; s < config.numSms; ++s) {
         SmConfig sm_config;
         sm_config.warpsPerSm = config.warpsPerSm;
-        sm_config.scheduler = config.scheduler;
         sm_config.instructionBudget = config.instructionBudgetPerSm;
         auto kernel = std::make_unique<KernelGenerator>(
             benchmark, s, config.numSms, config.warpsPerSm,

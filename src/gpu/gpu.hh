@@ -25,7 +25,6 @@ struct GpuConfig
 {
     std::uint32_t numSms = 15;          ///< Table I: 15 SMs.
     std::uint32_t warpsPerSm = 48;
-    SchedPolicy scheduler = SchedPolicy::RoundRobin;
     std::uint64_t instructionBudgetPerSm = 200000;
     /** Hard safety cap on simulated cycles. */
     Cycle maxCycles = 80'000'000;

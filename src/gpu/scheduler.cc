@@ -3,8 +3,8 @@
 namespace fuse
 {
 
-WarpScheduler::WarpScheduler(SchedPolicy policy, std::uint32_t num_warps)
-    : policy_(policy), numWarps_(num_warps),
+WarpScheduler::WarpScheduler(std::uint32_t num_warps)
+    : numWarps_(num_warps),
       readyBits_((num_warps + 63) / 64), wakeAt_(num_warps, 0)
 {
     // All warps start issue-eligible at cycle 0.

@@ -1,17 +1,15 @@
 /**
  * @file
- * Warp schedulers: round-robin (GPGPU-Sim's "loose round robin" default)
- * and greedy-then-oldest. The scheduler picks which ready warp issues each
- * cycle; the choice shifts thrashing behaviour slightly but the FUSE
- * results hold under both (the paper uses the simulator default).
+ * The warp scheduler: GPGPU-Sim's "loose round robin" default, the one
+ * the paper evaluates with. It picks which ready warp issues each cycle.
  *
- * The scheduler is event-driven: the SM pushes wake events (onWake) as it
- * blocks/unblocks warps and pickReady() answers from a ready bitmap plus a
- * sleeping-warp min-heap in O(1) amortised, instead of re-scanning every
- * warp's ready time each cycle. Pick order is bit-exact with the historical
- * readiness scan (the scan survives as the reference model in
- * tests/test_scheduler_parity.cc). The whole hot path lives in this header
- * so the SM's per-cycle calls inline.
+ * The scheduler is event-driven: the SM pushes a wake event (onWake)
+ * whenever a warp issues or blocks, and pickReady() answers from a ready
+ * bitmap plus a sleeping-warp min-heap in O(1) amortised, instead of
+ * re-scanning every warp's ready time each cycle. Pick order is bit-exact
+ * with the historical readiness scan (the scan survives as the reference
+ * model in tests/test_scheduler_parity.cc). The whole hot path lives in
+ * this header so the SM's per-cycle calls inline.
  */
 
 #ifndef FUSE_GPU_SCHEDULER_HH
@@ -29,21 +27,19 @@
 namespace fuse
 {
 
-/** Scheduling policy. */
-enum class SchedPolicy : std::uint8_t { RoundRobin, GreedyThenOldest };
-
 /**
- * Selects the next warp to issue among the ready set.
+ * Selects the next warp to issue among the ready set, in round-robin
+ * order.
  *
  * Usage: the SM reports every change of a warp's ready time as an event
- * (onWake/onSleep) and asks pickReady(now) for the issue choice. Warps
- * start ready at cycle 0, matching an SM whose warps can all issue on the
+ * (onWake) and asks pickReady(now) for the issue choice. Warps start
+ * ready at cycle 0, matching an SM whose warps can all issue on the
  * first cycle.
  */
 class WarpScheduler
 {
   public:
-    WarpScheduler(SchedPolicy policy, std::uint32_t num_warps);
+    explicit WarpScheduler(std::uint32_t num_warps);
 
     /**
      * Warp @p warp becomes issue-eligible at cycle @p at (its blocking
@@ -62,23 +58,12 @@ class WarpScheduler
         stagedValid_ = true;
     }
 
-    /** Warp @p warp leaves the ready set with no known wake time. */
-    void onSleep(std::uint32_t warp)
-    {
-        // Any staged/heap record for the warp is now stale (value
-        // mismatch) and will be skipped when it surfaces.
-        wakeAt_[warp] = kNever;
-        clearReady(warp);
-    }
-
     /**
      * Choose the warp to issue at cycle @p now — the warp the historical
-     * per-cycle readiness scan would have picked, in O(1) amortised:
-     * round-robin walks a ready-bit ring from the last issued warp;
-     * greedy-then-oldest prefers the last issued warp, then the oldest
-     * (lowest-id) ready one. When no warp is ready, returns kNone and
-     * stores the earliest pending wake time in @p min_ready (the SM's
-     * sleep-until bound; kNever when every warp sleeps forever).
+     * per-cycle readiness scan would have picked, in O(1) amortised: the
+     * ring of ready bits is walked from the warp after the last issued
+     * one. When no warp is ready, returns kNone and stores the earliest
+     * pending wake time in @p min_ready (the SM's sleep-until bound).
      */
     std::uint32_t
     pickReady(Cycle now, Cycle *min_ready)
@@ -86,38 +71,22 @@ class WarpScheduler
         FUSE_PROF_COUNT(scheduler, picks);
         drainWakes(now);
 
-        std::uint32_t w;
-        switch (policy_) {
-          case SchedPolicy::GreedyThenOldest:
-            // Keep issuing the same warp while it stays ready, else the
-            // oldest (lowest-id) ready warp.
-            if (lastIssued_ < numWarps_ && isReady(lastIssued_)) {
-                w = lastIssued_;
-            } else {
-                w = findReadyFrom(0);
-            }
-            break;
-          case SchedPolicy::RoundRobin:
-          default:
-            // Ring order: the warp after the last issued one first; the
-            // last issued warp itself has lowest priority. The wrapped
-            // probe from 0 can only surface warps at or below
-            // lastIssued_, because the first probe covered everything
-            // above it.
-            w = findReadyFrom(lastIssued_ + 1 < numWarps_
-                                  ? lastIssued_ + 1
-                                  : 0);
-            if (w == kNone)
-                w = findReadyFrom(0);
-            break;
-        }
+        // Ring order: the warp after the last issued one first; the last
+        // issued warp itself has lowest priority. The wrapped probe from
+        // 0 can only surface warps at or below lastIssued_, because the
+        // first probe covered everything above it.
+        std::uint32_t w = findReadyFrom(lastIssued_ + 1 < numWarps_
+                                            ? lastIssued_ + 1
+                                            : 0);
+        if (w == kNone)
+            w = findReadyFrom(0);
         if (w != kNone)
             return w;
         *min_ready = minPendingWake();
         return kNone;
     }
 
-    /** Notify that @p warp actually issued (updates policy state). */
+    /** Notify that @p warp actually issued (moves the ring start). */
     void issued(std::uint32_t warp) { lastIssued_ = warp; }
 
     static constexpr std::uint32_t kNone = ~std::uint32_t(0);
@@ -164,8 +133,8 @@ class WarpScheduler
     {
         if (stagedValid_ && staged_.at <= now) {
             // A record is live only while it matches the warp's current
-            // wake time; onWake/onSleep supersede old records without
-            // removing them.
+            // wake time; onWake supersedes old records without removing
+            // them.
             if (wakeAt_[staged_.warp] == staged_.at)
                 setReady(staged_.warp);
             stagedValid_ = false;
@@ -213,19 +182,13 @@ class WarpScheduler
     {
         readyBits_[warp / 64] &= ~(std::uint64_t(1) << (warp % 64));
     }
-    bool isReady(std::uint32_t warp) const
-    {
-        return (readyBits_[warp / 64] >> (warp % 64)) & 1;
-    }
 
-    SchedPolicy policy_;
     std::uint32_t numWarps_;
     std::uint32_t lastIssued_ = 0;
 
     /** Bit w set = warp w can issue now (its wake time has passed). */
     std::vector<std::uint64_t> readyBits_;
-    /** Current wake time per warp; <= the drain cycle once ready, kNever
-     *  while sleeping with no pending wake. */
+    /** Current wake time per warp; <= the drain cycle once ready. */
     std::vector<Cycle> wakeAt_;
     /** The most recent wake event, staged outside the heap (see
      *  drainWakes). */

@@ -13,7 +13,7 @@ Sm::Sm(SmId id, const SmConfig &config, std::unique_ptr<L1DCache> l1d,
       kernel_(std::move(kernel)),
       stats_("sm" + std::to_string(id)),
       coalescer_(&stats_),
-      scheduler_(config.scheduler, config.warpsPerSm),
+      scheduler_(config.warpsPerSm),
       warps_(config.warpsPerSm)
 {
     statIdle_ = &stats_.scalar("idle_cycles");
@@ -47,9 +47,8 @@ Sm::issueWarp(std::uint32_t w, Cycle now)
                                    - instructionsIssued_);
             coalescer_.coalesceBatch(batch);
         }
-        // One count per consumed instruction — exactly the scalar
-        // engine's one next() per begun instruction, independent of how
-        // far the batch frontend decodes ahead.
+        // One count per begun instruction, independent of how far the
+        // batch frontend decodes ahead.
         FUSE_PROF_COUNT(workload, instructions);
         warp.cur = batch.consumed++;
         warp.hasPending = true;

@@ -28,7 +28,6 @@ namespace fuse
 struct SmConfig
 {
     std::uint32_t warpsPerSm = 48;    ///< Table I.
-    SchedPolicy scheduler = SchedPolicy::RoundRobin;
     /** Warp instructions this SM must retire before the kernel ends. */
     std::uint64_t instructionBudget = 200000;
 };

@@ -94,6 +94,25 @@ SimConfig::validate() const
     if (!(l1d.sramAreaFraction > 0.0 && l1d.sramAreaFraction < 1.0))
         fuse_fatal("invalid config: l1d.sramAreaFraction must lie in "
                    "(0, 1), got %g", l1d.sramAreaFraction);
+    // The bank builders clamp the set count to one but keep every way,
+    // so more ways than lines would silently enlarge the bank.
+    const struct
+    {
+        const char *key;
+        std::uint32_t ways;
+        std::uint32_t bankBytes;
+    } banks[] = {
+        {"l1d.baselineWays", l1d.baselineWays, l1d.areaBudgetBytes},
+        {"l1d.sramWays", l1d.sramWays, l1d.hybridSramBytes()},
+        {"l1d.sttWays", l1d.sttWays, l1d.hybridSttBytes()},
+        {"l1d.nvmWays", l1d.nvmWays, l1d.pureNvmBytes()},
+    };
+    for (const auto &b : banks) {
+        const std::uint32_t lines = b.bankBytes / kLineSize;
+        if (b.ways > lines)
+            fuse_fatal("invalid config: %s = %u exceeds its bank's %u "
+                       "lines", b.key, b.ways, lines);
+    }
 }
 
 } // namespace fuse

@@ -35,8 +35,9 @@ struct SimConfig
     /**
      * Fatal, naming the offending override key, on a configuration no
      * run can simulate: zero SMs, warps per SM, cycle cap, MSHR entries
-     * or ways, or an SRAM area fraction outside (0, 1). A zero
-     * instruction budget is legal (every SM is done at cycle 0).
+     * or ways, an SRAM area fraction outside (0, 1), or an L1D bank with
+     * more ways than lines. A zero instruction budget is legal (every SM
+     * is done at cycle 0).
      */
     void validate() const;
 };

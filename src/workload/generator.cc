@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/log.hh"
-#include "prof/prof.hh"
 
 namespace fuse
 {
@@ -91,89 +90,6 @@ KernelGenerator::pickStream(WarpState &state)
     return static_cast<std::uint32_t>(cumulativeWeights_.size() - 1);
 }
 
-WarpInstruction
-KernelGenerator::next(WarpId warp)
-{
-    WarpInstruction instr;
-    next(warp, instr);
-    return instr;
-}
-
-void
-KernelGenerator::next(WarpId warp, WarpInstruction &instr)
-{
-    FUSE_PROF_COUNT(workload, instructions);
-    WarpState &state = warps_[warp];
-    instr.isMem = false;
-    instr.type = AccessType::Read;
-    instr.pc = 0;
-    instr.transactions.clear();
-
-    // A forced follow-up access takes priority: the store half of a
-    // read-modify-write, or the second touch of a shared-reuse pair
-    // (both cursors walk cursor_/2, so the pair lands on one line).
-    if (state.pendingStream >= 0) {
-        const auto s = static_cast<std::uint32_t>(state.pendingStream);
-        const StreamSpec &stream = spec_->streams[s];
-        const bool is_write = state.pendingIsWrite;
-        state.pendingStream = -1;
-        instr.isMem = true;
-        instr.type = is_write ? AccessType::Write : AccessType::Read;
-        instr.pc = streamPc(s, is_write);
-        state.cursors[s].generate(stream, streamBases_[s],
-                                  sm_ * warpsPerSm_ + warp,
-                                  numSms_ * warpsPerSm_, state.rng,
-                                  instr.transactions);
-        return;
-    }
-
-    if (state.instructionsUntilMem > 0) {
-        --state.instructionsUntilMem;
-        instr.isMem = false;
-        instr.pc = kPcBase - 4;  // generic compute PC
-        return;
-    }
-
-    // Memory instruction: pick a stream and generate its transactions.
-    state.instructionsUntilMem = computeGap(state);
-    const std::uint32_t s = pickStream(state);
-    const StreamSpec &stream = spec_->streams[s];
-
-    instr.isMem = true;
-    const bool is_write = state.rng.chance(stream.writeProb);
-
-    if (stream.kind == PatternKind::PrivateAccum) {
-        // Model accumulators as explicit load+store pairs when the draw
-        // says "update": the load issues now, the store next instruction.
-        instr.type = AccessType::Read;
-        instr.pc = streamPc(s, /*write_half=*/false);
-        state.cursors[s].generate(stream, streamBases_[s],
-                                  sm_ * warpsPerSm_ + warp,
-                                  numSms_ * warpsPerSm_, state.rng,
-                                  instr.transactions);
-        if (is_write) {
-            state.pendingStream = static_cast<std::int32_t>(s);
-            state.pendingIsWrite = true;
-        }
-        return;
-    }
-
-    instr.type = is_write ? AccessType::Write : AccessType::Read;
-    instr.pc = streamPc(s, is_write);
-    state.cursors[s].generate(stream, streamBases_[s],
-                              sm_ * warpsPerSm_ + warp,
-                              numSms_ * warpsPerSm_, state.rng,
-                              instr.transactions);
-    // Shared structures are touched twice back-to-back (one element's
-    // processing): schedule the pair's second half as the next memory
-    // instruction so it is visible to cache and sampler alike.
-    if (stream.kind == PatternKind::SharedReuse
-        && state.cursors[s].position() % 2 == 1) {
-        state.pendingStream = static_cast<std::int32_t>(s);
-        state.pendingIsWrite = is_write;
-    }
-}
-
 std::uint64_t
 KernelGenerator::appendTransactions(WarpState &state, WarpId warp,
                                     std::uint32_t s, std::vector<Addr> &out,
@@ -186,7 +102,8 @@ KernelGenerator::appendTransactions(WarpState &state, WarpId warp,
     if (!rngFreeKind(stream.kind)) {
         // RNG-consuming cursor: its draws interleave with the decode
         // loop's gap/pick/write draws on the warp's one RNG, so it must
-        // generate exactly where the scalar path would — no prefetch.
+        // generate exactly at its instruction's decode point — no
+        // prefetch.
         state.cursors[s].generateBatch(stream, streamBases_[s], global_warp,
                                        total_warps, state.rng, 1, out);
         return state.cursors[s].position();
@@ -201,8 +118,7 @@ KernelGenerator::appendTransactions(WarpState &state, WarpId warp,
         // addresses nobody can ever pop (PR 7's bounded run-end
         // over-generation). Only SharedReuse's first-ever refill draws
         // RNG (its start offset), and that refill is triggered by the
-        // stream's first decoded instruction — the same draw point as
-        // the scalar path.
+        // stream's first decoded instruction — its decode point.
         const auto count = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(kPrefetch, std::max<std::uint64_t>(
                                                    remaining, 1)));
@@ -215,7 +131,7 @@ KernelGenerator::appendTransactions(WarpState &state, WarpId warp,
     }
     out.push_back(q.lines[q.head++]);
     // RNG-free generate-equivalents advance the cursor by one each, so
-    // the consumed entry's scalar-equivalent position is basePos + head.
+    // the cursor position after the consumed entry is basePos + head.
     return q.basePos + q.head;
 }
 
@@ -277,8 +193,8 @@ KernelGenerator::nextBatch(WarpId warp, InstructionBatch &out,
                     appendTransactions(state, warp, s, out.addrs,
                                        remaining);
                 // Shared structures are touched twice back-to-back: the
-                // queue-tracked position supplies the pair parity the
-                // scalar path reads off the cursor.
+                // queue-tracked position supplies the pair parity (the
+                // cursor itself may already be prefetched ahead).
                 if (stream.kind == PatternKind::SharedReuse
                     && pos % 2 == 1) {
                     state.pendingStream = static_cast<std::int32_t>(s);
@@ -291,8 +207,8 @@ KernelGenerator::nextBatch(WarpId warp, InstructionBatch &out,
         ++out.size;
     }
     // workload/instructions is counted where instructions are consumed
-    // (the SM's batch pop and the scalar next()), not here: counting
-    // decoded-ahead instructions over-reported the run-end tail.
+    // (the SM's batch pop), not here: counting decoded-ahead
+    // instructions over-reported the run-end tail.
 }
 
 } // namespace fuse

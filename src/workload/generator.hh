@@ -1,8 +1,11 @@
 /**
  * @file
- * KernelGenerator: turns a BenchmarkSpec into per-warp instruction streams.
- * Deterministic (seeded per benchmark/SM/warp) so every L1D configuration
- * sees byte-identical traces — required for fair cross-config comparison.
+ * KernelGenerator: turns a BenchmarkSpec into per-warp instruction streams,
+ * decoded a batch at a time. Deterministic (seeded per benchmark/SM/warp)
+ * so every L1D configuration sees byte-identical traces — required for
+ * fair cross-config comparison. The one-instruction-at-a-time decoder the
+ * batch path replaced survives as the reference model in
+ * tests/frontend_reference.hh.
  */
 
 #ifndef FUSE_WORKLOAD_GENERATOR_HH
@@ -37,31 +40,17 @@ class KernelGenerator
                     std::uint32_t num_sms, std::uint32_t warps_per_sm,
                     std::uint64_t seed = 1);
 
-    /** Produce warp @p warp's next instruction. */
-    WarpInstruction next(WarpId warp);
-
     /**
-     * In-place scalar variant: resets @p out and fills it, reusing
-     * out.transactions' storage instead of allocating a fresh vector per
-     * instruction. This is the reference model the batch parity tier
-     * checks nextBatch() against; the simulation hot path uses
-     * nextBatch().
-     */
-    void next(WarpId warp, WarpInstruction &out);
-
-    /**
-     * Batch form of the hot path: decode the warp's next
-     * InstructionBatch::kCapacity instructions into @p out in one call
-     * (SoA arrays, transactions appended to the shared addrs buffer).
-     * Bit-identical to driving next(): every warp owns its RNG and
-     * cursors, so pre-decoding a warp's run consumes draws in exactly
-     * the scalar order, and RNG-free pattern kinds are additionally
-     * prefetched through per-stream cursor queues refilled
-     * kPrefetch generate-equivalents at a time.
-     *
-     * A given warp must be driven through either next() or nextBatch(),
-     * not both: the scalar path bypasses the prefetch queues, so mixing
-     * the APIs on one warp would skip buffered addresses.
+     * Decode the warp's next InstructionBatch::kCapacity instructions
+     * into @p out in one call (SoA arrays, transactions appended to the
+     * shared addrs buffer). Every warp owns its RNG and cursors, so the
+     * decoded stream is the one a decoder taking one instruction at a
+     * time would produce (tests/test_batch_parity.cc checks this against
+     * the scalar reference model): pre-decoding a warp's run consumes its
+     * draws in decode order, and RNG-free pattern kinds are additionally
+     * prefetched through per-stream cursor queues refilled kPrefetch
+     * generate-equivalents (one memory instruction's transactions each)
+     * at a time.
      *
      * @p max_instructions bounds decode-ahead at the end of the run: the
      * batch is clamped to min(kCapacity, max_instructions) instructions

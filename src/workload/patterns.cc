@@ -84,15 +84,6 @@ PatternCursor::initDerived(const StreamSpec &spec, WarpId warp,
 }
 
 void
-PatternCursor::generate(const StreamSpec &spec, Addr base, WarpId warp,
-                        std::uint32_t total_warps, Rng &rng,
-                        std::vector<Addr> &out)
-{
-    FUSE_PROF_COUNT(workload, cursor_generate);
-    generateBatch(spec, base, warp, total_warps, rng, 1, out);
-}
-
-void
 PatternCursor::generateBatch(const StreamSpec &spec, Addr base, WarpId warp,
                              std::uint32_t total_warps, Rng &rng,
                              std::uint32_t instructions,
@@ -150,8 +141,9 @@ PatternCursor::generateBatch(const StreamSpec &spec, Addr base, WarpId warp,
       }
       case PatternKind::PrivateAccum: {
         // Read-modify-write over a tiny per-warp region: the same line is
-        // loaded then stored (the caller inspects pendingWrite()). Walks
-        // the private region slowly to touch several accumulator lines.
+        // loaded then stored (the generator issues the store as the
+        // load's follow-up instruction). Walks the private region slowly
+        // to touch several accumulator lines.
         if (!derivedReady_)
             initDerived(spec, warp, total_warps);
         for (std::uint32_t n = 0; n < instructions; ++n) {

@@ -5,6 +5,9 @@
  * mix is tuned so the generated address/PC/read-write behaviour matches
  * the per-benchmark characteristics the paper publishes (Table II APKI and
  * bypass ratios, Fig. 6 read-level mix, regular vs irregular access).
+ * A cursor has one entry point, generateBatch(): the generator's decode
+ * loop calls it at each instruction for the RNG-drawing kinds, and up to
+ * a prefetch block of instructions ahead for the others.
  */
 
 #ifndef FUSE_WORKLOAD_PATTERNS_HH
@@ -89,33 +92,28 @@ class PatternCursor
     PatternCursor() = default;
 
     /**
-     * Produce the next line-aligned transaction addresses for @p spec.
+     * Append the line-aligned transaction addresses of the stream's next
+     * @p instructions memory instructions (one generate-equivalent each)
+     * to @p out — the same addresses, in the same order, whether they are
+     * asked for one instruction at a time or many. The per-kind dispatch
+     * and derived-state loads happen once per call; the inner loops are
+     * tight increment-and-wrap walks over the precomputed
+     * slice/phase/stride residues (the SoA-style state initDerived()
+     * reduces to).
+     *
      * @param spec       stream description.
      * @param base       byte base address of the stream's region.
      * @param warp       issuing warp (for slicing/private regions).
      * @param total_warps warps sharing the stream.
      * @param rng        deterministic generator owned by the warp.
-     * @param[out] out   transaction addresses (line-aligned), appended.
-     */
-    void generate(const StreamSpec &spec, Addr base, WarpId warp,
-                  std::uint32_t total_warps, Rng &rng,
-                  std::vector<Addr> &out);
-
-    /**
-     * Batch form: emit @p instructions consecutive generate()-equivalents
-     * in one call, bit-identical to calling generate() that many times.
-     * The per-kind dispatch and derived-state loads happen once per
-     * batch; the inner loops are tight increment-and-wrap walks over the
-     * precomputed slice/phase/stride residues (the SoA-style state
-     * initDerived() reduces to).
      *
      * RNG contract: Stream / PrivateAccum / Stencil never touch @p rng
      * and SharedReuse touches it only on its very first call, so for
      * those kinds a batch may be generated AHEAD of the warp's decode
      * order and buffered. RandomIrregular and HotWorkingSet draw from
      * @p rng per transaction: their batches must be generated exactly at
-     * the decode point the scalar path would, or the warp's draw order
-     * (and every trace downstream) changes.
+     * the instruction's decode point, or the warp's draw order (and every
+     * trace downstream) changes.
      */
     void generateBatch(const StreamSpec &spec, Addr base, WarpId warp,
                        std::uint32_t total_warps, Rng &rng,
@@ -134,7 +132,6 @@ class PatternCursor
                      std::uint32_t total_warps);
 
     std::uint64_t cursor_ = 0;
-    bool pendingWrite_ = false;  ///< PrivateAccum alternates load/store.
     bool initialized_ = false;   ///< SharedReuse random start applied.
     bool derivedReady_ = false;  ///< initDerived has run.
     std::uint64_t slice_ = 0;    ///< Pattern-specific modulus.
@@ -146,9 +143,8 @@ class PatternCursor
     std::uint64_t lastHotLine_ = ~std::uint64_t(0);  ///< Re-touch target.
 
   public:
-    /** PrivateAccum: true when the cursor owes the store half of a RMW. */
-    bool pendingWrite() const { return pendingWrite_; }
-    void setPendingWrite(bool pending) { pendingWrite_ = pending; }
+    /** Walk position; for SharedReuse its low bit is the pair parity
+     *  the generator reads. */
     std::uint64_t position() const { return cursor_; }
 };
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * The warp-instruction abstraction produced by workload generators and
+ * The decoded warp-instruction batch produced by workload generators and
  * consumed by the SM model. A memory instruction may expand into several
  * coalesced 128B transactions when threads diverge.
  */
@@ -19,27 +19,17 @@ namespace fuse
 /** Maximum transactions one warp memory instruction can expand into. */
 constexpr std::uint32_t kMaxTransactions = 32;
 
-/** One warp-level instruction. */
-struct WarpInstruction
-{
-    bool isMem = false;
-    AccessType type = AccessType::Read;
-    Addr pc = 0;
-    /** Line-aligned transaction addresses (empty for compute). */
-    std::vector<Addr> transactions;
-};
-
 /**
  * A decoded run of one warp's instructions — the unit the batch pipeline
  * moves. KernelGenerator::nextBatch fills it (one packed metadata record
  * per instruction; each memory instruction's transactions a
- * [txBegin, txEnd) span into the shared `addrs` buffer — the SoA split
- * that replaces WarpInstruction's embedded per-instruction vector),
- * Coalescer::coalesceBatch shrinks the spans in place (txEnd moves;
- * `lanes` keeps the pre-coalesce width for the consumption-time
- * statistics), and the SM consumes instructions through `consumed` — so
- * the generator and coalescer run once per kCapacity instructions
- * instead of once per cycle.
+ * [txBegin, txEnd) span into the shared `addrs` buffer, instead of a
+ * vector embedded in every instruction), Coalescer::coalesceBatch
+ * shrinks the spans in place (txEnd moves; `lanes` keeps the
+ * pre-coalesce width for the consumption-time statistics), and the SM
+ * consumes instructions through `consumed` — so the generator and
+ * coalescer run once per kCapacity instructions instead of once per
+ * cycle.
  *
  * Layout note: per-warp state is sized and packed for the L1 cache
  * first, amortisation second — the SM's issue loop round-robins across

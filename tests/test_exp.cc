@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <sstream>
 
 #include "exp/experiment.hh"
@@ -16,6 +17,7 @@
 #include "exp/figures.hh"
 #include "exp/result_set.hh"
 #include "exp/sweep_runner.hh"
+#include "exp/trace_studies.hh"
 #include "sim/simulator.hh"
 #include "workload/benchmarks.hh"
 
@@ -237,6 +239,21 @@ TEST(ExperimentSpec, StrictNumbersKeepValidSpellings)
     EXPECT_DOUBLE_EQ(spec.variants[1].overrides[0].value, 4.0);
 }
 
+TEST(ExperimentSpec, CommittedSpecFilesParseAndValidate)
+{
+    for (const char *file : {"ratio_volta.spec", "plumbing_depth.spec",
+                             "comparators.spec"}) {
+        std::ifstream in(std::string(FUSE_REPO_DIR) + "/tools/" + file);
+        ASSERT_TRUE(in) << file;
+        std::stringstream text;
+        text << in.rdbuf();
+        const ExperimentSpec spec = ExperimentSpec::parse(text.str());
+        EXPECT_GT(spec.variantCount(), 1u) << file;
+        for (std::size_t v = 0; v < spec.variantCount(); ++v)
+            spec.configFor(v).validate();
+    }
+}
+
 TEST(ExperimentSpec, RejectsMalformedLine)
 {
     EXPECT_EXIT({ ExperimentSpec::parse("just some words\n"); },
@@ -285,6 +302,13 @@ TEST(ConfigValidateDeathTest, EveryRejectedValueNamesItsKey)
         {"l1d.sramAreaFraction", 0.0},
         {"l1d.sramAreaFraction", 1.0},
         {"l1d.sramAreaFraction", -0.25},
+        // More ways than the bank has lines (256 lines on L1-SRAM, 128 on
+        // the hybrid SRAM bank, 512 on the hybrid STT bank, 1024 on
+        // By-NVM).
+        {"l1d.baselineWays", 1024},
+        {"l1d.sramWays", 1024},
+        {"l1d.sttWays", 1024},
+        {"l1d.nvmWays", 2048},
     };
     for (const ConfigOverride &o : bad) {
         SimConfig config = SimConfig::testScale();
@@ -592,6 +616,68 @@ TEST(Figures, Fig13SpecMatchesThePaperGrid)
     EXPECT_EQ(spec.kinds.size(), 7u);
     EXPECT_EQ(spec.runCount(), 21u * 7u);
     EXPECT_EQ(spec.base, "fermi");
+}
+
+
+// --------------------------------------------------- trace studies
+
+TEST(TraceStudies, ReadLevelMixIsExact)
+{
+    // Fig. 6 has no golden checksum and no exported run, so its inputs
+    // are pinned here: exact class fractions on workloads that together
+    // cover all six pattern kinds.
+    struct Golden
+    {
+        const char *benchmark;
+        double wm, readIntensive, worm, woro;
+    };
+    const Golden goldens[] = {
+        {"2DCONV", 0, 0, 0.065276229899697502, 0.9347237701003025},
+        {"ATAX", 0.0027978549778503148, 0, 0.98169736535322916,
+         0.015504779668920493},
+        {"GEMM", 0.002789886660854403, 0, 0.98209822725951756,
+         0.015111886079628016},
+        {"PVC", 0.069890288500609507, 0, 0.93010971149939048, 0},
+        {"II", 0.0027665706051873198, 0, 0.98951008645533145,
+         0.0077233429394812682},
+        {"SM", 0.0048979591836734691, 0, 0.99510204081632658, 0},
+        {"srad_v1", 0.0096096096096096092, 0, 0.21461461461461462,
+         0.77577577577577572},
+        {"pathf", 0, 0, 0.061712355463167466, 0.93828764453683255},
+    };
+    for (const Golden &g : goldens) {
+        const ReadLevelMix mix = readLevelMix(benchmarkByName(g.benchmark));
+        EXPECT_EQ(mix.wm, g.wm) << g.benchmark;
+        EXPECT_EQ(mix.readIntensive, g.readIntensive) << g.benchmark;
+        EXPECT_EQ(mix.worm, g.worm) << g.benchmark;
+        EXPECT_EQ(mix.woro, g.woro) << g.benchmark;
+    }
+}
+
+TEST(TraceStudies, CbfFalsePositiveRateIsExact)
+{
+    // Fig. 20's two sweeps (hash count at 16 slots, slot count at 3
+    // hashes), pinned to exact rates for the same reason as Fig. 6.
+    struct Golden
+    {
+        const char *benchmark;
+        double slots16hash1, slots16hash3, slots128hash3;
+    };
+    const Golden goldens[] = {
+        {"ATAX", 0.18062957164909371, 0.13434170980357932,
+         0.00064909917035307723},
+        {"PVC", 0.23934930101377017, 0.17896841682456799,
+         0.00060249906132392624},
+    };
+    for (const Golden &g : goldens) {
+        const BenchmarkSpec &spec = benchmarkByName(g.benchmark);
+        EXPECT_EQ(cbfFalsePositiveRate(spec, 16, 1), g.slots16hash1)
+            << g.benchmark;
+        EXPECT_EQ(cbfFalsePositiveRate(spec, 16, 3), g.slots16hash3)
+            << g.benchmark;
+        EXPECT_EQ(cbfFalsePositiveRate(spec, 128, 3), g.slots128hash3)
+            << g.benchmark;
+    }
 }
 
 } // namespace

@@ -19,32 +19,6 @@ namespace fuse
 namespace
 {
 
-TEST(Coalescer, MergesSameLineLanes)
-{
-    Coalescer c;
-    std::vector<Addr> lanes = {0, 4, 8, 64, 127, 128, 256};
-    auto lines = c.coalesce(lanes);
-    // Lines 0, 128, 256 remain.
-    EXPECT_EQ(lines, (std::vector<Addr>{0, 128, 256}));
-}
-
-TEST(Coalescer, PreservesFirstTouchOrder)
-{
-    Coalescer c;
-    std::vector<Addr> lanes = {256, 0, 300, 128, 4};
-    auto lines = c.coalesce(lanes);
-    EXPECT_EQ(lines, (std::vector<Addr>{256, 0, 128}));
-}
-
-TEST(Coalescer, StatsCountMergedLanes)
-{
-    StatGroup stats("sm");
-    Coalescer c(&stats);
-    c.coalesce({0, 4, 8});
-    EXPECT_DOUBLE_EQ(stats.get("coalesce_transactions"), 1.0);
-    EXPECT_DOUBLE_EQ(stats.get("coalesce_lanes_merged"), 2.0);
-}
-
 TEST(Coalescer, BatchCoalescesEachSpanInPlace)
 {
     Coalescer c;
@@ -97,7 +71,7 @@ TEST(Coalescer, BatchRecordsNoStatsUntilConsumption)
     EXPECT_DOUBLE_EQ(stats.get("coalesce_instructions"), 0.0);
     EXPECT_DOUBLE_EQ(stats.get("coalesce_transactions"), 0.0);
 
-    // Consumption reports the same totals the scalar path would have.
+    // Consumption records the instruction: 3 lanes became 1 transaction.
     c.noteConsumed(batch.instr[0].lanes, batch.instr[0].txEnd - batch.instr[0].txBegin);
     EXPECT_DOUBLE_EQ(stats.get("coalesce_instructions"), 1.0);
     EXPECT_DOUBLE_EQ(stats.get("coalesce_transactions"), 1.0);
@@ -106,7 +80,7 @@ TEST(Coalescer, BatchRecordsNoStatsUntilConsumption)
 
 TEST(Scheduler, RoundRobinRotates)
 {
-    WarpScheduler sched(SchedPolicy::RoundRobin, 4);
+    WarpScheduler sched(4);
     Cycle min_ready = 0;
     std::uint32_t w0 = sched.pickReady(0, &min_ready);
     sched.issued(w0);
@@ -116,7 +90,7 @@ TEST(Scheduler, RoundRobinRotates)
 
 TEST(Scheduler, SkipsSleepingWarps)
 {
-    WarpScheduler sched(SchedPolicy::RoundRobin, 4);
+    WarpScheduler sched(4);
     const Cycle now = 10;
     sched.onWake(0, now + 5);
     sched.onWake(1, now + 2);
@@ -128,7 +102,7 @@ TEST(Scheduler, SkipsSleepingWarps)
 
 TEST(Scheduler, NoneWhenNothingReadyAndMinReadyIsExact)
 {
-    WarpScheduler sched(SchedPolicy::RoundRobin, 4);
+    WarpScheduler sched(4);
     const Cycle now = 10;
     sched.onWake(0, now + 5);
     sched.onWake(1, now + 2);
@@ -145,38 +119,13 @@ TEST(Scheduler, ReWakeSupersedesEarlierWakeTime)
 {
     // The last wake event wins, even when it moves the warp earlier;
     // the superseded heap record must not resurrect the old time.
-    WarpScheduler sched(SchedPolicy::RoundRobin, 1);
+    WarpScheduler sched(1);
     sched.onWake(0, 50);
     sched.onWake(0, 20);
     Cycle min_ready = 0;
     EXPECT_EQ(sched.pickReady(10, &min_ready), WarpScheduler::kNone);
     EXPECT_EQ(min_ready, 20u);
     EXPECT_EQ(sched.pickReady(20, &min_ready), 0u);
-}
-
-TEST(Scheduler, SleepingWarpNeverPicked)
-{
-    WarpScheduler sched(SchedPolicy::RoundRobin, 2);
-    sched.onSleep(0);
-    Cycle min_ready = 0;
-    EXPECT_EQ(sched.pickReady(0, &min_ready), 1u);
-    sched.onSleep(1);
-    EXPECT_EQ(sched.pickReady(0, &min_ready), WarpScheduler::kNone);
-    // Nothing is pending: the sleep bound must say "never".
-    EXPECT_EQ(min_ready, WarpScheduler::kNever);
-    sched.onWake(0, 3);
-    EXPECT_EQ(sched.pickReady(3, &min_ready), 0u);
-}
-
-TEST(Scheduler, GreedySticksToIssuingWarp)
-{
-    WarpScheduler sched(SchedPolicy::GreedyThenOldest, 4);
-    Cycle min_ready = 0;
-    std::uint32_t w = sched.pickReady(0, &min_ready);
-    sched.issued(w);
-    EXPECT_EQ(sched.pickReady(0, &min_ready), w);
-    sched.onSleep(w);
-    EXPECT_NE(sched.pickReady(0, &min_ready), w);
 }
 
 GpuConfig

@@ -158,7 +158,6 @@ TEST(ProbeParity, NarrowSetAssociative)
     // 64x4 = the SRAM L1D bank / L2 bank shape (per-set tag-map scan).
     runTagArrayParity(ReplPolicy::LRU, {64, 4}, 51, kEvents);
     runTagArrayParity(ReplPolicy::FIFO, {64, 4}, 52, kEvents);
-    runTagArrayParity(ReplPolicy::PseudoLRU, {64, 4}, 53, kEvents);
 }
 
 TEST(ProbeParity, FullyAssociative512Way)

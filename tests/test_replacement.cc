@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the event-driven replacement engines (LRU, FIFO,
- * PseudoLRU): hook semantics, tie breaking, and per-set independence.
+ * Unit tests for the event-driven replacement engine under both
+ * policies (LRU, FIFO): hook semantics, tie breaking, and reset.
  * Bit-exact equivalence with the historical scan-based victim logic is
  * covered separately by tests/test_replacement_parity.cc.
  */
@@ -15,10 +15,10 @@ namespace fuse
 namespace
 {
 
-/** Fill ways 0..n-1 of set 0 at cycles 0..n-1 (the usual warm-up shape). */
-template <typename Policy>
+/** Fill ways 0..n-1 of @p set at cycles 0..n-1 (the usual warm-up
+ *  shape). */
 void
-warmUp(Policy &policy, std::uint32_t set, std::uint32_t ways)
+warmUp(AgeListPolicy &policy, std::uint32_t set, std::uint32_t ways)
 {
     for (std::uint32_t w = 0; w < ways; ++w)
         policy.onFill(set, w, w);
@@ -26,7 +26,7 @@ warmUp(Policy &policy, std::uint32_t set, std::uint32_t ways)
 
 TEST(Lru, EvictsLeastRecentlyTouched)
 {
-    LruPolicy lru(1, 4);
+    AgeListPolicy lru(ReplPolicy::LRU, 1, 4);
     warmUp(lru, 0, 4);
     lru.onHit(0, 3, 5);   // was oldest, now freshest
     lru.onHit(0, 1, 10);
@@ -37,7 +37,7 @@ TEST(Lru, EvictsLeastRecentlyTouched)
 
 TEST(Lru, TieBreaksToLowestWay)
 {
-    LruPolicy lru(1, 4);
+    AgeListPolicy lru(ReplPolicy::LRU, 1, 4);
     warmUp(lru, 0, 4);
     // Touch every way in the same cycle, in descending way order: the
     // historical timestamp scan picked the lowest way index on ties, so
@@ -49,7 +49,7 @@ TEST(Lru, TieBreaksToLowestWay)
 
 TEST(Lru, VictimChainsThroughEvictions)
 {
-    LruPolicy lru(1, 2);
+    AgeListPolicy lru(ReplPolicy::LRU, 1, 2);
     lru.onFill(0, 0, 1);
     lru.onFill(0, 1, 2);
     EXPECT_EQ(lru.victim(0), 0u);
@@ -61,7 +61,7 @@ TEST(Lru, VictimChainsThroughEvictions)
 
 TEST(Fifo, EvictsOldestInsertion)
 {
-    FifoPolicy fifo(1, 4);
+    AgeListPolicy fifo(ReplPolicy::FIFO, 1, 4);
     fifo.onFill(0, 1, 0);   // first in
     fifo.onFill(0, 0, 10);
     fifo.onFill(0, 2, 20);
@@ -75,7 +75,7 @@ TEST(Fifo, RingOrderUnderSequentialFills)
 {
     // Warm up 0..3, then keep replacing the victim: the choice must cycle
     // through the ways like the hardware ring cursor.
-    FifoPolicy fifo(1, 4);
+    AgeListPolicy fifo(ReplPolicy::FIFO, 1, 4);
     warmUp(fifo, 0, 4);
     Cycle now = 10;
     for (std::uint32_t round = 0; round < 12; ++round) {
@@ -87,7 +87,7 @@ TEST(Fifo, RingOrderUnderSequentialFills)
 
 TEST(AgeList, EvictedWayLeavesTheList)
 {
-    LruPolicy lru(1, 4);
+    AgeListPolicy lru(ReplPolicy::LRU, 1, 4);
     warmUp(lru, 0, 4);
     lru.onEvict(0, 0);  // invalidate the current LRU way
     // Way 0 is free now; once re-filled it becomes the freshest.
@@ -97,7 +97,7 @@ TEST(AgeList, EvictedWayLeavesTheList)
 
 TEST(AgeList, ResetForgetsEverything)
 {
-    FifoPolicy fifo(2, 4);
+    AgeListPolicy fifo(ReplPolicy::FIFO, 2, 4);
     warmUp(fifo, 0, 4);
     warmUp(fifo, 1, 4);
     fifo.reset();
@@ -106,60 +106,12 @@ TEST(AgeList, ResetForgetsEverything)
     EXPECT_EQ(fifo.victim(0), 2u);
 }
 
-TEST(PseudoLru, VictimAvoidsRecentlyTouchedWay)
-{
-    PseudoLruPolicy plru(1, 4);
-    plru.onHit(0, 0, 1);
-    plru.onHit(0, 1, 2);
-    plru.onHit(0, 2, 3);
-    std::uint32_t victim = plru.victim(0);
-    EXPECT_NE(victim, 2u);
-    EXPECT_LT(victim, 4u);
-}
-
-TEST(PseudoLru, RepeatedTouchSingleWayNeverVictimizesIt)
-{
-    PseudoLruPolicy plru(2, 8);
-    for (int i = 0; i < 16; ++i) {
-        plru.onHit(1, 5, static_cast<Cycle>(i));
-        EXPECT_NE(plru.victim(1), 5u);
-    }
-}
-
-TEST(PseudoLru, SetsAreIndependent)
-{
-    PseudoLruPolicy plru(2, 4);
-    plru.onHit(0, 3, 1);
-    // Set 1 state untouched: victim choice in set 1 unaffected by set 0.
-    std::uint32_t v1_before = plru.victim(1);
-    plru.onHit(0, 1, 2);
-    plru.onHit(0, 2, 3);
-    EXPECT_EQ(plru.victim(1), v1_before);
-}
-
-TEST(Factory, CreatesEachPolicy)
-{
-    auto lru = ReplacementPolicy::create(ReplPolicy::LRU, 4, 4);
-    auto fifo = ReplacementPolicy::create(ReplPolicy::FIFO, 4, 4);
-    auto plru = ReplacementPolicy::create(ReplPolicy::PseudoLRU, 4, 4);
-    EXPECT_NE(dynamic_cast<LruPolicy *>(lru.get()), nullptr);
-    EXPECT_NE(dynamic_cast<FifoPolicy *>(fifo.get()), nullptr);
-    EXPECT_NE(dynamic_cast<PseudoLruPolicy *>(plru.get()), nullptr);
-}
-
-TEST(Factory, NamesAreStable)
-{
-    EXPECT_STREQ(toString(ReplPolicy::LRU), "LRU");
-    EXPECT_STREQ(toString(ReplPolicy::FIFO), "FIFO");
-    EXPECT_STREQ(toString(ReplPolicy::PseudoLRU), "PseudoLRU");
-}
-
 /** Property: without re-touches, insertion order == recency order, so
  *  FIFO and LRU agree on every victim. */
 TEST(Property, FifoEqualsLruWithoutReuse)
 {
-    LruPolicy lru(1, 8);
-    FifoPolicy fifo(1, 8);
+    AgeListPolicy lru(ReplPolicy::LRU, 1, 8);
+    AgeListPolicy fifo(ReplPolicy::FIFO, 1, 8);
     warmUp(lru, 0, 8);
     warmUp(fifo, 0, 8);
     Cycle now = 100;

@@ -1,8 +1,8 @@
 /**
  * @file
- * Randomized differential parity tier for the replacement engines.
+ * Randomized differential parity tier for the replacement engine.
  *
- * The event-driven engines in cache/replacement.hh replaced a stateless
+ * The event-driven engine in cache/replacement.hh replaced a stateless
  * "scan every way, pick the minimum timestamp" victim search. Every
  * figure in the paper depends on the two making *identical* choices, so
  * this test keeps the historical scan logic alive as a reference
@@ -33,88 +33,27 @@ namespace
 // contains these loops).
 // --------------------------------------------------------------------
 
-struct LegacyPolicy
+/** LRU scans last-touch times, FIFO insertion times; the lowest way
+ *  index wins ties. */
+std::uint32_t
+legacyVictim(ReplPolicy kind, const std::vector<CacheLine> &ways)
 {
-    virtual ~LegacyPolicy() = default;
-    virtual std::uint32_t victim(const std::vector<CacheLine> &ways,
-                                 std::uint32_t set) = 0;
-    virtual void touch(std::uint32_t, std::uint32_t) {}
-};
+    std::uint32_t v = 0;
+    for (std::uint32_t w = 1; w < ways.size(); ++w) {
+        const bool older = kind == ReplPolicy::LRU
+                               ? ways[w].lastTouch < ways[v].lastTouch
+                               : ways[w].insertedAt < ways[v].insertedAt;
+        if (older)
+            v = w;
+    }
+    return v;
+}
 
-struct LegacyLru : LegacyPolicy
+const char *
+name(ReplPolicy kind)
 {
-    std::uint32_t
-    victim(const std::vector<CacheLine> &ways, std::uint32_t) override
-    {
-        std::uint32_t v = 0;
-        for (std::uint32_t w = 1; w < ways.size(); ++w) {
-            if (ways[w].lastTouch < ways[v].lastTouch)
-                v = w;
-        }
-        return v;
-    }
-};
-
-struct LegacyFifo : LegacyPolicy
-{
-    std::uint32_t
-    victim(const std::vector<CacheLine> &ways, std::uint32_t) override
-    {
-        std::uint32_t v = 0;
-        for (std::uint32_t w = 1; w < ways.size(); ++w) {
-            if (ways[w].insertedAt < ways[v].insertedAt)
-                v = w;
-        }
-        return v;
-    }
-};
-
-struct LegacyPseudoLru : LegacyPolicy
-{
-    LegacyPseudoLru(std::uint32_t num_sets, std::uint32_t num_ways)
-        : numWays_(num_ways),
-          treeNodes_(num_ways > 1 ? num_ways - 1 : 1),
-          bits_(static_cast<std::size_t>(num_sets) * treeNodes_, 0)
-    {
-    }
-
-    std::uint32_t
-    victim(const std::vector<CacheLine> &ways, std::uint32_t set) override
-    {
-        if (numWays_ == 1)
-            return 0;
-        std::uint8_t *tree = &bits_[std::size_t(set) * treeNodes_];
-        std::uint32_t node = 0;
-        while (node < treeNodes_) {
-            std::uint32_t next = 2 * node + 1 + tree[node];
-            if (next >= treeNodes_) {
-                std::uint32_t way = next - treeNodes_;
-                return way < ways.size() ? way : 0;
-            }
-            node = next;
-        }
-        return 0;
-    }
-
-    void
-    touch(std::uint32_t set, std::uint32_t way) override
-    {
-        if (numWays_ == 1)
-            return;
-        std::uint8_t *tree = &bits_[std::size_t(set) * treeNodes_];
-        std::uint32_t node = treeNodes_ + way;
-        while (node > 0) {
-            std::uint32_t parent = (node - 1) / 2;
-            bool came_from_right = (node == 2 * parent + 2);
-            tree[parent] = came_from_right ? 0 : 1;
-            node = parent;
-        }
-    }
-
-    std::uint32_t numWays_;
-    std::uint32_t treeNodes_;
-    std::vector<std::uint8_t> bits_;
-};
+    return kind == ReplPolicy::LRU ? "LRU" : "FIFO";
+}
 
 // --------------------------------------------------------------------
 // Differential driver
@@ -139,19 +78,7 @@ runParity(ReplPolicy kind, Geometry geom, std::uint64_t seed,
     const std::uint32_t sets = geom.sets;
     const std::uint32_t ways = geom.ways;
 
-    std::unique_ptr<LegacyPolicy> legacy;
-    switch (kind) {
-      case ReplPolicy::LRU:
-        legacy = std::make_unique<LegacyLru>();
-        break;
-      case ReplPolicy::FIFO:
-        legacy = std::make_unique<LegacyFifo>();
-        break;
-      case ReplPolicy::PseudoLRU:
-        legacy = std::make_unique<LegacyPseudoLru>(sets, ways);
-        break;
-    }
-    auto engine = ReplacementPolicy::create(kind, sets, ways);
+    AgeListPolicy engine(kind, sets, ways);
 
     // Shadow line state, exactly what the legacy scan reads.
     std::vector<std::vector<CacheLine>> shadow(
@@ -180,8 +107,7 @@ runParity(ReplPolicy kind, Geometry geom, std::uint64_t seed,
                 w = static_cast<std::uint32_t>(rng.below(ways));
             } while (!lines[w].valid);
             lines[w].lastTouch = now;
-            legacy->touch(set, w);
-            engine->onHit(set, w, now);
+            engine.onHit(set, w, now);
         } else if (roll < 0.55 && valid_count[set] > 0) {
             // Invalidate a random valid way (the legacy code had no
             // eviction hook; its state is the lines themselves).
@@ -191,7 +117,7 @@ runParity(ReplPolicy kind, Geometry geom, std::uint64_t seed,
             } while (!lines[w].valid);
             lines[w].valid = false;
             --valid_count[set];
-            engine->onEvict(set, w);
+            engine.onEvict(set, w);
         } else {
             // Fill: lowest-index free way, else replace the victim.
             std::uint32_t w = ~std::uint32_t(0);
@@ -203,10 +129,10 @@ runParity(ReplPolicy kind, Geometry geom, std::uint64_t seed,
             }
             if (w == ~std::uint32_t(0)) {
                 const std::uint32_t legacy_victim =
-                    legacy->victim(lines, set);
-                const std::uint32_t engine_victim = engine->victim(set);
+                    legacyVictim(kind, lines);
+                const std::uint32_t engine_victim = engine.victim(set);
                 ASSERT_EQ(engine_victim, legacy_victim)
-                    << toString(kind) << " " << sets << "x" << ways
+                    << name(kind) << " " << sets << "x" << ways
                     << " diverged at event " << i << " (set " << set
                     << ", cycle " << now << ")";
                 w = legacy_victim;
@@ -215,13 +141,12 @@ runParity(ReplPolicy kind, Geometry geom, std::uint64_t seed,
                 ++valid_count[set];
             }
             lines[w].resetForFill(next_addr++, now);
-            legacy->touch(set, w);
-            engine->onFill(set, w, now);
+            engine.onFill(set, w, now);
         }
     }
     // The stream must actually have exercised the victim path.
     EXPECT_GT(evictions, events / 20)
-        << toString(kind) << " " << sets << "x" << ways;
+        << name(kind) << " " << sets << "x" << ways;
 }
 
 constexpr std::size_t kEvents = 100000;
@@ -244,21 +169,11 @@ TEST(ReplacementParity, FifoMatchesLegacyScan)
     runParity(ReplPolicy::FIFO, {3, 5}, 24, kEvents);
 }
 
-TEST(ReplacementParity, PseudoLruMatchesLegacyTree)
-{
-    // PseudoLRU requires power-of-two associativity.
-    runParity(ReplPolicy::PseudoLRU, {1, 512}, 31, kEvents);
-    runParity(ReplPolicy::PseudoLRU, {64, 4}, 32, kEvents);
-    runParity(ReplPolicy::PseudoLRU, {16, 16}, 33, kEvents);
-    runParity(ReplPolicy::PseudoLRU, {8, 8}, 34, kEvents);
-}
-
 /** Degenerate geometries must agree too (1-way sets evict way 0). */
 TEST(ReplacementParity, DegenerateGeometries)
 {
     runParity(ReplPolicy::LRU, {4, 1}, 41, 20000);
     runParity(ReplPolicy::FIFO, {1, 1}, 42, 20000);
-    runParity(ReplPolicy::PseudoLRU, {4, 1}, 43, 20000);
 }
 
 } // namespace

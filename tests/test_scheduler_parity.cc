@@ -4,7 +4,7 @@
  * pre-refactor scheduler evaluated readiness by scanning every warp's
  * ready time on each pick; that scan survives here as the reference
  * model, and the event-driven WarpScheduler (ready bitmap + staged wake +
- * sleeping-warp min-heap) is driven through long random wake/sleep/issue
+ * sleeping-warp min-heap) is driven through long random wake/issue
  * sequences against it. Both the picked warp id and the no-warp-ready
  * sleep bound (min_ready) must match exactly on every step — the SM's
  * sleep windows, and through them the GPU's next-event clock, are timing
@@ -25,48 +25,33 @@ namespace
 {
 
 /**
- * The historical readiness-scan scheduler, verbatim: pickReady walks
- * readyAt_[0..numWarps) under the policy's probe order and accumulates
- * the minimum pending ready time when nothing is eligible.
+ * The historical round-robin readiness-scan scheduler, verbatim:
+ * pickReady walks readyAt_ in ring order from the warp after the last
+ * issued one and accumulates the minimum pending ready time when nothing
+ * is eligible.
  */
 class LegacyScanScheduler
 {
   public:
-    LegacyScanScheduler(SchedPolicy policy, std::uint32_t num_warps)
-        : policy_(policy), numWarps_(num_warps), readyAt_(num_warps, 0)
+    explicit LegacyScanScheduler(std::uint32_t num_warps)
+        : numWarps_(num_warps), readyAt_(num_warps, 0)
     {
     }
 
     void onWake(std::uint32_t warp, Cycle at) { readyAt_[warp] = at; }
-    void onSleep(std::uint32_t warp) { readyAt_[warp] = kNever; }
 
     std::uint32_t
     pickReady(Cycle now, Cycle *min_ready)
     {
         Cycle min_r = kNever;
-        switch (policy_) {
-          case SchedPolicy::GreedyThenOldest:
-            if (lastIssued_ < numWarps_ && readyAt_[lastIssued_] <= now)
-                return lastIssued_;
-            for (std::uint32_t w = 0; w < numWarps_; ++w) {
-                if (readyAt_[w] <= now)
-                    return w;
-            }
-            for (std::uint32_t w = 0; w < numWarps_; ++w)
-                min_r = std::min(min_r, readyAt_[w]);
-            *min_ready = min_r;
-            return kNone;
-          case SchedPolicy::RoundRobin:
-          default:
-            for (std::uint32_t i = 1; i <= numWarps_; ++i) {
-                std::uint32_t w = (lastIssued_ + i) % numWarps_;
-                if (readyAt_[w] <= now)
-                    return w;
-                min_r = std::min(min_r, readyAt_[w]);
-            }
-            *min_ready = min_r;
-            return kNone;
+        for (std::uint32_t i = 1; i <= numWarps_; ++i) {
+            std::uint32_t w = (lastIssued_ + i) % numWarps_;
+            if (readyAt_[w] <= now)
+                return w;
+            min_r = std::min(min_r, readyAt_[w]);
         }
+        *min_ready = min_r;
+        return kNone;
     }
 
     void issued(std::uint32_t warp) { lastIssued_ = warp; }
@@ -75,7 +60,6 @@ class LegacyScanScheduler
     static constexpr Cycle kNever = ~Cycle(0);
 
   private:
-    SchedPolicy policy_;
     std::uint32_t numWarps_;
     std::uint32_t lastIssued_ = 0;
     std::vector<Cycle> readyAt_;
@@ -87,14 +71,14 @@ class LegacyScanScheduler
  * identical min_ready), and then perturbs warp state the way an SM would
  * — issue-and-rewake the picked warp — plus adversarial events the SM
  * never generates but the API allows: spontaneous re-wakes that move a
- * pending wake earlier or later, and indefinite sleeps.
+ * pending wake earlier or later, including long sleeps that outlive many
+ * superseded heap records.
  */
 void
-runParity(SchedPolicy policy, std::uint32_t num_warps, std::uint64_t seed,
-          int steps)
+runParity(std::uint32_t num_warps, std::uint64_t seed, int steps)
 {
-    LegacyScanScheduler ref(policy, num_warps);
-    WarpScheduler sched(policy, num_warps);
+    LegacyScanScheduler ref(num_warps);
+    WarpScheduler sched(num_warps);
     Rng rng(seed);
 
     Cycle now = 0;
@@ -104,15 +88,14 @@ runParity(SchedPolicy policy, std::uint32_t num_warps, std::uint64_t seed,
         const std::uint32_t ref_pick = ref.pickReady(now, &ref_min);
         const std::uint32_t pick = sched.pickReady(now, &min);
         ASSERT_EQ(pick, ref_pick)
-            << "policy=" << int(policy) << " warps=" << num_warps
+            << "warps=" << num_warps
             << " step=" << step << " now=" << now;
         if (pick == WarpScheduler::kNone) {
             ASSERT_EQ(min, ref_min)
-                << "policy=" << int(policy) << " warps=" << num_warps
+                << "warps=" << num_warps
                 << " step=" << step << " now=" << now;
-            // Sleep exactly to the bound, like the SM's idle fast path
-            // (when every warp sleeps forever, jump a fixed stretch).
-            now = min == WarpScheduler::kNever ? now + 7 : min;
+            // Sleep exactly to the bound, like the SM's idle fast path.
+            now = min;
         } else {
             // Issue: block the warp like the SM would — usually "ready
             // again next cycle", sometimes a long memory sleep.
@@ -127,18 +110,15 @@ runParity(SchedPolicy policy, std::uint32_t num_warps, std::uint64_t seed,
         }
 
         // Adversarial extras at a low rate: spontaneous re-wakes (earlier
-        // or later than a pending wake) and indefinite sleeps.
+        // or later than a pending wake) and long sleeps.
         if (rng.chance(0.05)) {
             const auto w =
                 static_cast<std::uint32_t>(rng.below(num_warps));
-            if (rng.chance(0.25)) {
-                ref.onSleep(w);
-                sched.onSleep(w);
-            } else {
-                const Cycle at = now + rng.below(400);
-                ref.onWake(w, at);
-                sched.onWake(w, at);
-            }
+            const Cycle at = rng.chance(0.25)
+                                 ? now + 1000 + rng.below(20000)
+                                 : now + rng.below(400);
+            ref.onWake(w, at);
+            sched.onWake(w, at);
         }
         // Occasionally stall time entirely (repeated picks at one cycle
         // would double-issue; instead re-pick after events only).
@@ -147,53 +127,30 @@ runParity(SchedPolicy policy, std::uint32_t num_warps, std::uint64_t seed,
     }
 }
 
-class SchedulerParity
-    : public ::testing::TestWithParam<std::tuple<SchedPolicy, std::uint32_t>>
+class SchedulerParity : public ::testing::TestWithParam<std::uint32_t>
 {
 };
 
-TEST_P(SchedulerParity, RandomWakeSleepIssueSequences)
+TEST_P(SchedulerParity, RandomWakeIssueSequences)
 {
-    const auto [policy, warps] = GetParam();
+    const std::uint32_t warps = GetParam();
     // Several independent sequences per configuration; ~1e5 steps total.
     for (std::uint64_t seed = 1; seed <= 4; ++seed)
-        runParity(policy, warps, seed * 0x9E3779B9ull + warps, 25000);
+        runParity(warps, seed * 0x9E3779B9ull + warps, 25000);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PoliciesAndWarpCounts, SchedulerParity,
-    ::testing::Combine(
-        ::testing::Values(SchedPolicy::RoundRobin,
-                          SchedPolicy::GreedyThenOldest),
-        // 1-warp and 48-warp are the SM edges; 64/128 exercise the
-        // multi-word ready bitmap, 2/3 the tiny-ring wrap-around.
-        ::testing::Values(1u, 2u, 3u, 48u, 64u, 128u)));
-
-TEST(SchedulerParityEdge, AllWarpsAsleepForever)
-{
-    for (SchedPolicy policy :
-         {SchedPolicy::RoundRobin, SchedPolicy::GreedyThenOldest}) {
-        LegacyScanScheduler ref(policy, 4);
-        WarpScheduler sched(policy, 4);
-        for (std::uint32_t w = 0; w < 4; ++w) {
-            ref.onSleep(w);
-            sched.onSleep(w);
-        }
-        Cycle ref_min = 0;
-        Cycle min = 0;
-        ASSERT_EQ(sched.pickReady(10, &min), WarpScheduler::kNone);
-        ASSERT_EQ(ref.pickReady(10, &ref_min), LegacyScanScheduler::kNone);
-        EXPECT_EQ(min, ref_min);
-        EXPECT_EQ(min, WarpScheduler::kNever);
-    }
-}
+    WarpCounts, SchedulerParity,
+    // 1-warp and 48-warp are the SM edges; 64/128 exercise the
+    // multi-word ready bitmap, 2/3 the tiny-ring wrap-around.
+    ::testing::Values(1u, 2u, 3u, 48u, 64u, 128u));
 
 TEST(SchedulerParityEdge, SingleWarpRoundRobinSelfSuccession)
 {
     // numWarps == 1: the ring is the warp itself; the scan probes
     // (last + 1) % 1 == 0 and must keep picking warp 0.
-    LegacyScanScheduler ref(SchedPolicy::RoundRobin, 1);
-    WarpScheduler sched(SchedPolicy::RoundRobin, 1);
+    LegacyScanScheduler ref(1);
+    WarpScheduler sched(1);
     Cycle now = 0;
     for (int i = 0; i < 100; ++i) {
         Cycle ref_min = 0;

@@ -2,7 +2,9 @@
  * @file
  * Unit tests for the workload subsystem: pattern cursors, the benchmark
  * table (Table II coverage), and the kernel generator's determinism and
- * statistical properties (APKI, write mix, read-level structure).
+ * statistical properties (APKI, write mix, read-level structure), all
+ * read through the batch path the simulator runs. The trace
+ * fingerprints pin that path and the scalar reference model alike.
  */
 
 #include <gtest/gtest.h>
@@ -10,8 +12,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "frontend_reference.hh"
 #include "workload/benchmarks.hh"
-#include "workload/generator.hh"
 #include "workload/patterns.hh"
 
 namespace fuse
@@ -69,8 +71,8 @@ TEST(Benchmarks, MotivationAndSensitivitySubsetsResolve)
 TEST(Generator, DeterministicAcrossInstances)
 {
     const auto &spec = benchmarkByName("ATAX");
-    KernelGenerator a(spec, 0, 15, 48, 7);
-    KernelGenerator b(spec, 0, 15, 48, 7);
+    BatchReader a(spec, 0, 15, 48, 7);
+    BatchReader b(spec, 0, 15, 48, 7);
     for (int i = 0; i < 2000; ++i) {
         WarpId w = static_cast<WarpId>(i % 48);
         WarpInstruction ia = a.next(w);
@@ -84,8 +86,8 @@ TEST(Generator, DeterministicAcrossInstances)
 TEST(Generator, DifferentSeedsDiverge)
 {
     const auto &spec = benchmarkByName("ATAX");
-    KernelGenerator a(spec, 0, 15, 48, 1);
-    KernelGenerator b(spec, 0, 15, 48, 2);
+    BatchReader a(spec, 0, 15, 48, 1);
+    BatchReader b(spec, 0, 15, 48, 2);
     int diffs = 0;
     for (int i = 0; i < 2000; ++i) {
         WarpInstruction ia = a.next(0);
@@ -99,7 +101,7 @@ TEST(Generator, DifferentSeedsDiverge)
 TEST(Generator, TransactionsAreLineAligned)
 {
     const auto &spec = benchmarkByName("GEMM");
-    KernelGenerator gen(spec, 3, 15, 48, 1);
+    BatchReader gen(spec, 3, 15, 48, 1);
     for (int i = 0; i < 5000; ++i) {
         WarpInstruction wi = gen.next(static_cast<WarpId>(i % 48));
         for (Addr a : wi.transactions)
@@ -112,7 +114,7 @@ TEST(Generator, ApkiRoughlyMatchesSpec)
     // Measured transactions per kilo-thread-instruction should land near
     // the Table II target for a mid-APKI workload.
     const auto &spec = benchmarkByName("MVT");  // APKI 64
-    KernelGenerator gen(spec, 0, 15, 48, 1);
+    BatchReader gen(spec, 0, 15, 48, 1);
     std::uint64_t instrs = 0;
     std::uint64_t transactions = 0;
     for (int i = 0; i < 200000; ++i) {
@@ -139,7 +141,7 @@ TEST(Generator, AccumPairsHitTheSameLine)
     s.footprintLines = 4096;
     spec.streams = {s};
 
-    KernelGenerator gen(spec, 0, 1, 4, 1);
+    BatchReader gen(spec, 0, 1, 4, 1);
     std::unordered_map<WarpId, Addr> last_load;
     for (int i = 0; i < 4000; ++i) {
         WarpId w = static_cast<WarpId>(i % 4);
@@ -167,7 +169,7 @@ TEST(Generator, StreamPatternNeverRevisitsWithHugeFootprint)
     s.footprintLines = 1u << 22;
     spec.streams = {s};
 
-    KernelGenerator gen(spec, 0, 1, 2, 1);
+    BatchReader gen(spec, 0, 1, 2, 1);
     std::unordered_set<Addr> seen;
     for (int i = 0; i < 20000; ++i) {
         WarpInstruction wi = gen.next(static_cast<WarpId>(i % 2));
@@ -192,7 +194,7 @@ TEST(Generator, HotWorkingSetBoundedPerWarp)
     s.divergence = 4;
     spec.streams = {s};
 
-    KernelGenerator gen(spec, 0, 1, 1, 1);
+    BatchReader gen(spec, 0, 1, 1, 1);
     std::unordered_set<Addr> lines;
     for (int i = 0; i < 4000; ++i) {
         WarpInstruction wi = gen.next(0);
@@ -212,8 +214,7 @@ TEST(Patterns, StencilTouchesNeighbours)
     PatternCursor cursor;
     Rng rng(1);
     std::vector<Addr> out;
-    for (int i = 0; i < 9; ++i)
-        cursor.generate(s, 0, 0, 1, rng, out);
+    cursor.generateBatch(s, 0, 0, 1, rng, 9, out);
     ASSERT_EQ(out.size(), 9u);
     // Nine accesses cover only ~4 distinct lines (3 reuses each).
     std::unordered_set<Addr> distinct(out.begin(), out.end());
@@ -240,6 +241,29 @@ fnv1a(std::uint64_t h, std::uint64_t v)
     return h;
 }
 
+/** FNV-1a over 60000 instructions of @p source (SM 3 of 15, 48 warps,
+ *  seed 1, warp = i % 48): instruction kind, type, PC, transaction count
+ *  and every transaction address. */
+template <typename Source>
+std::uint64_t
+traceFingerprint(const BenchmarkSpec &spec)
+{
+    Source source(spec, /*sm=*/3, /*num_sms=*/15, /*warps_per_sm=*/48,
+                  /*seed=*/1);
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    for (int i = 0; i < 60000; ++i) {
+        const WarpInstruction instr =
+            source.next(static_cast<WarpId>(i % 48));
+        h = fnv1a(h, instr.isMem ? 1 : 0);
+        h = fnv1a(h, instr.type == AccessType::Write ? 1 : 0);
+        h = fnv1a(h, instr.pc);
+        h = fnv1a(h, instr.transactions.size());
+        for (Addr a : instr.transactions)
+            h = fnv1a(h, a);
+    }
+    return h;
+}
+
 } // namespace
 
 TEST(Generator, TracesAreByteIdenticalToPreOptimizationGoldens)
@@ -247,10 +271,10 @@ TEST(Generator, TracesAreByteIdenticalToPreOptimizationGoldens)
     // The trace-generation trim (hoisted log(1 - p), incremental modular
     // phases in the pattern cursors) must not move a single address: every
     // figure's byte-identity rests on the traces. These fingerprints were
-    // captured from the pre-optimization generator (60000 instructions,
-    // SM 3 of 15, 48 warps, seed 1, warp = i % 48) over workloads covering
-    // all six pattern kinds; any change to instruction kinds, PCs, types,
-    // or transaction addresses moves the hash.
+    // captured from the pre-optimization scalar generator over workloads
+    // covering all six pattern kinds; any change to instruction kinds,
+    // PCs, types, or transaction addresses moves the hash. Both the
+    // scalar reference model and the batch path must land on them.
     struct Golden
     {
         const char *benchmark;
@@ -268,20 +292,10 @@ TEST(Generator, TracesAreByteIdenticalToPreOptimizationGoldens)
     };
     for (const Golden &golden : goldens) {
         const BenchmarkSpec &spec = benchmarkByName(golden.benchmark);
-        KernelGenerator gen(spec, /*sm=*/3, /*num_sms=*/15,
-                            /*warps_per_sm=*/48, /*seed=*/1);
-        std::uint64_t h = 0xCBF29CE484222325ull;
-        WarpInstruction instr;
-        for (int i = 0; i < 60000; ++i) {
-            gen.next(static_cast<WarpId>(i % 48), instr);
-            h = fnv1a(h, instr.isMem ? 1 : 0);
-            h = fnv1a(h, instr.type == AccessType::Write ? 1 : 0);
-            h = fnv1a(h, instr.pc);
-            h = fnv1a(h, instr.transactions.size());
-            for (Addr a : instr.transactions)
-                h = fnv1a(h, a);
-        }
-        EXPECT_EQ(h, golden.hash) << golden.benchmark;
+        EXPECT_EQ(traceFingerprint<ScalarKernelGenerator>(spec), golden.hash)
+            << golden.benchmark << " (scalar)";
+        EXPECT_EQ(traceFingerprint<BatchReader>(spec), golden.hash)
+            << golden.benchmark << " (batch)";
     }
 }
 
@@ -290,9 +304,9 @@ TEST(Generator, SingleKindTracesMatchPreBatchGoldens)
     // Kind-level trace pinning for the batch pipeline: one golden per
     // PatternKind in isolation, with divergence 1/4/8 covered explicitly
     // (the benchmark-mix goldens above weight the kinds unevenly). The
-    // fingerprints were captured from the pre-batch scalar generator
-    // (60000 instructions, SM 3 of 15, 48 warps, seed 1, warp = i % 48);
-    // both the scalar path and nextBatch() consumption must land on them.
+    // fingerprints were captured from the pre-batch scalar generator;
+    // both the scalar reference model and the batch path must land on
+    // them.
     auto mk = [](const char *name, StreamSpec s) {
         BenchmarkSpec b;
         b.name = name;
@@ -350,41 +364,11 @@ TEST(Generator, SingleKindTracesMatchPreBatchGoldens)
         {"stencil", mk("k-stencil", sc), 0x17D3E68C79990C04ull},
     };
     for (const Golden &golden : goldens) {
-        // Scalar reference path.
-        KernelGenerator gen(golden.spec, 3, 15, 48, 1);
-        std::uint64_t h = 0xCBF29CE484222325ull;
-        WarpInstruction instr;
-        for (int i = 0; i < 60000; ++i) {
-            gen.next(static_cast<WarpId>(i % 48), instr);
-            h = fnv1a(h, instr.isMem ? 1 : 0);
-            h = fnv1a(h, instr.type == AccessType::Write ? 1 : 0);
-            h = fnv1a(h, instr.pc);
-            h = fnv1a(h, instr.transactions.size());
-            for (Addr a : instr.transactions)
-                h = fnv1a(h, a);
-        }
-        EXPECT_EQ(h, golden.hash) << golden.label << " (scalar)";
-
-        // Batch path, consumed SM-style (per-warp batches refilled when
-        // exhausted; the trailing decoded-but-unpopped instructions are
-        // the over-generation and never reach the hash).
-        KernelGenerator bgen(golden.spec, 3, 15, 48, 1);
-        std::vector<InstructionBatch> batches(48);
-        std::uint64_t hb = 0xCBF29CE484222325ull;
-        for (int i = 0; i < 60000; ++i) {
-            const WarpId w = static_cast<WarpId>(i % 48);
-            InstructionBatch &b = batches[w];
-            if (b.exhausted())
-                bgen.nextBatch(w, b);
-            const std::uint32_t s = b.consumed++;
-            hb = fnv1a(hb, b.instr[s].isMem ? 1 : 0);
-            hb = fnv1a(hb, b.instr[s].type == AccessType::Write ? 1 : 0);
-            hb = fnv1a(hb, b.instr[s].pc);
-            hb = fnv1a(hb, b.instr[s].txEnd - b.instr[s].txBegin);
-            for (std::uint32_t t = b.instr[s].txBegin; t < b.instr[s].txEnd; ++t)
-                hb = fnv1a(hb, b.addrs[t]);
-        }
-        EXPECT_EQ(hb, golden.hash) << golden.label << " (batch)";
+        EXPECT_EQ(traceFingerprint<ScalarKernelGenerator>(golden.spec),
+                  golden.hash)
+            << golden.label << " (scalar)";
+        EXPECT_EQ(traceFingerprint<BatchReader>(golden.spec), golden.hash)
+            << golden.label << " (batch)";
     }
 }
 
