@@ -152,7 +152,7 @@ class ScalarKernelGenerator
     }
 
     std::uint64_t
-    computeGap(WarpState &state) const
+    computeGap(WarpState &state)
     {
         // Inverse-CDF draw of a geometric gap with mean 1/p - 1.
         if (memProb_ >= 1.0)
@@ -165,7 +165,7 @@ class ScalarKernelGenerator
     }
 
     std::uint32_t
-    pickStream(WarpState &state) const
+    pickStream(WarpState &state)
     {
         const double x = state.rng.uniform() * totalWeight_;
         for (std::size_t s = 0; s < cumulativeWeights_.size(); ++s) {

@@ -88,12 +88,10 @@ runParity(std::uint32_t num_warps, std::uint64_t seed, int steps)
         const std::uint32_t ref_pick = ref.pickReady(now, &ref_min);
         const std::uint32_t pick = sched.pickReady(now, &min);
         ASSERT_EQ(pick, ref_pick)
-            << "warps=" << num_warps
-            << " step=" << step << " now=" << now;
+            << "warps=" << num_warps << " step=" << step << " now=" << now;
         if (pick == WarpScheduler::kNone) {
             ASSERT_EQ(min, ref_min)
-                << "warps=" << num_warps
-                << " step=" << step << " now=" << now;
+                << "warps=" << num_warps << " step=" << step << " now=" << now;
             // Sleep exactly to the bound, like the SM's idle fast path.
             now = min;
         } else {

@@ -101,9 +101,9 @@ TEST(Generator, DifferentSeedsDiverge)
 TEST(Generator, TransactionsAreLineAligned)
 {
     const auto &spec = benchmarkByName("GEMM");
-    BatchReader gen(spec, 3, 15, 48, 1);
+    BatchReader reader(spec, 3, 15, 48, 1);
     for (int i = 0; i < 5000; ++i) {
-        WarpInstruction wi = gen.next(static_cast<WarpId>(i % 48));
+        WarpInstruction wi = reader.next(static_cast<WarpId>(i % 48));
         for (Addr a : wi.transactions)
             EXPECT_EQ(a % kLineSize, 0u);
     }
@@ -114,11 +114,11 @@ TEST(Generator, ApkiRoughlyMatchesSpec)
     // Measured transactions per kilo-thread-instruction should land near
     // the Table II target for a mid-APKI workload.
     const auto &spec = benchmarkByName("MVT");  // APKI 64
-    BatchReader gen(spec, 0, 15, 48, 1);
+    BatchReader reader(spec, 0, 15, 48, 1);
     std::uint64_t instrs = 0;
     std::uint64_t transactions = 0;
     for (int i = 0; i < 200000; ++i) {
-        WarpInstruction wi = gen.next(static_cast<WarpId>(i % 48));
+        WarpInstruction wi = reader.next(static_cast<WarpId>(i % 48));
         ++instrs;
         transactions += wi.transactions.size();
     }
@@ -141,11 +141,11 @@ TEST(Generator, AccumPairsHitTheSameLine)
     s.footprintLines = 4096;
     spec.streams = {s};
 
-    BatchReader gen(spec, 0, 1, 4, 1);
+    BatchReader reader(spec, 0, 1, 4, 1);
     std::unordered_map<WarpId, Addr> last_load;
     for (int i = 0; i < 4000; ++i) {
         WarpId w = static_cast<WarpId>(i % 4);
-        WarpInstruction wi = gen.next(w);
+        WarpInstruction wi = reader.next(w);
         if (!wi.isMem)
             continue;
         ASSERT_EQ(wi.transactions.size(), 1u);
@@ -169,10 +169,10 @@ TEST(Generator, StreamPatternNeverRevisitsWithHugeFootprint)
     s.footprintLines = 1u << 22;
     spec.streams = {s};
 
-    BatchReader gen(spec, 0, 1, 2, 1);
+    BatchReader reader(spec, 0, 1, 2, 1);
     std::unordered_set<Addr> seen;
     for (int i = 0; i < 20000; ++i) {
-        WarpInstruction wi = gen.next(static_cast<WarpId>(i % 2));
+        WarpInstruction wi = reader.next(static_cast<WarpId>(i % 2));
         if (!wi.isMem)
             continue;
         for (Addr a : wi.transactions)
@@ -194,10 +194,10 @@ TEST(Generator, HotWorkingSetBoundedPerWarp)
     s.divergence = 4;
     spec.streams = {s};
 
-    BatchReader gen(spec, 0, 1, 1, 1);
+    BatchReader reader(spec, 0, 1, 1, 1);
     std::unordered_set<Addr> lines;
     for (int i = 0; i < 4000; ++i) {
-        WarpInstruction wi = gen.next(0);
+        WarpInstruction wi = reader.next(0);
         if (!wi.isMem)
             continue;
         for (Addr a : wi.transactions)
