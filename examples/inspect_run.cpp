@@ -14,6 +14,7 @@
 #include <iostream>
 #include <string>
 
+#include "fuse/hybrid_l1d.hh"
 #include "sim/simulator.hh"
 
 namespace

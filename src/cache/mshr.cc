@@ -9,11 +9,8 @@ Mshr::Mshr(std::uint32_t num_entries, StatGroup *stats)
     : capacity_(num_entries), entries_(num_entries), presence_(num_entries)
 {
     ready_.reserve(std::size_t(num_entries) * 2);
-    if (stats) {
-        statMerged_ = &stats->scalar("mshr_merged");
-        statFullStall_ = &stats->scalar("mshr_full_stall");
+    if (stats)
         statAllocated_ = &stats->scalar("mshr_allocated");
-    }
 }
 
 void
@@ -30,34 +27,12 @@ Mshr::popReady()
     ready_.pop_back();
 }
 
-MshrResult
-Mshr::access(Addr line_addr, Cycle ready_at, BankId destination)
-{
-    MshrEntry *entry = presence_.mayContain(line_addr)
-                           ? entries_.find(line_addr)
-                           : nullptr;
-    if (entry) {
-        ++entry->mergedCount;
-        if (statMerged_)
-            ++(*statMerged_);
-        return {MshrResult::Kind::Merged, entry};
-    }
-    if (entries_.size() >= capacity_) {
-        if (statFullStall_)
-            ++(*statFullStall_);
-        return {MshrResult::Kind::Full, nullptr};
-    }
-    return {MshrResult::Kind::NewMiss,
-            allocate(line_addr, ready_at, destination)};
-}
-
 MshrEntry *
-Mshr::allocate(Addr line_addr, Cycle ready_at, BankId destination)
+Mshr::allocate(Addr line_addr, Cycle ready_at)
 {
     MshrEntry *entry = entries_.insert(line_addr);
     entry->lineAddr = line_addr;
     entry->readyAt = ready_at;
-    entry->destination = destination;
     presence_.insert(line_addr);
     pushReady(ready_at, line_addr);
     if (ready_at < minReadyAt_)
@@ -70,7 +45,7 @@ Mshr::allocate(Addr line_addr, Cycle ready_at, BankId destination)
 void
 Mshr::retireReadySlow(Cycle now)
 {
-    // Pop every elapsed record. A record whose entry was retire()d early
+    // Pop every elapsed record. A record whose entry was erased early
     // (and possibly re-allocated with a later fill time) is stale —
     // discard it; the live allocation has its own record.
     while (!ready_.empty() && ready_.front().readyAt <= now) {

@@ -1,9 +1,8 @@
 /**
  * @file
- * Miss Status Holding Registers. Merges secondary misses to an in-flight
- * line with its primary miss; carries the paper's extended "destination
- * bits" (internal cache bank ID) so fills route directly to the SRAM or
- * STT-MRAM bank (FUSE §IV-A).
+ * Miss Status Holding Registers: one entry per line with an off-chip
+ * fill in flight, which a secondary miss to the same line joins (the
+ * L1D base class owns that protocol, fuse/l1d.hh).
  *
  * The entry file is an open-addressing flat table (common/flat_map.hh)
  * sized from the configured capacity — probed on every L1D access, so it
@@ -35,30 +34,14 @@ struct MshrEntry
 {
     Addr lineAddr = 0;
     Cycle readyAt = 0;          ///< When the fill data arrives at the L1D.
-    BankId destination = BankId::Sram;  ///< Extended destination bits.
-    std::uint32_t mergedCount = 0;      ///< Secondary misses merged.
-    bool fillPending = true;            ///< Cleared once the fill is applied.
-};
-
-/** Outcome of registering a miss with the MSHR. */
-struct MshrResult
-{
-    enum class Kind : std::uint8_t
-    {
-        NewMiss,   ///< Allocated a fresh entry; caller must issue off-chip.
-        Merged,    ///< Joined an in-flight miss; no new off-chip request.
-        Full       ///< No free entry; caller must stall/retry.
-    };
-    Kind kind = Kind::Full;
-    MshrEntry *entry = nullptr;
 };
 
 /**
- * Fixed-capacity MSHR file keyed by line address. Entries are freed lazily:
- * the owner calls retire() once the fill has been applied to a bank.
+ * Fixed-capacity MSHR file keyed by line address. Entries are freed
+ * lazily: retireReady() drops every entry whose fill has arrived.
  *
- * Entry pointers returned by access()/find() are valid only until the next
- * retire()/retireReady() — the flat table compacts probe chains on erase.
+ * Entry pointers returned by allocate()/find() are valid only until the
+ * next retireReady() — the flat table compacts probe chains on erase.
  */
 class Mshr
 {
@@ -67,20 +50,12 @@ class Mshr
     explicit Mshr(std::uint32_t num_entries, StatGroup *stats = nullptr);
 
     /**
-     * Register a miss on @p line_addr.
-     * If the line already has an entry, merges (even if the data will be
-     * ready in the past — caller clamps). Otherwise allocates.
-     */
-    MshrResult access(Addr line_addr, Cycle ready_at, BankId destination);
-
-    /**
      * Allocate a fresh entry for @p line_addr without re-probing the
-     * entry file. Pre-conditions the single-probe L1D miss path has
-     * already established (its in-flight check and Full stall both run
-     * before the off-chip request): find(line_addr) == nullptr and
-     * !full(). access() remains for callers without that context.
+     * entry file. Pre-conditions the L1D miss path has already
+     * established (its in-flight check and Full stall both run before
+     * the off-chip request): find(line_addr) == nullptr and !full().
      */
-    MshrEntry *allocate(Addr line_addr, Cycle ready_at, BankId destination);
+    MshrEntry *allocate(Addr line_addr, Cycle ready_at);
 
     /**
      * Look up an in-flight entry. The presence summary answers most
@@ -96,10 +71,6 @@ class Mshr
         }
         return entries_.find(line_addr);
     }
-
-    /** Remove the entry for @p line_addr (fill applied). Its ready-queue
-     *  record is invalidated lazily on pop. */
-    void retire(Addr line_addr) { eraseEntry(line_addr); }
 
     /** Free every entry whose readyAt <= now (bulk lazy cleanup).
      *  O(1) when nothing is ready yet (guarded by a cached minimum),
@@ -130,11 +101,23 @@ class Mshr
         // the historical implementation kept it across clear() too.
     }
 
+  protected:
+    /** Erase @p line_addr from the entry file and keep the presence
+     *  summary in lockstep (the only erase path besides clear()). Its
+     *  ready-queue record goes stale and is discarded when it surfaces. */
+    bool eraseEntry(Addr line_addr)
+    {
+        if (!entries_.erase(line_addr))
+            return false;
+        presence_.remove(line_addr);
+        return true;
+    }
+
   private:
     static constexpr Cycle kNever = ~Cycle(0);
 
     /** One allocation's position in the ready queue. A record goes stale
-     *  when its entry is retire()d early or its address is re-allocated;
+     *  when its entry is erased early or its address is re-allocated;
      *  stale records are discarded when they surface at the top. */
     struct ReadyRec
     {
@@ -157,16 +140,6 @@ class Mshr
     void pushReady(Cycle ready_at, Addr line_addr);
     void popReady();
 
-    /** Erase @p line_addr from the entry file and keep the presence
-     *  summary in lockstep (the only erase path besides clear()). */
-    bool eraseEntry(Addr line_addr)
-    {
-        if (!entries_.erase(line_addr))
-            return false;
-        presence_.remove(line_addr);
-        return true;
-    }
-
     std::uint32_t capacity_;
     FlatAddrMap<MshrEntry> entries_;
     /** Exact membership summary over entries_ (u16 counters: an MSHR
@@ -177,12 +150,10 @@ class Mshr
      *  discarded stale records). */
     std::vector<ReadyRec> ready_;
     /** Exact minimum readyAt among in-flight entries after a retireReady
-     *  sweep; lowered eagerly by access() in between. */
+     *  sweep; lowered eagerly by allocate() in between. */
     Cycle minReadyAt_ = kNever;
-    // Hot-path counters cached out of the string-keyed map (null when the
-    // owner passed no stats group).
-    StatGroup::Scalar *statMerged_ = nullptr;
-    StatGroup::Scalar *statFullStall_ = nullptr;
+    /** Cached "mshr_allocated" counter (null when the owner passed no
+     *  stats group). */
     StatGroup::Scalar *statAllocated_ = nullptr;
 };
 

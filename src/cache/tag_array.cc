@@ -95,13 +95,6 @@ TagArray::hitLine(const Probe &p, Cycle now)
     return &line;
 }
 
-CacheLine *
-TagArray::probe(Addr line_addr, Cycle now)
-{
-    const Probe p = lookup(line_addr);
-    return p.hit() ? hitLine(p, now) : nullptr;
-}
-
 std::optional<Eviction>
 TagArray::fillAt(const Probe &p, Addr line_addr, Cycle now,
                  CacheLine **filled)

@@ -103,32 +103,6 @@ class TagArray
      *  probe); returns the removed line. */
     std::optional<CacheLine> invalidateAt(const Probe &p);
 
-    /** Look up @p line_addr; touch on hit. Returns the line or nullptr.
-     *  (lookup + hitLine in one call, for callers without a Probe.) */
-    CacheLine *probe(Addr line_addr, Cycle now);
-
-    /** Look up without updating replacement state (for peeking). */
-    const CacheLine *peek(Addr line_addr) const
-    {
-        return lineAt(lookup(line_addr));
-    }
-
-    /**
-     * Insert @p line_addr, evicting if the set is full.
-     * @return metadata of the evicted valid line, if any.
-     */
-    std::optional<Eviction> fill(Addr line_addr, Cycle now,
-                                 CacheLine **filled = nullptr)
-    {
-        return fillAt(lookup(line_addr), line_addr, now, filled);
-    }
-
-    /** Invalidate @p line_addr if present; returns the removed line. */
-    std::optional<CacheLine> invalidate(Addr line_addr)
-    {
-        return invalidateAt(lookup(line_addr));
-    }
-
     /** Number of valid lines currently resident. */
     std::uint32_t occupancy() const { return occupied_; }
 

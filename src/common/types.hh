@@ -58,7 +58,7 @@ enum class ReadLevel : std::uint8_t { WM, ReadIntensive, WORM, WORO };
 /** Human-readable name for a ReadLevel. */
 const char *toString(ReadLevel level);
 
-/** Internal L1D bank identifiers used in MSHR destination bits. */
+/** Where the hybrid L1D places a missing line (FUSE §IV-A). */
 enum class BankId : std::uint8_t { Sram, SttMram, Bypass };
 
 } // namespace fuse

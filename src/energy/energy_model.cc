@@ -2,9 +2,7 @@
 
 #include "device/sram_model.hh"
 #include "device/sttmram_model.hh"
-#include "fuse/hybrid_l1d.hh"
-#include "fuse/nvm_bypass_l1d.hh"
-#include "fuse/sram_l1d.hh"
+#include "fuse/cache_bank.hh"
 #include "gpu/gpu.hh"
 
 namespace fuse
@@ -13,7 +11,7 @@ namespace fuse
 namespace
 {
 
-/** Dynamic + leakage energy of one bank over @p seconds. */
+/** Dynamic energy of one bank's array reads and writes. */
 double
 bankDynamic(const CacheBank &bank, double read_nj, double write_nj)
 {
@@ -28,43 +26,46 @@ leakageNj(double milliwatts, double seconds)
     return milliwatts * 1e6 * seconds;
 }
 
+/** Table I device energies of one bank at its capacity. */
+struct BankEnergy
+{
+    double readNj;
+    double writeNj;
+    double leakageMw;
+};
+
+BankEnergy
+bankEnergy(const CacheBank &bank)
+{
+    const std::uint32_t bytes = bank.config().sizeBytes;
+    if (bank.config().tech == BankTech::SttMram) {
+        const SttMramParams p = SttMramModel::scaled(bytes);
+        return {p.readEnergy, p.writeEnergy, p.leakagePower};
+    }
+    const SramParams p = SramModel::scaled(bytes);
+    return {p.readEnergy, p.writeEnergy, p.leakagePower};
+}
+
 /** Accumulate one L1D's dynamic/leakage energy into the breakdown. */
 void
 addL1dEnergy(const L1DCache &l1d, double seconds, EnergyBreakdown &out)
 {
-    if (const auto *sram = dynamic_cast<const SramL1D *>(&l1d)) {
-        auto &bank = const_cast<SramL1D *>(sram)->bank();
-        SramParams p = SramModel::scaled(bank.config().sizeBytes);
-        out.l1dDynamic += bankDynamic(bank, p.readEnergy, p.writeEnergy);
+    const std::vector<const CacheBank *> banks = l1d.banks();
+    if (banks.empty()) {
+        // Oracle: charge the baseline SRAM leakage so comparisons stay
+        // conservative.
+        SramParams p = SramModel::scaled(32 * 1024);
         out.l1dLeakage += leakageNj(p.leakagePower, seconds);
         return;
     }
-    if (const auto *nvm = dynamic_cast<const NvmBypassL1D *>(&l1d)) {
-        auto &bank = const_cast<NvmBypassL1D *>(nvm)->bank();
-        SttMramParams p = SttMramModel::scaled(bank.config().sizeBytes);
-        out.l1dDynamic += bankDynamic(bank, p.readEnergy, p.writeEnergy);
-        out.l1dLeakage += leakageNj(p.leakagePower, seconds);
-        return;
+    // Leakage power sums over the banks before it becomes energy.
+    double leakage_mw = 0.0;
+    for (const CacheBank *bank : banks) {
+        const BankEnergy e = bankEnergy(*bank);
+        out.l1dDynamic += bankDynamic(*bank, e.readNj, e.writeNj);
+        leakage_mw += e.leakageMw;
     }
-    if (const auto *hybrid = dynamic_cast<const HybridL1D *>(&l1d)) {
-        auto &mutable_hybrid = const_cast<HybridL1D &>(*hybrid);
-        auto &sram_bank = mutable_hybrid.sramBank();
-        auto &stt_bank = mutable_hybrid.sttBank();
-        SramParams sp = SramModel::scaled(sram_bank.config().sizeBytes);
-        SttMramParams tp =
-            SttMramModel::scaled(stt_bank.config().sizeBytes);
-        out.l1dDynamic +=
-            bankDynamic(sram_bank, sp.readEnergy, sp.writeEnergy);
-        out.l1dDynamic +=
-            bankDynamic(stt_bank, tp.readEnergy, tp.writeEnergy);
-        out.l1dLeakage += leakageNj(sp.leakagePower + tp.leakagePower,
-                                    seconds);
-        return;
-    }
-    // Oracle (or future organisations without a device model): charge the
-    // baseline SRAM leakage so comparisons stay conservative.
-    SramParams p = SramModel::scaled(32 * 1024);
-    out.l1dLeakage += leakageNj(p.leakagePower, seconds);
+    out.l1dLeakage += leakageNj(leakage_mw, seconds);
 }
 
 } // namespace

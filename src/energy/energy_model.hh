@@ -66,8 +66,8 @@ struct EnergyBreakdown
 
 /**
  * Computes an EnergyBreakdown from a finished Gpu run. The L1D bank
- * energies are derived from each organisation's bank stats and Table I
- * device parameters (resolved by inspecting the concrete L1D type).
+ * energies are derived from each bank's stats and the Table I device
+ * parameters of its technology (L1DCache::banks()).
  */
 class EnergyModel
 {

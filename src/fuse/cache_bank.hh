@@ -106,20 +106,6 @@ class CacheBank
     CacheLine *accessAt(const TagArray::Probe &p, AccessType type,
                         Cycle now, Cycle *done);
 
-    /** Timed probe: lookup + accessAt for callers without a Probe. */
-    CacheLine *access(Addr line_addr, AccessType type, Cycle now,
-                      Cycle *done)
-    {
-        return accessAt(lookup(line_addr), type, now, done);
-    }
-
-    /** Untimed lookup (tag-only peek; no array occupancy). */
-    const CacheLine *peek(Addr line_addr) const
-    {
-        FUSE_PROF_COUNT(l1d_bank, peek_resolutions);
-        return tags_.peek(line_addr);
-    }
-
     /** Line behind a resolved probe, mutable (no occupancy, no LRU
      *  disturbance). */
     CacheLine *peekAt(const TagArray::Probe &p) { return tags_.lineAt(p); }
@@ -136,7 +122,8 @@ class CacheBank
                                    CacheLine **filled = nullptr,
                                    Port port = Port::Fill);
 
-    /** Timed fill: lookup + fillAt for callers without a Probe. */
+    /** Timed fill: lookup + fillAt for callers without a Probe (the
+     *  hybrid's victim migrations into the STT bank). */
     std::optional<Eviction> fill(Addr line_addr, AccessType type, Cycle now,
                                  Cycle *done, CacheLine **filled = nullptr,
                                  Port port = Port::Fill)
@@ -155,13 +142,6 @@ class CacheBank
             FUSE_PROF_COUNT(l1d_sram, filter_removes);
         }
         return removed;
-    }
-
-    /** Invalidate without array occupancy (tag-only operation). */
-    std::optional<CacheLine> invalidate(Addr line_addr)
-    {
-        FUSE_PROF_COUNT(l1d_bank, invalidate_resolutions);
-        return invalidateAt(tags_.lookup(line_addr));
     }
 
     TagArray &tags() { return tags_; }

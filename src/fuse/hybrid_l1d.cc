@@ -3,40 +3,43 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "prof/prof.hh"
 
 namespace fuse
 {
 
-L1DKind
-HybridL1DConfig::kindOf() const
+namespace
 {
-    if (usePredictor)
-        return L1DKind::DyFuse;
-    if (approxFullAssoc)
-        return L1DKind::FaFuse;
-    if (nonBlocking)
-        return L1DKind::BaseFuse;
-    return L1DKind::Hybrid;
+
+bool
+hybridKind(L1DKind kind)
+{
+    return kind == L1DKind::Hybrid || kind == L1DKind::BaseFuse
+           || kind == L1DKind::FaFuse || kind == L1DKind::DyFuse;
 }
 
-HybridL1D::HybridL1D(const HybridL1DConfig &config,
+} // namespace
+
+HybridL1D::HybridL1D(L1DKind kind, const L1DParams &params,
                      MemoryHierarchy &hierarchy)
-    : L1DCache("l1d.hybrid", hierarchy),
-      config_(config),
-      sram_(makeSramBankConfig(config.sramBytes, config.sramWays),
+    : L1DCache("l1d.hybrid", hierarchy, params.mshrEntries),
+      kind_(kind),
+      nonBlocking_(kind != L1DKind::Hybrid),
+      approxFullAssoc_(kind == L1DKind::FaFuse || kind == L1DKind::DyFuse),
+      usePredictor_(kind == L1DKind::DyFuse),
+      sram_(makeSramBankConfig(params.hybridSramBytes(), params.sramWays),
             "l1d.hybrid.sram"),
-      stt_(makeSttBankConfig(config.sttBytes, config.sttWays,
-                             config.approxFullAssoc),
+      stt_(makeSttBankConfig(params.hybridSttBytes(), params.sttWays,
+                             approxFullAssoc_),
            "l1d.hybrid.stt"),
-      mshr_(config.mshrEntries, &stats_),
-      tagQueue_(config.tagQueueEntries, &stats_),
-      swapBuffer_(config.swapBufferEntries, &stats_),
-      predictor_(config.predictor)
+      tagQueue_(params.tagQueueEntries, &stats_),
+      swapBuffer_(params.swapBufferEntries, &stats_),
+      predictor_(params.predictor)
 {
-    if (config.approxFullAssoc) {
-        approx_ = std::make_unique<AssocApprox>(
-            config.approx, stt_.tags().numLines());
+    if (!hybridKind(kind))
+        fuse_panic("%s is not a hybrid organisation", toString(kind));
+    if (approxFullAssoc_) {
+        approx_ = std::make_unique<AssocApprox>(params.approx,
+                                                stt_.tags().numLines());
     }
     statStallTagSearch_ = &stats_.scalar("stall_tag_search");
     statMigrationsSramToStt_ = &stats_.scalar("migrations_sram_to_stt");
@@ -56,20 +59,13 @@ void
 HybridL1D::evictToL2(const CacheLine &line, SmId sm, Cycle now)
 {
     recordLineOutcome(line);
-    if (line.dirty) {
-        MemRequest wb;
-        wb.addr = line.tag << kLineShift;
-        wb.smId = sm;
-        wb.type = AccessType::Write;
-        hierarchy_->writeback(wb, now);
-        ++(*statWritebacks_);
-    }
+    writeBack(line, sm, now);
 }
 
 void
 HybridL1D::recordLineOutcome(const CacheLine &line)
 {
-    if (config_.usePredictor && line.hasPrediction)
+    if (usePredictor_ && line.hasPrediction)
         predictor_.recordOutcome(line.predictedLevel, line.writeCount,
                                  line.readCount);
 }
@@ -77,7 +73,7 @@ HybridL1D::recordLineOutcome(const CacheLine &line)
 bool
 HybridL1D::migrateToStt(const CacheLine &victim, SmId sm, Cycle now)
 {
-    if (!config_.nonBlocking) {
+    if (!nonBlocking_) {
         // Plain Hybrid: the migration is a synchronous STT-MRAM write on
         // the demand port — the whole L1D blocks behind it (the paper's
         // motivation for the swap buffer + tag queue).
@@ -159,7 +155,7 @@ HybridL1D::sttHit(const MemRequest &req, Cycle now,
     // Write hit on STT-MRAM data: a misprediction (WM block placed in the
     // read-oriented bank).
     ++(*statSttWriteHits_);
-    if (config_.usePredictor) {
+    if (usePredictor_) {
         // Dy-FUSE: migrate the block to SRAM right away, invalidate the
         // STT copy, and serve the write from SRAM (§III-A). The payload
         // write can't wait behind meta-only queue entries: flush.
@@ -194,7 +190,7 @@ HybridL1D::sttHit(const MemRequest &req, Cycle now,
     // queue (if any) must flush first — it cannot hold the 128B payload.
     // (flushTagQueue re-queues the Migrate commands of lines still parked
     // in the swap buffer, or they would be stranded there forever.)
-    if (config_.nonBlocking && !tagQueue_.empty())
+    if (nonBlocking_ && !tagQueue_.empty())
         flushTagQueue(now);
     Cycle done = 0;
     stt_.accessAt(stt_probe, AccessType::Write, now, &done);
@@ -211,7 +207,7 @@ HybridL1D::fillSram(const MemRequest &req, Cycle now,
     CacheLine *filled = nullptr;
     auto victim = sram_.fillAt(sram_probe, line, req.type, now, &done,
                                &filled);
-    if (filled && config_.usePredictor) {
+    if (filled && usePredictor_) {
         filled->predictedLevel = predictor_.classify(req.pc);
         filled->hasPrediction = true;
     }
@@ -220,7 +216,7 @@ HybridL1D::fillSram(const MemRequest &req, Cycle now,
 
     // SRAM eviction: the arbitrator consults the predictor — WORO victims
     // go straight to L2; everything else migrates to STT-MRAM.
-    if (config_.usePredictor
+    if (usePredictor_
         && victim->line.hasPrediction
         && victim->line.predictedLevel == ReadLevel::WORO) {
         evictToL2(victim->line, req.smId, now);
@@ -243,7 +239,7 @@ HybridL1D::fillStt(const MemRequest &req, Cycle now,
                    std::uint32_t stt_partition)
 {
     const Addr line = req.line();
-    if (config_.nonBlocking) {
+    if (nonBlocking_) {
         if (tagQueue_.full()) {
             ++(*statStallStt_);
             return false;
@@ -259,7 +255,7 @@ HybridL1D::fillStt(const MemRequest &req, Cycle now,
     CacheLine *filled = nullptr;
     auto victim = stt_.fillAt(stt_probe, line, req.type, now, &done,
                               &filled);
-    if (filled && config_.usePredictor) {
+    if (filled && usePredictor_) {
         filled->predictedLevel = predictor_.classify(req.pc);
         filled->hasPrediction = true;
     }
@@ -284,12 +280,13 @@ HybridL1D::handleMiss(const MemRequest &req, Cycle now,
     // Placement decision (Fig. 9): with the read-level predictor, WM data
     // goes to SRAM, WORM/neutral to STT-MRAM, WORO bypasses the L1D.
     // With the approximated fully-associative STT bank but no predictor
-    // (FA-FUSE), read fills route straight to the big bank via the MSHR
-    // destination bits and write fills to SRAM. Without either feature
+    // (FA-FUSE), read fills route straight to the big bank (the paper's
+    // MSHR destination bits; fills here are applied at miss time) and
+    // write fills to SRAM. Without either feature
     // (Hybrid/Base-FUSE), everything fills SRAM first and the STT bank is
     // a victim buffer — the strawman organisation §III-A measures.
     BankId destination = BankId::Sram;
-    if (config_.usePredictor) {
+    if (usePredictor_) {
         switch (predictor_.classify(req.pc)) {
           case ReadLevel::WM:
             destination = BankId::Sram;
@@ -302,25 +299,19 @@ HybridL1D::handleMiss(const MemRequest &req, Cycle now,
             destination = BankId::Bypass;
             break;
         }
-    } else if (config_.approxFullAssoc) {
+    } else if (approxFullAssoc_) {
         destination = req.isWrite() ? BankId::Sram : BankId::SttMram;
     }
 
-    if (destination == BankId::Bypass) {
-        countBypass(req);
-        OffchipResult off = hierarchy_->access(req, now);
-        return {L1DResult::Kind::Miss, off.doneAt};
-    }
+    if (destination == BankId::Bypass)
+        return bypass(req, now);
 
     // Structural checks first, so a stalled access retries without having
     // already booked off-chip bandwidth: MSHR space, and (for STT fills
     // under the non-blocking design) a tag-queue slot.
-    if (mshr_.full()) {
-        ++(*statStallMshrFull_);
-        return {L1DResult::Kind::Stall,
-                std::max(now + 1, mshr_.minReadyAt())};
-    }
-    if (destination == BankId::Sram && config_.nonBlocking
+    if (auto stall = mshrFullStall(now))
+        return *stall;
+    if (destination == BankId::Sram && nonBlocking_
         && (swapBuffer_.full() || tagQueue_.full())) {
         // The fill may evict an SRAM line whose migration needs a swap
         // buffer slot and a tag-queue entry; real hardware holds the fill
@@ -330,7 +321,7 @@ HybridL1D::handleMiss(const MemRequest &req, Cycle now,
         return {L1DResult::Kind::Stall,
                 std::max(now + 1, stt_.fillBusyUntil())};
     }
-    if (destination == BankId::SttMram && config_.nonBlocking
+    if (destination == BankId::SttMram && nonBlocking_
         && tagQueue_.full()) {
         statStallStt_->add(std::max<Cycle>(stt_.busyUntil(), now + 1)
                            - now);
@@ -338,49 +329,40 @@ HybridL1D::handleMiss(const MemRequest &req, Cycle now,
                 std::max(now + 1, stt_.busyUntil())};
     }
 
-    countMiss(req);
     // The off-chip issue and MSHR allocation touch no bank tag array, so
     // the probes resolved at the top of access() still describe the fill
-    // target. The in-flight check and the full() gate above already
-    // proved the line absent from the MSHR with space available —
-    // allocate() skips the entry-file re-probe access() would pay.
-    OffchipResult off = hierarchy_->access(req, now);
-    mshr_.allocate(line, off.doneAt, destination);
+    // target.
+    const Cycle ready = issueMiss(req, line, now);
 
     bool filled = destination == BankId::Sram
                       ? fillSram(req, now, sram_probe)
                       : fillStt(req, now, stt_probe, stt_partition);
     if (!filled)
         fuse_panic("fill failed after structural checks passed");
-    return {L1DResult::Kind::Miss, off.doneAt};
+    return {L1DResult::Kind::Miss, ready};
 }
 
 L1DResult
 HybridL1D::access(const MemRequest &req, Cycle now)
 {
-    FUSE_PROF_COUNT(l1d_hybrid, accesses);
-    mshr_.retireReady(now);
+    mshr_->retireReady(now);
     // Re-issued (stalled) transactions are already latched in the LSU and
     // must not re-train the sampler — they would fabricate reuse.
-    if (config_.usePredictor && !req.retry)
+    if (usePredictor_ && !req.retry)
         predictor_.observe(req);
 
     const Addr line = req.line();
 
     // Plain Hybrid blocks the whole L1D while an STT-MRAM write is in
     // flight (§V: "any write on STT-MRAM will result in a long L1D stall").
-    if (!config_.nonBlocking && stt_.busy(now)) {
+    if (!nonBlocking_ && stt_.busy(now)) {
         // The whole L1D blocks until the in-flight MTJ write finishes.
         statStallStt_->add(stt_.busyUntil() - now);
         return {L1DResult::Kind::Stall, stt_.busyUntil()};
     }
 
-    if (MshrEntry *inflight = mshr_.find(line)) {
-        countMiss(req);
-        ++(*statMshrSecondary_);
-        return {L1DResult::Kind::Miss,
-                std::max(now + 1, inflight->readyAt)};
-    }
+    if (auto merged = mergeInFlight(req, line, now))
+        return *merged;
 
     // SRAM tag search runs in parallel with the STT side; an SRAM hit
     // terminates the STT search (arbitration, Fig. 9). This lookup is
@@ -450,7 +432,7 @@ HybridL1D::access(const MemRequest &req, Cycle now)
     }
 
     if (stt_line) {
-        if (config_.nonBlocking && stt_.busy(now)) {
+        if (nonBlocking_ && stt_.busy(now)) {
             // The tag queue keeps the pipeline moving: enqueue the read
             // and promise data once the bank frees (+ search + read).
             if (req.isWrite()) {
@@ -493,7 +475,7 @@ HybridL1D::tick(Cycle now)
     // Drain the tag queue head when the STT bank is free. Reads complete
     // by themselves (their ready time was promised at enqueue); migrations
     // perform the deferred array write and release the swap buffer.
-    if (!config_.nonBlocking)
+    if (!nonBlocking_)
         return;
     const TagQueueEntry *head = tagQueue_.front();
     if (!head)

@@ -18,10 +18,10 @@
 
 #include <memory>
 
-#include "cache/mshr.hh"
 #include "fuse/assoc_approx.hh"
 #include "fuse/cache_bank.hh"
 #include "fuse/l1d.hh"
+#include "fuse/l1d_factory.hh"
 #include "fuse/predictor.hh"
 #include "fuse/swap_buffer.hh"
 #include "fuse/tag_queue.hh"
@@ -29,34 +29,13 @@
 namespace fuse
 {
 
-/** Feature switches + geometry for the hybrid family. */
-struct HybridL1DConfig
-{
-    std::uint32_t sramBytes = 16 * 1024;   ///< Table I hybrid split.
-    std::uint32_t sramWays = 2;
-    std::uint32_t sttBytes = 64 * 1024;
-    std::uint32_t sttWays = 2;
-
-    bool nonBlocking = false;      ///< Swap buffer + tag queue (Base-FUSE+).
-    bool approxFullAssoc = false;  ///< Approximated full assoc. (FA-FUSE+).
-    bool usePredictor = false;     ///< Read-level placement (Dy-FUSE).
-
-    std::uint32_t mshrEntries = 32;
-    std::uint32_t tagQueueEntries = 16;   ///< Table I: request queue 16.
-    std::uint32_t swapBufferEntries = 3;  ///< Table I: 3 swap entries.
-
-    PredictorConfig predictor;
-    AssocApproxConfig approx;
-
-    /** The organisation these switches add up to. */
-    L1DKind kindOf() const;
-};
-
 /** The FUSE hybrid L1D cache controller. */
 class HybridL1D : public L1DCache
 {
   public:
-    HybridL1D(const HybridL1DConfig &config, MemoryHierarchy &hierarchy);
+    /** @p kind is Hybrid, BaseFuse, FaFuse or DyFuse. */
+    HybridL1D(L1DKind kind, const L1DParams &params,
+              MemoryHierarchy &hierarchy);
 
     L1DResult access(const MemRequest &req, Cycle now) override;
     void tick(Cycle now) override;
@@ -64,9 +43,13 @@ class HybridL1D : public L1DCache
     {
         // tick() only drains the tag queue; with nothing queued it is a
         // guaranteed no-op until the next access enqueues work.
-        return !config_.nonBlocking || tagQueue_.empty();
+        return !nonBlocking_ || tagQueue_.empty();
     }
-    L1DKind kind() const override { return config_.kindOf(); }
+    L1DKind kind() const override { return kind_; }
+    std::vector<const CacheBank *> banks() const override
+    {
+        return {&sram_, &stt_};
+    }
     const StatGroup *predictorStats() const override
     {
         return &predictor_.stats();
@@ -77,9 +60,6 @@ class HybridL1D : public L1DCache
     ReadLevelPredictor &predictor() { return predictor_; }
     SwapBuffer &swapBuffer() { return swapBuffer_; }
     AssocApprox *approx() { return approx_.get(); }
-    Mshr &mshr() { return mshr_; }
-
-    const HybridL1DConfig &config() const { return config_; }
 
   private:
     /**
@@ -112,7 +92,8 @@ class HybridL1D : public L1DCache
                  const TagArray::Probe &stt_probe,
                  std::uint32_t stt_partition);
 
-    /** Evict @p line out of the L1D (write-back to L2 if dirty). */
+    /** Evict @p line out of the L1D (scored by the predictor, written
+     *  back to L2 if dirty). */
     void evictToL2(const CacheLine &line, SmId sm, Cycle now);
 
     /** Record predictor accuracy for a block leaving the L1D. */
@@ -128,10 +109,16 @@ class HybridL1D : public L1DCache
      */
     void flushTagQueue(Cycle now);
 
-    HybridL1DConfig config_;
+    L1DKind kind_;
+    /** Swap buffer + tag queue (Base-FUSE onward); without them a busy
+     *  STT-MRAM write blocks the whole L1D. */
+    bool nonBlocking_;
+    /** Approximated fully-associative STT bank (FA-FUSE, Dy-FUSE). */
+    bool approxFullAssoc_;
+    /** Read-level predictor placement (Dy-FUSE). */
+    bool usePredictor_;
     CacheBank sram_;
     CacheBank stt_;
-    Mshr mshr_;
     TagQueue tagQueue_;
     SwapBuffer swapBuffer_;
     ReadLevelPredictor predictor_;

@@ -76,6 +76,19 @@ L1DCache::countBypass(const MemRequest &req)
     ++(*(req.isWrite() ? statWriteBypasses_ : statReadBypasses_));
 }
 
+void
+L1DCache::writeBack(const CacheLine &line, SmId sm, Cycle now)
+{
+    if (!line.dirty)
+        return;
+    MemRequest wb;
+    wb.addr = line.tag << kLineShift;
+    wb.smId = sm;
+    wb.type = AccessType::Write;
+    hierarchy_->writeback(wb, now);
+    ++(*statWritebacks_);
+}
+
 double
 L1DCache::missRate() const
 {

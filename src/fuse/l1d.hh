@@ -9,11 +9,15 @@
 #ifndef FUSE_FUSE_L1D_HH
 #define FUSE_FUSE_L1D_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cache/line.hh"
+#include "cache/mshr.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/hierarchy.hh"
@@ -21,6 +25,8 @@
 
 namespace fuse
 {
+
+class CacheBank;
 
 /** The seven evaluated L1D organisations plus the Oracle motivation config. */
 enum class L1DKind : std::uint8_t
@@ -61,10 +67,15 @@ struct L1DResult
  * Base class for all L1D organisations. Non-blocking by contract: access()
  * never blocks the caller; a Stall result tells the SM to retry next cycle
  * (and is what the paper counts as an L1D stall).
+ *
+ * Every organisation but the Oracle owns an MSHR file, and the miss
+ * protocol around it (secondary-miss merge, full stall, off-chip issue,
+ * dirty write-back) lives here once, as the protected helpers below.
  */
 class L1DCache
 {
   public:
+    /** An organisation without an MSHR file (the Oracle). */
     L1DCache(std::string name, MemoryHierarchy &hierarchy)
         : stats_(std::move(name)), hierarchy_(&hierarchy)
     {
@@ -80,6 +91,14 @@ class L1DCache
         statMshrSecondary_ = &stats_.scalar("mshr_secondary");
         statStallMshrFull_ = &stats_.scalar("stall_mshr_full");
         statWritebacks_ = &stats_.scalar("writebacks");
+    }
+
+    /** An organisation with an MSHR file of @p mshr_entries. */
+    L1DCache(std::string name, MemoryHierarchy &hierarchy,
+             std::uint32_t mshr_entries)
+        : L1DCache(std::move(name), hierarchy)
+    {
+        mshr_.emplace(mshr_entries, &stats_);
     }
     virtual ~L1DCache() = default;
 
@@ -104,9 +123,15 @@ class L1DCache
     virtual L1DKind kind() const = 0;
 
     /**
+     * The data banks, SRAM first (none for the Oracle). The energy model
+     * charges each by its device technology.
+     */
+    virtual std::vector<const CacheBank *> banks() const { return {}; }
+
+    /**
      * Stats of the read-level predictor, when this organisation has one
-     * whose accuracy the paper reports (Dy-FUSE family). Replaces the
-     * per-SM dynamic_cast the metrics extraction used to do per run.
+     * whose accuracy the paper reports (Dy-FUSE family), so metrics
+     * extraction needs no concrete organisation type.
      */
     virtual const StatGroup *predictorStats() const { return nullptr; }
 
@@ -122,14 +147,67 @@ class L1DCache
     void countMiss(const MemRequest &req);
     void countBypass(const MemRequest &req);
 
+    /**
+     * Secondary miss: a line with an in-flight fill must not be served
+     * from the tag array (the fill was applied eagerly; data arrives
+     * with the primary miss). Empty when nothing is in flight for it.
+     */
+    std::optional<L1DResult> mergeInFlight(const MemRequest &req, Addr line,
+                                           Cycle now)
+    {
+        const MshrEntry *inflight = mshr_->find(line);
+        if (!inflight)
+            return std::nullopt;
+        countMiss(req);
+        ++(*statMshrSecondary_);
+        return L1DResult{L1DResult::Kind::Miss,
+                         std::max(now + 1, inflight->readyAt)};
+    }
+
+    /**
+     * A stall while every MSHR entry is in flight, retried at the
+     * earliest fill. Checked before the off-chip request is issued, so a
+     * stalled access retries without double-booking network/DRAM
+     * bandwidth. Empty when an entry is free.
+     */
+    std::optional<L1DResult> mshrFullStall(Cycle now)
+    {
+        if (!mshr_->full())
+            return std::nullopt;
+        ++(*statStallMshrFull_);
+        return L1DResult{L1DResult::Kind::Stall,
+                         std::max(now + 1, mshr_->minReadyAt())};
+    }
+
+    /**
+     * Send a primary miss off chip and hold an MSHR entry until its data
+     * arrives; returns that cycle. Pre-condition: mergeInFlight() and
+     * mshrFullStall() both came back empty, which proves a fresh
+     * allocation. Write misses allocate too (write-back,
+     * write-allocate).
+     */
+    Cycle issueMiss(const MemRequest &req, Addr line, Cycle now)
+    {
+        countMiss(req);
+        const Cycle ready = hierarchy_->access(req, now).doneAt;
+        mshr_->allocate(line, ready);
+        return ready;
+    }
+
+    /** Serve a miss from L2 without allocating a line or an MSHR entry. */
+    L1DResult bypass(const MemRequest &req, Cycle now)
+    {
+        countBypass(req);
+        return {L1DResult::Kind::Miss, hierarchy_->access(req, now).doneAt};
+    }
+
+    /** Write @p line back to L2 if it leaves the L1D dirty. */
+    void writeBack(const CacheLine &line, SmId sm, Cycle now);
+
     StatGroup stats_;
     MemoryHierarchy *hierarchy_;
-
-    // Counters shared by every MSHR-bearing organisation, cached once at
-    // construction (see the StatGroup handle-stability contract).
-    StatGroup::Scalar *statMshrSecondary_;
-    StatGroup::Scalar *statStallMshrFull_;
-    StatGroup::Scalar *statWritebacks_;
+    /** The MSHR file (every organisation but the Oracle). */
+    std::optional<Mshr> mshr_;
 
   private:
     // Hot-path counters cached out of the string-keyed map.
@@ -142,6 +220,9 @@ class L1DCache
     StatGroup::Scalar *statBypasses_;
     StatGroup::Scalar *statReadBypasses_;
     StatGroup::Scalar *statWriteBypasses_;
+    StatGroup::Scalar *statMshrSecondary_;
+    StatGroup::Scalar *statStallMshrFull_;
+    StatGroup::Scalar *statWritebacks_;
 };
 
 } // namespace fuse

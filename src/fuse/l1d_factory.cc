@@ -4,7 +4,9 @@
 #include <cmath>
 
 #include "common/log.hh"
+#include "fuse/hybrid_l1d.hh"
 #include "fuse/oracle_l1d.hh"
+#include "fuse/single_bank_l1d.hh"
 
 namespace fuse
 {
@@ -43,51 +45,16 @@ std::unique_ptr<L1DCache>
 makeL1D(L1DKind kind, const L1DParams &params, MemoryHierarchy &hierarchy)
 {
     switch (kind) {
-      case L1DKind::L1Sram: {
-        SramL1DConfig c;
-        c.sizeBytes = params.areaBudgetBytes;
-        c.numWays = params.baselineWays;
-        c.fullyAssociative = false;
-        c.mshrEntries = params.mshrEntries;
-        return std::make_unique<SramL1D>(c, hierarchy);
-      }
-      case L1DKind::FaSram: {
-        SramL1DConfig c;
-        c.sizeBytes = params.areaBudgetBytes;
-        c.fullyAssociative = true;
-        c.mshrEntries = params.mshrEntries;
-        return std::make_unique<SramL1D>(c, hierarchy);
-      }
+      case L1DKind::L1Sram:
+      case L1DKind::FaSram:
       case L1DKind::ByNvm:
-      case L1DKind::PureNvm: {
-        NvmL1DConfig c;
-        c.sizeBytes = params.pureNvmBytes();
-        c.numWays = params.nvmWays;
-        c.bypassDeadWrites = (kind == L1DKind::ByNvm);
-        c.mshrEntries = params.mshrEntries;
-        c.predictor = params.predictor;
-        return std::make_unique<NvmBypassL1D>(c, hierarchy);
-      }
+      case L1DKind::PureNvm:
+        return std::make_unique<SingleBankL1D>(kind, params, hierarchy);
       case L1DKind::Hybrid:
       case L1DKind::BaseFuse:
       case L1DKind::FaFuse:
-      case L1DKind::DyFuse: {
-        HybridL1DConfig c;
-        c.sramBytes = params.hybridSramBytes();
-        c.sramWays = params.sramWays;
-        c.sttBytes = params.hybridSttBytes();
-        c.sttWays = params.sttWays;
-        c.nonBlocking = (kind != L1DKind::Hybrid);
-        c.approxFullAssoc =
-            (kind == L1DKind::FaFuse || kind == L1DKind::DyFuse);
-        c.usePredictor = (kind == L1DKind::DyFuse);
-        c.mshrEntries = params.mshrEntries;
-        c.tagQueueEntries = params.tagQueueEntries;
-        c.swapBufferEntries = params.swapBufferEntries;
-        c.predictor = params.predictor;
-        c.approx = params.approx;
-        return std::make_unique<HybridL1D>(c, hierarchy);
-      }
+      case L1DKind::DyFuse:
+        return std::make_unique<HybridL1D>(kind, params, hierarchy);
       case L1DKind::Oracle:
         return std::make_unique<OracleL1D>(hierarchy);
     }

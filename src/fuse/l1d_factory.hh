@@ -8,17 +8,17 @@
 
 #include <memory>
 
-#include "fuse/hybrid_l1d.hh"
+#include "fuse/assoc_approx.hh"
 #include "fuse/l1d.hh"
-#include "fuse/nvm_bypass_l1d.hh"
-#include "fuse/sram_l1d.hh"
+#include "fuse/predictor.hh"
 
 namespace fuse
 {
 
 /**
- * Everything needed to build any organisation. The per-kind constructors
- * read only the fields that apply to them; the defaults are Table I.
+ * Everything needed to build any organisation besides its kind. Each
+ * constructor reads only the fields that apply to its kind; the
+ * defaults are Table I.
  */
 struct L1DParams
 {
@@ -48,7 +48,8 @@ struct L1DParams
     std::uint32_t pureNvmBytes() const;
 };
 
-/** Build the organisation @p kind against @p hierarchy. */
+/** Build the organisation @p kind against @p hierarchy: the only switch
+ *  over kinds that picks a controller. */
 std::unique_ptr<L1DCache> makeL1D(L1DKind kind, const L1DParams &params,
                                   MemoryHierarchy &hierarchy);
 

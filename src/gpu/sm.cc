@@ -83,6 +83,7 @@ Sm::issueWarp(std::uint32_t w, Cycle now)
     req.type = instr.type;
     req.retry = warp.stalledTransaction;
 
+    FUSE_PROF_COUNT(l1d, accesses);
     L1DResult result = l1d_->access(req, now);
     l1dTickPending_ = true;
     if (result.kind == L1DResult::Kind::Stall) {

@@ -43,8 +43,7 @@ Simulator::run(const BenchmarkSpec &benchmark, L1DKind kind) const
 
     // Predictor accuracy (Fig. 16): summed across each SM's read-level
     // predictor through the predictorStats() hook — organisations
-    // without one report nullptr, so the metrics path needs no per-SM
-    // dynamic_cast.
+    // without one report nullptr.
     double pred_true = 0.0;
     double pred_false = 0.0;
     double pred_neutral = 0.0;

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "fuse/cache_bank.hh"
+#include "cache_reference.hh"
 
 namespace fuse
 {
@@ -15,7 +15,7 @@ namespace
 
 TEST(CacheBank, SramReadWriteAreOneCycle)
 {
-    CacheBank bank(makeSramBankConfig(16 * 1024, 2), "t");
+    ReferenceCacheBank bank(makeSramBankConfig(16 * 1024, 2), "t");
     Cycle done = 0;
     bank.fill(1, AccessType::Read, 0, &done);
     bank.access(1, AccessType::Read, 10, &done);
@@ -26,7 +26,7 @@ TEST(CacheBank, SramReadWriteAreOneCycle)
 
 TEST(CacheBank, SttWritePenaltyFiveCycles)
 {
-    CacheBank bank(makeSttBankConfig(64 * 1024, 2, false), "t");
+    ReferenceCacheBank bank(makeSttBankConfig(64 * 1024, 2, false), "t");
     Cycle done = 0;
     bank.fill(1, AccessType::Read, 0, &done, nullptr,
               CacheBank::Port::Demand);
@@ -39,7 +39,7 @@ TEST(CacheBank, SttWritePenaltyFiveCycles)
 
 TEST(CacheBank, DemandPortBusyWhileWriting)
 {
-    CacheBank bank(makeSttBankConfig(64 * 1024, 2, false), "t");
+    ReferenceCacheBank bank(makeSttBankConfig(64 * 1024, 2, false), "t");
     Cycle done = 0;
     bank.fill(1, AccessType::Read, 0, &done, nullptr,
               CacheBank::Port::Demand);
@@ -50,7 +50,7 @@ TEST(CacheBank, DemandPortBusyWhileWriting)
 
 TEST(CacheBank, FillPortDoesNotBlockDemandReads)
 {
-    CacheBank bank(makeSttBankConfig(64 * 1024, 2, false), "t");
+    ReferenceCacheBank bank(makeSttBankConfig(64 * 1024, 2, false), "t");
     Cycle done = 0;
     bank.fill(1, AccessType::Read, 0, &done);  // default: fill port
     EXPECT_TRUE(bank.fillBusy(2));
@@ -63,7 +63,7 @@ TEST(CacheBank, FillPortDoesNotBlockDemandReads)
 
 TEST(CacheBank, BackToBackWritesSerialise)
 {
-    CacheBank bank(makeSttBankConfig(64 * 1024, 2, false), "t");
+    ReferenceCacheBank bank(makeSttBankConfig(64 * 1024, 2, false), "t");
     Cycle done = 0;
     bank.fill(1, AccessType::Read, 0, &done, nullptr,
               CacheBank::Port::Demand);
@@ -74,7 +74,7 @@ TEST(CacheBank, BackToBackWritesSerialise)
 
 TEST(CacheBank, CountsReadsWritesAndFills)
 {
-    CacheBank bank(makeSramBankConfig(16 * 1024, 2), "t");
+    ReferenceCacheBank bank(makeSramBankConfig(16 * 1024, 2), "t");
     Cycle done = 0;
     bank.fill(1, AccessType::Read, 0, &done);
     bank.access(1, AccessType::Read, 1, &done);
@@ -86,7 +86,7 @@ TEST(CacheBank, CountsReadsWritesAndFills)
 
 TEST(CacheBank, FullyAssocSttGeometryMatchesTableI)
 {
-    CacheBank bank(makeSttBankConfig(64 * 1024, 2, true), "t");
+    ReferenceCacheBank bank(makeSttBankConfig(64 * 1024, 2, true), "t");
     // Table I FA/Dy-FUSE: STT set/assoc = 1/512.
     EXPECT_EQ(bank.tags().numSets(), 1u);
     EXPECT_EQ(bank.tags().numWays(), 512u);
@@ -94,13 +94,13 @@ TEST(CacheBank, FullyAssocSttGeometryMatchesTableI)
 
 TEST(CacheBank, SetAssocGeometryMatchesTableI)
 {
-    CacheBank stt(makeSttBankConfig(64 * 1024, 2, false), "t");
+    ReferenceCacheBank stt(makeSttBankConfig(64 * 1024, 2, false), "t");
     EXPECT_EQ(stt.tags().numSets(), 256u);
     EXPECT_EQ(stt.tags().numWays(), 2u);
-    CacheBank sram(makeSramBankConfig(16 * 1024, 2), "t");
+    ReferenceCacheBank sram(makeSramBankConfig(16 * 1024, 2), "t");
     EXPECT_EQ(sram.tags().numSets(), 64u);
     EXPECT_EQ(sram.tags().numWays(), 2u);
-    CacheBank baseline(makeSramBankConfig(32 * 1024, 4), "t");
+    ReferenceCacheBank baseline(makeSramBankConfig(32 * 1024, 4), "t");
     EXPECT_EQ(baseline.tags().numSets(), 64u);
     EXPECT_EQ(baseline.tags().numWays(), 4u);
 }
@@ -108,7 +108,7 @@ TEST(CacheBank, SetAssocGeometryMatchesTableI)
 TEST(CacheBank, EvictionReportedOnConflict)
 {
     BankConfig config = makeSramBankConfig(16 * 1024, 2);
-    CacheBank bank(config, "t");
+    ReferenceCacheBank bank(config, "t");
     const std::uint32_t sets = config.numSets;
     Cycle done = 0;
     // Three lines in the same set of a 2-way bank evict the oldest.

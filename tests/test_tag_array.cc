@@ -7,7 +7,7 @@
 
 #include <unordered_set>
 
-#include "cache/tag_array.hh"
+#include "cache_reference.hh"
 #include "common/rng.hh"
 
 namespace fuse
@@ -17,7 +17,7 @@ namespace
 
 TEST(TagArray, MissThenHitAfterFill)
 {
-    TagArray tags(4, 2, ReplPolicy::LRU);
+    ReferenceTagArray tags(4, 2, ReplPolicy::LRU);
     EXPECT_EQ(tags.probe(100, 1), nullptr);
     tags.fill(100, 1);
     EXPECT_NE(tags.probe(100, 2), nullptr);
@@ -25,7 +25,7 @@ TEST(TagArray, MissThenHitAfterFill)
 
 TEST(TagArray, FillReportsNoEvictionWhileSetHasRoom)
 {
-    TagArray tags(1, 4, ReplPolicy::LRU);
+    ReferenceTagArray tags(1, 4, ReplPolicy::LRU);
     for (Addr a = 0; a < 4; ++a)
         EXPECT_FALSE(tags.fill(a, a).has_value());
     EXPECT_EQ(tags.occupancy(), 4u);
@@ -33,7 +33,7 @@ TEST(TagArray, FillReportsNoEvictionWhileSetHasRoom)
 
 TEST(TagArray, FillEvictsWhenSetFull)
 {
-    TagArray tags(1, 2, ReplPolicy::LRU);
+    ReferenceTagArray tags(1, 2, ReplPolicy::LRU);
     tags.fill(1, 1);
     tags.fill(2, 2);
     auto ev = tags.fill(3, 3);
@@ -44,7 +44,7 @@ TEST(TagArray, FillEvictsWhenSetFull)
 
 TEST(TagArray, LruRespectsProbeRecency)
 {
-    TagArray tags(1, 2, ReplPolicy::LRU);
+    ReferenceTagArray tags(1, 2, ReplPolicy::LRU);
     tags.fill(1, 1);
     tags.fill(2, 2);
     tags.probe(1, 3);  // 1 becomes MRU
@@ -55,7 +55,7 @@ TEST(TagArray, LruRespectsProbeRecency)
 
 TEST(TagArray, SetIndexingSeparatesConflicts)
 {
-    TagArray tags(4, 1, ReplPolicy::LRU);
+    ReferenceTagArray tags(4, 1, ReplPolicy::LRU);
     // Lines 0..3 land in distinct sets; no evictions.
     for (Addr a = 0; a < 4; ++a)
         EXPECT_FALSE(tags.fill(a, a).has_value());
@@ -67,7 +67,7 @@ TEST(TagArray, SetIndexingSeparatesConflicts)
 
 TEST(TagArray, InvalidateRemovesLine)
 {
-    TagArray tags(2, 2, ReplPolicy::LRU);
+    ReferenceTagArray tags(2, 2, ReplPolicy::LRU);
     tags.fill(5, 1);
     auto removed = tags.invalidate(5);
     ASSERT_TRUE(removed.has_value());
@@ -78,7 +78,7 @@ TEST(TagArray, InvalidateRemovesLine)
 
 TEST(TagArray, RefillOfResidentLineIsNotAnEviction)
 {
-    TagArray tags(1, 2, ReplPolicy::LRU);
+    ReferenceTagArray tags(1, 2, ReplPolicy::LRU);
     tags.fill(7, 1);
     auto ev = tags.fill(7, 2);
     EXPECT_FALSE(ev.has_value());
@@ -87,7 +87,7 @@ TEST(TagArray, RefillOfResidentLineIsNotAnEviction)
 
 TEST(TagArray, DirtyMetadataSurvivesEviction)
 {
-    TagArray tags(1, 1, ReplPolicy::LRU);
+    ReferenceTagArray tags(1, 1, ReplPolicy::LRU);
     CacheLine *line = nullptr;
     tags.fill(9, 1, &line);
     ASSERT_NE(line, nullptr);
@@ -99,7 +99,7 @@ TEST(TagArray, DirtyMetadataSurvivesEviction)
 
 TEST(TagArray, ClearEmptiesEverything)
 {
-    TagArray tags(2, 2, ReplPolicy::LRU);
+    ReferenceTagArray tags(2, 2, ReplPolicy::LRU);
     for (Addr a = 0; a < 4; ++a)
         tags.fill(a, a);
     tags.clear();
@@ -108,7 +108,7 @@ TEST(TagArray, ClearEmptiesEverything)
 
 TEST(TagArray, FullyAssociativeUsesWholeCapacity)
 {
-    TagArray tags(1, 16, ReplPolicy::FIFO);
+    ReferenceTagArray tags(1, 16, ReplPolicy::FIFO);
     // Addresses with arbitrary values all fit (no set conflicts).
     for (Addr a = 1000; a < 1016; ++a)
         EXPECT_FALSE(tags.fill(a, a).has_value());
@@ -117,7 +117,7 @@ TEST(TagArray, FullyAssociativeUsesWholeCapacity)
 
 TEST(TagArray, ForEachValidVisitsExactlyResidentLines)
 {
-    TagArray tags(2, 2, ReplPolicy::LRU);
+    ReferenceTagArray tags(2, 2, ReplPolicy::LRU);
     tags.fill(1, 1);
     tags.fill(2, 2);
     tags.fill(3, 3);
@@ -130,7 +130,7 @@ TEST(TagArray, ForEachValidVisitsExactlyResidentLines)
  *  always hits, across a randomized workload. */
 TEST(TagArrayProperty, OccupancyBoundedAndFillVisible)
 {
-    TagArray tags(8, 4, ReplPolicy::LRU);
+    ReferenceTagArray tags(8, 4, ReplPolicy::LRU);
     Rng rng(3);
     for (Cycle t = 0; t < 10000; ++t) {
         Addr a = rng.below(256);
@@ -145,7 +145,7 @@ TEST(TagArrayProperty, OccupancyBoundedAndFillVisible)
 /** Property: a working set that fits never evicts once warm (LRU). */
 TEST(TagArrayProperty, FittingWorkingSetNeverEvictsWhenWarm)
 {
-    TagArray tags(4, 4, ReplPolicy::LRU);
+    ReferenceTagArray tags(4, 4, ReplPolicy::LRU);
     // 16-line working set == capacity.
     for (Addr a = 0; a < 16; ++a)
         tags.fill(a, a);
@@ -164,7 +164,7 @@ class TagArrayGeometry
 TEST_P(TagArrayGeometry, CapacityIsSetsTimesWays)
 {
     auto [sets, ways] = GetParam();
-    TagArray tags(sets, ways, ReplPolicy::LRU);
+    ReferenceTagArray tags(sets, ways, ReplPolicy::LRU);
     for (Addr a = 0; a < sets * ways; ++a)
         tags.fill(a * sets, a);  // same-set collisions by construction
     EXPECT_LE(tags.occupancy(), sets * ways);
