@@ -50,7 +50,7 @@ SingleBankL1D::SingleBankL1D(L1DKind kind, const L1DParams &params,
     if (kind == L1DKind::ByNvm)
         predictor_.emplace(params.predictor);
     if (sttKind(kind))
-        statStallSttBusy_ = &stats_.scalar("stall_stt_busy");
+        statStallStt_ = &stats_.scalar("stall_stt");
 }
 
 L1DResult
@@ -68,8 +68,8 @@ SingleBankL1D::access(const MemRequest &req, Cycle now)
 
     // The STT-MRAM bank blocks during MTJ writes: any access that arrives
     // while one is in flight stalls the L1D (no tag queue here).
-    if (statStallSttBusy_ && bank_.busy(now)) {
-        statStallSttBusy_->add(bank_.busyUntil() - now);
+    if (statStallStt_ && bank_.busy(now)) {
+        statStallStt_->add(bank_.busyUntil() - now);
         return {L1DResult::Kind::Stall, bank_.busyUntil()};
     }
 

@@ -189,10 +189,12 @@ TEST_F(L1DFixture, ByNvmWritePenaltyBlocksL1D)
     // A write hit occupies the MTJ array for 5 cycles...
     L1DResult w = l1d->access(write(1), now);
     EXPECT_EQ(w.kind, L1DResult::Kind::Hit);
-    // ...so an immediately following access stalls.
+    // ...so an immediately following access stalls, and the wait counts
+    // as an STT stall.
     L1DResult r = l1d->access(read(1), now + 1);
     EXPECT_EQ(r.kind, L1DResult::Kind::Stall);
     EXPECT_GE(r.readyAt, now + 5);
+    EXPECT_DOUBLE_EQ(l1d->stats().get("stall_stt"), 4.0);
 }
 
 TEST_F(L1DFixture, HybridBlocksWholeL1DDuringMigration)
