@@ -7,18 +7,6 @@
 namespace fuse
 {
 
-namespace
-{
-
-bool
-hybridKind(L1DKind kind)
-{
-    return kind == L1DKind::Hybrid || kind == L1DKind::BaseFuse
-           || kind == L1DKind::FaFuse || kind == L1DKind::DyFuse;
-}
-
-} // namespace
-
 HybridL1D::HybridL1D(L1DKind kind, const L1DParams &params,
                      MemoryHierarchy &hierarchy)
     : L1DCache("l1d.hybrid", hierarchy, params.mshrEntries),
@@ -35,8 +23,6 @@ HybridL1D::HybridL1D(L1DKind kind, const L1DParams &params,
       swapBuffer_(params.swapBufferEntries, &stats_),
       predictor_(params.predictor)
 {
-    if (!hybridKind(kind))
-        fuse_panic("%s is not a hybrid organisation", toString(kind));
     if (approxFullAssoc_) {
         approx_ = std::make_unique<AssocApprox>(params.approx,
                                                 stt_.tags().numLines());
