@@ -5,7 +5,7 @@
  * residency itself) and the MSHR's merge-or-allocate register and early
  * retire. No organisation calls them. test_probe_parity and
  * test_presence_parity check the production paths against them, and the
- * unit tests use them as a compact driver.
+ * unit tests use them to set up and inspect state in one call.
  */
 
 #ifndef FUSE_TESTS_CACHE_REFERENCE_HH
