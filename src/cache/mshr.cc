@@ -52,10 +52,8 @@ Mshr::retireReadySlow(Cycle now)
         const Addr line = ready_.front().lineAddr;
         popReady();
         const MshrEntry *entry = entries_.find(line);
-        if (entry && entry->readyAt <= now) {
-            FUSE_PROF_COUNT(mshr, retirements);
+        if (entry && entry->readyAt <= now)
             eraseEntry(line);
-        }
     }
     // Skim stale leftovers off the top so the cached minimum is the exact
     // minimum over in-flight entries (it feeds Full-stall retry times).

@@ -24,7 +24,6 @@
 #include "common/flat_map.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "prof/prof.hh"
 
 namespace fuse
 {
@@ -59,16 +58,12 @@ class Mshr
 
     /**
      * Look up an in-flight entry. The presence summary answers most
-     * absence-proving probes without touching the entry file: map
-     * consults = mshr/probes - mshr/filter_skips in the profile.
+     * absence-proving probes without touching the entry file.
      */
     MshrEntry *find(Addr line_addr)
     {
-        FUSE_PROF_COUNT(mshr, probes);
-        if (!presence_.mayContain(line_addr)) {
-            FUSE_PROF_COUNT(mshr, filter_skips);
+        if (!presence_.mayContain(line_addr))
             return nullptr;
-        }
         return entries_.find(line_addr);
     }
 

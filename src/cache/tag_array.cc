@@ -4,7 +4,6 @@
 
 #include "common/bitops.hh"
 #include "common/log.hh"
-#include "prof/prof.hh"
 
 namespace fuse
 {
@@ -77,7 +76,6 @@ TagArray::markFree(std::uint32_t set, std::uint32_t way)
 TagArray::Probe
 TagArray::lookup(Addr line_addr) const
 {
-    FUSE_PROF_COUNT(tag_array, lookups);
     Probe p;
     p.set = setIndex(line_addr);
     p.way = wayOf(line_addr, p.set);

@@ -163,9 +163,9 @@ class TagArray
     /** Per-set way map: tagMap_[set * numWays_ + w] mirrors way w's tag
      *  (kEmptyTag when invalid), so narrow-geometry lookups compare
      *  densely packed 8-byte tags instead of striding across CacheLine
-     *  records — the narrow-bank linear probes that used to show up in
-     *  the profile. Maintained for every geometry (stores are cheap);
-     *  wide arrays answer lookups from index_ instead. */
+     *  records, which made narrow-bank linear probes costly. Maintained
+     *  for every geometry (stores are cheap); wide arrays answer lookups
+     *  from index_ instead. */
     std::vector<Addr> tagMap_;
 
     /** line address -> way residency index; maintained by fill/invalidate/

@@ -339,35 +339,6 @@ metricValue(const Metrics &metrics, const std::string &name)
     fuse_fatal("unknown metric '%s'", name.c_str());
 }
 
-void
-writeProfileJson(std::ostream &os, const std::string &experiment,
-                 const prof::ProfileReport &report, std::size_t runs)
-{
-    os << "{\n";
-    os << "  \"experiment\": " << jsonString(experiment) << ",\n";
-    os << "  \"prof_enabled\": " << (prof::enabled() ? "true" : "false")
-       << ",\n";
-    os << "  \"profile\":\n";
-    os << "  {\n";
-    os << "    \"runs\": " << runs << ",\n";
-    os << "    \"sites\": [\n";
-    for (std::size_t i = 0; i < report.sites.size(); ++i) {
-        const prof::SiteSample &s = report.sites[i];
-        os << "      {\"component\": " << jsonString(s.component)
-           << ", \"name\": " << jsonString(s.name)
-           << ", \"count\": " << s.count;
-        if (runs > 0) {
-            os << ", \"count_per_run\": "
-               << static_cast<double>(s.count)
-                      / static_cast<double>(runs);
-        }
-        os << "}" << (i + 1 < report.sites.size() ? "," : "") << "\n";
-    }
-    os << "    ]\n";
-    os << "  }\n";
-    os << "}\n";
-}
-
 Metrics
 metricsFromFlat(const FlatRun &run)
 {

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "exp/result_set.hh"
-#include "prof/prof.hh"
 
 namespace fuse
 {
@@ -67,19 +66,6 @@ std::vector<FlatRun> readCsv(std::istream &is);
  *  name. */
 std::vector<FlatRun> readJson(std::istream &is,
                               std::string *experiment = nullptr);
-
-/**
- * Write a profiling attribution next to sweep results: a JSON document
- * naming the experiment and build configuration around the report's
- * site list, each site with its exact count and, when @p runs is
- * non-zero, a derived count_per_run that readers may ignore. This is
- * the committed format tools/ci/compare_profile.py reads. In a
- * FUSE_PROF=OFF build the document is still written — with
- * "prof_enabled": false and whatever (usually empty) sites exist — so
- * downstream tooling never has to special-case the default build.
- */
-void writeProfileJson(std::ostream &os, const std::string &experiment,
-                      const prof::ProfileReport &report, std::size_t runs);
 
 } // namespace fuse
 

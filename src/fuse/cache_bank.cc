@@ -79,14 +79,10 @@ CacheBank::fillAt(const TagArray::Probe &p, Addr line_addr, AccessType type,
         // A hit probe degenerates to a recency touch (no membership
         // change); a miss probe inserts line_addr and may displace the
         // victim — mirror both transitions exactly.
-        if (!p.hit()) {
+        if (!p.hit())
             presence_->insert(line_addr);
-            FUSE_PROF_COUNT(l1d_sram, filter_inserts);
-        }
-        if (eviction) {
+        if (eviction)
             presence_->remove(eviction->line.tag);
-            FUSE_PROF_COUNT(l1d_sram, filter_removes);
-        }
     }
     if (slot) {
         if (type == AccessType::Write) {

@@ -19,7 +19,6 @@
 #include "cache/tag_array.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "prof/prof.hh"
 
 namespace fuse
 {
@@ -78,22 +77,15 @@ class CacheBank
      * miss the tag search is skipped and the returned miss probe carries
      * only the set index — exactly what lookup() would have produced
      * (Probe::slot is valid only on a hit), so downstream behaviour and
-     * every output stay byte-identical. l1d_bank/demand_resolutions
-     * counts only actual tag consults; l1d_sram/filter_skips counts the
-     * elided ones.
+     * every output stay byte-identical.
      */
     TagArray::Probe lookup(Addr line_addr) const
     {
-        if (presence_) {
-            FUSE_PROF_COUNT(l1d_sram, lookups);
-            if (!presence_->mayContain(line_addr)) {
-                FUSE_PROF_COUNT(l1d_sram, filter_skips);
-                TagArray::Probe miss;
-                miss.set = tags_.setIndex(line_addr);
-                return miss;
-            }
+        if (presence_ && !presence_->mayContain(line_addr)) {
+            TagArray::Probe miss;
+            miss.set = tags_.setIndex(line_addr);
+            return miss;
         }
-        FUSE_PROF_COUNT(l1d_bank, demand_resolutions);
         return tags_.lookup(line_addr);
     }
 
@@ -128,7 +120,6 @@ class CacheBank
                                  Cycle *done, CacheLine **filled = nullptr,
                                  Port port = Port::Fill)
     {
-        FUSE_PROF_COUNT(l1d_bank, fill_resolutions);
         return fillAt(tags_.lookup(line_addr), line_addr, type, now, done,
                       filled, port);
     }
@@ -137,10 +128,8 @@ class CacheBank
     std::optional<CacheLine> invalidateAt(const TagArray::Probe &p)
     {
         std::optional<CacheLine> removed = tags_.invalidateAt(p);
-        if (presence_ && removed) {
+        if (presence_ && removed)
             presence_->remove(removed->tag);
-            FUSE_PROF_COUNT(l1d_sram, filter_removes);
-        }
         return removed;
     }
 

@@ -1,14 +1,11 @@
 #include "gpu/coalescer.hh"
 
-#include "prof/prof.hh"
-
 namespace fuse
 {
 
 void
 Coalescer::coalesceBatch(InstructionBatch &batch)
 {
-    FUSE_PROF_COUNT(coalescer, batches);
     // Stable dedupe of each memory instruction's span of the shared
     // buffer: lane l's line survives iff no earlier lane of the span
     // touched the same line. Lane counts are tiny (<= warp size), so the

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "prof/prof.hh"
 
 namespace fuse
 {
@@ -88,7 +87,6 @@ Gpu::run()
             // bulk.
             if (now > accounted[i] && !was_done)
                 sm.skipIdle(now - accounted[i]);
-            FUSE_PROF_COUNT(gpu, sm_ticks);
             sm.tick(now);
             accounted[i] = now + 1;
             const Cycle next = next_tick_of(sm, now);

@@ -22,7 +22,6 @@
 
 #include "common/bitops.hh"
 #include "common/types.hh"
-#include "prof/prof.hh"
 
 namespace fuse
 {
@@ -49,7 +48,6 @@ class WarpScheduler
      */
     void onWake(std::uint32_t warp, Cycle at)
     {
-        FUSE_PROF_COUNT(scheduler, wakes);
         wakeAt_[warp] = at;
         clearReady(warp);
         if (stagedValid_)
@@ -68,7 +66,6 @@ class WarpScheduler
     std::uint32_t
     pickReady(Cycle now, Cycle *min_ready)
     {
-        FUSE_PROF_COUNT(scheduler, picks);
         drainWakes(now);
 
         // Ring order: the warp after the last issued one first; the last

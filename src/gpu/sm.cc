@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "prof/prof.hh"
-
 namespace fuse
 {
 
@@ -47,9 +45,6 @@ Sm::issueWarp(std::uint32_t w, Cycle now)
                                    - instructionsIssued_);
             coalescer_.coalesceBatch(batch);
         }
-        // One count per begun instruction, independent of how far the
-        // batch frontend decodes ahead.
-        FUSE_PROF_COUNT(workload, instructions);
         warp.cur = batch.consumed++;
         warp.hasPending = true;
         const InstructionBatch::Decoded &popped = batch.instr[warp.cur];
@@ -83,7 +78,6 @@ Sm::issueWarp(std::uint32_t w, Cycle now)
     req.type = instr.type;
     req.retry = warp.stalledTransaction;
 
-    FUSE_PROF_COUNT(l1d, accesses);
     L1DResult result = l1d_->access(req, now);
     l1dTickPending_ = true;
     if (result.kind == L1DResult::Kind::Stall) {

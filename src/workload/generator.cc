@@ -206,9 +206,6 @@ KernelGenerator::nextBatch(WarpId warp, InstructionBatch &out,
         d.lanes = static_cast<std::uint16_t>(d.txEnd - d.txBegin);
         ++out.size;
     }
-    // workload/instructions is counted where instructions are consumed
-    // (the SM's batch pop), not here: counting decoded-ahead
-    // instructions over-reported the run-end tail.
 }
 
 } // namespace fuse

@@ -97,8 +97,8 @@ class KernelGenerator
     };
 
     /** Generate-equivalents per RNG-free cursor refill: large enough to
-     *  amortise the dispatch (the batch factor the profile tracks),
-     *  small enough that a queue is a few cache lines. */
+     *  amortise the dispatch, small enough that a queue is a few cache
+     *  lines. */
     static constexpr std::uint32_t kPrefetch = 64;
 
     /** Kinds whose cursors never consume warp RNG after their first

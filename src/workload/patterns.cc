@@ -1,7 +1,5 @@
 #include "workload/patterns.hh"
 
-#include "prof/prof.hh"
-
 namespace fuse
 {
 
@@ -89,7 +87,6 @@ PatternCursor::generateBatch(const StreamSpec &spec, Addr base, WarpId warp,
                              std::uint32_t instructions,
                              std::vector<Addr> &out)
 {
-    FUSE_PROF_COUNT(workload, batch_generate);
     const std::uint64_t footprint =
         spec.footprintLines ? spec.footprintLines : 1;
 

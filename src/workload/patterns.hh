@@ -125,9 +125,8 @@ class PatternCursor
      *  warp), so the slice bounds, bases, and stride residues are
      *  computed once and every subsequent address comes from an
      *  increment-and-conditionally-subtract — the integer divisions that
-     *  made address generation a fixture of the profile are gone from
-     *  the per-call path. Values are bit-exact with the original modular
-     *  arithmetic. */
+     *  made address generation costly are gone from the per-call path.
+     *  Values are bit-exact with the original modular arithmetic. */
     void initDerived(const StreamSpec &spec, WarpId warp,
                      std::uint32_t total_warps);
 

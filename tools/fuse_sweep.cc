@@ -5,8 +5,7 @@
  * (exp/figures.hh) as a declarative sweep, or runs a custom
  * ExperimentSpec file, fanning the (benchmark x variant x organisation)
  * grid across worker threads. Results can additionally be exported as
- * JSON or CSV, and a FUSE_PROF=ON build writes the sweep's exact
- * consult counts with --profile-out.
+ * JSON or CSV.
  *
  * Usage:
  *   fuse_sweep --list
@@ -40,7 +39,6 @@
 #include "exp/figures.hh"
 #include "exp/result_store.hh"
 #include "exp/sweep_runner.hh"
-#include "prof/prof.hh"
 #include "sim/report.hh"
 
 namespace
@@ -71,9 +69,6 @@ usage()
         "                    the rest and add them to it\n"
         "  --json FILE       export results as JSON ('-' = stdout)\n"
         "  --csv FILE        export results as CSV ('-' = stdout)\n"
-        "  --profile-out F   write the sweep's exact consult counts as\n"
-        "                    JSON ('-' = stdout; counts are non-zero\n"
-        "                    only in FUSE_PROF=ON builds)\n"
         "  --quiet           skip the rendered tables (exports only)\n"
         "  --keys            list the spec override keys\n");
 }
@@ -293,7 +288,6 @@ main(int argc, char **argv)
     std::string kinds;
     std::string json_path;
     std::string csv_path;
-    std::string profile_path;
     std::string store_dir;
     unsigned threads = 0;
     std::size_t shard_index = 0;
@@ -337,8 +331,6 @@ main(int argc, char **argv)
             csv_path = value();
         } else if (arg == "--store") {
             store_dir = value();
-        } else if (arg == "--profile-out") {
-            profile_path = value();
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--merge") {
@@ -360,12 +352,11 @@ main(int argc, char **argv)
         // Sweep flags have nothing to act on here; dropping them
         // silently would export a grid the caller did not ask for.
         if (!figure.empty() || shard_count > 1 || !store_dir.empty()
-            || !benchmarks.empty() || !kinds.empty()
-            || !profile_path.empty())
+            || !benchmarks.empty() || !kinds.empty())
             fuse_fatal("--merge takes shard files, not --figure/--shard/"
-                       "--store/--benchmarks/--kinds/--profile-out (the "
-                       "grid comes from the shards themselves, and a "
-                       "merge simulates nothing)");
+                       "--store/--benchmarks/--kinds (the grid comes from "
+                       "the shards themselves, and a merge simulates "
+                       "nothing)");
         fuse::ExperimentSpec grid;
         if (!spec_path.empty())
             grid = readSpec(spec_path);
@@ -440,38 +431,18 @@ main(int argc, char **argv)
                      run.variantLabel.c_str());
     });
 
-    if (!profile_path.empty() && !fuse::prof::enabled())
-        std::fprintf(stderr,
-                     "warning: --profile-out on a FUSE_PROF=OFF build — "
-                     "counts will be zero (rebuild with -DFUSE_PROF=ON)\n");
-    // Fingerprint first: its probe sweep is not part of the profile.
-    const std::uint64_t fingerprint =
-        store_dir.empty() ? 0 : fuse::binaryFingerprint();
-    const fuse::prof::ProfileReport prof_before = fuse::prof::snapshot();
-    fuse::StoreStats stored;
     fuse::ResultSet results;
     if (store_dir.empty()) {
         results = runner.run(spec, shard_index, shard_count);
     } else {
         const fuse::ResultStore store(store_dir);
-        results = fuse::runWithStore(runner, spec, store, fingerprint,
-                                     stored, shard_index, shard_count);
+        fuse::StoreStats stored;
+        results = fuse::runWithStore(runner, spec, store,
+                                     fuse::binaryFingerprint(), stored,
+                                     shard_index, shard_count);
         std::fprintf(stderr, "%s: %zu cells, %zu from store, %zu simulated\n",
                      spec.name.c_str(), stored.cells, stored.hits,
                      stored.simulated);
-    }
-
-    if (!profile_path.empty()) {
-        const fuse::prof::ProfileReport report =
-            fuse::prof::snapshot().diffSince(prof_before);
-        // Cells served from the store cost the profile nothing.
-        std::size_t simulated = 0;
-        for (const auto &run : results.runs())
-            simulated += run.valid;
-        simulated -= stored.hits;
-        writeTo(profile_path, [&](std::ostream &os) {
-            fuse::writeProfileJson(os, spec.name, report, simulated);
-        });
     }
 
     if (!quiet) {
