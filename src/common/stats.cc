@@ -22,12 +22,6 @@ StatGroup::get(const std::string &name) const
     return it == scalars_.end() ? 0.0 : it->second.value();
 }
 
-bool
-StatGroup::has(const std::string &name) const
-{
-    return scalars_.count(name) != 0;
-}
-
 const StatGroup::Average *
 StatGroup::findAverage(const std::string &name) const
 {
@@ -42,15 +36,6 @@ StatGroup::merge(const StatGroup &other)
         scalars_[name].merge(s);
     for (const auto &[name, a] : other.averages_)
         averages_[name].merge(a);
-}
-
-void
-StatGroup::reset()
-{
-    for (auto &[name, s] : scalars_)
-        s.reset();
-    for (auto &[name, a] : averages_)
-        a.reset();
 }
 
 void

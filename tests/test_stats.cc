@@ -39,27 +39,15 @@ TEST(StatHandles, CachedScalarObservesMerge)
     StatGroup a("a");
     StatGroup b("b");
     StatGroup::Scalar &cached = a.scalar("hits");
-    cached += 3.0;
-    b.scalar("hits") += 4.0;
+    cached.add(3);
+    b.scalar("hits").add(4);
     a.merge(b);
     // merge() adds in place: the cached handle sees the merged value.
     EXPECT_DOUBLE_EQ(cached.value(), 7.0);
     EXPECT_DOUBLE_EQ(a.get("hits"), 7.0);
 }
 
-TEST(StatHandles, CachedScalarObservesReset)
-{
-    StatGroup g("g");
-    StatGroup::Scalar &cached = g.scalar("count");
-    cached += 5.0;
-    g.reset();
-    EXPECT_DOUBLE_EQ(cached.value(), 0.0);
-    // The handle stays live: increments after reset land in the group.
-    ++cached;
-    EXPECT_DOUBLE_EQ(g.get("count"), 1.0);
-}
-
-TEST(StatHandles, CachedAverageObservesMergeAndReset)
+TEST(StatHandles, CachedAverageObservesMerge)
 {
     StatGroup a("a");
     StatGroup b("b");
@@ -69,8 +57,6 @@ TEST(StatHandles, CachedAverageObservesMergeAndReset)
     a.merge(b);
     EXPECT_DOUBLE_EQ(cached.mean(), 3.0);
     EXPECT_EQ(cached.count(), 2u);
-    a.reset();
-    EXPECT_EQ(cached.count(), 0u);
 }
 
 TEST(StatHandles, FindAverageIsConstSafe)
@@ -85,11 +71,10 @@ TEST(StatHandles, FindAverageIsConstSafe)
     EXPECT_EQ(cg.findAverage("absent"), nullptr);
 }
 
-// ------------------------------------------- Scalar integer fast path
+// ------------------------------------------------ Scalar integer lane
 //
-// These pin the two-lane semantics documented in stats.hh: increments
-// and integral adds take a u64 counter lane, non-integral values fall
-// back to a double lane, and value() is the lane sum.
+// These pin the u64 count documented in stats.hh: increments, bulk adds
+// and merges are exact, and value() converts the count once.
 
 TEST(ScalarIntegerLane, IncrementsAndBulkAddsAreExact)
 {
@@ -105,77 +90,29 @@ TEST(ScalarIntegerLane, IncrementsAndBulkAddsAreExact)
     // Two increments discriminate: the u64 lane reaches 2^53 + 2, whose
     // double conversion is exactly 9007199254740994.0, while an
     // all-double accumulator would still read 2^53.
-    s.reset();
-    s.add(std::uint64_t(1) << 53);
-    ++s;
-    ++s;
-    EXPECT_DOUBLE_EQ(s.value(), 9007199254740994.0);
+    StatGroup::Scalar big;
+    big.add(std::uint64_t(1) << 53);
+    ++big;
+    ++big;
+    EXPECT_DOUBLE_EQ(big.value(), 9007199254740994.0);
 }
 
-TEST(ScalarIntegerLane, IntegralDoubleAddsTakeTheFastLane)
+TEST(ScalarIntegerLane, MergeSemantics)
 {
-    StatGroup::Scalar s;
-    // The historical call-site idiom: += static_cast<double>(cycles).
-    s += 7.0;
-    s += 0.0;
-    s += 4294967296.0;  // 2^32, integral.
-    EXPECT_DOUBLE_EQ(s.value(), 7.0 + 4294967296.0);
-}
-
-TEST(ScalarIntegerLane, NonIntegralFallbackAndMixedSequences)
-{
-    StatGroup::Scalar s;
-    // Mixed integer/float history: each lane accumulates in arrival
-    // order and value() is their sum — for these magnitudes bit-equal
-    // to the historical interleaved double accumulation.
-    ++s;
-    s += 0.25;
-    s.add(2);
-    s += 0.5;
-    EXPECT_DOUBLE_EQ(s.value(), 3.75);
-
-    // Negative and non-finite-representable values must not corrupt the
-    // integer lane (they route to the fallback lane).
-    StatGroup::Scalar neg;
-    neg += -3.0;
-    neg += 5.0;
-    EXPECT_DOUBLE_EQ(neg.value(), 2.0);
-
-    StatGroup::Scalar huge;
-    huge += 1e300;  // Way past 2^64: fallback lane.
-    huge += 1.0;
-    EXPECT_DOUBLE_EQ(huge.value(), 1e300 + 1.0);
-}
-
-TEST(ScalarIntegerLane, SetResetAndMergeSemantics)
-{
-    StatGroup::Scalar s;
-    s.add(10);
-    s += 0.5;
-    s.set(3.0);  // set() overwrites both lanes.
-    EXPECT_DOUBLE_EQ(s.value(), 3.0);
-    ++s;         // Increments after set() accumulate on top.
-    EXPECT_DOUBLE_EQ(s.value(), 4.0);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-
-    // Group merge folds lane-wise: integer counts add exactly even when
-    // both sides carry fallback residue.
+    // Group merge adds the counts exactly.
     StatGroup a("a");
     StatGroup b("b");
     a.scalar("x").add(5);
-    a.scalar("x") += 0.25;
     b.scalar("x").add(7);
-    b.scalar("x") += 0.5;
     a.merge(b);
-    EXPECT_DOUBLE_EQ(a.get("x"), 12.75);
+    EXPECT_DOUBLE_EQ(a.get("x"), 12.0);
 }
 
 TEST(ScalarIntegerLane, FindAverageInterplayUnchanged)
 {
-    // Averages are a separate stat kind: the Scalar lanes must not leak
-    // into Average bookkeeping through merge()/reset(), and a group can
-    // carry both under the same name without cross-talk.
+    // Averages are a separate stat kind: the Scalar count must not leak
+    // into Average bookkeeping through merge(), and a group can carry
+    // both under the same name without cross-talk.
     StatGroup g("g");
     g.scalar("lat").add(100);
     g.average("lat").sample(4.0);
@@ -191,10 +128,6 @@ TEST(ScalarIntegerLane, FindAverageInterplayUnchanged)
     EXPECT_DOUBLE_EQ(g.get("lat"), 150.0);
     EXPECT_DOUBLE_EQ(g.findAverage("lat")->mean(), 8.0);
     EXPECT_EQ(g.findAverage("lat")->count(), 3u);
-
-    g.reset();
-    EXPECT_DOUBLE_EQ(g.get("lat"), 0.0);
-    EXPECT_DOUBLE_EQ(g.findAverage("lat")->mean(), 0.0);
 }
 
 // ----------------------------------------------------------- FlatAddrMap
