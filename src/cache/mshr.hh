@@ -87,19 +87,10 @@ class Mshr
     std::uint32_t capacity() const { return capacity_; }
     bool full() const { return entries_.size() >= capacity_; }
 
-    void clear()
-    {
-        entries_.clear();
-        presence_.clear();
-        ready_.clear();
-        // minReadyAt_ is deliberately left as-is: it is a lower bound, and
-        // the historical implementation kept it across clear() too.
-    }
-
   protected:
     /** Erase @p line_addr from the entry file and keep the presence
-     *  summary in lockstep (the only erase path besides clear()). Its
-     *  ready-queue record goes stale and is discarded when it surfaces. */
+     *  summary in lockstep (the only erase path). Its ready-queue record
+     *  goes stale and is discarded when it surfaces. */
     bool eraseEntry(Addr line_addr)
     {
         if (!entries_.erase(line_addr))
@@ -139,7 +130,7 @@ class Mshr
     FlatAddrMap<MshrEntry> entries_;
     /** Exact membership summary over entries_ (u16 counters: an MSHR
      *  file is tens of entries, far under the exact-mode bound), updated
-     *  by allocate()/eraseEntry()/clear() only. */
+     *  by allocate()/eraseEntry() only. */
     PresenceSummary presence_;
     /** Binary min-heap on readyAt over every live allocation (plus lazily
      *  discarded stale records). */

@@ -38,11 +38,4 @@ PresenceSummary::PresenceSummary(std::uint32_t max_members,
     counters_.assign(numSlots_, 0);
 }
 
-void
-PresenceSummary::clear()
-{
-    members_ = 0;
-    std::fill(counters_.begin(), counters_.end(), 0);
-}
-
 } // namespace fuse

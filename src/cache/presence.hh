@@ -100,9 +100,6 @@ class PresenceSummary
         }
     }
 
-    /** Forget everything (owner cleared the structure). */
-    void clear();
-
     std::uint32_t numSlots() const { return numSlots_; }
     std::uint32_t numHashes() const { return numHashes_; }
     std::uint32_t maxMembers() const { return maxMembers_; }

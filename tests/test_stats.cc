@@ -426,20 +426,5 @@ TEST(MshrReadyQueue, ReallocatedLineDoesNotResurrectStaleRecord)
     EXPECT_EQ(mshr.size(), 0u);
 }
 
-TEST(MshrReadyQueue, ClearDropsQueuedRecords)
-{
-    ReferenceMshr mshr(4);
-    mshr.access(0x100, 10);
-    mshr.access(0x200, 20);
-    mshr.clear();
-    EXPECT_EQ(mshr.size(), 0u);
-    // Records from before the clear must not retire post-clear entries.
-    mshr.access(0x300, 30);
-    mshr.retireReady(25);
-    ASSERT_NE(mshr.find(0x300), nullptr);
-    mshr.retireReady(30);
-    EXPECT_EQ(mshr.find(0x300), nullptr);
-}
-
 } // namespace
 } // namespace fuse
