@@ -8,8 +8,8 @@ namespace fuse
 {
 
 HybridL1D::HybridL1D(L1DKind kind, const L1DParams &params,
-                     MemoryHierarchy &hierarchy)
-    : L1DCache("l1d.hybrid", hierarchy, params.mshrEntries),
+                     MemoryHierarchy &hierarchy, SmId sm)
+    : L1DCache("l1d.hybrid", hierarchy, params.mshrEntries, sm),
       kind_(kind),
       nonBlocking_(kind != L1DKind::Hybrid),
       approxFullAssoc_(kind == L1DKind::FaFuse || kind == L1DKind::DyFuse),
@@ -42,10 +42,10 @@ HybridL1D::HybridL1D(L1DKind kind, const L1DParams &params,
 }
 
 void
-HybridL1D::evictToL2(const CacheLine &line, SmId sm, Cycle now)
+HybridL1D::evictToL2(const CacheLine &line, Cycle now)
 {
     recordLineOutcome(line);
-    writeBack(line, sm, now);
+    writeBack(line, now);
 }
 
 void
@@ -57,7 +57,7 @@ HybridL1D::recordLineOutcome(const CacheLine &line)
 }
 
 bool
-HybridL1D::migrateToStt(const CacheLine &victim, SmId sm, Cycle now)
+HybridL1D::migrateToStt(const CacheLine &victim, Cycle now)
 {
     if (!nonBlocking_) {
         // Plain Hybrid: the migration is a synchronous STT-MRAM write on
@@ -80,7 +80,7 @@ HybridL1D::migrateToStt(const CacheLine &victim, SmId sm, Cycle now)
         if (stt_evicted) {
             if (approx_)
                 approx_->remove(stt_evicted->line.tag);
-            evictToL2(stt_evicted->line, sm, now);
+            evictToL2(stt_evicted->line, now);
         }
         ++(*statMigrationsSramToStt_);
         return true;
@@ -165,8 +165,8 @@ HybridL1D::sttHit(const MemRequest &req, Cycle now,
             }
             filled->dirty = true;
         }
-        if (victim && !migrateToStt(victim->line, req.smId, now))
-            evictToL2(victim->line, req.smId, now);
+        if (victim && !migrateToStt(victim->line, now))
+            evictToL2(victim->line, now);
         ++(*statMigrationsSttToSram_);
         countHit(req);
         return {L1DResult::Kind::Hit, done + 1};
@@ -205,15 +205,15 @@ HybridL1D::fillSram(const MemRequest &req, Cycle now,
     if (usePredictor_
         && victim->line.hasPrediction
         && victim->line.predictedLevel == ReadLevel::WORO) {
-        evictToL2(victim->line, req.smId, now);
+        evictToL2(victim->line, now);
         ++(*statWoroEvictions_);
         return true;
     }
-    if (!migrateToStt(victim->line, req.smId, now)) {
+    if (!migrateToStt(victim->line, now)) {
         // Swap buffer / tag queue full despite the pre-check (possible
         // when the same access triggered multiple evictions): drop the
         // victim to L2 rather than lose the fill.
-        evictToL2(victim->line, req.smId, now);
+        evictToL2(victim->line, now);
         ++(*statMigrationFallback_);
     }
     return true;
@@ -250,7 +250,7 @@ HybridL1D::fillStt(const MemRequest &req, Cycle now,
     if (victim) {
         if (approx_)
             approx_->remove(victim->line.tag);
-        evictToL2(victim->line, req.smId, now);
+        evictToL2(victim->line, now);
     }
     return true;
 }
@@ -496,7 +496,7 @@ HybridL1D::tick(Cycle now)
         if (stt_evicted) {
             if (approx_)
                 approx_->remove(stt_evicted->line.tag);
-            evictToL2(stt_evicted->line, /*sm=*/0, now);
+            evictToL2(stt_evicted->line, now);
         }
         ++(*statMigrationsDrained_);
         break;

@@ -33,9 +33,9 @@ namespace fuse
 class HybridL1D : public L1DCache
 {
   public:
-    /** @p kind is Hybrid, BaseFuse, FaFuse or DyFuse. */
+    /** @p kind is Hybrid, BaseFuse, FaFuse or DyFuse; @p sm owns it. */
     HybridL1D(L1DKind kind, const L1DParams &params,
-              MemoryHierarchy &hierarchy);
+              MemoryHierarchy &hierarchy, SmId sm = 0);
 
     L1DResult access(const MemRequest &req, Cycle now) override;
     void tick(Cycle now) override;
@@ -94,13 +94,13 @@ class HybridL1D : public L1DCache
 
     /** Evict @p line out of the L1D (scored by the predictor, written
      *  back to L2 if dirty). */
-    void evictToL2(const CacheLine &line, SmId sm, Cycle now);
+    void evictToL2(const CacheLine &line, Cycle now);
 
     /** Record predictor accuracy for a block leaving the L1D. */
     void recordLineOutcome(const CacheLine &line);
 
     /** Migrate an SRAM victim towards the STT bank (swap buffer path). */
-    bool migrateToStt(const CacheLine &victim, SmId sm, Cycle now);
+    bool migrateToStt(const CacheLine &victim, Cycle now);
 
     /**
      * Flush the tag queue for a payload write, then re-queue a Migrate

@@ -77,13 +77,13 @@ L1DCache::countBypass(const MemRequest &req)
 }
 
 void
-L1DCache::writeBack(const CacheLine &line, SmId sm, Cycle now)
+L1DCache::writeBack(const CacheLine &line, Cycle now)
 {
     if (!line.dirty)
         return;
     MemRequest wb;
     wb.addr = line.tag << kLineShift;
-    wb.smId = sm;
+    wb.smId = sm_;
     wb.type = AccessType::Write;
     hierarchy_->writeback(wb, now);
     ++(*statWritebacks_);

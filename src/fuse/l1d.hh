@@ -93,12 +93,14 @@ class L1DCache
         statWritebacks_ = &stats_.scalar("writebacks");
     }
 
-    /** An organisation with an MSHR file of @p mshr_entries. */
+    /** An organisation with an MSHR file of @p mshr_entries, in SM
+     *  @p sm (whose NoC port its write-backs take). */
     L1DCache(std::string name, MemoryHierarchy &hierarchy,
-             std::uint32_t mshr_entries)
+             std::uint32_t mshr_entries, SmId sm)
         : L1DCache(std::move(name), hierarchy)
     {
         mshr_.emplace(mshr_entries, &stats_);
+        sm_ = sm;
     }
     virtual ~L1DCache() = default;
 
@@ -201,8 +203,9 @@ class L1DCache
         return {L1DResult::Kind::Miss, hierarchy_->access(req, now).doneAt};
     }
 
-    /** Write @p line back to L2 if it leaves the L1D dirty. */
-    void writeBack(const CacheLine &line, SmId sm, Cycle now);
+    /** Write @p line back to L2, through the owning SM's NoC port, if it
+     *  leaves the L1D dirty. */
+    void writeBack(const CacheLine &line, Cycle now);
 
     StatGroup stats_;
     MemoryHierarchy *hierarchy_;
@@ -210,6 +213,8 @@ class L1DCache
     std::optional<Mshr> mshr_;
 
   private:
+    /** The SM this L1D belongs to. */
+    SmId sm_ = 0;
     // Hot-path counters cached out of the string-keyed map.
     StatGroup::Scalar *statHits_;
     StatGroup::Scalar *statReadHits_;

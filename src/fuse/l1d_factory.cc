@@ -42,19 +42,20 @@ L1DParams::pureNvmBytes() const
 }
 
 std::unique_ptr<L1DCache>
-makeL1D(L1DKind kind, const L1DParams &params, MemoryHierarchy &hierarchy)
+makeL1D(L1DKind kind, const L1DParams &params, MemoryHierarchy &hierarchy,
+        SmId sm)
 {
     switch (kind) {
       case L1DKind::L1Sram:
       case L1DKind::FaSram:
       case L1DKind::ByNvm:
       case L1DKind::PureNvm:
-        return std::make_unique<SingleBankL1D>(kind, params, hierarchy);
+        return std::make_unique<SingleBankL1D>(kind, params, hierarchy, sm);
       case L1DKind::Hybrid:
       case L1DKind::BaseFuse:
       case L1DKind::FaFuse:
       case L1DKind::DyFuse:
-        return std::make_unique<HybridL1D>(kind, params, hierarchy);
+        return std::make_unique<HybridL1D>(kind, params, hierarchy, sm);
       case L1DKind::Oracle:
         return std::make_unique<OracleL1D>(hierarchy);
     }

@@ -48,10 +48,10 @@ struct L1DParams
     std::uint32_t pureNvmBytes() const;
 };
 
-/** Build the organisation @p kind against @p hierarchy: the only switch
- *  over kinds that picks a controller. */
+/** Build the organisation @p kind of SM @p sm against @p hierarchy: the
+ *  only switch over kinds that picks a controller. */
 std::unique_ptr<L1DCache> makeL1D(L1DKind kind, const L1DParams &params,
-                                  MemoryHierarchy &hierarchy);
+                                  MemoryHierarchy &hierarchy, SmId sm = 0);
 
 } // namespace fuse
 

@@ -40,9 +40,9 @@ bankConfigOf(L1DKind kind, const L1DParams &params)
 } // namespace
 
 SingleBankL1D::SingleBankL1D(L1DKind kind, const L1DParams &params,
-                             MemoryHierarchy &hierarchy)
+                             MemoryHierarchy &hierarchy, SmId sm)
     : L1DCache(sttKind(kind) ? "l1d.nvm" : "l1d.sram", hierarchy,
-               params.mshrEntries),
+               params.mshrEntries, sm),
       kind_(kind),
       bank_(bankConfigOf(kind, params),
             sttKind(kind) ? "l1d.nvm.bank" : "l1d.sram.bank")
@@ -99,7 +99,7 @@ SingleBankL1D::access(const MemRequest &req, Cycle now)
     // it arrives.
     auto eviction = bank_.fillAt(probe, line, req.type, now, nullptr);
     if (eviction)
-        writeBack(eviction->line, req.smId, now);
+        writeBack(eviction->line, now);
     return {L1DResult::Kind::Miss, ready};
 }
 

@@ -31,9 +31,9 @@ namespace fuse
 class SingleBankL1D : public L1DCache
 {
   public:
-    /** @p kind is L1Sram, FaSram, ByNvm or PureNvm. */
+    /** @p kind is L1Sram, FaSram, ByNvm or PureNvm; @p sm owns it. */
     SingleBankL1D(L1DKind kind, const L1DParams &params,
-                  MemoryHierarchy &hierarchy);
+                  MemoryHierarchy &hierarchy, SmId sm = 0);
 
     L1DResult access(const MemRequest &req, Cycle now) override;
     L1DKind kind() const override { return kind_; }

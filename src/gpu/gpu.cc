@@ -24,7 +24,7 @@ Gpu::Gpu(const GpuConfig &config, L1DKind l1d_kind, const L1DParams &l1d,
         auto kernel = std::make_unique<KernelGenerator>(
             benchmark, s, config.numSms, config.warpsPerSm,
             config.traceSeed);
-        auto l1d_cache = makeL1D(l1d_kind, l1d, *hierarchy_);
+        auto l1d_cache = makeL1D(l1d_kind, l1d, *hierarchy_, s);
         sms_.push_back(std::make_unique<Sm>(s, sm_config,
                                             std::move(l1d_cache),
                                             std::move(kernel)));

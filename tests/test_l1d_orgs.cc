@@ -250,6 +250,48 @@ TEST_F(L1DFixture, BaseFuseDrainsMigrationToStt)
     EXPECT_TRUE(l1d.swapBuffer().empty());
 }
 
+TEST_F(L1DFixture, BaseFuseDrainWritesBackThroughOwningSm)
+{
+    // An L1D belongs to one SM: the dirty STT victim of a tag-queue drain
+    // must leave through that SM's NoC port and delay no other SM.
+    const SmId owner = 1;
+    HybridL1D l1d(L1DKind::BaseFuse, L1DParams{}, hierarchy_, owner);
+    const auto own = [&](MemRequest r) {
+        r.smId = owner;
+        return r;
+    };
+    // Lines 0, 256, 512, 768 and 1024 share SRAM set 0 (64 sets) and STT
+    // set 0 (256 sets). Each fill after the second evicts the SRAM LRU
+    // line into the STT set; the third migration (line 512) finds the
+    // set holding 0 and 256 and evicts dirty line 0 to L2.
+    Cycle now = 0;
+    drive(l1d, own(write(0)), now);
+    for (Addr line : {256, 512, 768}) {
+        now += 2000;
+        drive(l1d, own(read(line)), now);
+        for (int i = 0; i < 50; ++i)
+            l1d.tick(now + i);
+    }
+    ASSERT_DOUBLE_EQ(l1d.stats().get("writebacks"), 0.0);
+    now += 2000;
+    drive(l1d, own(read(1024)), now);
+    Cycle drained = now;
+    for (; drained < now + 50; ++drained) {
+        l1d.tick(drained);
+        if (l1d.stats().get("writebacks") > 0.0)
+            break;
+    }
+    ASSERT_DOUBLE_EQ(l1d.stats().get("writebacks"), 1.0);
+
+    // SM 0 misses on line 1 (L2 bank 1, DRAM channel 1, both untouched)
+    // in the drain's cycle: its round trip is the unloaded one.
+    MemRequest probe = read(1);
+    probe.smId = 0;
+    MemoryHierarchy unloaded(NocConfig{}, L2Config{}, DramConfig{});
+    EXPECT_EQ(hierarchy_.access(probe, drained).doneAt,
+              unloaded.access(probe, drained).doneAt);
+}
+
 TEST_F(L1DFixture, FaFuseHoldsConflictStorm)
 {
     HybridL1D l1d(L1DKind::FaFuse, L1DParams{}, hierarchy_);
