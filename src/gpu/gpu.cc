@@ -35,101 +35,68 @@ Cycle
 Gpu::run()
 {
     // Next-event clock. Instead of lock-step ticking every SM every
-    // cycle, each SM carries the next cycle it must observe: the next
-    // cycle outright while it is executing or its L1D has deferred work
-    // (tag-queue drains run per cycle), its wake-up bound while every
-    // warp sleeps, and never once it is done. The clock jumps straight
-    // to the earliest such event; the cycles an SM was skipped over are
-    // exactly the cycles its tick would have taken the all-warps-asleep
-    // path (one idle + one mem-wait increment, no other state change),
-    // so they are credited in bulk through skipIdle() just before its
-    // next real tick. Memory-bound phases spend most of their cycles
-    // asleep, which makes this the difference between simulating stalls
-    // and merely counting them — and unlike the old all-SMs-asleep
-    // fast-forward, one busy SM no longer forces per-cycle ticks on the
-    // fourteen sleeping ones.
+    // cycle, each SM carries the next cycle the clock must tick it at.
+    // After each tick the SM runs on by itself (Sm::tickPrivate) through
+    // the cycles that touch nothing outside it — compute issues, and
+    // sleeping until a warp wakes — and hands back the first cycle that
+    // does touch the memory system: a memory transaction, or deferred
+    // L1D work (tag-queue drains run per cycle). Only those cycles are
+    // ordered here, SMs in index order at each, which preserves the
+    // shared memory hierarchy's arbitration order under lock-step
+    // ticking. The clock jumps straight to the earliest one.
     constexpr Cycle kNever = ~Cycle(0);
     cycles_ = 0;
     const std::size_t n = sms_.size();
     if (n == 0)
         return 0;
-    // next_tick[i]: first cycle SM i must be ticked at. accounted[i]:
-    // cycles below this are already reflected in SM i's stats (ticked,
-    // or credited through skipIdle).
+    const Cycle cap = config_.maxCycles;
+    // next_tick[i]: the next cycle the clock ticks SM i at.
     std::vector<Cycle> next_tick(n, 0);
-    std::vector<Cycle> accounted(n, 0);
-    auto next_tick_of = [&](const Sm &sm, Cycle now) -> Cycle {
-        if (!sm.l1d().tickIdle())
-            return now + 1;   // Deferred L1D work runs cycle by cycle.
-        if (sm.done())
-            return kNever;
-        return std::max(now + 1, sm.sleepUntil());
-    };
 
     std::size_t done_count = 0;
     for (const auto &sm : sms_)
         done_count += sm->done();
+    // The cycle the last SM retired its budget at; a run whose SMs are
+    // all done before cycle 0 still ticks once.
+    Cycle last_done = 0;
 
     Cycle now = 0;
-    while (now < config_.maxCycles) {
-        // Tick the SMs due at `now` in index order, preserving the
-        // shared memory hierarchy's arbitration order under lock-step
-        // ticking.
-        bool dense = false;
+    while (now < cap) {
+        Cycle next_now = kNever;
         for (std::size_t i = 0; i < n; ++i) {
-            if (next_tick[i] > now)
-                continue;
-            Sm &sm = *sms_[i];
-            const bool was_done = sm.done();
-            // The skipped cycles are exactly the ones whose tick would
-            // have taken the all-warps-asleep path (one idle + one
-            // mem-wait increment, no other state change): credit them in
-            // bulk.
-            if (now > accounted[i] && !was_done)
-                sm.skipIdle(now - accounted[i]);
-            sm.tick(now);
-            accounted[i] = now + 1;
-            const Cycle next = next_tick_of(sm, now);
-            next_tick[i] = next;
-            dense |= next == now + 1;
-            if (!was_done && sm.done())
-                ++done_count;
-        }
-        cycles_ = now + 1;
-        if (done_count == n)
-            break;
-        // Dense fast path: an SM that just executed is almost always due
-        // again next cycle, and no bound can be below now + 1 — skip the
-        // min reduction outright. The reduction runs only when the GPU
-        // actually goes quiet, where its cost is amortised over the
-        // whole skipped idle window.
-        if (dense) {
-            ++now;
-            continue;
-        }
-        Cycle next_now = next_tick[0];
-        for (std::size_t i = 1; i < n; ++i)
+            if (next_tick[i] == now) {
+                Sm &sm = *sms_[i];
+                const bool was_done = sm.done();
+                sm.tick(now);
+                Cycle next = sm.tickPrivate(now + 1, cap);
+                if (sm.done()) {
+                    // tickPrivate stops on the cycle after the SM's last
+                    // issue, wherever that issue ran.
+                    if (!was_done) {
+                        ++done_count;
+                        last_done = std::max(last_done, next - 1);
+                    }
+                    if (sm.l1d().tickIdle())
+                        next = kNever;
+                }
+                next_tick[i] = next;
+            }
             next_now = std::min(next_now, next_tick[i]);
-        if (next_now == kNever)
+        }
+        // Once every SM is done, only the L1D work of the cycles up to
+        // the last SM's finish remains.
+        if (done_count == n && next_now > last_done)
             break;
         now = next_now;
     }
+    cycles_ = done_count == n ? last_done + 1 : cap;
 
-    if (now >= config_.maxCycles) {
-        // The next event lies past the safety cap: account the idle
-        // window up to the cap and stop there.
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!sms_[i]->done() && config_.maxCycles > accounted[i])
-                sms_[i]->skipIdle(config_.maxCycles - accounted[i]);
-        }
-        cycles_ = config_.maxCycles;
-    }
-    if (cycles_ >= config_.maxCycles)
+    if (cycles_ >= cap)
         fuse_warn("simulation hit the %llu-cycle safety cap",
-                  static_cast<unsigned long long>(config_.maxCycles));
-    // Warps holding a partially issued instruction still carry batched
-    // transaction counts; drain them so stats are exact for every reader
-    // downstream of run().
+                  static_cast<unsigned long long>(cap));
+    // Compute issues and warps holding a partially issued instruction
+    // still carry batched counts; drain them so stats are exact for
+    // every reader downstream of run().
     for (const auto &sm : sms_)
         sm->flushIssueStats();
     return cycles_;

@@ -44,8 +44,9 @@ class Gpu
 
     /**
      * Run to completion on the next-event clock (SMs ticked in index
-     * order at each due cycle, idle windows credited in bulk); returns
-     * total cycles elapsed, capped at config.maxCycles.
+     * order at each cycle one of them touches the memory system, each
+     * running through its other cycles on its own); returns total
+     * cycles elapsed, capped at config.maxCycles.
      */
     Cycle run();
 

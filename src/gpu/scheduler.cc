@@ -4,36 +4,44 @@ namespace fuse
 {
 
 WarpScheduler::WarpScheduler(std::uint32_t num_warps)
-    : numWarps_(num_warps),
-      readyBits_((num_warps + 63) / 64), wakeAt_(num_warps, 0)
+    : numWarps_(num_warps), readyBits_((num_warps + 63) / 64),
+      sleepBits_((num_warps + 63) / 64), wakeAt_(num_warps, 0)
 {
     // All warps start issue-eligible at cycle 0.
     for (std::uint32_t w = 0; w < num_warps; ++w)
-        setReady(w);
-    while ((1u << warpBits_) < num_warps)
-        ++warpBits_;
-    heap_.reserve(num_warps);
+        set(readyBits_, w);
+}
+
+void
+WarpScheduler::wakeSleepers(Cycle now)
+{
+    // Out of line so the inlined pick stays small; reached once per wake
+    // cycle, not once per woken warp.
+    Cycle next = kNever;
+    for (std::size_t i = 0; i < sleepBits_.size(); ++i) {
+        for (std::uint64_t word = sleepBits_[i]; word; word &= word - 1) {
+            const std::uint32_t bit = countTrailingZeros(word);
+            const Cycle at = wakeAt_[i * 64 + bit];
+            if (at <= now) {
+                sleepBits_[i] &= ~(std::uint64_t(1) << bit);
+                readyBits_[i] |= std::uint64_t(1) << bit;
+            } else {
+                next = std::min(next, at);
+            }
+        }
+    }
+    nextWake_ = next;
 }
 
 Cycle
-WarpScheduler::minPendingWake()
+WarpScheduler::earliestWake() const
 {
-    // Only reached when the SM is about to go to sleep — out of line so
-    // the inlined pick stays small.
-    for (;;) {
-        if (heap_.empty())
-            break;
-        const Wake top = unpack(heap_.front());
-        if (wakeAt_[top.warp] == top.at)
-            break;
-        std::pop_heap(heap_.begin(), heap_.end(),
-                      std::greater<std::uint64_t>());
-        heap_.pop_back();
+    Cycle next = kNever;
+    for (std::size_t i = 0; i < sleepBits_.size(); ++i) {
+        for (std::uint64_t word = sleepBits_[i]; word; word &= word - 1)
+            next = std::min(next, wakeAt_[i * 64 + countTrailingZeros(word)]);
     }
-    Cycle min_r = heap_.empty() ? kNever : unpack(heap_.front()).at;
-    if (stagedValid_ && wakeAt_[staged_.warp] == staged_.at)
-        min_r = std::min(min_r, staged_.at);
-    return min_r;
+    return next;
 }
 
 } // namespace fuse

@@ -3,13 +3,17 @@
  * The warp scheduler: GPGPU-Sim's "loose round robin" default, the one
  * the paper evaluates with. It picks which ready warp issues each cycle.
  *
- * The scheduler is event-driven: the SM pushes a wake event (onWake)
- * whenever a warp issues or blocks, and pickReady() answers from a ready
- * bitmap plus a sleeping-warp min-heap in O(1) amortised, instead of
- * re-scanning every warp's ready time each cycle. Pick order is bit-exact
- * with the historical readiness scan (the scan survives as the reference
- * model in tests/test_scheduler_parity.cc). The whole hot path lives in
- * this header so the SM's per-cycle calls inline.
+ * The scheduler is event-driven: the SM reports each wake time it sets
+ * (onWake), and pickReady() answers from a ready bitmap instead of
+ * re-scanning every warp's ready time each cycle. Every warp is either
+ * ready or asleep. Sleepers sit in a second bitmap under one exact
+ * earliest wake time, and the first pick at or after it wakes every
+ * sleeper that is due in one scan, however many share the cycle (MSHR-
+ * full retries wake in herds). A warp that issued and can issue again
+ * next cycle keeps its ready bit, so the dominant wake costs nothing.
+ * Pick order is bit-exact with the historical readiness scan (the scan
+ * survives as the reference model in tests/test_scheduler_parity.cc).
+ * The pick lives in this header so the SM's per-cycle calls inline.
  */
 
 #ifndef FUSE_GPU_SCHEDULER_HH
@@ -17,7 +21,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -30,10 +33,11 @@ namespace fuse
  * Selects the next warp to issue among the ready set, in round-robin
  * order.
  *
- * Usage: the SM reports every change of a warp's ready time as an event
- * (onWake) and asks pickReady(now) for the issue choice. Warps start
- * ready at cycle 0, matching an SM whose warps can all issue on the
- * first cycle.
+ * Usage: the SM puts a warp to sleep until the cycle it can issue again
+ * (onWake), marks each issue (issued), and asks pickReady(now) for the
+ * issue choice once per cycle, at increasing cycles. Warps start ready
+ * at cycle 0, matching an SM whose warps can all issue on the first
+ * cycle.
  */
 class WarpScheduler
 {
@@ -42,31 +46,35 @@ class WarpScheduler
 
     /**
      * Warp @p warp becomes issue-eligible at cycle @p at (its blocking
-     * load returns, its structural stall clears, or it simply finished an
-     * instruction and can issue again next cycle). Replaces any earlier
-     * wake time for the warp — later *or* earlier; the last event wins.
+     * load returns, or its structural stall clears); until then it
+     * sleeps. Replaces any earlier wake time for the warp — later *or*
+     * earlier; the last event wins. A warp that issued and can issue
+     * again on the next cycle needs no event: it stays ready.
      */
     void onWake(std::uint32_t warp, Cycle at)
     {
+        // Moving the earliest sleeper may move the earliest wake later:
+        // rescan. The SM only puts to sleep the warp it just picked,
+        // which is ready, so only the tests take this path.
+        const bool rescan = test(sleepBits_, warp) && wakeAt_[warp] == nextWake_;
+        clear(readyBits_, warp);
+        set(sleepBits_, warp);
         wakeAt_[warp] = at;
-        clearReady(warp);
-        if (stagedValid_)
-            heapPush(staged_);
-        staged_ = {at, warp};
-        stagedValid_ = true;
+        nextWake_ = rescan ? earliestWake() : std::min(nextWake_, at);
     }
 
     /**
      * Choose the warp to issue at cycle @p now — the warp the historical
-     * per-cycle readiness scan would have picked, in O(1) amortised: the
-     * ring of ready bits is walked from the warp after the last issued
-     * one. When no warp is ready, returns kNone and stores the earliest
-     * pending wake time in @p min_ready (the SM's sleep-until bound).
+     * per-cycle readiness scan would have picked: the ring of ready bits
+     * is walked from the warp after the last issued one. When no warp is
+     * ready, returns kNone and stores the earliest wake time in
+     * @p min_ready (the SM's sleep-until bound).
      */
     std::uint32_t
     pickReady(Cycle now, Cycle *min_ready)
     {
-        drainWakes(now);
+        if (nextWake_ <= now)
+            wakeSleepers(now);
 
         // Ring order: the warp after the last issued one first; the last
         // issued warp itself has lowest priority. The wrapped probe from
@@ -79,7 +87,7 @@ class WarpScheduler
             w = findReadyFrom(0);
         if (w != kNone)
             return w;
-        *min_ready = minPendingWake();
+        *min_ready = nextWake_;
         return kNone;
     }
 
@@ -90,67 +98,12 @@ class WarpScheduler
     static constexpr Cycle kNever = ~Cycle(0);
 
   private:
-    /** Sleeping-warp wake record; stale once the warp's wake time moved. */
-    struct Wake
-    {
-        Cycle at;
-        std::uint32_t warp;
-    };
+    /** Move every sleeper due by @p now to the ready set and recompute
+     *  nextWake_ over the rest — one scan per wake cycle. */
+    void wakeSleepers(Cycle now);
 
-    /** Heap records are (at << warpBits_) | warp packed into one word:
-     *  a heap sift is then a plain integer compare-and-move. Wake times
-     *  are bounded by the GPU's cycle cap, far below the 2^(64-warpBits)
-     *  packing limit. */
-    std::uint64_t pack(const Wake &wake) const
-    {
-        return (wake.at << warpBits_) | wake.warp;
-    }
-    Wake unpack(std::uint64_t rec) const
-    {
-        return {rec >> warpBits_,
-                static_cast<std::uint32_t>(rec & ((1u << warpBits_) - 1))};
-    }
-
-    /** Push a wake record onto the sleeping-warp min-heap. */
-    void
-    heapPush(const Wake &wake)
-    {
-        heap_.push_back(pack(wake));
-        std::push_heap(heap_.begin(), heap_.end(),
-                       std::greater<std::uint64_t>());
-    }
-
-    /** Promote every warp whose wake time has arrived into the ready
-     *  set. The dominant wake is "can issue again next cycle", staged
-     *  outside the heap and consumed here by the very next pick, so it
-     *  costs no heap traffic; a wake is spilled to the heap only when
-     *  another arrives before it drains (a genuinely sleeping warp). */
-    void
-    drainWakes(Cycle now)
-    {
-        if (stagedValid_ && staged_.at <= now) {
-            // A record is live only while it matches the warp's current
-            // wake time; onWake supersedes old records without removing
-            // them.
-            if (wakeAt_[staged_.warp] == staged_.at)
-                setReady(staged_.warp);
-            stagedValid_ = false;
-        }
-        if (heap_.empty())
-            return;
-        const std::uint64_t bound = pack({now + 1, 0});
-        while (!heap_.empty() && heap_.front() < bound) {
-            const Wake wake = unpack(heap_.front());
-            std::pop_heap(heap_.begin(), heap_.end(),
-                          std::greater<std::uint64_t>());
-            heap_.pop_back();
-            if (wakeAt_[wake.warp] == wake.at)
-                setReady(wake.warp);
-        }
-    }
-
-    /** Earliest live wake record (exact: stale records are discarded). */
-    Cycle minPendingWake();
+    /** Earliest wake time over the sleepers (kNever when none sleeps). */
+    Cycle earliestWake() const;
 
     /** Lowest ready warp id >= @p start, or kNone. */
     std::uint32_t
@@ -171,31 +124,32 @@ class WarpScheduler
         }
     }
 
-    void setReady(std::uint32_t warp)
+    static bool test(const std::vector<std::uint64_t> &bits,
+                     std::uint32_t warp)
     {
-        readyBits_[warp / 64] |= std::uint64_t(1) << (warp % 64);
+        return (bits[warp / 64] >> (warp % 64)) & 1;
     }
-    void clearReady(std::uint32_t warp)
+    static void set(std::vector<std::uint64_t> &bits, std::uint32_t warp)
     {
-        readyBits_[warp / 64] &= ~(std::uint64_t(1) << (warp % 64));
+        bits[warp / 64] |= std::uint64_t(1) << (warp % 64);
+    }
+    static void clear(std::vector<std::uint64_t> &bits, std::uint32_t warp)
+    {
+        bits[warp / 64] &= ~(std::uint64_t(1) << (warp % 64));
     }
 
     std::uint32_t numWarps_;
     std::uint32_t lastIssued_ = 0;
 
-    /** Bit w set = warp w can issue now (its wake time has passed). */
+    /** Bit w set = warp w can issue now. */
     std::vector<std::uint64_t> readyBits_;
-    /** Current wake time per warp; <= the drain cycle once ready. */
+    /** Bit w set = warp w sleeps until wakeAt_[w]; disjoint from
+     *  readyBits_. */
+    std::vector<std::uint64_t> sleepBits_;
+    /** Wake time per sleeping warp. */
     std::vector<Cycle> wakeAt_;
-    /** The most recent wake event, staged outside the heap (see
-     *  drainWakes). */
-    Wake staged_{0, 0};
-    bool stagedValid_ = false;
-    std::uint32_t warpBits_ = 1;   ///< Bits of a packed record's warp field.
-    /** Min-heap (by cycle) of packed pending wake records. Entries whose
-     *  cycle no longer matches the warp's wakeAt_ are stale and skipped
-     *  lazily, so re-waking a warp never needs an eager heap deletion. */
-    std::vector<std::uint64_t> heap_;
+    /** Earliest wakeAt_ over the sleepers, exact; kNever when none. */
+    Cycle nextWake_ = kNever;
 };
 
 } // namespace fuse

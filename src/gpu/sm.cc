@@ -12,7 +12,7 @@ Sm::Sm(SmId id, const SmConfig &config, std::unique_ptr<L1DCache> l1d,
       stats_("sm" + std::to_string(id)),
       coalescer_(&stats_),
       scheduler_(config.warpsPerSm),
-      warps_(config.warpsPerSm)
+      warps_(config.warpsPerSm), credits_(config.warpsPerSm, 0)
 {
     statIdle_ = &stats_.scalar("idle_cycles");
     statMemWait_ = &stats_.scalar("mem_wait_cycles");
@@ -24,52 +24,56 @@ Sm::Sm(SmId id, const SmConfig &config, std::unique_ptr<L1DCache> l1d,
     statLoadBlock_ = &stats_.scalar("load_block_cycles");
 }
 
-void
-Sm::issueWarp(std::uint32_t w, Cycle now)
+bool
+Sm::popInstructions(std::uint32_t w)
 {
     WarpContext &warp = warps_[w];
+    if (warp.hasPending)
+        return false;
     InstructionBatch &batch = warp.batch;
-
-    if (!warp.hasPending) {
-        // Pop the next decoded instruction, refilling the warp's batch
-        // from the generator + coalescer when it runs dry: one refill
-        // hands the issue path kCapacity pre-coalesced instructions.
-        if (batch.exhausted()) {
-            // Clamp decode-ahead to the SM's remaining budget so the
-            // run's tail generates no instruction nobody will issue.
-            // (In-flight popped instructions of other warps make this
-            // bound slightly loose; exactness comes from counting at
-            // the pop, the bound only trims generator work.)
-            kernel_->nextBatch(w, batch,
-                               config_.instructionBudget
-                                   - instructionsIssued_);
-            coalescer_.coalesceBatch(batch);
-        }
-        warp.cur = batch.consumed++;
-        warp.hasPending = true;
-        const InstructionBatch::Decoded &popped = batch.instr[warp.cur];
-        warp.nextTransaction = popped.txBegin;
-        warp.maxFillReady = 0;
-        // Coalesce statistics count at consumption, not at batch refill:
-        // pre-decoded but never-issued instructions must stay invisible.
-        if (popped.isMem)
-            coalescer_.noteConsumed(popped.lanes,
-                                    popped.txEnd - popped.txBegin);
+    // Refill the warp's batch from the generator + coalescer when it
+    // runs dry: one refill hands the issue path kCapacity pre-coalesced
+    // instructions.
+    if (batch.exhausted()) {
+        // Clamp decode-ahead to the SM's remaining budget so the run's
+        // tail generates no instruction nobody will issue. (Popped but
+        // unissued instructions make this bound slightly loose;
+        // exactness comes from counting at the issue, the bound only
+        // trims generator work.)
+        kernel_->nextBatch(w, batch,
+                           config_.instructionBudget - instructionsIssued_);
+        coalescer_.coalesceBatch(batch);
+    }
+    std::uint32_t end = batch.consumed;
+    while (end < batch.size && !batch.instr[end].isMem)
+        ++end;
+    if (end > batch.consumed) {
+        credits_[w] = static_cast<std::uint8_t>(end - batch.consumed);
+        batch.consumed = end;
+        return true;
     }
 
+    warp.cur = batch.consumed++;
+    warp.hasPending = true;
+    const InstructionBatch::Decoded &popped = batch.instr[warp.cur];
+    warp.nextTransaction = popped.txBegin;
+    warp.maxFillReady = 0;
+    // Coalesce statistics count at consumption, not at batch refill:
+    // pre-decoded but never-issued instructions must stay invisible.
+    coalescer_.noteConsumed(popped.lanes, popped.txEnd - popped.txBegin);
+    return false;
+}
+
+void
+Sm::issueTransaction(std::uint32_t w, Cycle now)
+{
+    WarpContext &warp = warps_[w];
+    const InstructionBatch &batch = warp.batch;
     const InstructionBatch::Decoded &instr = batch.instr[warp.cur];
-    if (!instr.isMem) {
-        ++instructionsIssued_;
-        ++(*statCompute_);
-        warp.hasPending = false;
-        scheduler_.onWake(w, now + 1);
-        scheduler_.issued(w);
-        return;
-    }
 
-    // Memory instruction: the LSU issues one coalesced transaction per
-    // cycle; an L1D structural stall blocks the LSU for this cycle (the
-    // paper's L1D stall).
+    // The LSU issues one coalesced transaction per cycle; an L1D
+    // structural stall blocks the LSU for this cycle (the paper's L1D
+    // stall).
     MemRequest req;
     req.addr = batch.addrs[warp.nextTransaction];
     req.pc = instr.pc;
@@ -79,15 +83,14 @@ Sm::issueWarp(std::uint32_t w, Cycle now)
     req.retry = warp.stalledTransaction;
 
     L1DResult result = l1d_->access(req, now);
-    l1dTickPending_ = true;
+    l1dTickPending_ = !l1d_->tickIdle();
     if (result.kind == L1DResult::Kind::Stall) {
         // The warp parks at this transaction until the structural hazard
         // clears; the wait counts as L1D stall cycles.
         const Cycle retry = std::max(now + 1, result.readyAt);
         statL1dStall_->add(retry - now);
-        scheduler_.onWake(w, retry);
+        wake(w, now, retry);
         warp.stalledTransaction = true;
-        scheduler_.issued(w);
         return;
     }
     warp.stalledTransaction = false;
@@ -101,8 +104,7 @@ Sm::issueWarp(std::uint32_t w, Cycle now)
 
     if (warp.nextTransaction < instr.txEnd) {
         // More transactions to issue next cycle.
-        scheduler_.onWake(w, now + 1);
-        scheduler_.issued(w);
+        wake(w, now, now + 1);
         return;
     }
 
@@ -114,14 +116,13 @@ Sm::issueWarp(std::uint32_t w, Cycle now)
     flushWarpTransactions(warp);
     warp.hasPending = false;
     if (instr.type == AccessType::Read) {
-        scheduler_.onWake(w, std::max(now + 1, warp.maxFillReady));
+        wake(w, now, std::max(now + 1, warp.maxFillReady));
         if (warp.maxFillReady > now + 1) {
             statLoadBlock_->add(warp.maxFillReady - (now + 1));
         }
     } else {
-        scheduler_.onWake(w, now + 1);
+        wake(w, now, now + 1);
     }
-    scheduler_.issued(w);
 }
 
 void
@@ -133,26 +134,50 @@ Sm::tick(Cycle now)
         l1d_->tick(now);
         l1dTickPending_ = !l1d_->tickIdle();
     }
+    if (pickedAt_ == now) {
+        issueTransaction(pickedWarp_, now);
+        return;
+    }
     if (done())
         return;
 
     // Idle fast path: every warp is blocked until sleepUntil_, so skip
-    // the ready scan (it dominates simulation cost otherwise).
+    // the pick.
     if (sleepUntil_ > now) {
-        ++(*statIdle_);
-        ++(*statMemWait_);
+        idle(1);
         return;
     }
+    const std::uint32_t w = pick(now);
+    if (w != WarpScheduler::kNone && !issueCompute(w))
+        issueTransaction(w, now);
+}
 
-    Cycle min_ready = ~Cycle(0);
-    std::uint32_t w = scheduler_.pickReady(now, &min_ready);
-    if (w == WarpScheduler::kNone) {
-        sleepUntil_ = min_ready;
-        ++(*statIdle_);
-        ++(*statMemWait_);
-        return;
+Cycle
+Sm::tickPrivate(Cycle now, Cycle limit)
+{
+    // Only an access leaves L1D work behind, and no private cycle makes
+    // one.
+    if (l1dTickPending_)
+        return now;
+    while (now < limit && !done()) {
+        if (sleepUntil_ > now) {
+            // Every warp sleeps until sleepUntil_: credit the window.
+            const Cycle until = std::min(sleepUntil_, limit);
+            idle(until - now);
+            now = until;
+            continue;
+        }
+        const std::uint32_t w = pick(now);
+        if (w != WarpScheduler::kNone && !issueCompute(w)) {
+            // A memory transaction: the cycle belongs to the GPU's clock,
+            // which orders the SMs' accesses to the shared hierarchy.
+            pickedWarp_ = w;
+            pickedAt_ = now;
+            return now;
+        }
+        ++now;
     }
-    issueWarp(w, now);
+    return now;
 }
 
 } // namespace fuse

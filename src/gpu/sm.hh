@@ -42,38 +42,38 @@ class Sm
     /** Advance one cycle. */
     void tick(Cycle now);
 
+    /**
+     * Keep ticking from cycle @p now through the cycles that touch
+     * nothing outside this SM — compute issues and sleeps — and return
+     * the first cycle that does, or that ends the run of private cycles:
+     *  - a memory transaction (the warp picked for it is kept, and the
+     *    tick() of that cycle issues it);
+     *  - pending L1D work (the deferred work runs through tick());
+     *  - the cycle after the SM retired its budget;
+     *  - @p limit.
+     * Every cycle before the returned one is ticked or credited idle.
+     * The GPU calls this after each tick(); other SMs' ticks in the
+     * skipped cycles cannot affect this SM, or it them.
+     */
+    Cycle tickPrivate(Cycle now, Cycle limit);
+
     /** All warps retired their share of the instruction budget. */
     bool done() const { return instructionsIssued_ >= config_.instructionBudget; }
 
-    /** No warp becomes ready before this cycle (values <= now mean the
-     *  SM is active). The GPU's next-event clock skips an SM's cycles up
-     *  to this bound, crediting them through skipIdle(). */
-    Cycle sleepUntil() const { return sleepUntil_; }
-
     /**
-     * Account @p cycles skipped by the GPU fast-forward: each would have
-     * taken the all-warps-asleep path in tick() (one idle + one mem-wait
-     * cycle, no other state change). Caller guarantees the SM is not done
-     * and sleeps through the whole window, and that the L1D is tick-idle.
-     */
-    void skipIdle(Cycle cycles)
-    {
-        statIdle_->add(cycles);
-        statMemWait_->add(cycles);
-    }
-
-    /**
-     * Flush warp-local transaction counters into the stat group. The
-     * issue path batches the per-transaction l1d_transactions /
-     * l1d_transactions_missed increments per instruction and flushes
-     * them in one add at instruction exit; warps holding a partially
-     * issued instruction when the run ends still carry unflushed counts,
-     * so Gpu::run() calls this before returning. Idempotent (counters
-     * drain on flush) — stats are exact at every external observation
-     * point, i.e. after run() returns.
+     * Flush batched issue counters into the stat group. The issue path
+     * counts compute instructions in one SM-local counter and each
+     * instruction's l1d_transactions / l1d_transactions_missed in its
+     * warp, flushing the latter in one add at instruction exit; warps
+     * holding a partially issued instruction when the run ends still
+     * carry unflushed counts, so Gpu::run() calls this before returning.
+     * Idempotent (counters drain on flush) — stats are exact at every
+     * external observation point, i.e. after run() returns.
      */
     void flushIssueStats()
     {
+        statCompute_->add(uncountedCompute_);
+        uncountedCompute_ = 0;
         for (WarpContext &warp : warps_)
             flushWarpTransactions(warp);
     }
@@ -113,8 +113,67 @@ class Sm
         std::uint32_t uncountedMissed = 0;
     };
 
-    /** Issue (or continue) warp @p w's instruction. */
-    void issueWarp(std::uint32_t w, Cycle now);
+    /** The scheduler's pick at @p now. With no warp ready the SM
+     *  sleeps until the earliest wake, and the cycle counts idle. */
+    std::uint32_t pick(Cycle now)
+    {
+        Cycle min_ready = 0;
+        const std::uint32_t w = scheduler_.pickReady(now, &min_ready);
+        if (w == WarpScheduler::kNone) {
+            sleepUntil_ = min_ready;
+            idle(1);
+        }
+        return w;
+    }
+
+    /**
+     * Issue warp @p w's next instruction if it is a compute instruction,
+     * from the warp's credit and without touching its context. False
+     * when its next step is a memory transaction (popInstructions() has
+     * then made that instruction pending).
+     */
+    bool issueCompute(std::uint32_t w)
+    {
+        if (!credits_[w] && !popInstructions(w))
+            return false;
+        --credits_[w];
+        ++instructionsIssued_;
+        ++uncountedCompute_;
+        // It can issue again next cycle: it keeps its ready bit.
+        scheduler_.issued(w);
+        return true;
+    }
+
+    /**
+     * Pop warp @p w's next instructions (its credit ran out), refilling
+     * its batch when it is dry. The run of compute instructions at the
+     * batch head becomes the warp's credit (true); a memory instruction
+     * at the head becomes its pending instruction (false). False too
+     * while a memory instruction is pending.
+     */
+    bool popInstructions(std::uint32_t w);
+
+    /** Issue the next transaction of warp @p w's pending memory
+     *  instruction. */
+    void issueTransaction(std::uint32_t w, Cycle now);
+
+    /** Warp @p w issued at @p now and can issue again at @p at. */
+    void wake(std::uint32_t w, Cycle now, Cycle at)
+    {
+        // The next pick is at now + 1 at the earliest, so a warp due
+        // back then keeps its ready bit; a later one sleeps.
+        if (at > now + 1)
+            scheduler_.onWake(w, at);
+        scheduler_.issued(w);
+    }
+
+    /** Count @p cycles on which every warp slept — the one place that
+     *  adds idle and mem-wait cycles. */
+    void idle(Cycle cycles)
+    {
+        statIdle_->add(cycles);
+        statMemWait_->add(cycles);
+    }
 
     /** Drain @p warp's batched transaction counters into the group. */
     void flushWarpTransactions(WarpContext &warp)
@@ -137,17 +196,31 @@ class Sm
      *  out of this group (member construction order matters here). */
     StatGroup stats_;
     Coalescer coalescer_;
-    /** Owns warp readiness: issueWarp reports every blocked-until change
-     *  as a wake event and tick() asks for the pick in O(1), replacing
-     *  the per-cycle scan over a readyAt array. */
+    /** Owns warp readiness: the issue path puts a warp to sleep until
+     *  the cycle it can issue again (a warp due back next cycle stays
+     *  ready), and pick() asks it for the round-robin choice from a
+     *  ready bitmap instead of scanning a readyAt array each cycle. */
     WarpScheduler scheduler_;
     std::vector<WarpContext> warps_;
+    /** Per-warp compute credit: the popped compute instructions at the
+     *  head of the warp's batch not yet issued (at most one batch). */
+    std::vector<std::uint8_t> credits_;
+    static_assert(InstructionBatch::kCapacity <= 255,
+                  "a compute credit holds at most one batch");
     std::uint64_t instructionsIssued_ = 0;
+    /** Compute instructions issued since the last flushIssueStats(). */
+    std::uint64_t uncountedCompute_ = 0;
+    /** The warp tickPrivate() picked for cycle pickedAt_, whose next
+     *  step is a memory transaction, left for that cycle's tick(). */
+    std::uint32_t pickedWarp_ = 0;
+    Cycle pickedAt_ = ~Cycle(0);
     /** No warp becomes ready before this cycle (idle fast path). */
     Cycle sleepUntil_ = 0;
-    /** The L1D may have deferred work (tag-queue drain): tick it. Set
-     *  after every access, cleared when the L1D reports tick-idle —
-     *  skips the virtual tick() call on the (dominant) idle cycles. */
+    /** The L1D has deferred work (tag-queue drain): tick it. Set when
+     *  an access leaves the L1D not tick-idle, cleared when it reports
+     *  tick-idle — skips the virtual tick() call on the (dominant) idle
+     *  cycles, and lets tickPrivate() start right after an access that
+     *  left no work. */
     bool l1dTickPending_ = false;
 
     // Cached references for the per-cycle hot path (StatGroup::scalar is

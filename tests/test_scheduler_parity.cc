@@ -3,12 +3,17 @@
  * Differential parity tier for the event-driven warp scheduler. The
  * pre-refactor scheduler evaluated readiness by scanning every warp's
  * ready time on each pick; that scan survives here as the reference
- * model, and the event-driven WarpScheduler (ready bitmap + staged wake +
- * sleeping-warp min-heap) is driven through long random wake/issue
- * sequences against it. Both the picked warp id and the no-warp-ready
- * sleep bound (min_ready) must match exactly on every step — the SM's
- * sleep windows, and through them the GPU's next-event clock, are timing
- * observable, so "almost" is a simulation bug.
+ * model, and the event-driven WarpScheduler (ready bitmap, plus a
+ * sleeping bitmap under one exact earliest wake time that a single scan
+ * per wake cycle drains) is driven through long random wake/issue
+ * sequences against it. The sequences drive it the way the SM does — a
+ * warp due back next cycle keeps its ready bit, a later wake puts it to
+ * sleep — and through the raw API, including herds of warps that sleep
+ * until one shared cycle (MSHR-full retries all wait for the earliest
+ * fill). Both the picked warp id and the no-warp-ready sleep bound
+ * (min_ready) must match exactly on every step — the SM's sleep windows,
+ * and through them the GPU's next-event clock, are timing observable, so
+ * "almost" is a simulation bug.
  */
 
 #include <gtest/gtest.h>
@@ -66,22 +71,27 @@ class LegacyScanScheduler
 };
 
 /**
- * Drive both schedulers through ~1e5 random steps. Each step advances
- * time, picks (asserting identical choices and, when nothing is ready,
- * identical min_ready), and then perturbs warp state the way an SM would
- * — issue-and-rewake the picked warp — plus adversarial events the SM
- * never generates but the API allows: spontaneous re-wakes that move a
- * pending wake earlier or later, including long sleeps that outlive many
- * superseded heap records.
+ * Drive both schedulers through @p steps random steps. Each step
+ * advances time, picks (asserting identical choices and, when nothing is
+ * ready, identical min_ready), and then perturbs warp state the way an
+ * SM would — issue the picked warp and put it back: usually "ready again
+ * next cycle", sometimes a long memory sleep, and with probability
+ * @p herd a structural retry at the current herd's shared wake cycle,
+ * so many warps wake at once. On top come adversarial events the SM
+ * never generates but the API allows: spontaneous re-wakes of any warp
+ * that move a pending wake earlier or later (out of a herd, into one,
+ * or onto a long sleep).
  */
 void
-runParity(std::uint32_t num_warps, std::uint64_t seed, int steps)
+runParity(std::uint32_t num_warps, std::uint64_t seed, int steps,
+          double herd)
 {
     LegacyScanScheduler ref(num_warps);
     WarpScheduler sched(num_warps);
     Rng rng(seed);
 
     Cycle now = 0;
+    Cycle herd_at = 0;   // Wake cycle shared by the current herd.
     for (int step = 0; step < steps; ++step) {
         Cycle ref_min = 0;
         Cycle min = 0;
@@ -95,26 +105,38 @@ runParity(std::uint32_t num_warps, std::uint64_t seed, int steps)
             // Sleep exactly to the bound, like the SM's idle fast path.
             now = min;
         } else {
-            // Issue: block the warp like the SM would — usually "ready
-            // again next cycle", sometimes a long memory sleep.
-            const Cycle at = rng.chance(0.6)
-                                 ? now + 1
-                                 : now + 1 + rng.below(300);
+            Cycle at = 0;
+            if (rng.chance(herd)) {
+                // A retry at the earliest fill: every warp that stalls
+                // before that cycle joins the herd waking at it.
+                if (herd_at <= now + 1)
+                    herd_at = now + 2 + rng.below(300);
+                at = herd_at;
+            } else {
+                at = rng.chance(0.6) ? now + 1 : now + 1 + rng.below(300);
+            }
             ref.onWake(pick, at);
             ref.issued(pick);
-            sched.onWake(pick, at);
+            // The SM's pattern (Sm::wake): a warp due back next cycle
+            // keeps its ready bit. Now and then the raw API is used for
+            // it instead, which must agree.
+            if (at > now + 1 || rng.chance(0.1))
+                sched.onWake(pick, at);
             sched.issued(pick);
             ++now;
         }
 
         // Adversarial extras at a low rate: spontaneous re-wakes (earlier
-        // or later than a pending wake) and long sleeps.
+        // or later than a pending wake, into the herd or out of it) and
+        // long sleeps.
         if (rng.chance(0.05)) {
             const auto w =
                 static_cast<std::uint32_t>(rng.below(num_warps));
-            const Cycle at = rng.chance(0.25)
-                                 ? now + 1000 + rng.below(20000)
-                                 : now + rng.below(400);
+            Cycle at = now + rng.below(400);
+            if (rng.chance(0.25))
+                at = now + 1000 + rng.below(20000);
+            else if (rng.chance(0.3) && herd_at >= now)
+                at = herd_at;
             ref.onWake(w, at);
             sched.onWake(w, at);
         }
@@ -134,7 +156,16 @@ TEST_P(SchedulerParity, RandomWakeIssueSequences)
     const std::uint32_t warps = GetParam();
     // Several independent sequences per configuration; ~1e5 steps total.
     for (std::uint64_t seed = 1; seed <= 4; ++seed)
-        runParity(warps, seed * 0x9E3779B9ull + warps, 25000);
+        runParity(warps, seed * 0x9E3779B9ull + warps, 25000, 0.0);
+}
+
+TEST_P(SchedulerParity, HerdWakeSequences)
+{
+    // Most issues end in a retry at the shared herd cycle: many warps
+    // leave the sleeping set in one drain, and re-wakes split herds.
+    const std::uint32_t warps = GetParam();
+    for (std::uint64_t seed = 1; seed <= 4; ++seed)
+        runParity(warps, seed * 0x85EBCA6Bull + warps, 25000, 0.7);
 }
 
 INSTANTIATE_TEST_SUITE_P(
