@@ -89,7 +89,7 @@ Gpu::run()
             break;
         now = next_now;
     }
-    cycles_ = done_count == n ? last_done + 1 : cap;
+    cycles_ = done_count == n ? std::min(last_done + 1, cap) : cap;
 
     if (cycles_ >= cap)
         fuse_warn("simulation hit the %llu-cycle safety cap",

@@ -33,15 +33,4 @@ WarpScheduler::wakeSleepers(Cycle now)
     nextWake_ = next;
 }
 
-Cycle
-WarpScheduler::earliestWake() const
-{
-    Cycle next = kNever;
-    for (std::size_t i = 0; i < sleepBits_.size(); ++i) {
-        for (std::uint64_t word = sleepBits_[i]; word; word &= word - 1)
-            next = std::min(next, wakeAt_[i * 64 + countTrailingZeros(word)]);
-    }
-    return next;
-}
-
 } // namespace fuse

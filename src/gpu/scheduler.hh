@@ -54,13 +54,14 @@ class WarpScheduler
     void onWake(std::uint32_t warp, Cycle at)
     {
         // Moving the earliest sleeper may move the earliest wake later:
-        // rescan. The SM only puts to sleep the warp it just picked,
-        // which is ready, so only the tests take this path.
-        const bool rescan = test(sleepBits_, warp) && wakeAt_[warp] == nextWake_;
+        // the next pick rescans. (The SM only puts to sleep the warp it
+        // just picked, which is ready; only the tests move a sleeper.)
+        if (test(sleepBits_, warp) && wakeAt_[warp] == nextWake_)
+            nextWake_ = 0;
         clear(readyBits_, warp);
         set(sleepBits_, warp);
         wakeAt_[warp] = at;
-        nextWake_ = rescan ? earliestWake() : std::min(nextWake_, at);
+        nextWake_ = std::min(nextWake_, at);
     }
 
     /**
@@ -101,9 +102,6 @@ class WarpScheduler
     /** Move every sleeper due by @p now to the ready set and recompute
      *  nextWake_ over the rest — one scan per wake cycle. */
     void wakeSleepers(Cycle now);
-
-    /** Earliest wake time over the sleepers (kNever when none sleeps). */
-    Cycle earliestWake() const;
 
     /** Lowest ready warp id >= @p start, or kNone. */
     std::uint32_t
@@ -148,7 +146,8 @@ class WarpScheduler
     std::vector<std::uint64_t> sleepBits_;
     /** Wake time per sleeping warp. */
     std::vector<Cycle> wakeAt_;
-    /** Earliest wakeAt_ over the sleepers, exact; kNever when none. */
+    /** Earliest wakeAt_ over the sleepers (kNever when none), exact
+     *  after every pick; 0 forces the next pick to rescan. */
     Cycle nextWake_ = kNever;
 };
 
