@@ -70,15 +70,6 @@ class SetAssocCache
 
     const StatGroup &stats() const { return stats_; }
 
-    std::uint64_t hits() const
-    {
-        return static_cast<std::uint64_t>(stats_.get("hits"));
-    }
-    std::uint64_t misses() const
-    {
-        return static_cast<std::uint64_t>(stats_.get("misses"));
-    }
-
   private:
     /** The hit half: on a hit, update read/write/dirty bookkeeping. */
     bool accessAt(const TagArray::Probe &p, AccessType type, Cycle now);

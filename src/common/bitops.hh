@@ -2,17 +2,14 @@
  * @file
  * Bit-scan and hash-mix helpers shared by the hot-path structures
  * (tag-array free-way bitmap, warp-scheduler ready bitmap, flat address
- * map, counting Bloom filters, presence summaries) plus the FNV-1a
- * content hash the golden-checksum tier and the result-store keys are
- * built on. One definition so a portability fix lands everywhere at
- * once.
+ * map, counting Bloom filters, presence summaries). One definition so a
+ * portability fix lands everywhere at once.
  */
 
 #ifndef FUSE_COMMON_BITOPS_HH
 #define FUSE_COMMON_BITOPS_HH
 
 #include <cstdint>
-#include <string>
 
 namespace fuse
 {
@@ -49,47 +46,6 @@ hashMix64(std::uint64_t key, std::uint64_t salt)
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
     return z ^ (z >> 31);
-}
-
-/**
- * FNV-1a over a byte string — the repository's standing content hash
- * (the golden-checksum tier hashes canonical JSON exports with exactly
- * these constants, and the result store keys its records with it).
- * Deliberately tiny and dependency-free; not for hot-path hash tables
- * (those use hashMix64 above).
- */
-inline std::uint64_t
-fnv1a64(const void *data, std::size_t size,
-        std::uint64_t seed = 0xcbf29ce484222325ull)
-{
-    const unsigned char *bytes = static_cast<const unsigned char *>(data);
-    std::uint64_t h = seed;
-    for (std::size_t i = 0; i < size; ++i) {
-        h ^= bytes[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-inline std::uint64_t
-fnv1a64(const std::string &text,
-        std::uint64_t seed = 0xcbf29ce484222325ull)
-{
-    return fnv1a64(text.data(), text.size(), seed);
-}
-
-/** Fixed-width lowercase hex of @p value (16 digits, no prefix) — the
- *  canonical digest spelling shared by goldens and store filenames. */
-inline std::string
-hexDigest64(std::uint64_t value)
-{
-    char buf[17];
-    for (int i = 15; i >= 0; --i) {
-        buf[i] = "0123456789abcdef"[value & 0xF];
-        value >>= 4;
-    }
-    buf[16] = '\0';
-    return buf;
 }
 
 } // namespace fuse

@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "common/bitops.hh"
 #include "fuse/l1d.hh"
 
 namespace fuse
@@ -50,14 +49,12 @@ canonicalConfig(const SimConfig &config)
 {
     // Every behaviour-relevant SimConfig field, in fixed order. A field
     // added to any of the config structs MUST be added here, or configs
-    // differing only in that field will collide on one cache key (the
-    // CanonicalConfig tests enumerate these keys as a tripwire).
+    // differing only in that field will share one simulation (the
+    // Canonical tests apply every override key as a tripwire).
     std::string out;
     const GpuConfig &gpu = config.gpu;
     line(out, "gpu.numSms", gpu.numSms);
     line(out, "gpu.warpsPerSm", gpu.warpsPerSm);
-    // The only scheduler; the line keeps existing store keys valid.
-    out += "gpu.scheduler = RoundRobin\n";
     line(out, "gpu.instructionBudgetPerSm", gpu.instructionBudgetPerSm);
     line(out, "gpu.maxCycles", static_cast<std::uint64_t>(gpu.maxCycles));
     line(out, "gpu.traceSeed", gpu.traceSeed);
@@ -145,13 +142,6 @@ canonicalSpecPoint(const ExperimentSpec &spec, std::size_t b, std::size_t v,
     out += '\n';
     out += canonicalConfig(spec.configFor(v));
     return out;
-}
-
-std::uint64_t
-pointContentHash(const ExperimentSpec &spec, std::size_t b, std::size_t v,
-                 std::size_t k)
-{
-    return fnv1a64(canonicalSpecPoint(spec, b, v, k));
 }
 
 } // namespace fuse

@@ -1,14 +1,13 @@
 /**
  * @file
- * Canonical serialization of experiment points, for content-addressed
- * result caching (the result store behind `fuse_sweep --store`, see
- * exp/result_store.hh). One run of the
- * simulator is fully determined by (materialised SimConfig, benchmark,
- * L1D kind) — the trace seed lives inside the config — so the canonical
- * text of a spec point is exactly that triple, spelled as a sorted,
- * line-oriented "key = value" document with %.17g doubles (the same
- * formatting discipline as the exp exporters, so equal configs always
- * produce equal bytes).
+ * Canonical serialization of experiment points: the key that finds
+ * duplicate cells across the paper's figures (`fuse_sweep --figure all`,
+ * SweepRunner::runAll). One run of the simulator is fully determined by
+ * (materialised SimConfig, benchmark, L1D kind) — the trace seed lives
+ * inside the config — so the canonical text of a spec point is exactly
+ * that triple, spelled as a line-oriented "key = value" document in
+ * fixed order with %.17g doubles (the same formatting discipline as the
+ * exp exporters, so equal configs always produce equal bytes).
  *
  * Two spec points that materialise to the same canonical text are the
  * same simulation, no matter how their specs were built (figure
@@ -19,7 +18,7 @@
 #ifndef FUSE_EXP_CANONICAL_HH
 #define FUSE_EXP_CANONICAL_HH
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 
 #include "exp/experiment.hh"
@@ -30,9 +29,9 @@ namespace fuse
 /**
  * Every simulated-behaviour-relevant field of @p config as "key = value"
  * lines in fixed order. New SimConfig fields MUST be added here (and to
- * the Canonical tests in test_result_store.cc): a field missing from the
- * canonical text would let two different configurations share a cache
- * key.
+ * the Canonical tests in test_exp.cc): a field missing from the
+ * canonical text would let two different configurations share one
+ * simulation.
  */
 std::string canonicalConfig(const SimConfig &config);
 
@@ -42,15 +41,6 @@ std::string canonicalConfig(const SimConfig &config);
  * the variant's fully materialised canonicalConfig.
  */
 std::string canonicalSpecPoint(const ExperimentSpec &spec, std::size_t b,
-                               std::size_t v, std::size_t k);
-
-/**
- * FNV-1a content hash of canonicalSpecPoint — the pure-content half of
- * a store key (the other half is the binary's behavioural fingerprint,
- * see exp/result_store.hh). Stable across processes, schedules and
- * hosts; pinned by committed goldens in test_result_store.cc.
- */
-std::uint64_t pointContentHash(const ExperimentSpec &spec, std::size_t b,
                                std::size_t v, std::size_t k);
 
 } // namespace fuse

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <utility>
+#include <variant>
 
 #include "common/log.hh"
 #include "workload/benchmarks.hh"
@@ -52,116 +55,106 @@ parseOverrideValue(const std::string &text, int line_no)
     return v;
 }
 
+/** An assignable SimConfig field: a real or an unsigned integer. */
+using FieldRef = std::variant<double *, std::uint32_t *, std::uint64_t *>;
+
 /** Table of assignable SimConfig fields, keyed by dotted path. */
 struct OverrideField
 {
     const char *key;
-    void (*set)(SimConfig &, double);
+    FieldRef (*field)(SimConfig &);
 };
 
 const std::vector<OverrideField> &
 overrideFields()
 {
     static const std::vector<OverrideField> fields = {
-        {"gpu.numSms",
-         [](SimConfig &c, double v) {
-             c.gpu.numSms = static_cast<std::uint32_t>(v);
-         }},
+        {"gpu.numSms", [](SimConfig &c) -> FieldRef { return &c.gpu.numSms; }},
         {"gpu.warpsPerSm",
-         [](SimConfig &c, double v) {
-             c.gpu.warpsPerSm = static_cast<std::uint32_t>(v);
-         }},
+         [](SimConfig &c) -> FieldRef { return &c.gpu.warpsPerSm; }},
         {"gpu.instructionBudgetPerSm",
-         [](SimConfig &c, double v) {
-             c.gpu.instructionBudgetPerSm =
-                 static_cast<std::uint64_t>(v);
+         [](SimConfig &c) -> FieldRef {
+             return &c.gpu.instructionBudgetPerSm;
          }},
         {"gpu.maxCycles",
-         [](SimConfig &c, double v) {
-             c.gpu.maxCycles = static_cast<Cycle>(v);
-         }},
+         [](SimConfig &c) -> FieldRef { return &c.gpu.maxCycles; }},
         {"gpu.traceSeed",
-         [](SimConfig &c, double v) {
-             c.gpu.traceSeed = static_cast<std::uint64_t>(v);
-         }},
+         [](SimConfig &c) -> FieldRef { return &c.gpu.traceSeed; }},
         {"l1d.areaBudgetBytes",
-         [](SimConfig &c, double v) {
-             c.l1d.areaBudgetBytes = static_cast<std::uint32_t>(v);
-         }},
+         [](SimConfig &c) -> FieldRef { return &c.l1d.areaBudgetBytes; }},
         {"l1d.sramAreaFraction",
-         [](SimConfig &c, double v) { c.l1d.sramAreaFraction = v; }},
+         [](SimConfig &c) -> FieldRef { return &c.l1d.sramAreaFraction; }},
         {"l1d.sttDensity",
-         [](SimConfig &c, double v) { c.l1d.sttDensity = v; }},
+         [](SimConfig &c) -> FieldRef { return &c.l1d.sttDensity; }},
         {"l1d.sramWays",
-         [](SimConfig &c, double v) {
-             c.l1d.sramWays = static_cast<std::uint32_t>(v);
-         }},
+         [](SimConfig &c) -> FieldRef { return &c.l1d.sramWays; }},
         {"l1d.sttWays",
-         [](SimConfig &c, double v) {
-             c.l1d.sttWays = static_cast<std::uint32_t>(v);
-         }},
+         [](SimConfig &c) -> FieldRef { return &c.l1d.sttWays; }},
         {"l1d.baselineWays",
-         [](SimConfig &c, double v) {
-             c.l1d.baselineWays = static_cast<std::uint32_t>(v);
-         }},
+         [](SimConfig &c) -> FieldRef { return &c.l1d.baselineWays; }},
         {"l1d.nvmWays",
-         [](SimConfig &c, double v) {
-             c.l1d.nvmWays = static_cast<std::uint32_t>(v);
-         }},
+         [](SimConfig &c) -> FieldRef { return &c.l1d.nvmWays; }},
         {"l1d.mshrEntries",
-         [](SimConfig &c, double v) {
-             c.l1d.mshrEntries = static_cast<std::uint32_t>(v);
-         }},
+         [](SimConfig &c) -> FieldRef { return &c.l1d.mshrEntries; }},
         {"l1d.tagQueueEntries",
-         [](SimConfig &c, double v) {
-             c.l1d.tagQueueEntries = static_cast<std::uint32_t>(v);
-         }},
+         [](SimConfig &c) -> FieldRef { return &c.l1d.tagQueueEntries; }},
         {"l1d.swapBufferEntries",
-         [](SimConfig &c, double v) {
-             c.l1d.swapBufferEntries = static_cast<std::uint32_t>(v);
-         }},
+         [](SimConfig &c) -> FieldRef { return &c.l1d.swapBufferEntries; }},
         {"l1d.approx.numCbfs",
-         [](SimConfig &c, double v) {
-             c.l1d.approx.numCbfs = static_cast<std::uint32_t>(v);
-         }},
+         [](SimConfig &c) -> FieldRef { return &c.l1d.approx.numCbfs; }},
         {"l1d.approx.numHashes",
-         [](SimConfig &c, double v) {
-             c.l1d.approx.numHashes = static_cast<std::uint32_t>(v);
-         }},
+         [](SimConfig &c) -> FieldRef { return &c.l1d.approx.numHashes; }},
         {"l1d.approx.cbfSlots",
-         [](SimConfig &c, double v) {
-             c.l1d.approx.cbfSlots = static_cast<std::uint32_t>(v);
-         }},
+         [](SimConfig &c) -> FieldRef { return &c.l1d.approx.cbfSlots; }},
         {"l1d.approx.comparators",
-         [](SimConfig &c, double v) {
-             c.l1d.approx.comparators = static_cast<std::uint32_t>(v);
-         }},
+         [](SimConfig &c) -> FieldRef { return &c.l1d.approx.comparators; }},
         {"l1d.predictor.samplerSets",
-         [](SimConfig &c, double v) {
-             c.l1d.predictor.samplerSets = static_cast<std::uint32_t>(v);
+         [](SimConfig &c) -> FieldRef {
+             return &c.l1d.predictor.samplerSets;
          }},
         {"l1d.predictor.samplerWays",
-         [](SimConfig &c, double v) {
-             c.l1d.predictor.samplerWays = static_cast<std::uint32_t>(v);
+         [](SimConfig &c) -> FieldRef {
+             return &c.l1d.predictor.samplerWays;
          }},
         {"l1d.predictor.historyEntries",
-         [](SimConfig &c, double v) {
-             c.l1d.predictor.historyEntries =
-                 static_cast<std::uint32_t>(v);
+         [](SimConfig &c) -> FieldRef {
+             return &c.l1d.predictor.historyEntries;
          }},
         {"l1d.predictor.unusedThreshold",
-         [](SimConfig &c, double v) {
-             c.l1d.predictor.unusedThreshold =
-                 static_cast<std::uint32_t>(v);
+         [](SimConfig &c) -> FieldRef {
+             return &c.l1d.predictor.unusedThreshold;
          }},
         {"l1d.predictor.counterInit",
-         [](SimConfig &c, double v) {
-             c.l1d.predictor.counterInit = static_cast<std::uint32_t>(v);
+         [](SimConfig &c) -> FieldRef {
+             return &c.l1d.predictor.counterInit;
          }},
         {"energy.coreClockHz",
-         [](SimConfig &c, double v) { c.energy.coreClockHz = v; }},
+         [](SimConfig &c) -> FieldRef { return &c.energy.coreClockHz; }},
     };
     return fields;
+}
+
+void
+assign(double *field, const std::string &, double value)
+{
+    *field = value;
+}
+
+/** Store @p value in the integer field @p field; fatal, naming @p key,
+ *  unless the field can hold it exactly. */
+template <typename T>
+void
+assign(T *field, const std::string &key, double value)
+{
+    // Casting a negative or too-large double to an unsigned type is
+    // undefined behaviour, and a fraction would silently truncate.
+    const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    if (!(value >= 0.0 && value < limit && value == std::floor(value)))
+        fuse_fatal("override %s = %g: expects an integer in [0, %llu]",
+                   key.c_str(), value,
+                   static_cast<unsigned long long>(
+                       std::numeric_limits<T>::max()));
+    *field = static_cast<T>(value);
 }
 
 } // namespace
@@ -183,7 +176,11 @@ applyOverride(SimConfig &config, const ConfigOverride &override)
 {
     for (const auto &f : overrideFields()) {
         if (override.key == f.key) {
-            f.set(config, override.value);
+            std::visit(
+                [&](auto *field) {
+                    assign(field, override.key, override.value);
+                },
+                f.field(config));
             return;
         }
     }

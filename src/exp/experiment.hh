@@ -39,7 +39,11 @@ struct ConfigOverride
 /** The override keys understood by applyOverride (for --help/docs). */
 const std::vector<std::string> &overrideKeys();
 
-/** Apply one override to @p config; fatal on an unknown key. */
+/**
+ * Apply one override to @p config. Fatal, naming the key, on an unknown
+ * key or on a value an integer field cannot hold exactly (negative,
+ * fractional or out of range).
+ */
 void applyOverride(SimConfig &config, const ConfigOverride &override);
 
 /** A labelled point of the configuration dimension. */

@@ -330,15 +330,6 @@ metricFields()
     return fields;
 }
 
-double
-metricValue(const Metrics &metrics, const std::string &name)
-{
-    for (const auto &f : metricFields())
-        if (name == f.name)
-            return f.get(metrics);
-    fuse_fatal("unknown metric '%s'", name.c_str());
-}
-
 Metrics
 metricsFromFlat(const FlatRun &run)
 {

@@ -32,9 +32,6 @@ struct MetricField
 /** Every exported metric, in column order. */
 const std::vector<MetricField> &metricFields();
 
-/** Value of metric @p name on @p metrics (fatal on unknown name). */
-double metricValue(const Metrics &metrics, const std::string &name);
-
 /** Write @p results as CSV: benchmark,kind,variant,<metrics...>. */
 void writeCsv(std::ostream &os, const ResultSet &results);
 

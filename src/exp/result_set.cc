@@ -55,8 +55,13 @@ ResultSet::ResultSet(std::string name, std::vector<std::string> benchmarks,
 {
     if (variantLabels_.empty())
         variantLabels_.push_back("");
-    runs_.resize(benchmarks_.size() * variantLabels_.size()
-                 * kinds_.size());
+    runs_.reserve(benchmarks_.size() * variantLabels_.size()
+                  * kinds_.size());
+    for (const std::string &benchmark : benchmarks_)
+        for (std::size_t v = 0; v < variantLabels_.size(); ++v)
+            for (L1DKind kind : kinds_)
+                runs_.push_back({benchmark, kind, v, variantLabels_[v],
+                                 Metrics{}, false});
 }
 
 std::size_t

@@ -30,7 +30,7 @@ double mean(const std::vector<double> &values);
 std::vector<double> normalizeTo(const std::vector<double> &values,
                                 const std::vector<double> &baseline);
 
-/** One cell of the sweep grid. */
+/** One cell of the sweep grid; a ResultSet names every cell up front. */
 struct RunResult
 {
     std::string benchmark;
@@ -38,7 +38,7 @@ struct RunResult
     std::size_t variant = 0;       ///< Index into variantLabels().
     std::string variantLabel;
     Metrics metrics;
-    bool valid = false;            ///< Set once the runner fills the cell.
+    bool valid = false;            ///< Set once the metrics are filled.
 };
 
 /** Reads one double out of a Metrics record (for series extraction). */
@@ -48,7 +48,8 @@ using MetricGetter = std::function<double(const Metrics &)>;
  * The dense result grid of one experiment. Cells are addressed by
  * (benchmark, variant, kind) and stored in a deterministic flat order —
  * benchmark-major, then variant, then kind — independent of the thread
- * schedule that produced them.
+ * schedule that produced them. The constructor names every cell; a
+ * cell turns valid once its metrics are filled.
  */
 class ResultSet
 {

@@ -4,10 +4,14 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/log.hh"
+#include "exp/canonical.hh"
 #include "sim/simulator.hh"
 
 namespace fuse
@@ -62,18 +66,58 @@ defaultThreadCount()
     return hw > 0 ? hw : 1;
 }
 
-std::vector<std::size_t>
-shardCells(std::size_t grid_size, std::size_t shard_index,
-           std::size_t shard_count)
+namespace
 {
-    if (shard_count == 0 || shard_index >= shard_count)
-        fuse_fatal("invalid shard %zu/%zu (want 0 <= index < count)",
-                   shard_index, shard_count);
-    std::vector<std::size_t> cells;
-    for (std::size_t i = shard_index; i < grid_size; i += shard_count)
-        cells.push_back(i);
-    return cells;
+
+/** One spec's result grid and its variants' materialised configurations
+ *  (built up front, so the workers only read them). */
+struct Grid
+{
+    explicit Grid(const ExperimentSpec &spec)
+        : results(spec.name, spec.benchmarks, spec.kinds,
+                  spec.variantLabels())
+    {
+        configs.reserve(spec.variantCount());
+        for (std::size_t v = 0; v < spec.variantCount(); ++v)
+            configs.push_back(spec.configFor(v));
+    }
+
+    ResultSet results;
+    std::vector<SimConfig> configs;
+};
+
+/** Cell @c index (a flat grid index) of grid @c grid. */
+struct Cell
+{
+    std::size_t grid;
+    std::size_t index;
+};
+
+/** Simulate @p cells on @p threads workers, each into its own grid. */
+void
+simulate(std::vector<Grid> &grids, const std::vector<Cell> &cells,
+         unsigned threads, const SweepRunner::Progress &progress)
+{
+    const std::size_t total = cells.size();
+    std::size_t done = 0; // Guarded by progress_mutex.
+    std::mutex progress_mutex;
+    parallelFor(total, threads, [&](std::size_t c) {
+        Grid &grid = grids[cells[c].grid];
+        RunResult &run = grid.results.at(cells[c].index);
+        Simulator sim(grid.configs[run.variant]);
+        run.metrics = sim.run(run.benchmark, run.kind);
+        run.valid = true;
+
+        if (progress) {
+            // Count under the same lock that serialises the callback so
+            // 'done' values arrive strictly increasing.
+            std::lock_guard<std::mutex> lock(progress_mutex);
+            progress(run, ++done, total);
+        }
+    });
 }
+
+} // namespace
 
 SweepRunner::SweepRunner(unsigned threads)
     : threads_(threads > 0 ? threads : defaultThreadCount())
@@ -83,55 +127,61 @@ ResultSet
 SweepRunner::run(const ExperimentSpec &spec, std::size_t shard_index,
                  std::size_t shard_count) const
 {
-    return runCells(spec,
-                    shardCells(spec.runCount(), shard_index, shard_count));
+    if (shard_count == 0 || shard_index >= shard_count)
+        fuse_fatal("invalid shard %zu/%zu (want 0 <= index < count)",
+                   shard_index, shard_count);
+    std::vector<Grid> grids;
+    grids.emplace_back(spec);
+    std::vector<Cell> cells;
+    for (std::size_t i = shard_index; i < spec.runCount(); i += shard_count)
+        cells.push_back({0, i});
+    simulate(grids, cells, threads_, progress_);
+    return std::move(grids.front().results);
 }
 
-ResultSet
-SweepRunner::runCells(const ExperimentSpec &spec,
-                      const std::vector<std::size_t> &cells,
-                      const CellDone &cell_done) const
+std::vector<ResultSet>
+SweepRunner::runAll(const std::vector<ExperimentSpec> &specs,
+                    std::size_t *simulated) const
 {
-    ResultSet results(spec.name, spec.benchmarks, spec.kinds,
-                      spec.variantLabels());
+    std::vector<Grid> grids;
+    grids.reserve(specs.size());
+    for (const ExperimentSpec &spec : specs)
+        grids.emplace_back(spec);
 
-    // Materialise every variant's configuration once, up front; the
-    // workers then only read them.
-    std::vector<SimConfig> configs;
-    configs.reserve(spec.variantCount());
-    for (std::size_t v = 0; v < spec.variantCount(); ++v)
-        configs.push_back(spec.configFor(v));
+    // The first cell naming a point simulates it; each later cell naming
+    // the same point is a copy of that first cell.
+    std::unordered_map<std::string, Cell> first;
+    std::vector<Cell> cells;
+    std::vector<std::pair<Cell, Cell>> copies; // (to, from)
+    for (std::size_t g = 0; g < specs.size(); ++g) {
+        const ExperimentSpec &spec = specs[g];
+        const ResultSet &results = grids[g].results;
+        for (std::size_t b = 0; b < spec.benchmarks.size(); ++b)
+            for (std::size_t v = 0; v < spec.variantCount(); ++v)
+                for (std::size_t k = 0; k < spec.kinds.size(); ++k) {
+                    const Cell cell{g, results.index(b, v, k)};
+                    const auto [it, fresh] = first.emplace(
+                        canonicalSpecPoint(spec, b, v, k), cell);
+                    if (fresh)
+                        cells.push_back(cell);
+                    else
+                        copies.emplace_back(cell, it->second);
+                }
+    }
 
-    const std::size_t total = cells.size();
-    std::size_t done = 0; // Guarded by progress_mutex.
-    std::mutex progress_mutex;
-
-    const std::size_t kinds = spec.kinds.size();
-    const std::size_t variants = spec.variantCount();
-    parallelFor(total, threads_, [&](std::size_t cell) {
-        const std::size_t i = cells[cell];
-        const std::size_t k = i % kinds;
-        const std::size_t v = (i / kinds) % variants;
-        const std::size_t b = i / (kinds * variants);
-
-        Simulator sim(configs[v]);
-        RunResult &run = results.at(i);
-        run.benchmark = spec.benchmarks[b];
-        run.kind = spec.kinds[k];
-        run.variant = v;
-        run.variantLabel = results.variantLabels()[v];
-        run.metrics = sim.run(run.benchmark, run.kind);
+    simulate(grids, cells, threads_, progress_);
+    for (const auto &[to, from] : copies) {
+        RunResult &run = grids[to.grid].results.at(to.index);
+        run.metrics = grids[from.grid].results.at(from.index).metrics;
         run.valid = true;
-        if (cell_done)
-            cell_done(run, i);
+    }
+    if (simulated)
+        *simulated = cells.size();
 
-        if (progress_) {
-            // Count under the same lock that serialises the callback so
-            // 'done' values arrive strictly increasing.
-            std::lock_guard<std::mutex> lock(progress_mutex);
-            progress_(run, ++done, total);
-        }
-    });
+    std::vector<ResultSet> results;
+    results.reserve(grids.size());
+    for (Grid &grid : grids)
+        results.push_back(std::move(grid.results));
     return results;
 }
 

@@ -4,7 +4,9 @@
  * grid on a pool of worker threads. Every run is an independent
  * Simulator instance seeded purely from the spec, so an N-thread sweep
  * is bit-identical to a serial one — the workers only race for *which*
- * cell to simulate next, never for the cell's contents.
+ * cell to simulate next, never for the cell's contents. runAll executes
+ * several specs' grids in one pass and simulates the cells they share
+ * once.
  */
 
 #ifndef FUSE_EXP_SWEEP_RUNNER_HH
@@ -31,16 +33,6 @@ void parallelFor(std::size_t n, unsigned threads,
 /** Worker count from FUSE_THREADS, else std::thread::hardware_concurrency. */
 unsigned defaultThreadCount();
 
-/**
- * The flat grid indices of shard @p shard_index of @p shard_count over a
- * grid of @p grid_size cells: every index congruent to @p shard_index
- * mod @p shard_count (round-robin, so every shard gets a balanced
- * benchmark mix). Fatal on an invalid shard.
- */
-std::vector<std::size_t> shardCells(std::size_t grid_size,
-                                    std::size_t shard_index,
-                                    std::size_t shard_count);
-
 class SweepRunner
 {
   public:
@@ -57,27 +49,27 @@ class SweepRunner
 
     /**
      * Execute the grid and return the dense, ordered results. With
-     * @p shard_count > 1 only shardCells(..., @p shard_index,
-     * @p shard_count) are simulated; the other cells stay invalid.
-     * Because every run is seeded purely from the spec, merging the N
-     * shard ResultSets reproduces the unsharded sweep cell for cell (see
-     * ResultSet::merge).
+     * @p shard_count > 1 only shard @p shard_index of @p shard_count is
+     * simulated — every flat index congruent to @p shard_index mod
+     * @p shard_count (round-robin, so every shard gets a balanced
+     * benchmark mix) — and the other cells stay invalid. Because every
+     * run is seeded purely from the spec, merging the N shard ResultSets
+     * reproduces the unsharded sweep cell for cell (see
+     * ResultSet::merge). Fatal on an invalid shard.
      */
     ResultSet run(const ExperimentSpec &spec, std::size_t shard_index = 0,
                   std::size_t shard_count = 1) const;
 
-    /** Called on the worker thread with each simulated cell and its flat
-     *  index, concurrently across workers. */
-    using CellDone = std::function<void(const RunResult &, std::size_t)>;
-
     /**
-     * Simulate exactly the grid cells whose flat indices (see
-     * ResultSet::index) are listed in @p cells; every other cell of the
-     * returned grid stays invalid. Progress counts these cells only.
+     * Execute the full grids of all @p specs in one pass on the pool and
+     * return one ResultSet per spec, in order, each equal to run() of
+     * that spec. Cells with equal canonicalSpecPoint text are one
+     * simulation: the first such cell is simulated (progress counts
+     * these cells only) and its Metrics are copied into the others.
+     * @p simulated, when given, receives the number simulated.
      */
-    ResultSet runCells(const ExperimentSpec &spec,
-                       const std::vector<std::size_t> &cells,
-                       const CellDone &cell_done = {}) const;
+    std::vector<ResultSet> runAll(const std::vector<ExperimentSpec> &specs,
+                                  std::size_t *simulated = nullptr) const;
 
   private:
     unsigned threads_ = 1;

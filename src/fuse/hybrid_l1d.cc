@@ -56,6 +56,30 @@ HybridL1D::recordLineOutcome(const CacheLine &line)
                                  line.readCount);
 }
 
+void
+HybridL1D::installInStt(const CacheLine &line, Cycle now,
+                        CacheBank::Port port)
+{
+    Cycle done = 0;
+    CacheLine *filled = nullptr;
+    auto stt_evicted = stt_.fill(line.tag, AccessType::Read, now, &done,
+                                 &filled, port);
+    if (filled) {
+        filled->dirty = line.dirty;
+        filled->writeCount = line.writeCount;
+        filled->readCount = line.readCount;
+        filled->predictedLevel = line.predictedLevel;
+        filled->hasPrediction = line.hasPrediction;
+    }
+    if (approx_)
+        approx_->insert(line.tag);
+    if (stt_evicted) {
+        if (approx_)
+            approx_->remove(stt_evicted->line.tag);
+        evictToL2(stt_evicted->line, now);
+    }
+}
+
 bool
 HybridL1D::migrateToStt(const CacheLine &victim, Cycle now)
 {
@@ -63,25 +87,7 @@ HybridL1D::migrateToStt(const CacheLine &victim, Cycle now)
         // Plain Hybrid: the migration is a synchronous STT-MRAM write on
         // the demand port — the whole L1D blocks behind it (the paper's
         // motivation for the swap buffer + tag queue).
-        Cycle done = 0;
-        CacheLine *filled = nullptr;
-        auto stt_evicted = stt_.fill(victim.tag, AccessType::Read, now,
-                                     &done, &filled,
-                                     CacheBank::Port::Demand);
-        if (filled) {
-            filled->dirty = victim.dirty;
-            filled->writeCount = victim.writeCount;
-            filled->readCount = victim.readCount;
-            filled->predictedLevel = victim.predictedLevel;
-            filled->hasPrediction = victim.hasPrediction;
-        }
-        if (approx_)
-            approx_->insert(victim.tag);
-        if (stt_evicted) {
-            if (approx_)
-                approx_->remove(stt_evicted->line.tag);
-            evictToL2(stt_evicted->line, now);
-        }
+        installInStt(victim, now, CacheBank::Port::Demand);
         ++(*statMigrationsSramToStt_);
         return true;
     }
@@ -480,24 +486,7 @@ HybridL1D::tick(Cycle now)
         auto parked = swapBuffer_.release(line);
         if (!parked)
             break;  // Flushed or already superseded.
-        Cycle done = 0;
-        CacheLine *filled = nullptr;
-        auto stt_evicted = stt_.fill(line, AccessType::Read, now, &done,
-                                     &filled);
-        if (filled) {
-            filled->dirty = parked->dirty;
-            filled->writeCount = parked->writeCount;
-            filled->readCount = parked->readCount;
-            filled->predictedLevel = parked->predictedLevel;
-            filled->hasPrediction = parked->hasPrediction;
-        }
-        if (approx_)
-            approx_->insert(line);
-        if (stt_evicted) {
-            if (approx_)
-                approx_->remove(stt_evicted->line.tag);
-            evictToL2(stt_evicted->line, now);
-        }
+        installInStt(*parked, now, CacheBank::Port::Fill);
         ++(*statMigrationsDrained_);
         break;
       }

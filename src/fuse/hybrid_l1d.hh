@@ -99,6 +99,12 @@ class HybridL1D : public L1DCache
     /** Record predictor accuracy for a block leaving the L1D. */
     void recordLineOutcome(const CacheLine &line);
 
+    /** Write the migrating @p line into the STT bank on @p port, keeping
+     *  its dirty flag, access counts and prediction; the STT victim
+     *  leaves the L1D. */
+    void installInStt(const CacheLine &line, Cycle now,
+                      CacheBank::Port port);
+
     /** Migrate an SRAM victim towards the STT bank (swap buffer path). */
     bool migrateToStt(const CacheLine &victim, Cycle now);
 

@@ -89,13 +89,4 @@ L1DCache::writeBack(const CacheLine &line, Cycle now)
     ++(*statWritebacks_);
 }
 
-double
-L1DCache::missRate() const
-{
-    const double hits = stats_.get("hits");
-    const double misses = stats_.get("misses") + stats_.get("bypasses");
-    const double total = hits + misses;
-    return total > 0 ? misses / total : 0.0;
-}
-
 } // namespace fuse

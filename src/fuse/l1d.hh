@@ -140,9 +140,6 @@ class L1DCache
     StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
 
-    /** hits / (hits + misses); bypassed accesses count as misses. */
-    double missRate() const;
-
   protected:
     /** Record a hit/miss in the common stats vocabulary. */
     void countHit(const MemRequest &req);

@@ -60,19 +60,6 @@ L2Cache::access(Addr line_addr, AccessType type, Cycle now)
     return result;
 }
 
-double
-L2Cache::missRate() const
-{
-    double hits = 0;
-    double misses = 0;
-    for (const auto &bank : banks_) {
-        hits += static_cast<double>(bank.hits());
-        misses += static_cast<double>(bank.misses());
-    }
-    double total = hits + misses;
-    return total > 0 ? misses / total : 0.0;
-}
-
 void
 L2Cache::finalizeStats()
 {

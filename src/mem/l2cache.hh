@@ -58,7 +58,6 @@ class L2Cache
      */
     L2Result access(Addr line_addr, AccessType type, Cycle now);
 
-    double missRate() const;
     StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
     const L2Config &config() const { return config_; }

@@ -3,15 +3,21 @@
  * Tests for the experiment-orchestration subsystem: aggregation helpers,
  * spec parsing and override application, thread-pool determinism
  * (an N-thread sweep must be metric-for-metric identical to a serial
- * one), and the JSON/CSV export round trip.
+ * one), the canonical point text and the one-pass runAll it keys, and
+ * the JSON/CSV export round trip.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 
+#include "exp/canonical.hh"
 #include "exp/experiment.hh"
 #include "exp/export.hh"
 #include "exp/figures.hh"
@@ -319,6 +325,48 @@ TEST(ConfigValidateDeathTest, EveryRejectedValueNamesItsKey)
     }
 }
 
+TEST(ConfigValidateDeathTest, IntegerKeysTakeOnlyIntegers)
+{
+    // A double cast straight to an unsigned field truncates 2.7 to 2 and
+    // is undefined for -1 or 2^32, so an integer key takes only whole
+    // values in its field's range.
+    const ConfigOverride bad[] = {
+        {"l1d.tagQueueEntries", 2.7},
+        {"gpu.numSms", 2.5},
+        {"l1d.swapBufferEntries", -1},
+        {"l1d.mshrEntries", 4294967296.0}, // 2^32
+        {"gpu.traceSeed", 18446744073709551616.0}, // 2^64
+        {"gpu.instructionBudgetPerSm", std::nan("")},
+        {"gpu.maxCycles", std::numeric_limits<double>::infinity()},
+    };
+    for (const ConfigOverride &o : bad) {
+        SimConfig config = SimConfig::testScale();
+        const std::string message = o.key + " = .*expects an integer";
+        EXPECT_EXIT(applyOverride(config, o), ::testing::ExitedWithCode(1),
+                    message.c_str())
+            << o.key << " = " << o.value;
+    }
+    EXPECT_EXIT(
+        {
+            ExperimentSpec::parse("benchmarks: ATAX\n"
+                                  "variant: a | l1d.tagQueueEntries=2.7\n");
+        },
+        ::testing::ExitedWithCode(1), "l1d.tagQueueEntries = 2.7");
+}
+
+TEST(ConfigValidate, IntegerKeysTakeTheirWholeRange)
+{
+    SimConfig config = SimConfig::testScale();
+    applyOverride(config, {"l1d.tagQueueEntries", 0});
+    applyOverride(config, {"gpu.numSms", 4294967295.0});
+    applyOverride(config, {"gpu.traceSeed", 1e19});
+    applyOverride(config, {"l1d.sttDensity", 2.5});
+    EXPECT_EQ(config.l1d.tagQueueEntries, 0u);
+    EXPECT_EQ(config.gpu.numSms, 4294967295u);
+    EXPECT_EQ(config.gpu.traceSeed, 10000000000000000000ull);
+    EXPECT_EQ(config.l1d.sttDensity, 2.5);
+}
+
 TEST(ConfigValidateDeathTest, SimulatorRejectsInvalidConfig)
 {
     SimConfig config = SimConfig::testScale();
@@ -487,6 +535,140 @@ TEST(SweepRunner, RejectsInvalidShard)
                 ::testing::ExitedWithCode(1), "invalid shard");
 }
 
+// --------------------------------------------------------- one pass
+
+std::string
+jsonOf(const ResultSet &results)
+{
+    std::ostringstream os;
+    writeJson(os, results);
+    return os.str();
+}
+
+class RunAll : public ::testing::TestWithParam<unsigned>
+{};
+
+TEST_P(RunAll, SharedCellsSimulateOnceAndMatchRun)
+{
+    // The second spec re-reads GESUM's cells of the first, and its
+    // "again" variant repeats "a" under another label.
+    const ExperimentSpec first = smallSpec();
+    ExperimentSpec second = smallSpec();
+    second.name = "overlap";
+    second.benchmarks = {"GESUM", "MVT"};
+    second.kinds = {L1DKind::DyFuse, L1DKind::Hybrid};
+    second.variants.push_back({"again", first.variants[0].overrides});
+    const std::vector<ExperimentSpec> specs = {first, second};
+
+    std::set<std::string> points;
+    std::size_t cells = 0;
+    for (const ExperimentSpec &spec : specs)
+        for (std::size_t b = 0; b < spec.benchmarks.size(); ++b)
+            for (std::size_t v = 0; v < spec.variantCount(); ++v)
+                for (std::size_t k = 0; k < spec.kinds.size(); ++k) {
+                    points.insert(canonicalSpecPoint(spec, b, v, k));
+                    ++cells;
+                }
+    ASSERT_EQ(cells, 20u);
+    ASSERT_EQ(points.size(), 14u);
+
+    SweepRunner runner(GetParam());
+    std::size_t progress = 0;
+    runner.onProgress(
+        [&](const RunResult &, std::size_t, std::size_t total) {
+            ++progress;
+            EXPECT_EQ(total, points.size());
+        });
+    std::size_t simulated = 0;
+    const std::vector<ResultSet> results = runner.runAll(specs, &simulated);
+    EXPECT_EQ(simulated, points.size());
+    EXPECT_EQ(progress, points.size());
+    ASSERT_EQ(results.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        EXPECT_EQ(jsonOf(results[i]),
+                  jsonOf(SweepRunner(GetParam()).run(specs[i])))
+            << specs[i].name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, RunAll, ::testing::Values(1u, 4u),
+                         [](const ::testing::TestParamInfo<unsigned> &info) {
+                             return "threads" + std::to_string(info.param);
+                         });
+
+// ------------------------------------------------- canonical points
+
+TEST(Canonical, ConfigTextIsDeterministic)
+{
+    const SimConfig config = SimConfig::testScale();
+    EXPECT_EQ(canonicalConfig(config), canonicalConfig(config));
+    EXPECT_NE(canonicalConfig(config).find("gpu.numSms = 4"),
+              std::string::npos);
+}
+
+TEST(Canonical, BehaviouralFieldsSplitTheCache)
+{
+    // Two valid values of every override key must give two texts, or
+    // runAll would serve one configuration's simulation for the other.
+    // The pair is {2, 4} unless a key needs other values to validate.
+    const std::map<std::string, std::pair<double, double>> pairs = {
+        {"l1d.areaBudgetBytes", {16 * 1024, 64 * 1024}},
+        {"l1d.sramAreaFraction", {0.25, 0.75}},
+        {"energy.coreClockHz", {0.7e9, 1.4e9}},
+    };
+    for (const std::string &key : overrideKeys()) {
+        const auto it = pairs.find(key);
+        const auto [x, y] =
+            it != pairs.end() ? it->second : std::pair<double, double>{2, 4};
+        SimConfig a = SimConfig::testScale();
+        SimConfig b = SimConfig::testScale();
+        applyOverride(a, {key, x});
+        applyOverride(b, {key, y});
+        a.validate();
+        b.validate();
+        EXPECT_NE(canonicalConfig(a), canonicalConfig(b)) << key;
+    }
+}
+
+/** A test-scale spec with a pinned budget and a non-default seed. */
+ExperimentSpec
+pointSpec()
+{
+    ExperimentSpec spec;
+    spec.name = "points";
+    spec.base = "test";
+    spec.benchmarks = {"ATAX", "BICG"};
+    spec.kinds = {L1DKind::L1Sram, L1DKind::DyFuse};
+    spec.seed = 7;
+    spec.variants = {ConfigVariant{
+        "probe", {ConfigOverride{"gpu.instructionBudgetPerSm", 2000.0}}}};
+    return spec;
+}
+
+TEST(Canonical, PointTextNamesWorkloadAndKind)
+{
+    const ExperimentSpec spec = pointSpec();
+    const std::string text = canonicalSpecPoint(spec, 0, 0, 0);
+    EXPECT_NE(text.find("benchmark = ATAX"), std::string::npos);
+    EXPECT_NE(text.find("kind = L1-SRAM"), std::string::npos);
+    // The spec's seed reaches the point through the materialised config.
+    EXPECT_NE(text.find("gpu.traceSeed = 7"), std::string::npos);
+    // The variant override is applied, not merely named.
+    EXPECT_NE(text.find("gpu.instructionBudgetPerSm = 2000"),
+              std::string::npos);
+}
+
+TEST(Canonical, PointTextIsFastModeIndependent)
+{
+    // FUSE_FAST scales preset budgets only; a spec that pins its budget
+    // by override names the same point either way.
+    const ExperimentSpec spec = pointSpec();
+    const std::string plain = canonicalSpecPoint(spec, 0, 0, 0);
+    ::setenv("FUSE_FAST", "1", 1);
+    const std::string fast = canonicalSpecPoint(spec, 0, 0, 0);
+    ::unsetenv("FUSE_FAST");
+    EXPECT_EQ(plain, fast);
+}
+
 TEST(ResultSet, MergeRejectsMismatchedGridsAndOverlap)
 {
     const ExperimentSpec spec = smallSpec();
@@ -580,15 +762,6 @@ TEST(Export, JsonRoundTripIsValueExact)
             EXPECT_EQ(it->second, field.get(run.metrics)) << field.name;
         }
     }
-}
-
-TEST(Export, MetricValueLooksUpByName)
-{
-    Metrics m;
-    m.ipc = 1.5;
-    m.cycles = 42;
-    EXPECT_DOUBLE_EQ(metricValue(m, "ipc"), 1.5);
-    EXPECT_DOUBLE_EQ(metricValue(m, "cycles"), 42.0);
 }
 
 // --------------------------------------------------------- figures

@@ -1,8 +1,9 @@
 /**
  * @file
  * Golden-figure checksum regression tier. Runs a reduced-budget subset of
- * every paper figure's sweep grid through SweepRunner and compares an
- * FNV-1a hash of the canonical JSON export against checksums committed in
+ * every paper figure's sweep grid through SweepRunner, figure by figure
+ * and in one runAll pass, and compares an FNV-1a hash of each canonical
+ * JSON export against checksums committed in
  * tests/goldens/figure_checksums.txt.
  *
  * The goldens were generated from the pre-refactor scan-based replacement
@@ -88,22 +89,42 @@ reducedSpec(const Figure &fig)
     return spec;
 }
 
-/** figure name -> checksum of the reduced grid's canonical JSON. */
+/** Every figure with a sweep grid, reduced (static tables and trace
+ *  studies have no grid to check). */
+std::vector<ExperimentSpec>
+reducedSpecs()
+{
+    std::vector<ExperimentSpec> specs;
+    for (const auto &fig : figures()) {
+        ExperimentSpec spec = reducedSpec(fig);
+        if (spec.runCount() > 0)
+            specs.push_back(std::move(spec));
+    }
+    return specs;
+}
+
+/** figure name -> checksum of the grid's canonical JSON. */
+std::map<std::string, std::string>
+checksums(const std::vector<ResultSet> &grids)
+{
+    std::map<std::string, std::string> sums;
+    for (const ResultSet &results : grids) {
+        std::stringstream json;
+        writeJson(json, results);
+        sums[results.name()] = hex(fnv1a(json.str()));
+    }
+    return sums;
+}
+
+/** Each reduced grid swept on its own, as `fuse_sweep --figure` does. */
 std::map<std::string, std::string>
 computeChecksums()
 {
-    std::map<std::string, std::string> sums;
     const SweepRunner runner(1);
-    for (const auto &fig : figures()) {
-        const ExperimentSpec spec = reducedSpec(fig);
-        if (spec.runCount() == 0)
-            continue;
-        const ResultSet results = runner.run(spec);
-        std::stringstream json;
-        writeJson(json, results);
-        sums[fig.name] = hex(fnv1a(json.str()));
-    }
-    return sums;
+    std::vector<ResultSet> grids;
+    for (const ExperimentSpec &spec : reducedSpecs())
+        grids.push_back(runner.run(spec));
+    return checksums(grids);
 }
 
 std::map<std::string, std::string>
@@ -117,6 +138,31 @@ readGoldens()
     while (is >> name >> sum)
         sums[name] = sum;
     return sums;
+}
+
+void
+expectGoldens(const std::map<std::string, std::string> &current)
+{
+    const std::map<std::string, std::string> golden = readGoldens();
+    ASSERT_FALSE(golden.empty())
+        << "missing " << kGoldenPath
+        << " — generate it from a known-good build with "
+           "FUSE_UPDATE_GOLDENS=1 ./test_golden_figures";
+
+    for (const auto &entry : golden) {
+        const auto it = current.find(entry.first);
+        ASSERT_NE(it, current.end())
+            << "figure " << entry.first
+            << " has a committed golden but produced no sweep";
+        EXPECT_EQ(it->second, entry.second)
+            << entry.first
+            << ": simulated output diverged from the committed golden — "
+               "the change is not observationally equivalent";
+    }
+    // New figures must come with goldens, not silently skip the tier.
+    for (const auto &entry : current)
+        EXPECT_TRUE(golden.count(entry.first))
+            << "figure " << entry.first << " has no committed golden";
 }
 
 TEST(GoldenFigures, HashIsFnv1a)
@@ -144,26 +190,14 @@ TEST(GoldenFigures, ReducedGridsMatchCommittedChecksums)
         return;
     }
 
-    const std::map<std::string, std::string> golden = readGoldens();
-    ASSERT_FALSE(golden.empty())
-        << "missing " << kGoldenPath
-        << " — generate it from a known-good build with "
-           "FUSE_UPDATE_GOLDENS=1 ./test_golden_figures";
+    expectGoldens(current);
+}
 
-    for (const auto &entry : golden) {
-        const auto it = current.find(entry.first);
-        ASSERT_NE(it, current.end())
-            << "figure " << entry.first
-            << " has a committed golden but produced no sweep";
-        EXPECT_EQ(it->second, entry.second)
-            << entry.first
-            << ": simulated output diverged from the committed golden — "
-               "the change is not observationally equivalent";
-    }
-    // New figures must come with goldens, not silently skip the tier.
-    for (const auto &entry : current)
-        EXPECT_TRUE(golden.count(entry.first))
-            << "figure " << entry.first << " has no committed golden";
+TEST(GoldenFigures, OnePassMatchesCommittedChecksums)
+{
+    // One pass over every reduced grid, as `fuse_sweep --figure all`
+    // runs the paper: the cells the figures share are simulated once.
+    expectGoldens(checksums(SweepRunner(4).runAll(reducedSpecs())));
 }
 
 } // namespace

@@ -10,9 +10,9 @@
  * Usage:
  *   fuse_sweep --list
  *   fuse_sweep --figure fig13 [--threads N] [--json out.json]
+ *   fuse_sweep --figure all [--threads N]   # every figure, one pass
  *   fuse_sweep --spec sweep.spec [--csv out.csv] [--quiet]
  *   fuse_sweep --spec - < sweep.spec
- *   fuse_sweep --figure fig14 --store ~/.fuse-store   # reuse fig13's cells
  *   fuse_sweep --merge shard1.json shard2.json ... [--json merged.json]
  *
  * Spec files (see exp/experiment.hh for the full key set):
@@ -37,7 +37,6 @@
 #include "common/log.hh"
 #include "exp/export.hh"
 #include "exp/figures.hh"
-#include "exp/result_store.hh"
 #include "exp/sweep_runner.hh"
 #include "sim/report.hh"
 
@@ -50,7 +49,9 @@ usage()
     std::printf(
         "usage: fuse_sweep [options]\n"
         "  --list            list the available figures/tables\n"
-        "  --figure NAME     run a paper figure/table (e.g. fig13)\n"
+        "  --figure NAME     run a paper figure/table (e.g. fig13); 'all'\n"
+        "                    runs every one in --list order in one pass,\n"
+        "                    simulating each distinct cell once\n"
         "  --spec FILE       run an ExperimentSpec file ('-' = stdin)\n"
         "  --benchmarks LIST restrict to a comma-separated workload list\n"
         "  --kinds LIST      override the L1D kinds (spec mode)\n"
@@ -60,13 +61,11 @@ usage()
         "                    campaign across machines, export each shard,\n"
         "                    merge offline (cells are seeded from the\n"
         "                    spec, so shard-and-merge == one big run)\n"
-        "  --merge F1 F2 ..  merge N shard JSON exports back into the\n"
-        "                    full grid and re-render the figure tables\n"
-        "                    (use --json/--csv to re-export; the merged\n"
-        "                    output is identical to an unsharded run)\n"
-        "  --store DIR       serve cells already simulated from the result\n"
-        "                    store DIR (created if missing), simulate only\n"
-        "                    the rest and add them to it\n"
+        "  --merge F1 F2 ..  merge N shard JSON exports (or one full\n"
+        "                    --json export) back into the full grid and\n"
+        "                    re-render the figure tables without\n"
+        "                    simulating (use --json/--csv to re-export;\n"
+        "                    the output is identical to an unsharded run)\n"
         "  --json FILE       export results as JSON ('-' = stdout)\n"
         "  --csv FILE        export results as CSV ('-' = stdout)\n"
         "  --quiet           skip the rendered tables (exports only)\n"
@@ -213,11 +212,6 @@ mergeShards(const std::vector<std::string> &paths,
                 static_cast<std::size_t>(b - benchmarks.begin()),
                 static_cast<std::size_t>(v - labels.begin()),
                 static_cast<std::size_t>(k - kinds.begin())));
-            cell.benchmark = run.benchmark;
-            cell.kind = kind;
-            cell.variant =
-                static_cast<std::size_t>(v - labels.begin());
-            cell.variantLabel = run.variantLabel;
             cell.metrics = fuse::metricsFromFlat(run);
             cell.valid = true;
         }
@@ -246,6 +240,18 @@ readSpec(const std::string &path)
         buffer << is.rdbuf();
     }
     return fuse::ExperimentSpec::parse(buffer.str());
+}
+
+/** Replace @p spec's workloads by the --benchmarks @p list, if given. */
+void
+restrictBenchmarks(fuse::ExperimentSpec &spec, const std::string &list)
+{
+    if (list.empty())
+        return;
+    spec.benchmarks.clear();
+    for (const auto &word : fuse::splitList(list))
+        for (const auto &name : fuse::ExperimentSpec::resolveBenchmarks(word))
+            spec.benchmarks.push_back(name);
 }
 
 /** Run @p write on the file at @p path ('-' = stdout). */
@@ -288,7 +294,6 @@ main(int argc, char **argv)
     std::string kinds;
     std::string json_path;
     std::string csv_path;
-    std::string store_dir;
     unsigned threads = 0;
     std::size_t shard_index = 0;
     std::size_t shard_count = 1;
@@ -329,8 +334,6 @@ main(int argc, char **argv)
             json_path = value();
         } else if (arg == "--csv") {
             csv_path = value();
-        } else if (arg == "--store") {
-            store_dir = value();
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--merge") {
@@ -351,11 +354,11 @@ main(int argc, char **argv)
         // into the full grid and renders/exports like an unsharded run.
         // Sweep flags have nothing to act on here; dropping them
         // silently would export a grid the caller did not ask for.
-        if (!figure.empty() || shard_count > 1 || !store_dir.empty()
-            || !benchmarks.empty() || !kinds.empty())
+        if (!figure.empty() || shard_count > 1 || !benchmarks.empty()
+            || !kinds.empty())
             fuse_fatal("--merge takes shard files, not --figure/--shard/"
-                       "--store/--benchmarks/--kinds (the grid comes from "
-                       "the shards themselves, and a merge simulates "
+                       "--benchmarks/--kinds (the grid comes from the "
+                       "shards themselves, and a merge simulates "
                        "nothing)");
         fuse::ExperimentSpec grid;
         if (!spec_path.empty())
@@ -386,6 +389,43 @@ main(int argc, char **argv)
         fuse_fatal("--kinds only applies to --spec sweeps");
     }
 
+    fuse::SweepRunner runner(threads);
+    runner.onProgress([](const fuse::RunResult &run, std::size_t done,
+                         std::size_t total) {
+        std::fprintf(stderr, "  [%zu/%zu] %s %s %s\n", done, total,
+                     run.benchmark.c_str(), toString(run.kind),
+                     run.variantLabel.c_str());
+    });
+
+    if (figure == "all") {
+        // One pass over the paper: the figures re-read each other's
+        // cells, so each distinct cell is simulated once and the tables
+        // are exactly the stand-alone runs'. A pass has no single grid
+        // to export or shard; --merge re-renders one figure's export.
+        if (shard_count > 1)
+            fuse_fatal("--figure all does not take --shard");
+        if (!json_path.empty())
+            fuse_fatal("--figure all does not take --json");
+        if (!csv_path.empty())
+            fuse_fatal("--figure all does not take --csv");
+        std::vector<fuse::ExperimentSpec> specs;
+        std::size_t cells = 0;
+        for (const auto &fig : fuse::figures()) {
+            specs.push_back(fig.makeSpec());
+            restrictBenchmarks(specs.back(), benchmarks);
+            cells += specs.back().runCount();
+        }
+        std::size_t simulated = 0;
+        const std::vector<fuse::ResultSet> results =
+            runner.runAll(specs, &simulated);
+        if (!quiet)
+            for (std::size_t i = 0; i < results.size(); ++i)
+                fuse::figures()[i].render(results[i], runner.threads());
+        std::fprintf(stderr, "all: %zu cells, %zu simulated\n", cells,
+                     simulated);
+        return 0;
+    }
+
     const fuse::Figure *fig = nullptr;
     fuse::ExperimentSpec spec;
     if (!figure.empty()) {
@@ -398,13 +438,7 @@ main(int argc, char **argv)
         spec = readSpec(spec_path);
     }
 
-    if (!benchmarks.empty()) {
-        spec.benchmarks.clear();
-        for (const auto &word : fuse::splitList(benchmarks))
-            for (const auto &name :
-                 fuse::ExperimentSpec::resolveBenchmarks(word))
-                spec.benchmarks.push_back(name);
-    }
+    restrictBenchmarks(spec, benchmarks);
     if (!kinds.empty()) {
         spec.kinds.clear();
         for (const auto &word : fuse::splitList(kinds))
@@ -413,7 +447,6 @@ main(int argc, char **argv)
                 spec.kinds.push_back(k);
     }
 
-    fuse::SweepRunner runner(threads);
     if (spec.runCount() > 0) {
         if (shard_count > 1)
             std::fprintf(stderr, "%s: shard %zu/%zu of %zu runs on %u "
@@ -424,26 +457,8 @@ main(int argc, char **argv)
                          spec.name.c_str(), spec.runCount(),
                          runner.threads());
     }
-    runner.onProgress([](const fuse::RunResult &run, std::size_t done,
-                         std::size_t total) {
-        std::fprintf(stderr, "  [%zu/%zu] %s %s %s\n", done, total,
-                     run.benchmark.c_str(), toString(run.kind),
-                     run.variantLabel.c_str());
-    });
-
-    fuse::ResultSet results;
-    if (store_dir.empty()) {
-        results = runner.run(spec, shard_index, shard_count);
-    } else {
-        const fuse::ResultStore store(store_dir);
-        fuse::StoreStats stored;
-        results = fuse::runWithStore(runner, spec, store,
-                                     fuse::binaryFingerprint(), stored,
-                                     shard_index, shard_count);
-        std::fprintf(stderr, "%s: %zu cells, %zu from store, %zu simulated\n",
-                     spec.name.c_str(), stored.cells, stored.hits,
-                     stored.simulated);
-    }
+    const fuse::ResultSet results =
+        runner.run(spec, shard_index, shard_count);
 
     if (!quiet) {
         if (fig && shard_count > 1)
