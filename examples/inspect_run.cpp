@@ -4,45 +4,32 @@
  * every statistic group of the simulated GPU. The debugging companion to
  * quickstart.
  *
- * Usage: inspect_run [benchmark] [config]
+ * Usage: inspect_run [benchmark] [config] (default: ATAX Dy-FUSE)
  *   config in: L1-SRAM FA-SRAM By-NVM STT-MRAM Hybrid Base-FUSE FA-FUSE
- *              Dy-FUSE Oracle
+ *              Dy-FUSE Oracle; any other name exits 1
  */
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 
 #include "fuse/hybrid_l1d.hh"
 #include "sim/simulator.hh"
 
-namespace
-{
-
-fuse::L1DKind
-parseKind(const std::string &name)
-{
-    using fuse::L1DKind;
-    for (L1DKind k : {L1DKind::L1Sram, L1DKind::FaSram, L1DKind::ByNvm,
-                      L1DKind::PureNvm, L1DKind::Hybrid, L1DKind::BaseFuse,
-                      L1DKind::FaFuse, L1DKind::DyFuse, L1DKind::Oracle}) {
-        if (name == fuse::toString(k))
-            return k;
-    }
-    std::fprintf(stderr, "unknown config '%s', using Dy-FUSE\n",
-                 name.c_str());
-    return L1DKind::DyFuse;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     const std::string benchmark = argc > 1 ? argv[1] : "ATAX";
-    const fuse::L1DKind kind =
-        parseKind(argc > 2 ? argv[2] : "Dy-FUSE");
+    const std::string kind_name = argc > 2 ? argv[2] : "Dy-FUSE";
+    fuse::L1DKind kind;
+    if (!fuse::l1dKindFromString(kind_name, kind)) {
+        std::fprintf(stderr, "unknown config '%s'; valid configs:",
+                     kind_name.c_str());
+        for (fuse::L1DKind k : fuse::allL1DKinds())
+            std::fprintf(stderr, " %s", fuse::toString(k));
+        std::fprintf(stderr, "\n");
+        return 1;
+    }
 
     fuse::SimConfig config = fuse::SimConfig::fermi();
     fuse::Gpu gpu(config.gpu, kind, config.l1d,

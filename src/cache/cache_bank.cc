@@ -1,4 +1,4 @@
-#include "fuse/cache_bank.hh"
+#include "cache/cache_bank.hh"
 
 #include <algorithm>
 

@@ -1,14 +1,15 @@
 /**
  * @file
- * A timing-aware L1D cache bank: a TagArray plus device occupancy (SRAM
- * banks are always 1-cycle; STT-MRAM banks stay busy for the 5-cycle write
- * penalty) and per-access energy accounting hooks. Both banks of the FUSE
- * hybrid, the pure-SRAM baseline, and the pure-NVM organisation are built
- * from this one class configured with the right device parameters.
+ * A timed cache bank: a TagArray plus port occupancy (L1D SRAM banks
+ * are always 1-cycle, STT-MRAM banks stay busy for the 5-cycle write
+ * penalty, an L2 bank for its cyclePerAccess) and the array read/write
+ * counts the energy model charges. Both banks of the FUSE hybrid, the
+ * single-bank L1D organisations and every bank of the shared L2 are this
+ * one class configured with the right device parameters.
  */
 
-#ifndef FUSE_FUSE_CACHE_BANK_HH
-#define FUSE_FUSE_CACHE_BANK_HH
+#ifndef FUSE_CACHE_CACHE_BANK_HH
+#define FUSE_CACHE_CACHE_BANK_HH
 
 #include <cstdint>
 #include <memory>
@@ -43,8 +44,9 @@ struct BankConfig
 };
 
 /**
- * One cache bank. The owner (L1D organisation) performs the protocol;
- * the bank provides timed probe/fill/invalidate plus busy-tracking.
+ * One cache bank. The owner (an L1D organisation or the L2) performs the
+ * protocol; the bank provides timed probe/fill/invalidate plus
+ * busy-tracking.
  */
 class CacheBank
 {
@@ -52,11 +54,12 @@ class CacheBank
     CacheBank(const BankConfig &config, std::string stat_name);
 
     /** Which bank port an operation occupies. Demand accesses (and the
-     *  blocking writes of non-FUSE organisations) use the demand port;
-     *  cache fills and background migrations use the write-driver (fill)
-     *  port, which is decoupled in banked SRAM/STT-MRAM arrays — a fill
-     *  does not block a concurrent demand read, but sustained fill
-     *  bandwidth is still bounded by the MTJ write time. */
+     *  blocking writes of non-FUSE organisations and of the L2) use the
+     *  demand port; cache fills and background migrations use the
+     *  write-driver (fill) port, which is decoupled in banked
+     *  SRAM/STT-MRAM arrays — a fill does not block a concurrent demand
+     *  read, but sustained fill bandwidth is still bounded by the MTJ
+     *  write time. */
     enum class Port : std::uint8_t { Demand, Fill };
 
     /** True if the bank's demand port is occupied at @p now. */
@@ -180,4 +183,4 @@ BankConfig makeSttBankConfig(std::uint32_t size_bytes, std::uint32_t ways,
 
 } // namespace fuse
 
-#endif // FUSE_FUSE_CACHE_BANK_HH
+#endif // FUSE_CACHE_CACHE_BANK_HH

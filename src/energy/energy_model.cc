@@ -1,8 +1,8 @@
 #include "energy/energy_model.hh"
 
+#include "cache/cache_bank.hh"
 #include "device/sram_model.hh"
 #include "device/sttmram_model.hh"
-#include "fuse/cache_bank.hh"
 #include "gpu/gpu.hh"
 
 namespace fuse

@@ -41,6 +41,37 @@ staticSpec(const char *name, const char *benchmarks = "")
     return spec;
 }
 
+/** Each kind's IPC normalised to L1-SRAM, one row per workload, then a
+ *  GMEAN row (Figs. 13 and 19). */
+void
+printNormalisedIpc(const ResultSet &results, std::string title,
+                   const std::vector<L1DKind> &kinds)
+{
+    Report report(std::move(title));
+    std::vector<std::string> header = {"workload"};
+    for (L1DKind k : kinds)
+        header.push_back(toString(k));
+    report.header(header);
+
+    std::vector<std::vector<double>> norms(kinds.size());
+    for (const auto &name : results.benchmarks()) {
+        const Metrics &base = results.metrics(name, L1DKind::L1Sram);
+        std::vector<std::string> row = {name};
+        for (std::size_t k = 0; k < kinds.size(); ++k) {
+            const Metrics &m = results.metrics(name, kinds[k]);
+            const double norm = base.ipc > 0 ? m.ipc / base.ipc : 0.0;
+            norms[k].push_back(norm);
+            row.push_back(fmt(norm, 2));
+        }
+        report.row(row);
+    }
+    std::vector<std::string> gmean = {"GMEAN"};
+    for (const auto &v : norms)
+        gmean.push_back(fmt(geomean(v), 2));
+    report.row(gmean);
+    report.print();
+}
+
 // ------------------------------------------------------------- Fig. 1
 
 ExperimentSpec
@@ -233,36 +264,10 @@ fig13Spec()
 void
 fig13Render(const ResultSet &results, unsigned)
 {
-    const std::vector<L1DKind> kinds = {
-        L1DKind::ByNvm, L1DKind::FaSram,   L1DKind::Hybrid,
-        L1DKind::BaseFuse, L1DKind::FaFuse, L1DKind::DyFuse,
-    };
-
-    Report report("Fig. 13 — IPC normalised to L1-SRAM");
-    std::vector<std::string> header = {"workload"};
-    for (L1DKind k : kinds)
-        header.push_back(toString(k));
-    report.header(header);
-
-    std::vector<std::vector<double>> norm_per_kind(kinds.size());
-    for (const auto &name : results.benchmarks()) {
-        const Metrics &base = results.metrics(name, L1DKind::L1Sram);
-        std::vector<std::string> row = {name};
-        for (std::size_t k = 0; k < kinds.size(); ++k) {
-            const Metrics &m = results.metrics(name, kinds[k]);
-            const double norm = base.ipc > 0 ? m.ipc / base.ipc : 0.0;
-            norm_per_kind[k].push_back(norm);
-            row.push_back(fmt(norm, 2));
-        }
-        report.row(row);
-    }
-
-    std::vector<std::string> gmean_row = {"GMEAN"};
-    for (const auto &values : norm_per_kind)
-        gmean_row.push_back(fmt(geomean(values), 2));
-    report.row(gmean_row);
-    report.print();
-
+    printNormalisedIpc(results, "Fig. 13 — IPC normalised to L1-SRAM",
+                       {L1DKind::ByNvm, L1DKind::FaSram, L1DKind::Hybrid,
+                        L1DKind::BaseFuse, L1DKind::FaFuse,
+                        L1DKind::DyFuse});
     std::printf("\npaper reference (GMEAN vs L1-SRAM): Dy-FUSE ~3.17x, "
                 "FA-FUSE ~2.6x, Base-FUSE ~0.86x, Hybrid ~0.77x, "
                 "By-NVM ~1.6x\n");
@@ -520,36 +525,11 @@ fig19Spec()
 void
 fig19Render(const ResultSet &results, unsigned)
 {
-    const std::vector<L1DKind> kinds = {
-        L1DKind::ByNvm, L1DKind::Hybrid, L1DKind::BaseFuse,
-        L1DKind::FaFuse, L1DKind::DyFuse,
-    };
-
-    Report report("Fig. 19 — Volta-class GPU, IPC normalised to "
-                  "L1-SRAM");
-    std::vector<std::string> header = {"workload"};
-    for (L1DKind k : kinds)
-        header.push_back(toString(k));
-    report.header(header);
-
-    std::vector<std::vector<double>> norms(kinds.size());
-    for (const auto &name : results.benchmarks()) {
-        const Metrics &base = results.metrics(name, L1DKind::L1Sram);
-        std::vector<std::string> row = {name};
-        for (std::size_t k = 0; k < kinds.size(); ++k) {
-            const Metrics &m = results.metrics(name, kinds[k]);
-            const double norm = base.ipc > 0 ? m.ipc / base.ipc : 0.0;
-            norms[k].push_back(norm);
-            row.push_back(fmt(norm, 2));
-        }
-        report.row(row);
-    }
-    std::vector<std::string> gmean = {"GMEAN"};
-    for (const auto &v : norms)
-        gmean.push_back(fmt(geomean(v), 2));
-    report.row(gmean);
-    report.print();
-
+    printNormalisedIpc(results,
+                       "Fig. 19 — Volta-class GPU, IPC normalised to "
+                       "L1-SRAM",
+                       {L1DKind::ByNvm, L1DKind::Hybrid, L1DKind::BaseFuse,
+                        L1DKind::FaFuse, L1DKind::DyFuse});
     std::printf("\npaper reference (vs L1-SRAM): Base-FUSE +35%%, "
                 "FA-FUSE +82%%, Dy-FUSE +96%%\n");
 }

@@ -18,8 +18,8 @@
 
 #include <memory>
 
+#include "cache/cache_bank.hh"
 #include "fuse/assoc_approx.hh"
-#include "fuse/cache_bank.hh"
 #include "fuse/l1d.hh"
 #include "fuse/l1d_factory.hh"
 #include "fuse/predictor.hh"

@@ -19,7 +19,7 @@
 
 #include <optional>
 
-#include "fuse/cache_bank.hh"
+#include "cache/cache_bank.hh"
 #include "fuse/l1d.hh"
 #include "fuse/l1d_factory.hh"
 #include "fuse/predictor.hh"

@@ -37,7 +37,7 @@ MemoryHierarchy::access(const MemRequest &req, Cycle now)
     result.l2Hit = l2r.hit;
     Cycle data_ready = l2r.doneAt;
 
-    if (l2r.needsDram) {
+    if (!l2r.hit) {
         ++(*statDramRequests_);
         Cycle dram_done = dram_.service(line, req.isWrite(), l2r.doneAt);
         result.dramCycles = dram_done - l2r.doneAt;
@@ -67,7 +67,7 @@ MemoryHierarchy::writeback(const MemRequest &req, Cycle now)
     const std::uint32_t bank = l2_.bankOf(line);
     Cycle at_l2 = noc_.smToL2(req.smId, bank, now);
     L2Result l2r = l2_.access(line, AccessType::Write, at_l2);
-    if (l2r.needsDram) {
+    if (!l2r.hit) {
         ++(*statDramRequests_);
         dram_.service(line, true, l2r.doneAt);
     }

@@ -1,18 +1,19 @@
 /**
  * @file
- * Shared, banked L2 cache. Each bank is a set-associative write-back cache
- * with an access-latency model that includes the ECC-protected array access
- * the paper attributes L2's long latency to (§II-A2). Banks are shared by
- * all SMs; bank conflicts serialise.
+ * Shared, banked L2 cache. Each bank is a write-back, write-allocate
+ * CacheBank with an access-latency model that includes the ECC-protected
+ * array access the paper attributes L2's long latency to (§II-A2). Banks
+ * are shared by all SMs; bank conflicts serialise.
  */
 
 #ifndef FUSE_MEM_L2CACHE_HH
 #define FUSE_MEM_L2CACHE_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
-#include "cache/set_assoc_cache.hh"
+#include "cache/cache_bank.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -33,12 +34,11 @@ struct L2Config
     std::uint32_t cyclePerAccess = 2;
 };
 
-/** Result of an L2 access. */
+/** Result of an L2 access. A miss is forwarded to DRAM by the caller. */
 struct L2Result
 {
     bool hit = false;
     Cycle doneAt = 0;       ///< When the bank produced (or accepted) data.
-    bool needsDram = false; ///< Miss: caller forwards to DRAM.
     /** Dirty eviction that must be written back to DRAM. */
     std::optional<Addr> writeback;
 };
@@ -52,9 +52,11 @@ class L2Cache
     std::uint32_t bankOf(Addr line_addr) const;
 
     /**
-     * Access @p line_addr at @p now (arrival at the bank). Fills on miss
-     * (the caller charges DRAM latency separately and in parallel —
-     * standard approximation for a non-blocking L2).
+     * Access @p line_addr at @p now (arrival at the bank). The access
+     * starts when the bank's demand port frees, and the line's
+     * replacement age is stamped at that start. Fills on miss (the
+     * caller charges DRAM latency separately and in parallel — standard
+     * approximation for a non-blocking L2).
      */
     L2Result access(Addr line_addr, AccessType type, Cycle now);
 
@@ -68,11 +70,13 @@ class L2Cache
   private:
     L2Config config_;
     /** Banks held by value with capacity reserved before construction:
-     *  the banks never move afterwards (SetAssocCache caches StatGroup
+     *  the banks never move afterwards (CacheBank caches StatGroup
      *  handles), and construction performs no vector reallocation. */
-    std::vector<SetAssocCache> banks_;
-    std::vector<Cycle> bankBusyUntil_;
+    std::vector<CacheBank> banks_;
     StatGroup stats_;
+    // Hot-path counters cached out of the string-keyed map.
+    StatGroup::Scalar *statHits_;
+    StatGroup::Scalar *statMisses_;
 };
 
 } // namespace fuse

@@ -1,5 +1,6 @@
 #include "sim/sim_config.hh"
 
+#include <cmath>
 #include <cstdlib>
 
 #include "common/log.hh"
@@ -94,6 +95,21 @@ SimConfig::validate() const
     if (!(l1d.sramAreaFraction > 0.0 && l1d.sramAreaFraction < 1.0))
         fuse_fatal("invalid config: l1d.sramAreaFraction must lie in "
                    "(0, 1), got %g", l1d.sramAreaFraction);
+    // The density comes before the bank sizes below, which scale by it
+    // (a negative byte count has no unsigned value).
+    const struct
+    {
+        const char *key;
+        double value;
+    } reals[] = {
+        {"l1d.sttDensity", l1d.sttDensity},
+        {"energy.coreClockHz", energy.coreClockHz},
+    };
+    for (const auto &r : reals) {
+        if (!(std::isfinite(r.value) && r.value > 0.0))
+            fuse_fatal("invalid config: %s must be finite and positive, "
+                       "got %g", r.key, r.value);
+    }
     // The bank builders clamp the set count to one but keep every way,
     // so more ways than lines would silently enlarge the bank.
     const struct

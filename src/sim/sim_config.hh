@@ -35,7 +35,8 @@ struct SimConfig
     /**
      * Fatal, naming the offending override key, on a configuration no
      * run can simulate: zero SMs, warps per SM, cycle cap, MSHR entries
-     * or ways, an SRAM area fraction outside (0, 1), or an L1D bank with
+     * or ways, an SRAM area fraction outside (0, 1), an STT density or
+     * core clock that is not finite and positive, or an L1D bank with
      * more ways than lines. A zero instruction budget is legal (every SM
      * is done at cycle 0).
      */

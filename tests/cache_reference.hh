@@ -14,10 +14,10 @@
 #include <cstdint>
 #include <optional>
 
+#include "cache/cache_bank.hh"
 #include "cache/mshr.hh"
 #include "cache/tag_array.hh"
 #include "common/types.hh"
-#include "fuse/cache_bank.hh"
 
 namespace fuse
 {

@@ -15,7 +15,7 @@
 #include <sstream>
 #include <string>
 
-#include "fuse/cache_bank.hh"
+#include "cache/cache_bank.hh"
 #include "gpu/gpu.hh"
 #include "sim/sim_config.hh"
 

@@ -308,6 +308,9 @@ TEST(ConfigValidateDeathTest, EveryRejectedValueNamesItsKey)
         {"l1d.sramAreaFraction", 0.0},
         {"l1d.sramAreaFraction", 1.0},
         {"l1d.sramAreaFraction", -0.25},
+        {"l1d.sttDensity", -1},
+        {"l1d.sttDensity", 0},
+        {"energy.coreClockHz", 0},
         // More ways than the bank has lines (256 lines on L1-SRAM, 128 on
         // the hybrid SRAM bank, 512 on the hybrid STT bank, 1024 on
         // By-NVM).

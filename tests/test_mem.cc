@@ -94,12 +94,27 @@ TEST(Dram, ReorderWindowTurnsConflictsIntoHits)
 TEST(L2, HitAfterFill)
 {
     L2Cache l2(L2Config{});
-    L2Result miss = l2.access(100, AccessType::Read, 0);
-    EXPECT_FALSE(miss.hit);
-    EXPECT_TRUE(miss.needsDram);
-    L2Result hit = l2.access(100, AccessType::Read, 1000);
-    EXPECT_TRUE(hit.hit);
-    EXPECT_FALSE(hit.needsDram);
+    EXPECT_FALSE(l2.access(100, AccessType::Read, 0).hit);
+    EXPECT_TRUE(l2.access(100, AccessType::Read, 1000).hit);
+}
+
+TEST(L2, ReplacementAgeIsTheServiceStart)
+{
+    // One bank with one 2-way set. Line 1 arrives at cycle 50 but waits
+    // behind line 0's access at 100, so it is served at 102 and is the
+    // younger line. Stamped with its arrival instead, it would be the
+    // LRU victim of line 2's fill.
+    L2Config config;
+    config.numBanks = 1;
+    config.numWays = 2;
+    config.totalSizeBytes = 2 * kLineSize;
+    L2Cache l2(config);
+    l2.access(0, AccessType::Read, 100);
+    EXPECT_EQ(l2.access(1, AccessType::Read, 50).doneAt,
+              100 + config.cyclePerAccess + config.accessLatency);
+    l2.access(2, AccessType::Read, 200);
+    EXPECT_TRUE(l2.access(1, AccessType::Read, 300).hit);
+    EXPECT_FALSE(l2.access(0, AccessType::Read, 400).hit);
 }
 
 TEST(L2, BankConflictSerialises)
