@@ -43,6 +43,9 @@ namespace fuse
 class PresenceSummary
 {
   public:
+    /** A slot counter's ceiling: with one hash, the most members. */
+    static constexpr std::uint16_t kCounterMax = 0xFFFF;
+
     /**
      * @param max_members greatest number of keys ever live at once (the
      *        owner's capacity: MSHR entries, tag-array lines). Fatal
@@ -110,7 +113,6 @@ class PresenceSummary
     /** Salt base decorrelating the summary from FlatAddrMap (salt 1) and
      *  the approximation CBFs (salts 1..numHashes): "PRES". */
     static constexpr std::uint64_t kSaltBase = 0x50524553ull;
-    static constexpr std::uint16_t kCounterMax = 0xFFFF;
 
     std::uint32_t slotOf(std::uint64_t key, std::uint32_t h) const
     {

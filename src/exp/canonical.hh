@@ -27,11 +27,10 @@ namespace fuse
 {
 
 /**
- * Every simulated-behaviour-relevant field of @p config as "key = value"
- * lines in fixed order. New SimConfig fields MUST be added here (and to
- * the Canonical tests in test_exp.cc): a field missing from the
- * canonical text would let two different configurations share one
- * simulation.
+ * Every field of @p config as "key = value" lines in configFields()
+ * order. A new SimConfig field needs a configFields() row: a field
+ * missing from the canonical text would let two different
+ * configurations share one simulation.
  */
 std::string canonicalConfig(const SimConfig &config);
 

@@ -55,85 +55,6 @@ parseOverrideValue(const std::string &text, int line_no)
     return v;
 }
 
-/** An assignable SimConfig field: a real or an unsigned integer. */
-using FieldRef = std::variant<double *, std::uint32_t *, std::uint64_t *>;
-
-/** Table of assignable SimConfig fields, keyed by dotted path. */
-struct OverrideField
-{
-    const char *key;
-    FieldRef (*field)(SimConfig &);
-};
-
-const std::vector<OverrideField> &
-overrideFields()
-{
-    static const std::vector<OverrideField> fields = {
-        {"gpu.numSms", [](SimConfig &c) -> FieldRef { return &c.gpu.numSms; }},
-        {"gpu.warpsPerSm",
-         [](SimConfig &c) -> FieldRef { return &c.gpu.warpsPerSm; }},
-        {"gpu.instructionBudgetPerSm",
-         [](SimConfig &c) -> FieldRef {
-             return &c.gpu.instructionBudgetPerSm;
-         }},
-        {"gpu.maxCycles",
-         [](SimConfig &c) -> FieldRef { return &c.gpu.maxCycles; }},
-        {"gpu.traceSeed",
-         [](SimConfig &c) -> FieldRef { return &c.gpu.traceSeed; }},
-        {"l1d.areaBudgetBytes",
-         [](SimConfig &c) -> FieldRef { return &c.l1d.areaBudgetBytes; }},
-        {"l1d.sramAreaFraction",
-         [](SimConfig &c) -> FieldRef { return &c.l1d.sramAreaFraction; }},
-        {"l1d.sttDensity",
-         [](SimConfig &c) -> FieldRef { return &c.l1d.sttDensity; }},
-        {"l1d.sramWays",
-         [](SimConfig &c) -> FieldRef { return &c.l1d.sramWays; }},
-        {"l1d.sttWays",
-         [](SimConfig &c) -> FieldRef { return &c.l1d.sttWays; }},
-        {"l1d.baselineWays",
-         [](SimConfig &c) -> FieldRef { return &c.l1d.baselineWays; }},
-        {"l1d.nvmWays",
-         [](SimConfig &c) -> FieldRef { return &c.l1d.nvmWays; }},
-        {"l1d.mshrEntries",
-         [](SimConfig &c) -> FieldRef { return &c.l1d.mshrEntries; }},
-        {"l1d.tagQueueEntries",
-         [](SimConfig &c) -> FieldRef { return &c.l1d.tagQueueEntries; }},
-        {"l1d.swapBufferEntries",
-         [](SimConfig &c) -> FieldRef { return &c.l1d.swapBufferEntries; }},
-        {"l1d.approx.numCbfs",
-         [](SimConfig &c) -> FieldRef { return &c.l1d.approx.numCbfs; }},
-        {"l1d.approx.numHashes",
-         [](SimConfig &c) -> FieldRef { return &c.l1d.approx.numHashes; }},
-        {"l1d.approx.cbfSlots",
-         [](SimConfig &c) -> FieldRef { return &c.l1d.approx.cbfSlots; }},
-        {"l1d.approx.comparators",
-         [](SimConfig &c) -> FieldRef { return &c.l1d.approx.comparators; }},
-        {"l1d.predictor.samplerSets",
-         [](SimConfig &c) -> FieldRef {
-             return &c.l1d.predictor.samplerSets;
-         }},
-        {"l1d.predictor.samplerWays",
-         [](SimConfig &c) -> FieldRef {
-             return &c.l1d.predictor.samplerWays;
-         }},
-        {"l1d.predictor.historyEntries",
-         [](SimConfig &c) -> FieldRef {
-             return &c.l1d.predictor.historyEntries;
-         }},
-        {"l1d.predictor.unusedThreshold",
-         [](SimConfig &c) -> FieldRef {
-             return &c.l1d.predictor.unusedThreshold;
-         }},
-        {"l1d.predictor.counterInit",
-         [](SimConfig &c) -> FieldRef {
-             return &c.l1d.predictor.counterInit;
-         }},
-        {"energy.coreClockHz",
-         [](SimConfig &c) -> FieldRef { return &c.energy.coreClockHz; }},
-    };
-    return fields;
-}
-
 void
 assign(double *field, const std::string &, double value)
 {
@@ -159,28 +80,16 @@ assign(T *field, const std::string &key, double value)
 
 } // namespace
 
-const std::vector<std::string> &
-overrideKeys()
-{
-    static const std::vector<std::string> keys = [] {
-        std::vector<std::string> out;
-        for (const auto &f : overrideFields())
-            out.push_back(f.key);
-        return out;
-    }();
-    return keys;
-}
-
 void
 applyOverride(SimConfig &config, const ConfigOverride &override)
 {
-    for (const auto &f : overrideFields()) {
+    for (const ConfigField &f : configFields()) {
         if (override.key == f.key) {
             std::visit(
                 [&](auto *field) {
                     assign(field, override.key, override.value);
                 },
-                f.field(config));
+                f.of(config));
             return;
         }
     }

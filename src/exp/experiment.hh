@@ -36,13 +36,11 @@ struct ConfigOverride
     double value = 0.0;
 };
 
-/** The override keys understood by applyOverride (for --help/docs). */
-const std::vector<std::string> &overrideKeys();
-
 /**
- * Apply one override to @p config. Fatal, naming the key, on an unknown
- * key or on a value an integer field cannot hold exactly (negative,
- * fractional or out of range).
+ * Apply one override to @p config; its key is a configFields() path.
+ * Fatal, naming the key, on an unknown key or on a value an integer
+ * field cannot hold exactly (negative, fractional or out of range).
+ * SimConfig::validate() checks the field's own range.
  */
 void applyOverride(SimConfig &config, const ConfigOverride &override);
 

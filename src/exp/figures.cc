@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <map>
 
+#include "cache/cache_bank.hh"
 #include "device/area_model.hh"
 #include "device/sram_model.hh"
 #include "device/sttmram_model.hh"
@@ -630,8 +631,16 @@ table1Render(const ResultSet &results, unsigned)
     general.row({"history entries / threshold",
                  std::to_string(c.l1d.predictor.historyEntries) + " / "
                      + std::to_string(c.l1d.predictor.unusedThreshold)});
-    general.row({"L1 SRAM/STT latency (R)", "1 / 1 cycles"});
-    general.row({"L1 SRAM/STT latency (W)", "1 / 5 cycles"});
+    const BankConfig sram = makeSramBankConfig(c.l1d.hybridSramBytes(),
+                                               c.l1d.sramWays);
+    const BankConfig stt = makeSttBankConfig(c.l1d.hybridSttBytes(),
+                                             c.l1d.sttWays, false);
+    general.row({"L1 SRAM/STT latency (R)",
+                 std::to_string(sram.readLatency) + " / "
+                     + std::to_string(stt.readLatency) + " cycles"});
+    general.row({"L1 SRAM/STT latency (W)",
+                 std::to_string(sram.writeLatency) + " / "
+                     + std::to_string(stt.writeLatency) + " cycles"});
     general.print();
 
     Report banks("Table I — per-organisation bank parameters");

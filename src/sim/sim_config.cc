@@ -1,8 +1,12 @@
 #include "sim/sim_config.hh"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <utility>
 
+#include "cache/presence.hh"
 #include "common/log.hh"
 
 namespace fuse
@@ -70,45 +74,136 @@ SimConfig::testScale()
     return c;
 }
 
+std::string
+ConfigField::range() const
+{
+    SimConfig probe;
+    const bool real = std::holds_alternative<double *>(of(probe));
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), real ? "(%.10g, %.10g)" : "[%.10g, %.10g]",
+                  min, max);
+    return buf;
+}
+
+// The path is written once: it is the key and the accessor.
+#define FUSE_FIELD(path, lo, hi)                                          \
+    {#path, [](SimConfig &c) -> ConfigField::Ref { return &c.path; }, lo, \
+     hi}
+
+const std::vector<ConfigField> &
+configFields()
+{
+    // Each range keeps the code reading the field well defined; comments
+    // name that code. kAny adds no bound to the type's own, which
+    // applyOverride enforces (latencies add into the u64 clock). Counts
+    // of built units (SMs, warps, ports, banks, sampler sets) stop at
+    // kUnits and table lengths at kEntries: far above every preset, yet
+    // no one value asks for gigabytes (gpu.warpsPerSm=4e9 hit bad_alloc).
+    constexpr double kAny = std::numeric_limits<double>::infinity();
+    constexpr double kUnits = 1 << 10;
+    constexpr double kEntries = 1 << 16;
+    static const std::vector<ConfigField> fields = {
+        FUSE_FIELD(gpu.numSms, 1, kUnits),
+        FUSE_FIELD(gpu.warpsPerSm, 1, kUnits),
+        FUSE_FIELD(gpu.instructionBudgetPerSm, 0, kAny),
+        FUSE_FIELD(gpu.maxCycles, 1, kAny),
+        FUSE_FIELD(gpu.traceSeed, 0, kAny),
+        // Interconnect takes each port count as a modulus.
+        FUSE_FIELD(gpu.noc.numSmPorts, 1, kUnits),
+        FUSE_FIELD(gpu.noc.numL2Ports, 1, kUnits),
+        FUSE_FIELD(gpu.noc.hopLatency, 0, kAny),
+        FUSE_FIELD(gpu.noc.packetCycles, 0, kAny),
+        // L2Cache divides by numBanks; 256 MiB is 2M lines.
+        FUSE_FIELD(gpu.l2.numBanks, 1, kUnits),
+        FUSE_FIELD(gpu.l2.totalSizeBytes, kLineSize, 256 << 20),
+        FUSE_FIELD(gpu.l2.numWays, 1, kAny),
+        FUSE_FIELD(gpu.l2.accessLatency, 0, kAny),
+        FUSE_FIELD(gpu.l2.cyclePerAccess, 0, kAny),
+        // Dram divides by both counts and by rowBytes / kLineSize.
+        FUSE_FIELD(gpu.dram.numChannels, 1, kUnits),
+        FUSE_FIELD(gpu.dram.banksPerChannel, 1, kUnits),
+        FUSE_FIELD(gpu.dram.rowBytes, kLineSize, kAny),
+        FUSE_FIELD(gpu.dram.tCL, 0, kAny),
+        FUSE_FIELD(gpu.dram.tRCD, 0, kAny),
+        FUSE_FIELD(gpu.dram.tRP, 0, kAny),
+        FUSE_FIELD(gpu.dram.tRAS, 0, kAny),
+        FUSE_FIELD(gpu.dram.burstCycles, 0, kAny),
+        FUSE_FIELD(gpu.dram.controllerLatency, 0, kAny),
+        FUSE_FIELD(gpu.dram.reorderWindowRows, 0, kAny),
+        // The L1-SRAM and FA-SRAM banks count areaBudgetBytes / kLineSize
+        // lines in a PresenceSummary's u16 counters, and the STT bytes
+        // areaBudgetBytes * sttDensity (< 2^29) fit roundToLines' u32.
+        FUSE_FIELD(l1d.areaBudgetBytes, kLineSize,
+                   PresenceSummary::kCounterMax * kLineSize),
+        FUSE_FIELD(l1d.sramAreaFraction, 0, 1),
+        FUSE_FIELD(l1d.sttDensity, 0, 64),
+        FUSE_FIELD(l1d.sramWays, 1, kAny),
+        FUSE_FIELD(l1d.sttWays, 1, kAny),
+        FUSE_FIELD(l1d.baselineWays, 1, kAny),
+        FUSE_FIELD(l1d.nvmWays, 1, kAny),
+        // The Mshr counts its entries in a PresenceSummary's u16
+        // counters. HybridL1D holds a non-blocking SRAM fill while the
+        // tag queue or swap buffer is full: with no entry, forever.
+        FUSE_FIELD(l1d.mshrEntries, 1, PresenceSummary::kCounterMax),
+        FUSE_FIELD(l1d.tagQueueEntries, 1, kEntries),
+        FUSE_FIELD(l1d.swapBufferEntries, 1, kEntries),
+        // ReadLevelPredictor: a u8 LRU age orders 256 sampler ways, the
+        // history counter is a u8, tagBits and 2 + signatureBits shift a
+        // u32 and a u64, and 48 / sampledWarps divides.
+        FUSE_FIELD(l1d.predictor.samplerSets, 1, kUnits),
+        FUSE_FIELD(l1d.predictor.samplerWays, 1, 256),
+        FUSE_FIELD(l1d.predictor.historyEntries, 1, kEntries),
+        FUSE_FIELD(l1d.predictor.signatureBits, 0, 61),
+        FUSE_FIELD(l1d.predictor.tagBits, 0, 31),
+        FUSE_FIELD(l1d.predictor.counterBits, 1, 8),
+        FUSE_FIELD(l1d.predictor.unusedThreshold, 0, kAny),
+        FUSE_FIELD(l1d.predictor.counterInit, 0, kAny),
+        FUSE_FIELD(l1d.predictor.sampledWarps, 1, 48),
+        // AssocApprox: each CBF operation loops over the hashes, a CBF
+        // counter is a u8, and the search divides by the comparators.
+        FUSE_FIELD(l1d.approx.numCbfs, 1, kEntries),
+        FUSE_FIELD(l1d.approx.numHashes, 1, 64),
+        FUSE_FIELD(l1d.approx.cbfSlots, 1, kEntries),
+        FUSE_FIELD(l1d.approx.counterBits, 1, 8),
+        FUSE_FIELD(l1d.approx.comparators, 1, kEntries),
+        // EnergyModel divides the cycle count by the clock.
+        FUSE_FIELD(energy.coreClockHz, 0, kAny),
+        FUSE_FIELD(energy.l2AccessEnergy, 0, kAny),
+        FUSE_FIELD(energy.dramAccessEnergy, 0, kAny),
+        FUSE_FIELD(energy.nocPacketEnergy, 0, kAny),
+        FUSE_FIELD(energy.computeEnergy, 0, kAny),
+        FUSE_FIELD(energy.l2LeakagePower, 0, kAny),
+        FUSE_FIELD(energy.smLeakagePower, 0, kAny),
+    };
+    return fields;
+}
+
+#undef FUSE_FIELD
+
 void
 SimConfig::validate() const
 {
-    const struct
-    {
-        const char *key;
-        std::uint64_t value;
-    } counts[] = {
-        {"gpu.numSms", gpu.numSms},
-        {"gpu.warpsPerSm", gpu.warpsPerSm},
-        {"gpu.maxCycles", gpu.maxCycles},
-        {"l1d.mshrEntries", l1d.mshrEntries},
-        {"l1d.sramWays", l1d.sramWays},
-        {"l1d.sttWays", l1d.sttWays},
-        {"l1d.baselineWays", l1d.baselineWays},
-        {"l1d.nvmWays", l1d.nvmWays},
-    };
-    for (const auto &c : counts) {
-        if (c.value == 0)
-            fuse_fatal("invalid config: %s must be positive", c.key);
+    for (const ConfigField &f : configFields()) {
+        // Read, never written.
+        const ConfigField::Ref ref = f.of(const_cast<SimConfig &>(*this));
+        const double v = std::visit(
+            [](auto *field) { return static_cast<double>(*field); }, ref);
+        if (std::holds_alternative<double *>(ref)
+                ? !(std::isfinite(v) && v > f.min && v < f.max)
+                : v < f.min || v > f.max)
+            fuse_fatal("invalid config: %s = %g lies outside %s", f.key, v,
+                       f.range().c_str());
     }
-    // Written so NaN fails too.
-    if (!(l1d.sramAreaFraction > 0.0 && l1d.sramAreaFraction < 1.0))
-        fuse_fatal("invalid config: l1d.sramAreaFraction must lie in "
-                   "(0, 1), got %g", l1d.sramAreaFraction);
-    // The density comes before the bank sizes below, which scale by it
-    // (a negative byte count has no unsigned value).
-    const struct
-    {
-        const char *key;
-        double value;
-    } reals[] = {
-        {"l1d.sttDensity", l1d.sttDensity},
-        {"energy.coreClockHz", energy.coreClockHz},
-    };
-    for (const auto &r : reals) {
-        if (!(std::isfinite(r.value) && r.value > 0.0))
-            fuse_fatal("invalid config: %s must be finite and positive, "
-                       "got %g", r.key, r.value);
+    // The shift is defined: counterBits lies in [1, 8].
+    const PredictorConfig &pred = l1d.predictor;
+    const std::uint32_t counter_max = (1u << pred.counterBits) - 1;
+    for (const auto &[key, value] :
+         {std::pair{"l1d.predictor.unusedThreshold", pred.unusedThreshold},
+          std::pair{"l1d.predictor.counterInit", pred.counterInit}}) {
+        if (value > counter_max)
+            fuse_fatal("invalid config: %s = %u exceeds %u, the most an "
+                       "l1d.predictor.counterBits = %u counter holds",
+                       key, value, counter_max, pred.counterBits);
     }
     // The bank builders clamp the set count to one but keep every way,
     // so more ways than lines would silently enlarge the bank.
@@ -122,6 +217,8 @@ SimConfig::validate() const
         {"l1d.sramWays", l1d.sramWays, l1d.hybridSramBytes()},
         {"l1d.sttWays", l1d.sttWays, l1d.hybridSttBytes()},
         {"l1d.nvmWays", l1d.nvmWays, l1d.pureNvmBytes()},
+        {"gpu.l2.numWays", gpu.l2.numWays,
+         gpu.l2.totalSizeBytes / gpu.l2.numBanks},
     };
     for (const auto &b : banks) {
         const std::uint32_t lines = b.bankBytes / kLineSize;

@@ -8,6 +8,11 @@
 #ifndef FUSE_SIM_SIM_CONFIG_HH
 #define FUSE_SIM_SIM_CONFIG_HH
 
+#include <cstdint>
+#include <string>
+#include <variant>
+#include <vector>
+
 #include "energy/energy_model.hh"
 #include "fuse/l1d_factory.hh"
 #include "gpu/gpu.hh"
@@ -34,14 +39,35 @@ struct SimConfig
 
     /**
      * Fatal, naming the offending override key, on a configuration no
-     * run can simulate: zero SMs, warps per SM, cycle cap, MSHR entries
-     * or ways, an SRAM area fraction outside (0, 1), an STT density or
-     * core clock that is not finite and positive, or an L1D bank with
-     * more ways than lines. A zero instruction budget is legal (every SM
-     * is done at cycle 0).
+     * run can simulate: a field outside its configFields() range, a
+     * predictor threshold or initial value the counter cannot hold, or
+     * an L1D or L2 bank with more ways than lines. A zero instruction
+     * budget is legal (every SM is done at cycle 0).
      */
     void validate() const;
 };
+
+/**
+ * One SimConfig field. Its path in SimConfig (e.g.
+ * "gpu.dram.banksPerChannel") is its spec key and its canonical-text
+ * name. validate() holds an integer to [min, max] and a real, which must
+ * be finite, to (min, max).
+ */
+struct ConfigField
+{
+    using Ref = std::variant<double *, std::uint32_t *, std::uint64_t *>;
+
+    const char *key;
+    Ref (*of)(SimConfig &config); ///< The field inside @p config.
+    double min;
+    double max;
+
+    /** "[min, max]" for an integer, "(min, max)" for a real. */
+    std::string range() const;
+};
+
+/** Every SimConfig field once, in canonical-text order. */
+const std::vector<ConfigField> &configFields();
 
 } // namespace fuse
 

@@ -13,9 +13,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <set>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "exp/canonical.hh"
 #include "exp/experiment.hh"
@@ -297,27 +298,46 @@ TEST(ConfigValidateDeathTest, SpecRejectsSramAreaFractionAboveOne)
 TEST(ConfigValidateDeathTest, EveryRejectedValueNamesItsKey)
 {
     const ConfigOverride bad[] = {
-        {"gpu.numSms", 0},
-        {"gpu.warpsPerSm", 0},
-        {"gpu.maxCycles", 0},
-        {"l1d.mshrEntries", 0},
-        {"l1d.sramWays", 0},
-        {"l1d.sttWays", 0},
-        {"l1d.baselineWays", 0},
-        {"l1d.nvmWays", 0},
-        {"l1d.sramAreaFraction", 0.0},
-        {"l1d.sramAreaFraction", 1.0},
+        // Further outside a real's range than the table walk below goes.
         {"l1d.sramAreaFraction", -0.25},
         {"l1d.sttDensity", -1},
-        {"l1d.sttDensity", 0},
-        {"energy.coreClockHz", 0},
+        // Inputs that crashed, hung or died mid-sweep without naming a
+        // key before the table had ranges (SIGFPE; no result in 20 s,
+        // twice; a PresenceSummary fatal; std::bad_alloc; constructor
+        // fatals; no result in 20 s), then new keys' values that would
+        // reach a constructor fatal and two divisions by zero.
+        {"l1d.approx.comparators", 0},
+        {"l1d.tagQueueEntries", 0},
+        {"l1d.swapBufferEntries", 0},
+        {"l1d.mshrEntries", 100000},
+        {"gpu.warpsPerSm", 4e9},
+        {"l1d.predictor.samplerSets", 0},
+        {"l1d.predictor.samplerWays", 0},
+        {"l1d.predictor.historyEntries", 0},
+        {"l1d.approx.numCbfs", 0},
+        {"l1d.approx.numHashes", 0},
+        {"l1d.approx.cbfSlots", 0},
+        {"l1d.sttDensity", 1e6},
+        {"gpu.dram.banksPerChannel", 0},
+        {"gpu.dram.rowBytes", 64},
+        {"l1d.predictor.sampledWarps", 49},
+        // A value the 4-bit predictor counter cannot hold (counterInit=100
+        // used to exit 0 with a Dy-FUSE miss rate of 1.000), or a counter
+        // too narrow for the default threshold 14 and initial value 8.
+        {"l1d.predictor.counterInit", 100},
+        {"l1d.predictor.unusedThreshold", 100},
+        {"l1d.predictor.counterInit", 16},
+        {"l1d.predictor.unusedThreshold", 16},
+        {"l1d.predictor.counterBits", 3},
         // More ways than the bank has lines (256 lines on L1-SRAM, 128 on
         // the hybrid SRAM bank, 512 on the hybrid STT bank, 1024 on
-        // By-NVM).
+        // By-NVM, 524 in each of the 12 L2 banks).
         {"l1d.baselineWays", 1024},
         {"l1d.sramWays", 1024},
         {"l1d.sttWays", 1024},
         {"l1d.nvmWays", 2048},
+        {"gpu.l2.numWays", 525},
+        {"gpu.l2.numWays", 65536},
     };
     for (const ConfigOverride &o : bad) {
         SimConfig config = SimConfig::testScale();
@@ -326,6 +346,44 @@ TEST(ConfigValidateDeathTest, EveryRejectedValueNamesItsKey)
                     o.key.c_str())
             << o.key << " = " << o.value;
     }
+}
+
+TEST(ConfigValidateDeathTest, EveryFieldRejectsValuesJustOutsideItsRange)
+{
+    // An integer row rejects min - 1 and max + 1 where its field can hold
+    // them; a real row rejects min and a finite max.
+    std::size_t checked = 0;
+    SimConfig probe;
+    for (const ConfigField &f : configFields()) {
+        std::vector<double> bad;
+        std::visit(
+            [&](auto *field) {
+                using T = std::remove_pointer_t<decltype(field)>;
+                if constexpr (std::is_same_v<T, double>) {
+                    bad.push_back(f.min);
+                    if (std::isfinite(f.max))
+                        bad.push_back(f.max);
+                } else {
+                    if (f.min > 0)
+                        bad.push_back(f.min - 1);
+                    if (f.max < static_cast<double>(
+                            std::numeric_limits<T>::max()))
+                        bad.push_back(f.max + 1);
+                }
+            },
+            f.of(probe));
+        for (double v : bad) {
+            SimConfig config = SimConfig::testScale();
+            applyOverride(config, {f.key, v});
+            const std::string message =
+                std::string(f.key) + " = .* lies outside";
+            EXPECT_EXIT(config.validate(), ::testing::ExitedWithCode(1),
+                        message.c_str())
+                << f.key << " = " << v;
+            ++checked;
+        }
+    }
+    EXPECT_GT(checked, configFields().size());
 }
 
 TEST(ConfigValidateDeathTest, IntegerKeysTakeOnlyIntegers)
@@ -359,6 +417,8 @@ TEST(ConfigValidateDeathTest, IntegerKeysTakeOnlyIntegers)
 
 TEST(ConfigValidate, IntegerKeysTakeTheirWholeRange)
 {
+    // applyOverride checks only what the field's type holds; validate()
+    // checks the row's range.
     SimConfig config = SimConfig::testScale();
     applyOverride(config, {"l1d.tagQueueEntries", 0});
     applyOverride(config, {"gpu.numSms", 4294967295.0});
@@ -610,25 +670,22 @@ TEST(Canonical, ConfigTextIsDeterministic)
 
 TEST(Canonical, BehaviouralFieldsSplitTheCache)
 {
-    // Two valid values of every override key must give two texts, or
-    // runAll would serve one configuration's simulation for the other.
-    // The pair is {2, 4} unless a key needs other values to validate.
-    const std::map<std::string, std::pair<double, double>> pairs = {
-        {"l1d.areaBudgetBytes", {16 * 1024, 64 * 1024}},
-        {"l1d.sramAreaFraction", {0.25, 0.75}},
-        {"energy.coreClockHz", {0.7e9, 1.4e9}},
-    };
-    for (const std::string &key : overrideKeys()) {
-        const auto it = pairs.find(key);
-        const auto [x, y] =
-            it != pairs.end() ? it->second : std::pair<double, double>{2, 4};
-        SimConfig a = SimConfig::testScale();
-        SimConfig b = SimConfig::testScale();
-        applyOverride(a, {key, x});
-        applyOverride(b, {key, y});
-        a.validate();
-        b.validate();
-        EXPECT_NE(canonicalConfig(a), canonicalConfig(b)) << key;
+    // Moving any field off its default must change the text, or runAll
+    // would serve one configuration's simulation for the other. The move
+    // (+1 for an integer, x1.25 for a real) is valid at test scale.
+    const SimConfig base = SimConfig::testScale();
+    for (const ConfigField &f : configFields()) {
+        SimConfig moved = base;
+        std::visit(
+            [](auto *field) {
+                if constexpr (std::is_same_v<decltype(field), double *>)
+                    *field *= 1.25;
+                else
+                    ++*field;
+            },
+            f.of(moved));
+        moved.validate();
+        EXPECT_NE(canonicalConfig(base), canonicalConfig(moved)) << f.key;
     }
 }
 

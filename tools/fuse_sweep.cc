@@ -69,7 +69,7 @@ usage()
         "  --json FILE       export results as JSON ('-' = stdout)\n"
         "  --csv FILE        export results as CSV ('-' = stdout)\n"
         "  --quiet           skip the rendered tables (exports only)\n"
-        "  --keys            list the spec override keys\n");
+        "  --keys            list the spec override keys and ranges\n");
 }
 
 void
@@ -312,8 +312,8 @@ main(int argc, char **argv)
             listFigures();
             return 0;
         } else if (arg == "--keys") {
-            for (const auto &key : fuse::overrideKeys())
-                std::printf("%s\n", key.c_str());
+            for (const fuse::ConfigField &f : fuse::configFields())
+                std::printf("%-30s %s\n", f.key, f.range().c_str());
             return 0;
         } else if (arg == "--figure") {
             figure = value();
