@@ -27,8 +27,8 @@ namespace fuse
 {
 
 /**
- * Every field of @p config as "key = value" lines in configFields()
- * order. A new SimConfig field needs a configFields() row: a field
+ * Every configFields() field of @p config as "key = value" lines, in
+ * table order. A new SimConfig field needs a configFields() row: a field
  * missing from the canonical text would let two different
  * configurations share one simulation.
  */

@@ -32,7 +32,6 @@ SimConfig::fermi()
     c.gpu.numSms = 15;
     c.gpu.warpsPerSm = 48;
     c.gpu.instructionBudgetPerSm = defaultBudget(30000);
-    c.gpu.noc.numSmPorts = 15;
     c.gpu.noc.numL2Ports = 12;
     c.gpu.l2.numBanks = 12;
     c.gpu.l2.totalSizeBytes = 786 * 1024;
@@ -49,7 +48,6 @@ SimConfig::volta()
 {
     SimConfig c = fermi();
     c.gpu.numSms = 84;
-    c.gpu.noc.numSmPorts = 84;
     c.gpu.noc.numL2Ports = 32;
     c.gpu.l2.numBanks = 32;
     c.gpu.l2.totalSizeBytes = 6 * 1024 * 1024;
@@ -68,7 +66,6 @@ SimConfig::testScale()
 {
     SimConfig c = fermi();
     c.gpu.numSms = 4;
-    c.gpu.noc.numSmPorts = 4;
     c.gpu.warpsPerSm = 16;
     c.gpu.instructionBudgetPerSm = 20000;
     return c;
@@ -98,7 +95,11 @@ configFields()
     // applyOverride enforces (latencies add into the u64 clock). Counts
     // of built units (SMs, warps, ports, banks, sampler sets) stop at
     // kUnits and table lengths at kEntries: far above every preset, yet
-    // no one value asks for gigabytes (gpu.warpsPerSm=4e9 hit bad_alloc).
+    // no one value asks for gigabytes. Unchecked, runs would die naming
+    // no key: comparators=0 raises SIGFPE, warpsPerSm=4e9 bad_alloc,
+    // mshrEntries=100000 and zero sampler, history or CBF sizes a
+    // constructor fatal; sttDensity=1e6 and a zero tag queue or swap
+    // buffer hang.
     constexpr double kAny = std::numeric_limits<double>::infinity();
     constexpr double kUnits = 1 << 10;
     constexpr double kEntries = 1 << 16;
@@ -108,8 +109,8 @@ configFields()
         FUSE_FIELD(gpu.instructionBudgetPerSm, 0, kAny),
         FUSE_FIELD(gpu.maxCycles, 1, kAny),
         FUSE_FIELD(gpu.traceSeed, 0, kAny),
-        // Interconnect takes each port count as a modulus.
-        FUSE_FIELD(gpu.noc.numSmPorts, 1, kUnits),
+        // Interconnect takes the port count as a modulus. Gpu gives the
+        // NoC one SM port per SM, so gpu.noc.numSmPorts has no row.
         FUSE_FIELD(gpu.noc.numL2Ports, 1, kUnits),
         FUSE_FIELD(gpu.noc.hopLatency, 0, kAny),
         FUSE_FIELD(gpu.noc.packetCycles, 0, kAny),

@@ -66,7 +66,7 @@ struct ConfigField
     std::string range() const;
 };
 
-/** Every SimConfig field once, in canonical-text order. */
+/** Every SimConfig field but gpu.noc.numSmPorts, which Gpu sets. */
 const std::vector<ConfigField> &configFields();
 
 } // namespace fuse

@@ -298,29 +298,14 @@ TEST(ConfigValidateDeathTest, SpecRejectsSramAreaFractionAboveOne)
 TEST(ConfigValidateDeathTest, EveryRejectedValueNamesItsKey)
 {
     const ConfigOverride bad[] = {
-        // Further outside a real's range than the table walk below goes.
+        // Further outside a range than the table walk below goes. The
+        // walk covers the measured min - 1 and max + 1 inputs.
         {"l1d.sramAreaFraction", -0.25},
         {"l1d.sttDensity", -1},
-        // Inputs that crashed, hung or died mid-sweep without naming a
-        // key before the table had ranges (SIGFPE; no result in 20 s,
-        // twice; a PresenceSummary fatal; std::bad_alloc; constructor
-        // fatals; no result in 20 s), then new keys' values that would
-        // reach a constructor fatal and two divisions by zero.
-        {"l1d.approx.comparators", 0},
-        {"l1d.tagQueueEntries", 0},
-        {"l1d.swapBufferEntries", 0},
         {"l1d.mshrEntries", 100000},
         {"gpu.warpsPerSm", 4e9},
-        {"l1d.predictor.samplerSets", 0},
-        {"l1d.predictor.samplerWays", 0},
-        {"l1d.predictor.historyEntries", 0},
-        {"l1d.approx.numCbfs", 0},
-        {"l1d.approx.numHashes", 0},
-        {"l1d.approx.cbfSlots", 0},
         {"l1d.sttDensity", 1e6},
-        {"gpu.dram.banksPerChannel", 0},
         {"gpu.dram.rowBytes", 64},
-        {"l1d.predictor.sampledWarps", 49},
         // A value the 4-bit predictor counter cannot hold (counterInit=100
         // used to exit 0 with a Dy-FUSE miss rate of 1.000), or a counter
         // too narrow for the default threshold 14 and initial value 8.
