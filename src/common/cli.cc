@@ -1,9 +1,7 @@
 #include "common/cli.hh"
 
 #include <cerrno>
-#include <climits>
 #include <cstdlib>
-#include <string>
 
 #include "common/log.hh"
 
@@ -11,7 +9,7 @@ namespace fuse
 {
 
 unsigned
-parseCount(const char *flag, const char *value, unsigned lo, unsigned hi)
+parseCount(const char *flag, const char *value)
 {
     if (!value || *value == '\0')
         fuse_fatal("%s expects a positive integer", flag);
@@ -23,25 +21,10 @@ parseCount(const char *flag, const char *value, unsigned lo, unsigned hi)
     errno = 0;
     char *end = nullptr;
     const unsigned long n = std::strtoul(value, &end, 10);
-    if (errno != 0 || end == value || *end != '\0' || n < lo || n > hi)
-        fuse_fatal("%s expects an integer in [%u, %u], got '%s'", flag,
-                   lo, hi, value);
+    if (errno != 0 || end == value || *end != '\0' || n < 1 || n > 4096)
+        fuse_fatal("%s expects an integer in [1, 4096], got '%s'", flag,
+                   value);
     return static_cast<unsigned>(n);
-}
-
-Shard
-parseShard(const char *flag, const char *value)
-{
-    const std::string text = value ? value : "";
-    const std::size_t slash = text.find('/');
-    if (slash == std::string::npos)
-        fuse_fatal("%s wants I/N with 1 <= I <= N, got '%s'", flag,
-                   text.c_str());
-    const unsigned count =
-        parseCount(flag, text.substr(slash + 1).c_str(), 1, UINT_MAX);
-    const unsigned index =
-        parseCount(flag, text.substr(0, slash).c_str(), 1, count);
-    return {index - 1, count};
 }
 
 } // namespace fuse

@@ -1,6 +1,8 @@
 #include "exp/export.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <istream>
 #include <ostream>
@@ -56,107 +58,74 @@ jsonString(const std::string &s)
     return out;
 }
 
-std::vector<std::string>
-splitCsvLine(const std::string &line)
-{
-    std::vector<std::string> cells;
-    std::string cell;
-    bool quoted = false;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-        const char c = line[i];
-        if (quoted) {
-            if (c == '"') {
-                if (i + 1 < line.size() && line[i + 1] == '"') {
-                    cell += '"';
-                    ++i;
-                } else {
-                    quoted = false;
-                }
-            } else {
-                cell += c;
-            }
-        } else if (c == '"') {
-            quoted = true;
-        } else if (c == ',') {
-            cells.push_back(cell);
-            cell.clear();
-        } else {
-            cell += c;
-        }
-    }
-    cells.push_back(cell);
-    return cells;
-}
-
-/** Tiny recursive-descent parser for the JSON subset writeJson emits. */
+/** Recursive-descent parser for the JSON writeJson emits, keys in its
+ *  order. */
 class JsonParser
 {
   public:
     explicit JsonParser(const std::string &text) : text_(text) {}
 
-    /** Parse the top-level document into FlatRuns. */
-    std::vector<FlatRun>
-    parseDocument(std::string *experiment)
+    /** Parse the whole document: its experiment name and its rows. */
+    std::vector<RunResult>
+    parseDocument(std::string &experiment)
     {
-        std::vector<FlatRun> runs;
+        std::vector<RunResult> rows;
         expect('{');
-        for (;;) {
-            const std::string key = parseString();
-            expect(':');
-            if (key == "experiment" && experiment) {
-                *experiment = parseString();
-            } else if (key == "runs") {
-                expect('[');
-                skipWs();
-                if (peek() == ']') {
-                    get();
-                } else {
-                    for (;;) {
-                        runs.push_back(parseRun());
-                        if (!consumeListSep(']'))
-                            break;
-                    }
-                }
-            } else {
-                skipScalar();
-            }
-            if (!consumeListSep('}'))
-                break;
+        expectKey("experiment");
+        experiment = parseString();
+        expect(',');
+        expectKey("runs");
+        expect('[');
+        if (peek() == ']') {
+            get();
+        } else {
+            do
+                rows.push_back(parseRow());
+            while (consumeListSep(']'));
         }
-        return runs;
+        expect('}');
+        skipWs();
+        if (pos_ != text_.size())
+            fuse_fatal("JSON: trailing text at offset %zu", pos_);
+        return rows;
     }
 
   private:
-    FlatRun
-    parseRun()
+    RunResult
+    parseRow()
     {
-        FlatRun run;
+        RunResult row;
         expect('{');
-        for (;;) {
-            const std::string key = parseString();
-            expect(':');
-            if (key == "benchmark") {
-                run.benchmark = parseString();
-            } else if (key == "kind") {
-                run.kind = parseString();
-            } else if (key == "variant") {
-                run.variantLabel = parseString();
-            } else if (key == "metrics") {
-                expect('{');
-                for (;;) {
-                    const std::string name = parseString();
-                    expect(':');
-                    run.values[name] = parseNumber();
-                    if (!consumeListSep('}'))
-                        break;
-                }
-            } else {
-                skipScalar();
-            }
-            if (!consumeListSep('}'))
-                break;
+        expectKey("benchmark");
+        row.benchmark = parseString();
+        expect(',');
+        expectKey("kind");
+        const std::string kind = parseString();
+        if (!l1dKindFromString(kind, row.kind))
+            fuse_fatal("JSON: unknown L1D kind '%s'", kind.c_str());
+        expect(',');
+        expectKey("variant");
+        row.variantLabel = parseString();
+        expect(',');
+        expectKey("metrics");
+        expect('{');
+        for (const MetricField &f : metricFields()) {
+            if (&f != &metricFields().front())
+                expect(',');
+            expectKey(f.name);
+            const double v = parseNumber();
+            // A count's setter converts to an integer, which is
+            // undefined for a value outside [0, 2^64).
+            if (f.count && !(v >= 0 && v < 0x1p64 && v == std::floor(v)))
+                fuse_fatal("JSON: metric '%s' is a count, got %.17g",
+                           f.name, v);
+            f.set(row.metrics, v);
         }
-        return run;
+        expect('}');
+        expect('}');
+        row.metrics.benchmark = row.benchmark;
+        row.metrics.l1dKind = row.kind;
+        return row;
     }
 
     void
@@ -191,6 +160,19 @@ class JsonParser
         if (got != c)
             fuse_fatal("JSON: expected '%c' at offset %zu, got '%c'", c,
                        pos_ - 1, got);
+    }
+
+    /** The object key @p key and its ':'. */
+    void
+    expectKey(const char *key)
+    {
+        skipWs();
+        const std::size_t at = pos_;
+        const std::string got = parseString();
+        if (got != key)
+            fuse_fatal("JSON: expected key '%s' at offset %zu, got '%s'",
+                       key, at, got.c_str());
+        expect(':');
     }
 
     /** After a value: ',' continues the list, @p close ends it. */
@@ -242,19 +224,18 @@ class JsonParser
         return v;
     }
 
-    /** Skip a scalar value (string or number) we don't interpret. */
-    void
-    skipScalar()
-    {
-        if (peek() == '"')
-            parseString();
-        else
-            parseNumber();
-    }
-
     const std::string &text_;
     std::size_t pos_ = 0;
 };
+
+/** Append @p value to @p axis unless it already holds it. */
+template <typename T>
+void
+addOnce(std::vector<T> &axis, const T &value)
+{
+    if (std::find(axis.begin(), axis.end(), value) == axis.end())
+        axis.push_back(value);
+}
 
 } // namespace
 
@@ -264,14 +245,16 @@ metricFields()
     static const std::vector<MetricField> fields = {
         {"cycles",
          [](const Metrics &m) { return static_cast<double>(m.cycles); },
-         [](Metrics &m, double v) { m.cycles = static_cast<Cycle>(v); }},
+         [](Metrics &m, double v) { m.cycles = static_cast<Cycle>(v); },
+         true},
         {"instructions",
          [](const Metrics &m) {
              return static_cast<double>(m.instructions);
          },
          [](Metrics &m, double v) {
              m.instructions = static_cast<std::uint64_t>(v);
-         }},
+         },
+         true},
         {"ipc", [](const Metrics &m) { return m.ipc; },
          [](Metrics &m, double v) { m.ipc = v; }},
         {"l1d_miss_rate", [](const Metrics &m) { return m.l1dMissRate; },
@@ -284,7 +267,8 @@ metricFields()
          },
          [](Metrics &m, double v) {
              m.offchipRequests = static_cast<std::uint64_t>(v);
-         }},
+         },
+         true},
         {"bypass_ratio", [](const Metrics &m) { return m.bypassRatio; },
          [](Metrics &m, double v) { m.bypassRatio = v; }},
         {"stall_stt", [](const Metrics &m) { return m.sttStallCycles; },
@@ -328,29 +312,6 @@ metricFields()
          [](Metrics &m, double v) { m.energy.smLeakage = v; }},
     };
     return fields;
-}
-
-Metrics
-metricsFromFlat(const FlatRun &run)
-{
-    Metrics m;
-    m.benchmark = run.benchmark;
-    if (!l1dKindFromString(run.kind, m.l1dKind))
-        fuse_fatal("export row has unknown L1D kind '%s'",
-                   run.kind.c_str());
-    for (const auto &[name, value] : run.values) {
-        bool known = false;
-        for (const auto &f : metricFields()) {
-            if (name == f.name) {
-                f.set(m, value);
-                known = true;
-                break;
-            }
-        }
-        if (!known)
-            fuse_fatal("export row has unknown metric '%s'", name.c_str());
-    }
-    return m;
 }
 
 void
@@ -397,42 +358,43 @@ writeJson(std::ostream &os, const ResultSet &results)
     os << "\n  ]\n}\n";
 }
 
-std::vector<FlatRun>
-readCsv(std::istream &is)
-{
-    std::vector<FlatRun> runs;
-    std::string line;
-    if (!std::getline(is, line))
-        return runs;
-    const std::vector<std::string> header = splitCsvLine(line);
-    if (header.size() < 3 || header[0] != "benchmark")
-        fuse_fatal("CSV: unexpected header");
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        const std::vector<std::string> cells = splitCsvLine(line);
-        if (cells.size() != header.size())
-            fuse_fatal("CSV: row has %zu cells, header has %zu",
-                       cells.size(), header.size());
-        FlatRun run;
-        run.benchmark = cells[0];
-        run.kind = cells[1];
-        run.variantLabel = cells[2];
-        for (std::size_t i = 3; i < cells.size(); ++i)
-            run.values[header[i]] = std::strtod(cells[i].c_str(), nullptr);
-        runs.push_back(std::move(run));
-    }
-    return runs;
-}
-
-std::vector<FlatRun>
-readJson(std::istream &is, std::string *experiment)
+ResultSet
+readJson(std::istream &is)
 {
     std::stringstream buffer;
     buffer << is.rdbuf();
     const std::string text = buffer.str();
-    JsonParser parser(text);
-    return parser.parseDocument(experiment);
+    std::string name;
+    const std::vector<RunResult> rows =
+        JsonParser(text).parseDocument(name);
+
+    std::vector<std::string> benchmarks;
+    std::vector<L1DKind> kinds;
+    std::vector<std::string> labels;
+    for (const RunResult &row : rows) {
+        addOnce(benchmarks, row.benchmark);
+        addOnce(kinds, row.kind);
+        addOnce(labels, row.variantLabel);
+    }
+    ResultSet results(name, benchmarks, kinds, labels);
+    if (rows.size() != results.size())
+        fuse_fatal("JSON: %zu rows for the %zu cells of the '%s' grid",
+                   rows.size(), results.size(), name.c_str());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        RunResult &cell = results.at(i);
+        const RunResult &row = rows[i];
+        if (row.benchmark != cell.benchmark || row.kind != cell.kind
+            || row.variantLabel != cell.variantLabel)
+            fuse_fatal("JSON: row %zu is (%s, %s, '%s') where the '%s' "
+                       "grid has cell (%s, %s, '%s')", i,
+                       row.benchmark.c_str(), toString(row.kind),
+                       row.variantLabel.c_str(), name.c_str(),
+                       cell.benchmark.c_str(), toString(cell.kind),
+                       cell.variantLabel.c_str());
+        cell.metrics = row.metrics;
+        cell.valid = true;
+    }
+    return results;
 }
 
 } // namespace fuse

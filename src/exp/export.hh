@@ -1,8 +1,8 @@
 /**
  * @file
- * Machine-readable result export: a named-metric registry over Metrics
- * plus CSV and JSON writers for a ResultSet (and matching minimal readers
- * for round-trip checks and post-processing scripts). Doubles are printed
+ * Machine-readable result export: a named-metric registry over Metrics,
+ * CSV and JSON writers for a ResultSet, and the JSON reader that
+ * `fuse_sweep --merge` re-renders an export through. Doubles are printed
  * with %.17g so a write/read cycle is value-exact.
  */
 
@@ -10,7 +10,6 @@
 #define FUSE_EXP_EXPORT_HH
 
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -24,9 +23,12 @@ struct MetricField
 {
     const char *name;
     double (*get)(const Metrics &);
-    /** Inverse of get: writes the field back into a Metrics record (the
-     *  merge CLI rebuilds full Metrics from shard exports with it). */
+    /** Inverse of get: writes the field back into a Metrics record
+     *  (readJson rebuilds each row's Metrics with it). */
     void (*set)(Metrics &, double);
+    /** An integer count: readJson takes only whole numbers in
+     *  [0, 2^64) for it. */
+    bool count = false;
 };
 
 /** Every exported metric, in column order. */
@@ -38,31 +40,18 @@ void writeCsv(std::ostream &os, const ResultSet &results);
 /** Write @p results as a JSON document with an array of run objects. */
 void writeJson(std::ostream &os, const ResultSet &results);
 
-/** A parsed export row, independent of the on-disk format. */
-struct FlatRun
-{
-    std::string benchmark;
-    std::string kind;
-    std::string variantLabel;
-    std::map<std::string, double> values;
-};
-
 /**
- * Rebuild a Metrics record from a parsed export row. Every field that
- * writeCsv/writeJson emit is restored exactly (doubles round-trip through
- * %.17g bit-for-bit), so tables rendered from merged shard exports match
- * the unsharded run byte for byte. Unknown value names are fatal.
+ * Read a writeJson export back into its ResultSet. The export is its
+ * own grid: each axis holds its values in order of first appearance,
+ * and row i must be cell i of that grid in flat order, with every
+ * metricFields() entry once, in column order. Anything else is fatal:
+ * malformed or trailing text, an unknown kind, a dropped, repeated or
+ * reordered row, a missing, repeated or unknown metric, or a count
+ * that is not a whole number in [0, 2^64). Doubles
+ * round-trip through %.17g bit for bit, so tables rendered from the
+ * result, and its re-export, match the run that wrote it byte for byte.
  */
-Metrics metricsFromFlat(const FlatRun &run);
-
-/** Parse writeCsv output (fatal on malformed input). */
-std::vector<FlatRun> readCsv(std::istream &is);
-
-/** Parse writeJson output (fatal on malformed input). When
- *  @p experiment is non-null it receives the document's experiment
- *  name. */
-std::vector<FlatRun> readJson(std::istream &is,
-                              std::string *experiment = nullptr);
+ResultSet readJson(std::istream &is);
 
 } // namespace fuse
 

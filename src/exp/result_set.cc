@@ -47,12 +47,34 @@ normalizeTo(const std::vector<double> &values,
     return out;
 }
 
+namespace
+{
+
+/** Fatal when @p values, the @p axis of grid @p grid, repeat a value. */
+void
+requireDistinct(const std::string &grid, const char *axis,
+                const std::vector<std::string> &values)
+{
+    for (auto it = values.begin(); it != values.end(); ++it)
+        if (std::find(values.begin(), it, *it) != it)
+            fuse_fatal("'%s' names %s '%s' twice", grid.c_str(), axis,
+                       it->c_str());
+}
+
+} // namespace
+
 ResultSet::ResultSet(std::string name, std::vector<std::string> benchmarks,
                      std::vector<L1DKind> kinds,
                      std::vector<std::string> variant_labels)
     : name_(std::move(name)), benchmarks_(std::move(benchmarks)),
       kinds_(std::move(kinds)), variantLabels_(std::move(variant_labels))
 {
+    std::vector<std::string> kind_names;
+    for (L1DKind kind : kinds_)
+        kind_names.push_back(toString(kind));
+    requireDistinct(name_, "benchmark", benchmarks_);
+    requireDistinct(name_, "kind", kind_names);
+    requireDistinct(name_, "variant", variantLabels_);
     if (variantLabels_.empty())
         variantLabels_.push_back("");
     runs_.reserve(benchmarks_.size() * variantLabels_.size()
@@ -117,25 +139,6 @@ ResultSet::normalizedSeries(L1DKind kind, L1DKind baseline_kind,
 {
     return normalizeTo(series(kind, get, variant),
                        series(baseline_kind, get, baseline_variant));
-}
-
-void
-ResultSet::merge(const ResultSet &other)
-{
-    if (name_ != other.name_ || benchmarks_ != other.benchmarks_
-        || kinds_ != other.kinds_ || variantLabels_ != other.variantLabels_)
-        fuse_fatal("ResultSet::merge: incompatible grids ('%s' vs '%s')",
-                   name_.c_str(), other.name_.c_str());
-    for (std::size_t i = 0; i < runs_.size(); ++i) {
-        if (!other.runs_[i].valid)
-            continue;
-        if (runs_[i].valid)
-            fuse_fatal("ResultSet::merge: cell %zu (%s, %s) filled by "
-                       "both sides — overlapping shards?",
-                       i, other.runs_[i].benchmark.c_str(),
-                       toString(other.runs_[i].kind));
-        runs_[i] = other.runs_[i];
-    }
 }
 
 } // namespace fuse

@@ -48,8 +48,9 @@ using MetricGetter = std::function<double(const Metrics &)>;
  * The dense result grid of one experiment. Cells are addressed by
  * (benchmark, variant, kind) and stored in a deterministic flat order —
  * benchmark-major, then variant, then kind — independent of the thread
- * schedule that produced them. The constructor names every cell; a
- * cell turns valid once its metrics are filled.
+ * schedule that produced them. The constructor names every cell, and is
+ * fatal when an axis holds one value twice; a cell turns valid once its
+ * metrics are filled.
  */
 class ResultSet
 {
@@ -102,14 +103,6 @@ class ResultSet
     std::vector<double> normalizedSeries(
         L1DKind kind, L1DKind baseline_kind, const MetricGetter &get,
         std::size_t variant = 0, std::size_t baseline_variant = 0) const;
-
-    /**
-     * Copy @p other's completed cells into this grid (campaign-scale
-     * fan-out: each `fuse_sweep --shard i/N` invocation fills a disjoint
-     * subset; merging the N shards reproduces the unsharded run cell for
-     * cell). Fatal if the grids differ or a cell is filled twice.
-     */
-    void merge(const ResultSet &other);
 
   private:
     std::string name_;

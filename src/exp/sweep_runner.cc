@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -10,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/log.hh"
 #include "exp/canonical.hh"
 #include "sim/simulator.hh"
 
@@ -52,13 +50,6 @@ parallelFor(std::size_t n, unsigned threads,
 unsigned
 defaultThreadCount()
 {
-    // A malformed/zero/negative FUSE_THREADS falls through to the
-    // hardware count rather than poisoning the pool size.
-    if (const char *env = std::getenv("FUSE_THREADS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n > 0)
-            return static_cast<unsigned>(n);
-    }
     // hardware_concurrency() is allowed to return 0 ("unknown"); clamp
     // so a sweep can never construct a zero-thread pool (regression-
     // guarded by test_exp's DefaultThreadCountIsAtLeastOne).
@@ -124,16 +115,12 @@ SweepRunner::SweepRunner(unsigned threads)
 {}
 
 ResultSet
-SweepRunner::run(const ExperimentSpec &spec, std::size_t shard_index,
-                 std::size_t shard_count) const
+SweepRunner::run(const ExperimentSpec &spec) const
 {
-    if (shard_count == 0 || shard_index >= shard_count)
-        fuse_fatal("invalid shard %zu/%zu (want 0 <= index < count)",
-                   shard_index, shard_count);
     std::vector<Grid> grids;
     grids.emplace_back(spec);
     std::vector<Cell> cells;
-    for (std::size_t i = shard_index; i < spec.runCount(); i += shard_count)
+    for (std::size_t i = 0; i < spec.runCount(); ++i)
         cells.push_back({0, i});
     simulate(grids, cells, threads_, progress_);
     return std::move(grids.front().results);

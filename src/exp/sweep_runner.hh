@@ -30,7 +30,7 @@ namespace fuse
 void parallelFor(std::size_t n, unsigned threads,
                  const std::function<void(std::size_t)> &fn);
 
-/** Worker count from FUSE_THREADS, else std::thread::hardware_concurrency. */
+/** Worker count: std::thread::hardware_concurrency, at least 1. */
 unsigned defaultThreadCount();
 
 class SweepRunner
@@ -47,18 +47,8 @@ class SweepRunner
         std::function<void(const RunResult &, std::size_t, std::size_t)>;
     void onProgress(Progress progress) { progress_ = std::move(progress); }
 
-    /**
-     * Execute the grid and return the dense, ordered results. With
-     * @p shard_count > 1 only shard @p shard_index of @p shard_count is
-     * simulated — every flat index congruent to @p shard_index mod
-     * @p shard_count (round-robin, so every shard gets a balanced
-     * benchmark mix) — and the other cells stay invalid. Because every
-     * run is seeded purely from the spec, merging the N shard ResultSets
-     * reproduces the unsharded sweep cell for cell (see
-     * ResultSet::merge). Fatal on an invalid shard.
-     */
-    ResultSet run(const ExperimentSpec &spec, std::size_t shard_index = 0,
-                  std::size_t shard_count = 1) const;
+    /** Execute the grid and return the dense, ordered results. */
+    ResultSet run(const ExperimentSpec &spec) const;
 
     /**
      * Execute the full grids of all @p specs in one pass on the pool and

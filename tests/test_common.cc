@@ -175,31 +175,6 @@ TEST(ParseCountDeathTest, RejectsOutOfRangeAndGarbage)
                 ::testing::ExitedWithCode(1), "--threads expects");
     EXPECT_EXIT({ parseCount("--threads", "12x"); },
                 ::testing::ExitedWithCode(1), "--threads expects");
-    EXPECT_EXIT({ parseCount("--q", "5", 1, 4); },
-                ::testing::ExitedWithCode(1), "\\[1, 4\\]");
-}
-
-TEST(ParseShard, AcceptsFirstAndLastSlice)
-{
-    const Shard one = parseShard("--shard", "1/1");
-    EXPECT_EQ(one.index, 0u);
-    EXPECT_EQ(one.count, 1u);
-    const Shard last = parseShard("--shard", "4/4");
-    EXPECT_EQ(last.index, 3u);
-    EXPECT_EQ(last.count, 4u);
-}
-
-TEST(ParseShardDeathTest, RejectsWrappedSignedAndMalformedHalves)
-{
-    // strtoul would wrap "-1" and saturate the 2^64 + 1 spelling into a
-    // huge shard count, and skip the sign and the leading space.
-    for (const char *value :
-         {"1/-1", "1/18446744073709551617", "+1/2", " 1/2", "2/ 3", "0/2",
-          "3/2", "1/", "/2", "2", "1/2/3"}) {
-        EXPECT_EXIT({ parseShard("--shard", value); },
-                    ::testing::ExitedWithCode(1), "--shard ")
-            << value;
-    }
 }
 
 } // namespace

@@ -3,8 +3,9 @@
  * Tests for the experiment-orchestration subsystem: aggregation helpers,
  * spec parsing and override application, thread-pool determinism
  * (an N-thread sweep must be metric-for-metric identical to a serial
- * one), the canonical point text and the one-pass runAll it keys, and
- * the JSON/CSV export round trip.
+ * one), the canonical point text and the one-pass runAll it keys, the
+ * CSV text, and the JSON export round trip and the inputs its reader
+ * refuses.
  */
 
 #include <gtest/gtest.h>
@@ -543,46 +544,6 @@ TEST(SweepRunner, ReportsProgressForEveryRun)
     EXPECT_EQ(calls, spec.runCount());
 }
 
-// ------------------------------------------------------- sharding
-
-TEST(SweepRunner, ShardAndMergeEqualsUnshardedRun)
-{
-    const ExperimentSpec spec = smallSpec();
-    const ResultSet full = SweepRunner(1).run(spec);
-
-    constexpr std::size_t kShards = 3;
-    ResultSet merged = SweepRunner(2).run(spec, 0, kShards);
-    for (std::size_t s = 1; s < kShards; ++s)
-        merged.merge(SweepRunner(2).run(spec, s, kShards));
-
-    expectIdenticalResults(full, merged);
-}
-
-TEST(SweepRunner, ShardsPartitionTheGrid)
-{
-    const ExperimentSpec spec = smallSpec();
-    constexpr std::size_t kShards = 3;
-    std::vector<int> owners(spec.runCount(), 0);
-    for (std::size_t s = 0; s < kShards; ++s) {
-        const ResultSet shard = SweepRunner(1).run(spec, s, kShards);
-        ASSERT_EQ(shard.size(), spec.runCount());
-        for (std::size_t i = 0; i < shard.size(); ++i)
-            owners[i] += shard.at(i).valid ? 1 : 0;
-    }
-    // Every cell simulated exactly once across the shards.
-    for (std::size_t i = 0; i < owners.size(); ++i)
-        EXPECT_EQ(owners[i], 1) << "cell " << i;
-}
-
-TEST(SweepRunner, RejectsInvalidShard)
-{
-    const ExperimentSpec spec = smallSpec();
-    EXPECT_EXIT({ SweepRunner(1).run(spec, 3, 3); },
-                ::testing::ExitedWithCode(1), "invalid shard");
-    EXPECT_EXIT({ SweepRunner(1).run(spec, 0, 0); },
-                ::testing::ExitedWithCode(1), "invalid shard");
-}
-
 // --------------------------------------------------------- one pass
 
 std::string
@@ -714,27 +675,6 @@ TEST(Canonical, PointTextIsFastModeIndependent)
     EXPECT_EQ(plain, fast);
 }
 
-TEST(ResultSet, MergeRejectsMismatchedGridsAndOverlap)
-{
-    const ExperimentSpec spec = smallSpec();
-    const ResultSet shard0 = SweepRunner(1).run(spec, 0, 2);
-
-    ExperimentSpec other = spec;
-    other.name = "different";
-    const ResultSet alien = SweepRunner(1).run(other, 0, 2);
-
-    {
-        ResultSet merged = shard0;
-        EXPECT_EXIT({ merged.merge(alien); },
-                    ::testing::ExitedWithCode(1), "incompatible grids");
-    }
-    {
-        ResultSet merged = shard0;
-        EXPECT_EXIT({ merged.merge(shard0); },
-                    ::testing::ExitedWithCode(1), "filled by both sides");
-    }
-}
-
 // ------------------------------------------------------ result set
 
 TEST(ResultSet, SeriesAndNormalisation)
@@ -763,49 +703,149 @@ TEST(ResultSet, FindMissesGracefully)
     EXPECT_EQ(results.find("ATAX", L1DKind::DyFuse, 2), nullptr);
 }
 
+TEST(ResultSetDeathTest, AGridNamesEachValueOnce)
+{
+    EXPECT_EXIT({ ResultSet("dup", {"ATAX", "ATAX"}, {L1DKind::L1Sram},
+                            {"x"}); },
+                ::testing::ExitedWithCode(1),
+                "'dup' names benchmark 'ATAX' twice");
+    EXPECT_EXIT({ ResultSet("dup", {"ATAX"},
+                            {L1DKind::L1Sram, L1DKind::L1Sram}, {"x"}); },
+                ::testing::ExitedWithCode(1),
+                "'dup' names kind 'L1-SRAM' twice");
+    EXPECT_EXIT({ ResultSet("dup", {"ATAX"}, {L1DKind::L1Sram},
+                            {"x", "x"}); },
+                ::testing::ExitedWithCode(1),
+                "'dup' names variant 'x' twice");
+}
+
 // ------------------------------------------------------- exporters
 
-TEST(Export, CsvRoundTripIsValueExact)
+TEST(Export, CsvTextIsExact)
 {
-    const ResultSet results = SweepRunner(2).run(smallSpec());
-    std::stringstream ss;
-    writeCsv(ss, results);
-    const std::vector<FlatRun> readback = readCsv(ss);
+    // A label that needs quoting, and an IPC with no exact binary value:
+    // %.17g prints every digit the double needs.
+    ResultSet results("csv", {"ATAX"}, {L1DKind::L1Sram}, {"a,\"b\""});
+    results.at(0).metrics.ipc = 0.1;
+    results.at(0).valid = true;
+    std::ostringstream os;
+    writeCsv(os, results);
+    EXPECT_EQ(os.str(),
+              "benchmark,kind,variant,cycles,instructions,ipc,"
+              "l1d_miss_rate,apki,offchip_requests,bypass_ratio,stall_stt,"
+              "stall_tag_search,l1d_stall_cycles,pred_true,pred_false,"
+              "pred_neutral,mem_wait_fraction,network_share,dram_share,"
+              "energy_l1d_dynamic,energy_l1d_leakage,energy_l2,"
+              "energy_dram,energy_noc,energy_compute,energy_sm_leakage\n"
+              "ATAX,L1-SRAM,\"a,\"\"b\"\"\",0,0,0.10000000000000001,"
+              "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0\n");
+}
 
-    ASSERT_EQ(readback.size(), results.size());
-    std::size_t i = 0;
-    for (const auto &run : results.runs()) {
-        const FlatRun &flat = readback[i++];
-        EXPECT_EQ(flat.benchmark, run.benchmark);
-        EXPECT_EQ(flat.kind, toString(run.kind));
-        EXPECT_EQ(flat.variantLabel, run.variantLabel);
-        for (const auto &field : metricFields()) {
-            const auto it = flat.values.find(field.name);
-            ASSERT_NE(it, flat.values.end()) << field.name;
-            EXPECT_EQ(it->second, field.get(run.metrics)) << field.name;
-        }
-    }
+/** The smallSpec() export: a header of three lines, the 8 rows one per
+ *  line (each but the last ending in ','), and a footer of two. */
+const std::string &
+smallExport()
+{
+    static const std::string text = jsonOf(SweepRunner(2).run(smallSpec()));
+    return text;
+}
+
+ResultSet
+readText(const std::string &text)
+{
+    std::istringstream is(text);
+    return readJson(is);
 }
 
 TEST(Export, JsonRoundTripIsValueExact)
 {
     const ResultSet results = SweepRunner(2).run(smallSpec());
-    std::stringstream ss;
-    writeJson(ss, results);
-    const std::vector<FlatRun> readback = readJson(ss);
+    const ResultSet readback = readText(jsonOf(results));
+    EXPECT_EQ(readback.name(), results.name());
+    EXPECT_EQ(readback.benchmarks(), results.benchmarks());
+    EXPECT_EQ(readback.kinds(), results.kinds());
+    EXPECT_EQ(readback.variantLabels(), results.variantLabels());
+    expectIdenticalResults(results, readback);
+    EXPECT_EQ(jsonOf(readback), jsonOf(results));
+}
 
-    ASSERT_EQ(readback.size(), results.size());
-    std::size_t i = 0;
-    for (const auto &run : results.runs()) {
-        const FlatRun &flat = readback[i++];
-        EXPECT_EQ(flat.benchmark, run.benchmark);
-        EXPECT_EQ(flat.kind, toString(run.kind));
-        EXPECT_EQ(flat.variantLabel, run.variantLabel);
-        for (const auto &field : metricFields()) {
-            const auto it = flat.values.find(field.name);
-            ASSERT_NE(it, flat.values.end()) << field.name;
-            EXPECT_EQ(it->second, field.get(run.metrics)) << field.name;
-        }
+TEST(ExportDeathTest, RowIIsCellI)
+{
+    std::vector<std::string> lines;
+    std::istringstream is(smallExport());
+    for (std::string line; std::getline(is, line);)
+        lines.push_back(line);
+    ASSERT_EQ(lines.size(), 13u);
+    const auto text = [](const std::vector<std::string> &rows) {
+        std::string out;
+        for (const std::string &row : rows)
+            out += row + "\n";
+        return out;
+    };
+    // Line 5 is row 2, (ATAX, L1-SRAM, 'b'); line 6 is row 3.
+    std::vector<std::string> dropped = lines;
+    dropped.erase(dropped.begin() + 5);
+    EXPECT_EXIT(readText(text(dropped)), ::testing::ExitedWithCode(1),
+                "7 rows for the 8 cells of the 'determinism' grid");
+    std::vector<std::string> repeated = lines;
+    repeated.insert(repeated.begin() + 5, lines[5]);
+    EXPECT_EXIT(readText(text(repeated)), ::testing::ExitedWithCode(1),
+                "9 rows for the 8 cells");
+    std::vector<std::string> swapped = lines;
+    std::swap(swapped[5], swapped[6]);
+    EXPECT_EXIT(readText(text(swapped)), ::testing::ExitedWithCode(1),
+                "row 2 is \\(ATAX, Dy-FUSE, 'b'\\)");
+    EXPECT_EXIT(readText(smallExport() + smallExport()),
+                ::testing::ExitedWithCode(1), "trailing text");
+}
+
+TEST(ExportDeathTest, RowsCarryEveryMetricOnceInColumnOrder)
+{
+    const std::string &text = smallExport();
+    const std::size_t ipc = text.find("\"ipc\": ");
+    const std::size_t next = text.find("\"l1d_miss_rate\": ", ipc);
+    ASSERT_NE(next, std::string::npos);
+    const std::string entry = text.substr(ipc, next - ipc);
+
+    std::string missing = text;
+    missing.erase(ipc, entry.size());
+    EXPECT_EXIT(readText(missing), ::testing::ExitedWithCode(1),
+                "expected key 'ipc' .*got 'l1d_miss_rate'");
+    std::string repeated = text;
+    repeated.insert(ipc, entry);
+    EXPECT_EXIT(readText(repeated), ::testing::ExitedWithCode(1),
+                "expected key 'l1d_miss_rate' .*got 'ipc'");
+    std::string unknown = text;
+    unknown.replace(ipc, 5, "\"ipx\"");
+    EXPECT_EXIT(readText(unknown), ::testing::ExitedWithCode(1),
+                "expected key 'ipc' .*got 'ipx'");
+}
+
+TEST(ExportDeathTest, CountMetricsTakeOnlyWholeNumbers)
+{
+    const std::string &text = smallExport();
+    const std::size_t at = text.find("\"cycles\": ") + 10;
+    const std::size_t end = text.find(',', at);
+    for (const char *value : {"-5", "1.5", "1e30", "nan"}) {
+        std::string bad = text;
+        bad.replace(at, end - at, value);
+        EXPECT_EXIT(readText(bad), ::testing::ExitedWithCode(1),
+                    "metric 'cycles' is a count")
+            << value;
+    }
+}
+
+TEST(ExportDeathTest, EveryCutExportFails)
+{
+    // The JSON half of the parser-robustness tier: an export cut short
+    // anywhere is a clean fatal, never a smaller grid.
+    const std::string &text = smallExport();
+    constexpr std::size_t kCuts = 30;
+    for (std::size_t c = 0; c < kCuts; ++c) {
+        const std::size_t cut = text.size() * c / kCuts;
+        EXPECT_EXIT(readText(text.substr(0, cut)),
+                    ::testing::ExitedWithCode(1), "JSON: ")
+            << "cut at " << cut;
     }
 }
 

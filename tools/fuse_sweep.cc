@@ -5,7 +5,7 @@
  * (exp/figures.hh) as a declarative sweep, or runs a custom
  * ExperimentSpec file, fanning the (benchmark x variant x organisation)
  * grid across worker threads. Results can additionally be exported as
- * JSON or CSV.
+ * JSON or CSV, and --merge re-renders a JSON export without simulating.
  *
  * Usage:
  *   fuse_sweep --list
@@ -13,7 +13,7 @@
  *   fuse_sweep --figure all [--threads N]   # every figure, one pass
  *   fuse_sweep --spec sweep.spec [--csv out.csv] [--quiet]
  *   fuse_sweep --spec - < sweep.spec
- *   fuse_sweep --merge shard1.json shard2.json ... [--json merged.json]
+ *   fuse_sweep --merge fig13.json [--json again.json]
  *
  * Spec files (see exp/experiment.hh for the full key set):
  *   name: my_sweep
@@ -24,7 +24,6 @@
  *   variant: half | l1d.sramAreaFraction=0.5
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -55,17 +54,12 @@ usage()
         "  --spec FILE       run an ExperimentSpec file ('-' = stdin)\n"
         "  --benchmarks LIST restrict to a comma-separated workload list\n"
         "  --kinds LIST      override the L1D kinds (spec mode)\n"
-        "  --threads N       sweep worker threads, N >= 1 (default:\n"
-        "                    FUSE_THREADS or all cores)\n"
-        "  --shard I/N       run only grid cells I (1-based) of N: fan a\n"
-        "                    campaign across machines, export each shard,\n"
-        "                    merge offline (cells are seeded from the\n"
-        "                    spec, so shard-and-merge == one big run)\n"
-        "  --merge F1 F2 ..  merge N shard JSON exports (or one full\n"
-        "                    --json export) back into the full grid and\n"
-        "                    re-render the figure tables without\n"
-        "                    simulating (use --json/--csv to re-export;\n"
-        "                    the output is identical to an unsharded run)\n"
+        "  --threads N       sweep worker threads, 1 <= N <= 4096\n"
+        "                    (default: all cores)\n"
+        "  --merge FILE      re-render one --json export without\n"
+        "                    simulating: the grid is the export's own,\n"
+        "                    and the tables and --json/--csv re-exports\n"
+        "                    are identical to the run that wrote it\n"
         "  --json FILE       export results as JSON ('-' = stdout)\n"
         "  --csv FILE        export results as CSV ('-' = stdout)\n"
         "  --quiet           skip the rendered tables (exports only)\n"
@@ -100,130 +94,6 @@ renderGeneric(const fuse::ResultSet &results)
                     fuse::fmt(run.metrics.energy.total() / 1000.0, 1)});
     }
     report.print();
-}
-
-/** One parsed shard export. */
-struct ShardFile
-{
-    std::string path;
-    std::string experiment;
-    std::vector<fuse::FlatRun> runs;
-};
-
-/**
- * Rebuild the full result grid from N shard exports. The grid shape comes
- * from the figure registry (the shards' experiment name) or from
- * @p spec_grid when the shards came from a --spec sweep; either way it is
- * restricted to the benchmarks/kinds/variants actually present across the
- * shards, so exports from --benchmarks-restricted campaigns merge too.
- * Every cell is placed through ResultSet::merge, which is fatal on
- * overlapping shards, and the rebuilt Metrics round-trip the export
- * format exactly — the merged tables and re-exports are byte-identical
- * to an unsharded run.
- */
-fuse::ResultSet
-mergeShards(const std::vector<std::string> &paths,
-            const fuse::ExperimentSpec *spec_grid)
-{
-    if (paths.empty())
-        fuse_fatal("--merge needs at least one shard export");
-
-    std::vector<ShardFile> shards;
-    for (const auto &path : paths) {
-        std::ifstream is(path);
-        if (!is)
-            fuse_fatal("cannot read shard export '%s'", path.c_str());
-        ShardFile shard;
-        shard.path = path;
-        shard.runs = fuse::readJson(is, &shard.experiment);
-        shards.push_back(std::move(shard));
-    }
-    const std::string &name = shards.front().experiment;
-    for (const auto &shard : shards) {
-        if (shard.experiment != name)
-            fuse_fatal("shard '%s' is from experiment '%s', expected '%s'",
-                       shard.path.c_str(), shard.experiment.c_str(),
-                       name.c_str());
-    }
-
-    fuse::ExperimentSpec spec;
-    if (const fuse::Figure *fig = fuse::findFigure(name)) {
-        spec = fig->makeSpec();
-    } else if (spec_grid) {
-        spec = *spec_grid;
-    } else {
-        fuse_fatal("experiment '%s' is not a figure; pass the original "
-                   "--spec file alongside --merge to define the grid",
-                   name.c_str());
-    }
-
-    // Restrict the spec grid to what the shards actually contain,
-    // preserving the spec's order (the union over all shards of a
-    // sharded campaign is exactly the grid the campaign swept).
-    const auto contains = [&shards](auto pred) {
-        for (const auto &shard : shards)
-            for (const auto &run : shard.runs)
-                if (pred(run))
-                    return true;
-        return false;
-    };
-    std::vector<std::string> benchmarks;
-    for (const auto &b : spec.benchmarks) {
-        if (contains([&](const fuse::FlatRun &r) { return r.benchmark == b; }))
-            benchmarks.push_back(b);
-    }
-    std::vector<fuse::L1DKind> kinds;
-    for (fuse::L1DKind k : spec.kinds) {
-        const char *kn = toString(k);
-        if (contains([&](const fuse::FlatRun &r) { return r.kind == kn; }))
-            kinds.push_back(k);
-    }
-    std::vector<std::string> labels;
-    for (const auto &label : spec.variantLabels()) {
-        if (contains([&](const fuse::FlatRun &r) {
-                return r.variantLabel == label;
-            }))
-            labels.push_back(label);
-    }
-    if (benchmarks.empty() || kinds.empty() || labels.empty())
-        fuse_fatal("shard exports share no cells with the '%s' grid",
-                   name.c_str());
-
-    fuse::ResultSet merged(name, benchmarks, kinds, labels);
-    for (const auto &shard : shards) {
-        fuse::ResultSet piece(name, benchmarks, kinds, labels);
-        for (const auto &run : shard.runs) {
-            const auto b = std::find(benchmarks.begin(), benchmarks.end(),
-                                     run.benchmark);
-            const auto v = std::find(labels.begin(), labels.end(),
-                                     run.variantLabel);
-            fuse::L1DKind kind;
-            if (!fuse::l1dKindFromString(run.kind, kind))
-                fuse_fatal("shard '%s' has unknown L1D kind '%s'",
-                           shard.path.c_str(), run.kind.c_str());
-            const auto k = std::find(kinds.begin(), kinds.end(), kind);
-            if (b == benchmarks.end() || k == kinds.end()
-                || v == labels.end())
-                fuse_fatal("shard '%s' row (%s, %s, '%s') is outside the "
-                           "'%s' grid", shard.path.c_str(),
-                           run.benchmark.c_str(), run.kind.c_str(),
-                           run.variantLabel.c_str(), name.c_str());
-            fuse::RunResult &cell = piece.at(piece.index(
-                static_cast<std::size_t>(b - benchmarks.begin()),
-                static_cast<std::size_t>(v - labels.begin()),
-                static_cast<std::size_t>(k - kinds.begin())));
-            cell.metrics = fuse::metricsFromFlat(run);
-            cell.valid = true;
-        }
-        merged.merge(piece);
-    }
-
-    std::size_t filled = 0;
-    for (const auto &run : merged.runs())
-        filled += run.valid;
-    std::fprintf(stderr, "%s: merged %zu shards into %zu/%zu cells\n",
-                 name.c_str(), shards.size(), filled, merged.size());
-    return merged;
 }
 
 /** Parse the ExperimentSpec file at @p path ('-' = stdin). */
@@ -270,11 +140,22 @@ writeTo(const std::string &path,
     std::fprintf(stderr, "wrote %s\n", path.c_str());
 }
 
-/** The --json / --csv exports of @p results (empty path: skipped). */
+/**
+ * Print @p results as @p fig's tables, or as the generic table when
+ * @p fig is null, unless @p quiet; then write the --json / --csv
+ * exports (empty path: skipped).
+ */
 void
-exportResults(const fuse::ResultSet &results, const std::string &json_path,
-              const std::string &csv_path)
+present(const fuse::ResultSet &results, const fuse::Figure *fig,
+        unsigned threads, bool quiet, const std::string &json_path,
+        const std::string &csv_path)
 {
+    if (!quiet) {
+        if (fig)
+            fig->render(results, threads);
+        else
+            renderGeneric(results);
+    }
     if (!json_path.empty())
         writeTo(json_path,
                 [&](std::ostream &os) { fuse::writeJson(os, results); });
@@ -294,12 +175,9 @@ main(int argc, char **argv)
     std::string kinds;
     std::string json_path;
     std::string csv_path;
+    std::string merge_path;
     unsigned threads = 0;
-    std::size_t shard_index = 0;
-    std::size_t shard_count = 1;
     bool quiet = false;
-    bool merge = false;
-    std::vector<std::string> merge_paths;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -325,11 +203,6 @@ main(int argc, char **argv)
             kinds = value();
         } else if (arg == "--threads") {
             threads = fuse::parseCount("--threads", value().c_str());
-        } else if (arg == "--shard") {
-            const fuse::Shard shard =
-                fuse::parseShard("--shard", value().c_str());
-            shard_index = shard.index;
-            shard_count = shard.count;
         } else if (arg == "--json") {
             json_path = value();
         } else if (arg == "--csv") {
@@ -337,45 +210,35 @@ main(int argc, char **argv)
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--merge") {
-            merge = true;
+            merge_path = value();
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
-        } else if (merge && !arg.empty() && arg[0] != '-') {
-            merge_paths.push_back(arg);
         } else {
             usage();
             fuse_fatal("unknown option '%s'", arg.c_str());
         }
     }
 
-    if (merge) {
-        // Merge mode simulates nothing: it stitches shard exports back
-        // into the full grid and renders/exports like an unsharded run.
-        // Sweep flags have nothing to act on here; dropping them
-        // silently would export a grid the caller did not ask for.
-        if (!figure.empty() || shard_count > 1 || !benchmarks.empty()
+    if (!merge_path.empty()) {
+        // Merge mode simulates nothing: it re-renders one export, whose
+        // rows are its grid. The sweep flags have nothing to act on
+        // here; dropping them silently would export a grid the caller
+        // did not ask for.
+        if (!figure.empty() || !spec_path.empty() || !benchmarks.empty()
             || !kinds.empty())
-            fuse_fatal("--merge takes shard files, not --figure/--shard/"
-                       "--benchmarks/--kinds (the grid comes from the "
-                       "shards themselves, and a merge simulates "
-                       "nothing)");
-        fuse::ExperimentSpec grid;
-        if (!spec_path.empty())
-            grid = readSpec(spec_path);
-        fuse::ResultSet results =
-            mergeShards(merge_paths, spec_path.empty() ? nullptr : &grid);
-        if (!quiet) {
-            // Renderers that fan out extra work (the trace studies) honor
-            // the same --threads the sweep path would.
-            const unsigned render_threads =
-                threads ? threads : fuse::defaultThreadCount();
-            if (const fuse::Figure *fig = fuse::findFigure(results.name()))
-                fig->render(results, render_threads);
-            else
-                renderGeneric(results);
-        }
-        exportResults(results, json_path, csv_path);
+            fuse_fatal("--merge takes no --figure, --spec, --benchmarks "
+                       "or --kinds (the grid comes from the export, and "
+                       "a merge simulates nothing)");
+        std::ifstream is(merge_path);
+        if (!is)
+            fuse_fatal("cannot read export '%s'", merge_path.c_str());
+        const fuse::ResultSet results = fuse::readJson(is);
+        // Renderers that fan out extra work (the trace studies) honor
+        // the same --threads the sweep path would.
+        present(results, fuse::findFigure(results.name()),
+                threads ? threads : fuse::defaultThreadCount(), quiet,
+                json_path, csv_path);
         return 0;
     }
 
@@ -401,9 +264,7 @@ main(int argc, char **argv)
         // One pass over the paper: the figures re-read each other's
         // cells, so each distinct cell is simulated once and the tables
         // are exactly the stand-alone runs'. A pass has no single grid
-        // to export or shard; --merge re-renders one figure's export.
-        if (shard_count > 1)
-            fuse_fatal("--figure all does not take --shard");
+        // to export; --merge re-renders one figure's export.
         if (!json_path.empty())
             fuse_fatal("--figure all does not take --json");
         if (!csv_path.empty())
@@ -447,31 +308,10 @@ main(int argc, char **argv)
                 spec.kinds.push_back(k);
     }
 
-    if (spec.runCount() > 0) {
-        if (shard_count > 1)
-            std::fprintf(stderr, "%s: shard %zu/%zu of %zu runs on %u "
-                         "threads\n", spec.name.c_str(), shard_index + 1,
-                         shard_count, spec.runCount(), runner.threads());
-        else
-            std::fprintf(stderr, "%s: %zu runs on %u threads\n",
-                         spec.name.c_str(), spec.runCount(),
-                         runner.threads());
-    }
-    const fuse::ResultSet results =
-        runner.run(spec, shard_index, shard_count);
-
-    if (!quiet) {
-        if (fig && shard_count > 1)
-            // Figure renderers assume the full grid; a shard only has
-            // its slice, so hold the tables and let the exports carry it.
-            std::fprintf(stderr, "shard %zu/%zu: skipping the figure "
-                         "tables (merge the shard exports first)\n",
-                         shard_index + 1, shard_count);
-        else if (fig)
-            fig->render(results, runner.threads());
-        else
-            renderGeneric(results);
-    }
-    exportResults(results, json_path, csv_path);
+    if (spec.runCount() > 0)
+        std::fprintf(stderr, "%s: %zu runs on %u threads\n",
+                     spec.name.c_str(), spec.runCount(), runner.threads());
+    present(runner.run(spec), fig, runner.threads(), quiet, json_path,
+            csv_path);
     return 0;
 }
