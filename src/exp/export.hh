@@ -47,9 +47,9 @@ void writeJson(std::ostream &os, const ResultSet &results);
  * metricFields() entry once, in column order. Anything else is fatal:
  * malformed or trailing text, an unknown kind, a dropped, repeated or
  * reordered row, a missing, repeated or unknown metric, or a count
- * that is not a whole number in [0, 2^64). Doubles
- * round-trip through %.17g bit for bit, so tables rendered from the
- * result, and its re-export, match the run that wrote it byte for byte.
+ * that is not a whole number in [0, 2^64). Doubles round-trip through
+ * %.17g bit for bit, so tables rendered from the result, and its
+ * re-export, match the run that wrote it byte for byte.
  */
 ResultSet readJson(std::istream &is);
 
