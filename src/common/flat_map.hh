@@ -6,7 +6,7 @@
  * array, linear probing, backward-shift deletion (no tombstones), and a
  * capacity fixed at construction so the table never rehashes mid-run.
  *
- * Pointer/iteration contract: value pointers returned by find()/insert()
+ * Pointer contract: value pointers returned by find()/insert()
  * are valid only until the next erase()/clear() — backward-shift deletion
  * moves slots. Callers on the hot path use the pointer immediately.
  */
@@ -102,29 +102,6 @@ class FlatAddrMap
         size_ = 0;
     }
 
-    /**
-     * Visit every live entry as fn(key, value&); @p fn returns true to
-     * delete the entry. Handles the backward-shift interaction with
-     * iteration (a slot is re-examined when deletion moved a later entry
-     * into it). When a probe chain wraps past the end of the array, an
-     * already-kept entry can shift into a later slot and be examined a
-     * second time — @p fn must therefore be a pure predicate over the
-     * entry (same answer on re-examination), which every caller here is.
-     */
-    template <typename Fn>
-    void forEachErasing(Fn &&fn)
-    {
-        for (std::size_t i = 0; i < slots_.size();) {
-            if (!slots_[i].used || !fn(slots_[i].key, slots_[i].value)) {
-                ++i;
-                continue;
-            }
-            // Re-examine slot i iff eraseSlot moved another entry into it.
-            if (!eraseSlot(i))
-                ++i;
-        }
-    }
-
   private:
     struct Slot
     {
@@ -146,14 +123,10 @@ class FlatAddrMap
      * Backward-shift deletion at slot @p hole: walk the probe chain after
      * the hole and move back every entry whose home position does not lie
      * strictly behind it, so lookups never cross an empty slot.
-     * @return true if an entry was moved into @p hole (the caller's
-     * iteration must then re-examine that slot).
      */
-    bool eraseSlot(std::size_t hole)
+    void eraseSlot(std::size_t hole)
     {
         --size_;
-        const std::size_t original = hole;
-        bool moved_into_original = false;
         std::size_t i = next(hole);
         while (slots_[i].used) {
             const std::size_t h = home(slots_[i].key);
@@ -163,14 +136,11 @@ class FlatAddrMap
             const bool stuck = ((i - h) & mask_) < ((i - hole) & mask_);
             if (!stuck) {
                 slots_[hole] = slots_[i];
-                if (hole == original)
-                    moved_into_original = true;
                 hole = i;
             }
             i = next(i);
         }
         slots_[hole].used = false;
-        return moved_into_original;
     }
 
     std::vector<Slot> slots_;

@@ -1,9 +1,9 @@
 /**
  * @file
- * gem5-style status/error reporting: panic, fatal, warn, inform.
+ * gem5-style status/error reporting: panic, fatal, warn.
  *
  * panic() is for simulator bugs (aborts); fatal() is for user configuration
- * errors (exits cleanly with an error code); warn()/inform() never stop the
+ * errors (exits cleanly with an error code); warn() never stops the
  * simulation.
  */
 
@@ -22,7 +22,6 @@ namespace detail
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 /** printf-style formatting into std::string. */
 std::string format(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
@@ -43,9 +42,5 @@ std::string format(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Suspicious but survivable condition. */
 #define fuse_warn(...) \
     ::fuse::detail::warnImpl(::fuse::detail::format(__VA_ARGS__))
-
-/** Normal operating status message. */
-#define fuse_inform(...) \
-    ::fuse::detail::informImpl(::fuse::detail::format(__VA_ARGS__))
 
 #endif // FUSE_COMMON_LOG_HH

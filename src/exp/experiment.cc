@@ -29,6 +29,22 @@ trim(const std::string &s)
     return s.substr(first, last - first + 1);
 }
 
+/** Split on @p sep, trimming surrounding whitespace of every item and
+ *  dropping the empty ones. */
+std::vector<std::string>
+splitList(const std::string &text, char sep = ',')
+{
+    std::vector<std::string> out;
+    std::stringstream ss(text);
+    std::string item;
+    while (std::getline(ss, item, sep)) {
+        item = trim(item);
+        if (!item.empty())
+            out.push_back(item);
+    }
+    return out;
+}
+
 /** Spec `seed:` value: unsigned decimal digits only, no sign. */
 std::uint64_t
 parseSeed(const std::string &text, int line_no)
@@ -141,45 +157,47 @@ ExperimentSpec::configFor(std::size_t variant) const
 }
 
 std::vector<std::string>
-splitList(const std::string &text, char sep)
+ExperimentSpec::resolveBenchmarks(const std::string &list)
 {
-    std::vector<std::string> out;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, sep)) {
-        item = trim(item);
-        if (!item.empty())
-            out.push_back(item);
+    std::vector<std::string> names;
+    for (const std::string &word : splitList(list)) {
+        std::vector<std::string> group;
+        if (word == "all") {
+            for (const auto &b : allBenchmarks())
+                group.push_back(b.name);
+        } else if (word == "motivation") {
+            group = motivationWorkloads();
+        } else if (word == "sensitivity") {
+            group = sensitivityWorkloads();
+        } else {
+            benchmarkByName(word); // Fatal if unknown.
+            group = {word};
+        }
+        names.insert(names.end(), group.begin(), group.end());
     }
-    return out;
-}
-
-std::vector<std::string>
-ExperimentSpec::resolveBenchmarks(const std::string &word)
-{
-    if (word == "all") {
-        std::vector<std::string> names;
-        for (const auto &b : allBenchmarks())
-            names.push_back(b.name);
-        return names;
-    }
-    if (word == "motivation")
-        return motivationWorkloads();
-    if (word == "sensitivity")
-        return sensitivityWorkloads();
-    benchmarkByName(word); // Fatal if unknown.
-    return {word};
+    if (names.empty())
+        fuse_fatal("benchmark list '%s' names no workload", list.c_str());
+    return names;
 }
 
 std::vector<L1DKind>
-ExperimentSpec::resolveKinds(const std::string &word)
+ExperimentSpec::resolveKinds(const std::string &list)
 {
-    if (word == "all")
-        return allL1DKinds();
-    L1DKind kind;
-    if (!l1dKindFromString(word, kind))
-        fuse_fatal("unknown L1D kind '%s'", word.c_str());
-    return {kind};
+    std::vector<L1DKind> kinds;
+    for (const std::string &word : splitList(list)) {
+        L1DKind kind{};
+        if (word == "all") {
+            for (L1DKind k : allL1DKinds())
+                kinds.push_back(k);
+        } else if (l1dKindFromString(word, kind)) {
+            kinds.push_back(kind);
+        } else {
+            fuse_fatal("unknown L1D kind '%s'", word.c_str());
+        }
+    }
+    if (kinds.empty())
+        fuse_fatal("kind list '%s' names no L1D kind", list.c_str());
+    return kinds;
 }
 
 ExperimentSpec
@@ -215,13 +233,12 @@ ExperimentSpec::parse(const std::string &text)
         } else if (key == "seed") {
             spec.seed = parseSeed(value, line_no);
         } else if (key == "benchmarks") {
-            for (const auto &word : splitList(value))
-                for (const auto &name : resolveBenchmarks(word))
-                    spec.benchmarks.push_back(name);
+            const std::vector<std::string> names = resolveBenchmarks(value);
+            spec.benchmarks.insert(spec.benchmarks.end(), names.begin(),
+                                   names.end());
         } else if (key == "kinds") {
-            for (const auto &word : splitList(value))
-                for (L1DKind k : resolveKinds(word))
-                    spec.kinds.push_back(k);
+            const std::vector<L1DKind> kinds = resolveKinds(value);
+            spec.kinds.insert(spec.kinds.end(), kinds.begin(), kinds.end());
         } else if (key == "variant") {
             // "label | key=value, key=value" (label optional).
             ConfigVariant variant;
@@ -252,6 +269,7 @@ ExperimentSpec::parse(const std::string &text)
         }
     }
 
+    // A list that is given names something, so an empty one was absent.
     if (spec.benchmarks.empty())
         spec.benchmarks = resolveBenchmarks("all");
     if (spec.kinds.empty())

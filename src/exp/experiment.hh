@@ -85,18 +85,17 @@ struct ExperimentSpec
     static ExperimentSpec parse(const std::string &text);
 
     /**
-     * Expand a benchmark word: "all", "motivation", "sensitivity", or a
-     * workload name (validated against Table II; fatal if unknown).
+     * Expand a comma-separated benchmark list whose words are "all",
+     * "motivation", "sensitivity" or workload names (validated against
+     * Table II). Fatal on an unknown word or a list that names nothing.
      */
     static std::vector<std::string> resolveBenchmarks(
-        const std::string &word);
+        const std::string &list);
 
-    /** Expand a kind word: "all" or a toString(L1DKind) name. */
-    static std::vector<L1DKind> resolveKinds(const std::string &word);
+    /** Expand a comma-separated list of "all" and toString(L1DKind)
+     *  names. Fatal on an unknown name or a list that names nothing. */
+    static std::vector<L1DKind> resolveKinds(const std::string &list);
 };
-
-/** Split on @p sep, trimming surrounding whitespace of every item. */
-std::vector<std::string> splitList(const std::string &text, char sep = ',');
 
 } // namespace fuse
 

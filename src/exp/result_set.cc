@@ -34,19 +34,6 @@ mean(const std::vector<double> &values)
     return sum / static_cast<double>(values.size());
 }
 
-std::vector<double>
-normalizeTo(const std::vector<double> &values,
-            const std::vector<double> &baseline)
-{
-    if (values.size() != baseline.size())
-        fuse_fatal("normalizeTo: series sizes differ (%zu vs %zu)",
-                   values.size(), baseline.size());
-    std::vector<double> out(values.size(), 0.0);
-    for (std::size_t i = 0; i < values.size(); ++i)
-        out[i] = baseline[i] != 0.0 ? values[i] / baseline[i] : 0.0;
-    return out;
-}
-
 namespace
 {
 
@@ -119,26 +106,6 @@ ResultSet::metrics(const std::string &benchmark, L1DKind kind,
                    name_.c_str(), benchmark.c_str(), toString(kind),
                    variant);
     return run->metrics;
-}
-
-std::vector<double>
-ResultSet::series(L1DKind kind, const MetricGetter &get,
-                  std::size_t variant) const
-{
-    std::vector<double> out;
-    out.reserve(benchmarks_.size());
-    for (const auto &b : benchmarks_)
-        out.push_back(get(metrics(b, kind, variant)));
-    return out;
-}
-
-std::vector<double>
-ResultSet::normalizedSeries(L1DKind kind, L1DKind baseline_kind,
-                            const MetricGetter &get, std::size_t variant,
-                            std::size_t baseline_variant) const
-{
-    return normalizeTo(series(kind, get, variant),
-                       series(baseline_kind, get, baseline_variant));
 }
 
 } // namespace fuse

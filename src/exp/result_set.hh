@@ -1,17 +1,15 @@
 /**
  * @file
  * ResultSet: the ordered (benchmark x variant x L1D-kind) result grid one
- * SweepRunner execution produces, plus the aggregation helpers every
- * figure shares — geometric/arithmetic means and series normalisation
- * (lifted out of sim/report so presentation code and exporters use one
- * implementation).
+ * SweepRunner execution produces, plus the geometric and arithmetic
+ * means every figure shares (lifted out of sim/report so presentation
+ * code and exporters use one implementation).
  */
 
 #ifndef FUSE_EXP_RESULT_SET_HH
 #define FUSE_EXP_RESULT_SET_HH
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -26,10 +24,6 @@ double geomean(const std::vector<double> &values);
 /** Arithmetic mean (empty input yields 0). */
 double mean(const std::vector<double> &values);
 
-/** Element-wise @p values[i] / @p baseline[i] (0 where baseline is 0). */
-std::vector<double> normalizeTo(const std::vector<double> &values,
-                                const std::vector<double> &baseline);
-
 /** One cell of the sweep grid; a ResultSet names every cell up front. */
 struct RunResult
 {
@@ -40,9 +34,6 @@ struct RunResult
     Metrics metrics;
     bool valid = false;            ///< Set once the metrics are filled.
 };
-
-/** Reads one double out of a Metrics record (for series extraction). */
-using MetricGetter = std::function<double(const Metrics &)>;
 
 /**
  * The dense result grid of one experiment. Cells are addressed by
@@ -90,19 +81,6 @@ class ResultSet
     /** Metrics of a cell that must exist (fatal otherwise). */
     const Metrics &metrics(const std::string &benchmark, L1DKind kind,
                            std::size_t variant = 0) const;
-
-    /** @p get over every benchmark (in order) for one (kind, variant). */
-    std::vector<double> series(L1DKind kind, const MetricGetter &get,
-                               std::size_t variant = 0) const;
-
-    /**
-     * Per-benchmark ratio of (kind, variant) to (baseline_kind,
-     * baseline_variant) under @p get — the normalised series every
-     * "relative to L1-SRAM"-style figure plots.
-     */
-    std::vector<double> normalizedSeries(
-        L1DKind kind, L1DKind baseline_kind, const MetricGetter &get,
-        std::size_t variant = 0, std::size_t baseline_variant = 0) const;
 
   private:
     std::string name_;

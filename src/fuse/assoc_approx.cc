@@ -123,10 +123,4 @@ AssocApprox::finish(const CbfProbe &test, bool actually_present)
     return result;
 }
 
-double
-AssocApprox::averageSearchCycles() const
-{
-    return statSearchCycles_->mean();
-}
-
 } // namespace fuse

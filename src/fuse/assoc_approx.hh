@@ -101,27 +101,16 @@ class AssocApprox
 
     /**
      * Stage 2: finish the serialized search given the stage-1 test and
-     * ground truth. Stats and accuracy bookkeeping are identical to a
-     * one-shot search(); on a negative test @p actually_present is
-     * necessarily false and the owner may pass false without looking.
+     * @p actually_present, the ground truth from the owner's tag array;
+     * records the search's stats and accuracy. On a negative test
+     * @p actually_present is necessarily false and the owner may pass
+     * false without looking.
      */
     TagSearchResult finish(const CbfProbe &test, bool actually_present);
-
-    /**
-     * Compute the serialized tag-search cost for @p line_addr.
-     * @param actually_present ground truth from the owner's tag array.
-     */
-    TagSearchResult search(Addr line_addr, bool actually_present)
-    {
-        return finish(test(line_addr), actually_present);
-    }
 
     const AssocApproxConfig &config() const { return config_; }
     StatGroup &stats() { return stats_; }
     const BloomAccuracy &accuracy() const { return accuracy_; }
-
-    /** Average search cycles observed so far (paper: 1-2 cycles). */
-    double averageSearchCycles() const;
 
   private:
     /**
@@ -142,7 +131,7 @@ class AssocApprox
     std::vector<std::uint64_t> lastSaturations_;
     BloomAccuracy accuracy_;
     StatGroup stats_;
-    // Cached hot-path stats: search() runs per STT-side L1D access.
+    // Cached hot-path stats: finish() runs per STT-side L1D access.
     StatGroup::Scalar *statRefreshes_;
     StatGroup::Scalar *statInserts_;
     StatGroup::Scalar *statRemoves_;

@@ -179,25 +179,4 @@ ReadLevelPredictor::recordOutcome(ReadLevel predicted, std::uint32_t writes,
     }
 }
 
-double
-ReadLevelPredictor::accuracyTrue() const
-{
-    double n = stats_.get("outcomes");
-    return n > 0 ? stats_.get("pred_true") / n : 0.0;
-}
-
-double
-ReadLevelPredictor::accuracyFalse() const
-{
-    double n = stats_.get("outcomes");
-    return n > 0 ? stats_.get("pred_false") / n : 0.0;
-}
-
-double
-ReadLevelPredictor::accuracyNeutral() const
-{
-    double n = stats_.get("outcomes");
-    return n > 0 ? stats_.get("pred_neutral") / n : 0.0;
-}
-
 } // namespace fuse

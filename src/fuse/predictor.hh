@@ -61,10 +61,6 @@ class ReadLevelPredictor
     void recordOutcome(ReadLevel predicted, std::uint32_t writes,
                        std::uint32_t reads);
 
-    double accuracyTrue() const;
-    double accuracyFalse() const;
-    double accuracyNeutral() const;
-
     const PredictorConfig &config() const { return config_; }
     StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }

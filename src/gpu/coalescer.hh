@@ -41,7 +41,7 @@ class Coalescer
      * in place within the shared buffer: each span is deduplicated to
      * unique line-aligned transactions in first-touch order (the LSU
      * issues them serially), so spans shrink — txEnd moves, later spans
-     * stay put. Statistics are NOT recorded here: a prefetched batch can
+     * stay put. Statistics are NOT recorded here: a decoded-ahead batch can
      * outlive the run half-consumed, so the SM records each instruction
      * as it consumes it via noteConsumed(), keeping coalesce_* counters
      * exactly what a per-instruction pipeline would report at every

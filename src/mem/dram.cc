@@ -96,11 +96,4 @@ Dram::service(Addr line_addr, bool is_write, Cycle now)
     return done;
 }
 
-double
-Dram::rowHitRate() const
-{
-    double total = stats_.get("requests");
-    return total > 0 ? stats_.get("row_hits") / total : 0.0;
-}
-
 } // namespace fuse

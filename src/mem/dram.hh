@@ -75,8 +75,6 @@ class Dram
     const StatGroup &stats() const { return stats_; }
     const DramConfig &config() const { return config_; }
 
-    double rowHitRate() const;
-
   private:
     struct Bank
     {

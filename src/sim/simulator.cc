@@ -1,5 +1,7 @@
 #include "sim/simulator.hh"
 
+#include "common/log.hh"
+
 namespace fuse
 {
 
@@ -15,6 +17,16 @@ Simulator::run(const BenchmarkSpec &benchmark, L1DKind kind) const
     config_.validate();
     Gpu gpu(config_.gpu, kind, config_.l1d, benchmark);
     gpu.run();
+    // Metrics of a run the cycle cap cut off describe a partial kernel.
+    const std::uint64_t budget =
+        std::uint64_t(config_.gpu.numSms) * config_.gpu.instructionBudgetPerSm;
+    if (gpu.totalInstructions() < budget)
+        fuse_fatal("%s on %s retired %llu of %llu instructions before "
+                   "gpu.maxCycles = %llu cut the run off",
+                   benchmark.name.c_str(), toString(kind),
+                   static_cast<unsigned long long>(gpu.totalInstructions()),
+                   static_cast<unsigned long long>(budget),
+                   static_cast<unsigned long long>(config_.gpu.maxCycles));
 
     Metrics m;
     m.benchmark = benchmark.name;

@@ -24,7 +24,8 @@ class Simulator
         : config_(std::move(config))
     {}
 
-    /** Run @p benchmark on @p kind and collect metrics. */
+    /** Run @p benchmark on @p kind and collect metrics. Fatal when
+     *  gpu.maxCycles stops the run before every SM retired its budget. */
     Metrics run(const std::string &benchmark, L1DKind kind) const;
 
     /** Run with explicit spec (for custom/synthetic workloads). */

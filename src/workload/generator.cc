@@ -48,7 +48,6 @@ KernelGenerator::KernelGenerator(const BenchmarkSpec &spec, SmId sm,
         state.rng = Rng(seed * 0x100000001b3ull
                         + (std::uint64_t(sm) << 20) + w);
         state.cursors.resize(spec.streams.size());
-        state.queues.resize(spec.streams.size());
         state.instructionsUntilMem = computeGap(state);
     }
 }
@@ -90,56 +89,19 @@ KernelGenerator::pickStream(WarpState &state)
     return static_cast<std::uint32_t>(cumulativeWeights_.size() - 1);
 }
 
-std::uint64_t
-KernelGenerator::appendTransactions(WarpState &state, WarpId warp,
-                                    std::uint32_t s, std::vector<Addr> &out,
-                                    std::uint64_t remaining)
-{
-    const StreamSpec &stream = spec_->streams[s];
-    const WarpId global_warp = sm_ * warpsPerSm_ + warp;
-    const std::uint32_t total_warps = numSms_ * warpsPerSm_;
-
-    if (!rngFreeKind(stream.kind)) {
-        // RNG-consuming cursor: its draws interleave with the decode
-        // loop's gap/pick/write draws on the warp's one RNG, so it must
-        // generate exactly at its instruction's decode point — no
-        // prefetch.
-        state.cursors[s].generateBatch(stream, streamBases_[s], global_warp,
-                                       total_warps, state.rng, 1, out);
-        return state.cursors[s].position();
-    }
-
-    StreamQueue &q = state.queues[s];
-    if (q.head == q.lines.size()) {
-        // Refill: one amortised cursor call per up-to-kPrefetch
-        // instructions, clamped to the instructions the SM can still
-        // decode — every queue entry costs a consumed instruction, so
-        // prefetching past the remaining budget would generate
-        // addresses nobody can ever pop (PR 7's bounded run-end
-        // over-generation). Only SharedReuse's first-ever refill draws
-        // RNG (its start offset), and that refill is triggered by the
-        // stream's first decoded instruction — its decode point.
-        const auto count = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(kPrefetch, std::max<std::uint64_t>(
-                                                   remaining, 1)));
-        q.lines.clear();
-        q.head = 0;
-        q.basePos = state.cursors[s].position();
-        state.cursors[s].generateBatch(stream, streamBases_[s], global_warp,
-                                       total_warps, state.rng, count,
-                                       q.lines);
-    }
-    out.push_back(q.lines[q.head++]);
-    // RNG-free generate-equivalents advance the cursor by one each, so
-    // the cursor position after the consumed entry is basePos + head.
-    return q.basePos + q.head;
-}
-
 void
 KernelGenerator::nextBatch(WarpId warp, InstructionBatch &out,
                            std::uint64_t max_instructions)
 {
     WarpState &state = warps_[warp];
+    const WarpId global_warp = sm_ * warpsPerSm_ + warp;
+    const std::uint32_t total_warps = numSms_ * warpsPerSm_;
+    // Stream s's cursor appends the current instruction's transactions.
+    auto generate = [&](std::uint32_t s) {
+        state.cursors[s].generate(spec_->streams[s], streamBases_[s],
+                                  global_warp, total_warps, state.rng,
+                                  out.addrs);
+    };
     out.clear();
     // Decode-ahead clamp: never pre-decode past what the SM can still
     // issue. The caller guarantees at least one instruction is wanted.
@@ -148,8 +110,6 @@ KernelGenerator::nextBatch(WarpId warp, InstructionBatch &out,
                                 std::max<std::uint64_t>(max_instructions,
                                                         1)));
     while (out.size < target) {
-        // Instructions still to decode, the current slot included.
-        const std::uint64_t remaining = max_instructions - out.size;
         InstructionBatch::Decoded &d = out.instr[out.size];
         d.isMem = false;
         d.type = AccessType::Read;
@@ -165,7 +125,7 @@ KernelGenerator::nextBatch(WarpId warp, InstructionBatch &out,
             d.isMem = true;
             d.type = is_write ? AccessType::Write : AccessType::Read;
             d.pc = streamPc(s, is_write);
-            appendTransactions(state, warp, s, out.addrs, remaining);
+            generate(s);
         } else if (state.instructionsUntilMem > 0) {
             --state.instructionsUntilMem;
             d.pc = kPcBase - 4;  // generic compute PC
@@ -181,7 +141,7 @@ KernelGenerator::nextBatch(WarpId warp, InstructionBatch &out,
                 // draw says "update": load now, store next instruction.
                 d.type = AccessType::Read;
                 d.pc = streamPc(s, /*write_half=*/false);
-                appendTransactions(state, warp, s, out.addrs, remaining);
+                generate(s);
                 if (is_write) {
                     state.pendingStream = static_cast<std::int32_t>(s);
                     state.pendingIsWrite = true;
@@ -189,14 +149,10 @@ KernelGenerator::nextBatch(WarpId warp, InstructionBatch &out,
             } else {
                 d.type = is_write ? AccessType::Write : AccessType::Read;
                 d.pc = streamPc(s, is_write);
-                const std::uint64_t pos =
-                    appendTransactions(state, warp, s, out.addrs,
-                                       remaining);
-                // Shared structures are touched twice back-to-back: the
-                // queue-tracked position supplies the pair parity (the
-                // cursor itself may already be prefetched ahead).
+                generate(s);
+                // Shared structures are touched twice back-to-back.
                 if (stream.kind == PatternKind::SharedReuse
-                    && pos % 2 == 1) {
+                    && state.cursors[s].position() % 2 == 1) {
                     state.pendingStream = static_cast<std::int32_t>(s);
                     state.pendingIsWrite = is_write;
                 }

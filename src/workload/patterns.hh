@@ -5,9 +5,8 @@
  * mix is tuned so the generated address/PC/read-write behaviour matches
  * the per-benchmark characteristics the paper publishes (Table II APKI and
  * bypass ratios, Fig. 6 read-level mix, regular vs irregular access).
- * A cursor has one entry point, generateBatch(): the generator's decode
- * loop calls it at each instruction for the RNG-drawing kinds, and up to
- * a prefetch block of instructions ahead for the others.
+ * A cursor has one entry point, generate(), which the generator's decode
+ * loop calls at each memory instruction of the cursor's stream.
  */
 
 #ifndef FUSE_WORKLOAD_PATTERNS_HH
@@ -93,45 +92,35 @@ class PatternCursor
 
     /**
      * Append the line-aligned transaction addresses of the stream's next
-     * @p instructions memory instructions (one generate-equivalent each)
-     * to @p out — the same addresses, in the same order, whether they are
-     * asked for one instruction at a time or many. The per-kind dispatch
-     * and derived-state loads happen once per call; the inner loops are
-     * tight increment-and-wrap walks over the precomputed
-     * slice/phase/stride residues (the SoA-style state initDerived()
-     * reduces to).
+     * memory instruction to @p out. The first call derives the walk's
+     * geometry (initDerived); every later one is an increment-and-wrap
+     * step over it.
      *
      * @param spec       stream description.
      * @param base       byte base address of the stream's region.
      * @param warp       issuing warp (for slicing/private regions).
      * @param total_warps warps sharing the stream.
      * @param rng        deterministic generator owned by the warp.
-     *
-     * RNG contract: Stream / PrivateAccum / Stencil never touch @p rng
-     * and SharedReuse touches it only on its very first call, so for
-     * those kinds a batch may be generated AHEAD of the warp's decode
-     * order and buffered. RandomIrregular and HotWorkingSet draw from
-     * @p rng per transaction: their batches must be generated exactly at
-     * the instruction's decode point, or the warp's draw order (and every
-     * trace downstream) changes.
+     *                   RandomIrregular and HotWorkingSet draw from it per
+     *                   transaction, SharedReuse once on its first call.
      */
-    void generateBatch(const StreamSpec &spec, Addr base, WarpId warp,
-                       std::uint32_t total_warps, Rng &rng,
-                       std::uint32_t instructions, std::vector<Addr> &out);
+    void generate(const StreamSpec &spec, Addr base, WarpId warp,
+                  std::uint32_t total_warps, Rng &rng,
+                  std::vector<Addr> &out);
+
+    /** Walk position; for SharedReuse its low bit is the pair parity
+     *  the generator reads. */
+    std::uint64_t position() const { return cursor_; }
 
   private:
-    /** Pre-reduce the per-call modular state. The spec/warp geometry of a
-     *  cursor never changes (the generator owns one cursor per stream per
-     *  warp), so the slice bounds, bases, and stride residues are
-     *  computed once and every subsequent address comes from an
-     *  increment-and-conditionally-subtract — the integer divisions that
-     *  made address generation costly are gone from the per-call path.
-     *  Values are bit-exact with the original modular arithmetic. */
+    /** Derive the walk's fixed geometry on the first call: the slice
+     *  bounds, base and stride residue, so that every address after it
+     *  comes from an increment-and-conditionally-subtract instead of an
+     *  integer division. SharedReuse draws its random start here. */
     void initDerived(const StreamSpec &spec, WarpId warp,
-                     std::uint32_t total_warps);
+                     std::uint32_t total_warps, Rng &rng);
 
     std::uint64_t cursor_ = 0;
-    bool initialized_ = false;   ///< SharedReuse random start applied.
     bool derivedReady_ = false;  ///< initDerived has run.
     std::uint64_t slice_ = 0;    ///< Pattern-specific modulus.
     std::uint64_t sliceBase_ = 0;    ///< First line of the warp's slice.
@@ -140,11 +129,6 @@ class PatternCursor
     std::uint32_t step3_ = 0;    ///< Stencil: cursor_ % 3.
     std::vector<std::uint64_t> activeLines_;  ///< HotWorkingSet cluster.
     std::uint64_t lastHotLine_ = ~std::uint64_t(0);  ///< Re-touch target.
-
-  public:
-    /** Walk position; for SharedReuse its low bit is the pair parity
-     *  the generator reads. */
-    std::uint64_t position() const { return cursor_; }
 };
 
 } // namespace fuse

@@ -42,9 +42,7 @@ constexpr std::uint32_t kMaxTransactions = 32;
 struct InstructionBatch
 {
     /** Instructions decoded per generator call. Deliberately small (see
-     *  layout note): decode is already cheap per instruction — the
-     *  expensive cursor calls amortise through the generator's
-     *  kPrefetch queues, which are independent of this constant. With
+     *  layout note): decode is already cheap per instruction. With
      *  kMaxTransactions transactions each, span indices stay
      *  comfortably inside the std::uint16_t span fields. */
     static constexpr std::uint32_t kCapacity = 8;

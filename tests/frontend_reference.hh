@@ -38,8 +38,8 @@ struct WarpInstruction
 
 /**
  * The scalar generator: KernelGenerator's seeding, stream layout and
- * decode rules, one instruction per next() call, with every cursor
- * called at its instruction's decode point (no prefetch queues).
+ * decode rules, one instruction per next() call, each in a vector of its
+ * own.
  */
 class ScalarKernelGenerator
 {
@@ -146,9 +146,9 @@ class ScalarKernelGenerator
     generate(WarpState &state, WarpId warp, std::uint32_t s,
              std::vector<Addr> &out)
     {
-        state.cursors[s].generateBatch(spec_->streams[s], streamBases_[s],
-                                       firstWarp_ + warp, totalWarps_,
-                                       state.rng, 1, out);
+        state.cursors[s].generate(spec_->streams[s], streamBases_[s],
+                                  firstWarp_ + warp, totalWarps_, state.rng,
+                                  out);
     }
 
     std::uint64_t

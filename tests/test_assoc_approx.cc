@@ -24,7 +24,8 @@ paperConfig()
 TEST(AssocApprox, MissWithoutInsertIsOneCycle)
 {
     AssocApprox approx(paperConfig(), 512);
-    TagSearchResult r = approx.search(0x1234, /*actually_present=*/false);
+    TagSearchResult r =
+        approx.finish(approx.test(0x1234), /*actually_present=*/false);
     EXPECT_FALSE(r.found);
     // Cold CBF: negative after the single test cycle, no polling.
     EXPECT_EQ(r.cycles, 1u);
@@ -35,7 +36,7 @@ TEST(AssocApprox, InsertedLineIsFoundWithPolling)
 {
     AssocApprox approx(paperConfig(), 512);
     approx.insert(0x40);
-    TagSearchResult r = approx.search(0x40, true);
+    TagSearchResult r = approx.finish(approx.test(0x40), true);
     EXPECT_TRUE(r.found);
     EXPECT_GE(r.cycles, 2u);  // CBF test + at least one poll cycle.
     EXPECT_EQ(r.partitionsPolled, 1u);
@@ -47,7 +48,7 @@ TEST(AssocApprox, RemoveRestoresFastNegative)
     AssocApprox approx(paperConfig(), 512);
     approx.insert(0x40);
     approx.remove(0x40);
-    TagSearchResult r = approx.search(0x40, false);
+    TagSearchResult r = approx.finish(approx.test(0x40), false);
     EXPECT_FALSE(r.found);
     EXPECT_EQ(r.cycles, 1u);
 }
@@ -68,7 +69,7 @@ TEST(AssocApprox, FalsePositiveCostsPollingButReportsMiss)
         if (other == target || approx.partitionOf(other) != p)
             continue;
         approx.insert(other);
-        TagSearchResult r = approx.search(target, false);
+        TagSearchResult r = approx.finish(approx.test(target), false);
         if (r.falsePositive) {
             EXPECT_FALSE(r.found);
             EXPECT_GE(r.cycles, 2u);
@@ -94,13 +95,16 @@ TEST(AssocApprox, AverageSearchWithinPaperBound)
     for (int i = 0; i < 20000; ++i) {
         if (rng.chance(0.5)) {
             Addr line = resident[rng.below(resident.size())];
-            approx.search(line, true);
+            approx.finish(approx.test(line), true);
         } else {
-            approx.search(rng.below(1 << 20), false);
+            approx.finish(approx.test(rng.below(1 << 20)), false);
         }
     }
-    EXPECT_GE(approx.averageSearchCycles(), 1.0);
-    EXPECT_LE(approx.averageSearchCycles(), 2.0);
+    const StatGroup::Average *cycles =
+        approx.stats().findAverage("search_cycles");
+    ASSERT_NE(cycles, nullptr);
+    EXPECT_GE(cycles->mean(), 1.0);
+    EXPECT_LE(cycles->mean(), 2.0);
 }
 
 TEST(AssocApprox, PartitionAssignmentIsStable)
@@ -123,8 +127,8 @@ TEST(AssocApprox, PartitionsReasonablyBalanced)
     }
 }
 
-/** Property: search(x, present) never reports found=false for a line the
- *  owner says is present (CBFs cannot produce false negatives). */
+/** Property: a search never reports found=false for a line the owner
+ *  says is present (CBFs cannot produce false negatives). */
 TEST(AssocApproxProperty, NoFalseNegatives)
 {
     AssocApprox approx(paperConfig(), 512);
@@ -137,7 +141,8 @@ TEST(AssocApproxProperty, NoFalseNegatives)
             resident.push_back(line);
         } else if (!resident.empty()) {
             std::size_t idx = rng.below(resident.size());
-            TagSearchResult r = approx.search(resident[idx], true);
+            TagSearchResult r =
+                approx.finish(approx.test(resident[idx]), true);
             EXPECT_TRUE(r.found);
             if (rng.chance(0.3)) {
                 approx.remove(resident[idx]);

@@ -6,8 +6,8 @@
  * bit-for-bit — instruction kinds, PCs, types, transaction addresses,
  * coalesced spans, and coalesce statistics. Cases cover every PatternKind
  * in isolation (divergence 1/4/8 explicitly) plus real benchmark mixes,
- * driven in the SM's interleaved warp order so prefetch queues, pending
- * follow-ups, and per-warp RNG streams all cross batch boundaries.
+ * driven in the SM's interleaved warp order so pending follow-ups and
+ * per-warp RNG streams cross batch boundaries.
  */
 
 #include <gtest/gtest.h>

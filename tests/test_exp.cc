@@ -67,16 +67,10 @@ TEST(Aggregate, GeomeanNeverNan)
     EXPECT_FALSE(std::isnan(geomean({0.0, 0.0})));
 }
 
-TEST(Aggregate, MeanAndNormalize)
+TEST(Aggregate, Mean)
 {
     EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
     EXPECT_DOUBLE_EQ(mean({}), 0.0);
-    const std::vector<double> norm = normalizeTo({2.0, 9.0}, {4.0, 3.0});
-    ASSERT_EQ(norm.size(), 2u);
-    EXPECT_DOUBLE_EQ(norm[0], 0.5);
-    EXPECT_DOUBLE_EQ(norm[1], 3.0);
-    // A zero baseline yields 0, not inf.
-    EXPECT_DOUBLE_EQ(normalizeTo({1.0}, {0.0})[0], 0.0);
 }
 
 // ---------------------------------------------------- thread counts
@@ -187,6 +181,30 @@ TEST(ExperimentSpec, ResolvesKinds)
               allL1DKinds().size());
     EXPECT_EQ(ExperimentSpec::resolveKinds("Dy-FUSE"),
               std::vector<L1DKind>{L1DKind::DyFuse});
+}
+
+TEST(ExperimentSpec, ResolvesCommaLists)
+{
+    EXPECT_EQ(ExperimentSpec::resolveBenchmarks(" ATAX, ,BICG "),
+              (std::vector<std::string>{"ATAX", "BICG"}));
+    EXPECT_EQ(ExperimentSpec::resolveKinds("L1-SRAM,Dy-FUSE"),
+              (std::vector<L1DKind>{L1DKind::L1Sram, L1DKind::DyFuse}));
+}
+
+TEST(ExperimentSpecDeathTest, AListThatNamesNothingIsFatal)
+{
+    EXPECT_EXIT(ExperimentSpec::resolveBenchmarks(","),
+                ::testing::ExitedWithCode(1),
+                "benchmark list ',' names no workload");
+    EXPECT_EXIT(ExperimentSpec::resolveKinds(""),
+                ::testing::ExitedWithCode(1),
+                "kind list '' names no L1D kind");
+    EXPECT_EXIT(ExperimentSpec::parse("benchmarks: ,\n"),
+                ::testing::ExitedWithCode(1),
+                "benchmark list ',' names no workload");
+    EXPECT_EXIT(ExperimentSpec::parse("kinds: ,\n"),
+                ::testing::ExitedWithCode(1),
+                "kind list ',' names no L1D kind");
 }
 
 TEST(ExperimentSpec, RejectsUnknownOverrideKey)
@@ -676,23 +694,6 @@ TEST(Canonical, PointTextIsFastModeIndependent)
 }
 
 // ------------------------------------------------------ result set
-
-TEST(ResultSet, SeriesAndNormalisation)
-{
-    const ResultSet results = SweepRunner(2).run(smallSpec());
-    const auto get_ipc = [](const Metrics &m) { return m.ipc; };
-    const std::vector<double> base =
-        results.series(L1DKind::L1Sram, get_ipc, 0);
-    const std::vector<double> dy =
-        results.series(L1DKind::DyFuse, get_ipc, 0);
-    const std::vector<double> norm =
-        results.normalizedSeries(L1DKind::DyFuse, L1DKind::L1Sram,
-                                 get_ipc, 0, 0);
-    ASSERT_EQ(base.size(), 2u);
-    ASSERT_EQ(norm.size(), 2u);
-    for (std::size_t i = 0; i < norm.size(); ++i)
-        EXPECT_DOUBLE_EQ(norm[i], dy[i] / base[i]);
-}
 
 TEST(ResultSet, FindMissesGracefully)
 {

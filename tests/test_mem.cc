@@ -88,7 +88,8 @@ TEST(Dram, ReorderWindowTurnsConflictsIntoHits)
         d_wide.service(row_b, false, t);
         t += 200;
     }
-    EXPECT_GT(d_wide.rowHitRate(), d_narrow.rowHitRate());
+    EXPECT_GT(d_wide.stats().get("row_hits"),
+              d_narrow.stats().get("row_hits"));
 }
 
 TEST(L2, HitAfterFill)

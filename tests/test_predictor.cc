@@ -111,9 +111,10 @@ TEST(Predictor, AccuracyBookkeeping)
     pred.recordOutcome(ReadLevel::ReadIntensive, 1, 5);                // true
     pred.recordOutcome(ReadLevel::ReadIntensive, 3, 5);                // false
     pred.recordOutcome(ReadLevel::ReadIntensive, 1, 0);                // neutral
-    EXPECT_DOUBLE_EQ(pred.accuracyTrue(), 4.0 / 7.0);
-    EXPECT_DOUBLE_EQ(pred.accuracyFalse(), 2.0 / 7.0);
-    EXPECT_DOUBLE_EQ(pred.accuracyNeutral(), 1.0 / 7.0);
+    EXPECT_DOUBLE_EQ(pred.stats().get("outcomes"), 7.0);
+    EXPECT_DOUBLE_EQ(pred.stats().get("pred_true"), 4.0);
+    EXPECT_DOUBLE_EQ(pred.stats().get("pred_false"), 2.0);
+    EXPECT_DOUBLE_EQ(pred.stats().get("pred_neutral"), 1.0);
 }
 
 TEST(Predictor, CounterSaturatesWithoutOverflow)

@@ -1,14 +1,15 @@
 /**
  * @file
- * Tests for the sim layer: Report formatting and SimConfig presets.
- * The aggregation helpers (geomean etc.) are covered in test_exp.cc,
- * where they now live.
+ * Tests for the sim layer: Report formatting, SimConfig presets and the
+ * Simulator's refusal of a cut-off run. The aggregation helpers (geomean
+ * etc.) are covered in test_exp.cc, where they now live.
  */
 
 #include <gtest/gtest.h>
 
 #include "sim/report.hh"
 #include "sim/sim_config.hh"
+#include "sim/simulator.hh"
 
 namespace fuse
 {
@@ -59,6 +60,17 @@ TEST(SimConfig, TestScaleIsSmaller)
     EXPECT_LT(c.gpu.numSms, SimConfig::fermi().gpu.numSms);
     EXPECT_LT(c.gpu.instructionBudgetPerSm,
               SimConfig::fermi().gpu.instructionBudgetPerSm);
+}
+
+TEST(SimulatorDeathTest, RunCutOffByMaxCyclesIsFatal)
+{
+    // Metrics of a partial kernel are not the workload's: the run fails,
+    // naming the workload, the kind and the cap, instead of reporting.
+    SimConfig c = SimConfig::testScale();
+    c.gpu.maxCycles = 1000;
+    EXPECT_EXIT(Simulator(c).run("ATAX", L1DKind::DyFuse),
+                ::testing::ExitedWithCode(1),
+                "ATAX on Dy-FUSE retired .* gpu.maxCycles = 1000");
 }
 
 } // namespace

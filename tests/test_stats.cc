@@ -189,22 +189,6 @@ TEST(FlatAddrMap, SlotReuseAfterChurn)
     }
 }
 
-TEST(FlatAddrMap, ForEachErasingDropsExactlyTheMatching)
-{
-    FlatAddrMap<std::uint64_t> map(64);
-    for (std::uint64_t k = 0; k < 64; ++k)
-        *map.insert(k) = k;
-    map.forEachErasing(
-        [](Addr, std::uint64_t &v) { return v % 3 == 0; });
-    EXPECT_EQ(map.size(), 64u - 22u);
-    for (std::uint64_t k = 0; k < 64; ++k) {
-        if (k % 3 == 0)
-            EXPECT_EQ(map.find(k), nullptr) << k;
-        else
-            ASSERT_NE(map.find(k), nullptr) << k;
-    }
-}
-
 // ------------------------------------------------------- MSHR flat table
 
 TEST(MshrFlatTable, FillToCapacityAndReuse)

@@ -127,8 +127,8 @@ TEST_F(StressFixture, FaFuseApproxStateStaysConsistent)
     ASSERT_NE(l1d.approx(), nullptr);
     std::uint32_t checked = 0;
     l1d.sttBank().tags().forEachValid([&](const CacheLine &line) {
-        TagSearchResult r = l1d.approx()->search(line.tag, true);
-        EXPECT_TRUE(r.found) << "line " << line.tag;
+        EXPECT_TRUE(l1d.approx()->test(line.tag).positive)
+            << "line " << line.tag;
         ++checked;
     });
     EXPECT_GT(checked, 0u);

@@ -214,7 +214,8 @@ TEST(Patterns, StencilTouchesNeighbours)
     PatternCursor cursor;
     Rng rng(1);
     std::vector<Addr> out;
-    cursor.generateBatch(s, 0, 0, 1, rng, 9, out);
+    for (int i = 0; i < 9; ++i)
+        cursor.generate(s, 0, 0, 1, rng, out);
     ASSERT_EQ(out.size(), 9u);
     // Nine accesses cover only ~4 distinct lines (3 reuses each).
     std::unordered_set<Addr> distinct(out.begin(), out.end());

@@ -28,6 +28,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -112,16 +113,14 @@ readSpec(const std::string &path)
     return fuse::ExperimentSpec::parse(buffer.str());
 }
 
-/** Replace @p spec's workloads by the --benchmarks @p list, if given. */
+/** Replace @p spec's workloads by the --benchmarks @p list, if given
+ *  (fatal when it names none). */
 void
-restrictBenchmarks(fuse::ExperimentSpec &spec, const std::string &list)
+restrictBenchmarks(fuse::ExperimentSpec &spec,
+                   const std::optional<std::string> &list)
 {
-    if (list.empty())
-        return;
-    spec.benchmarks.clear();
-    for (const auto &word : fuse::splitList(list))
-        for (const auto &name : fuse::ExperimentSpec::resolveBenchmarks(word))
-            spec.benchmarks.push_back(name);
+    if (list)
+        spec.benchmarks = fuse::ExperimentSpec::resolveBenchmarks(*list);
 }
 
 /** Run @p write on the file at @p path ('-' = stdout). */
@@ -171,8 +170,10 @@ main(int argc, char **argv)
 {
     std::string figure;
     std::string spec_path;
-    std::string benchmarks;
-    std::string kinds;
+    // Given-but-empty lists are fatal, so "given" is tracked apart from
+    // the value.
+    std::optional<std::string> benchmarks;
+    std::optional<std::string> kinds;
     std::string json_path;
     std::string csv_path;
     std::string merge_path;
@@ -225,8 +226,7 @@ main(int argc, char **argv)
         // rows are its grid. The sweep flags have nothing to act on
         // here; dropping them silently would export a grid the caller
         // did not ask for.
-        if (!figure.empty() || !spec_path.empty() || !benchmarks.empty()
-            || !kinds.empty())
+        if (!figure.empty() || !spec_path.empty() || benchmarks || kinds)
             fuse_fatal("--merge takes no --figure, --spec, --benchmarks "
                        "or --kinds (the grid comes from the export, and "
                        "a merge simulates nothing)");
@@ -246,7 +246,7 @@ main(int argc, char **argv)
         usage();
         fuse_fatal("pass exactly one of --figure or --spec");
     }
-    if (!figure.empty() && !kinds.empty()) {
+    if (!figure.empty() && kinds) {
         // Figure renderers expect their full kind grid; stripping kinds
         // would waste the sweep and then die in the renderer.
         fuse_fatal("--kinds only applies to --spec sweeps");
@@ -300,13 +300,8 @@ main(int argc, char **argv)
     }
 
     restrictBenchmarks(spec, benchmarks);
-    if (!kinds.empty()) {
-        spec.kinds.clear();
-        for (const auto &word : fuse::splitList(kinds))
-            for (fuse::L1DKind k :
-                 fuse::ExperimentSpec::resolveKinds(word))
-                spec.kinds.push_back(k);
-    }
+    if (kinds)
+        spec.kinds = fuse::ExperimentSpec::resolveKinds(*kinds);
 
     if (spec.runCount() > 0)
         std::fprintf(stderr, "%s: %zu runs on %u threads\n",
