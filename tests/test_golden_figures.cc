@@ -4,7 +4,9 @@
  * every paper figure's sweep grid through SweepRunner, figure by figure
  * and in one runAll pass, and compares an FNV-1a hash of each canonical
  * JSON export against checksums committed in
- * tests/goldens/figure_checksums.txt.
+ * tests/goldens/figure_checksums.txt. The static tables simulate nothing,
+ * so for them (table1, table3) the same file pins the hash of the
+ * rendered text.
  *
  * The goldens were generated from the pre-refactor scan-based replacement
  * engine, so any observational-equivalence break in victim selection, MSHR
@@ -26,6 +28,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -65,6 +68,9 @@ hex(std::uint64_t v)
                   static_cast<unsigned long long>(v));
     return buf;
 }
+
+/** The static tables the tier pins by their rendered text. */
+const std::set<std::string> kStaticTables = {"table1", "table3"};
 
 /**
  * The figure's spec cut down to golden-tier cost: the first three
@@ -127,6 +133,21 @@ computeChecksums()
     return checksums(grids);
 }
 
+/** table name -> checksum of the text its renderer prints. */
+std::map<std::string, std::string>
+staticChecksums()
+{
+    std::map<std::string, std::string> sums;
+    for (const std::string &name : kStaticTables) {
+        const Figure *fig = findFigure(name);
+        const ResultSet results = SweepRunner(1).run(fig->makeSpec());
+        testing::internal::CaptureStdout();
+        fig->render(results, 1);
+        sums[name] = hex(fnv1a(testing::internal::GetCapturedStdout()));
+    }
+    return sums;
+}
+
 std::map<std::string, std::string>
 readGoldens()
 {
@@ -140,8 +161,11 @@ readGoldens()
     return sums;
 }
 
+/** Compare @p current against the committed lines of its tier: the
+ *  static tables' when @p static_tables, the sweeps' otherwise. */
 void
-expectGoldens(const std::map<std::string, std::string> &current)
+expectGoldens(const std::map<std::string, std::string> &current,
+              bool static_tables = false)
 {
     const std::map<std::string, std::string> golden = readGoldens();
     ASSERT_FALSE(golden.empty())
@@ -150,6 +174,8 @@ expectGoldens(const std::map<std::string, std::string> &current)
            "FUSE_UPDATE_GOLDENS=1 ./test_golden_figures";
 
     for (const auto &entry : golden) {
+        if ((kStaticTables.count(entry.first) > 0) != static_tables)
+            continue;
         const auto it = current.find(entry.first);
         ASSERT_NE(it, current.end())
             << "figure " << entry.first
@@ -181,12 +207,13 @@ TEST(GoldenFigures, ReducedGridsMatchCommittedChecksums)
 
     if (const char *update = std::getenv("FUSE_UPDATE_GOLDENS");
         update && update[0] == '1') {
+        std::map<std::string, std::string> all = current;
+        all.merge(staticChecksums());
         std::ofstream os(kGoldenPath);
         ASSERT_TRUE(os) << "cannot write " << kGoldenPath;
-        for (const auto &entry : current)
+        for (const auto &entry : all)
             os << entry.first << ' ' << entry.second << '\n';
-        std::printf("updated %s (%zu figures)\n", kGoldenPath,
-                    current.size());
+        std::printf("updated %s (%zu figures)\n", kGoldenPath, all.size());
         return;
     }
 
@@ -198,6 +225,11 @@ TEST(GoldenFigures, OnePassMatchesCommittedChecksums)
     // One pass over every reduced grid, as `fuse_sweep --figure all`
     // runs the paper: the cells the figures share are simulated once.
     expectGoldens(checksums(SweepRunner(4).runAll(reducedSpecs())));
+}
+
+TEST(GoldenFigures, StaticTablesMatchCommittedChecksums)
+{
+    expectGoldens(staticChecksums(), /*static_tables=*/true);
 }
 
 } // namespace
