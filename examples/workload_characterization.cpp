@@ -3,14 +3,14 @@
  * workload_characterization: inspect a benchmark generator's behaviour
  * without running the timing model — stream composition, measured APKI,
  * write mix, coalescing behaviour, and the read-level block taxonomy the
- * FUSE predictor exploits. Useful when adding new workloads.
+ * FUSE predictor exploits (Fig. 6's readLevelMix()). Useful when adding
+ * new workloads.
  *
  * Usage: workload_characterization [benchmark]   (default: all)
  */
 
 #include <cstdio>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exp/trace_studies.hh"
@@ -25,16 +25,11 @@ struct Profile
     double apki = 0.0;          ///< transactions / kilo-thread-instr.
     double writeFraction = 0.0; ///< stores / memory instructions.
     double transPerMemInstr = 0.0;
-    double wormFraction = 0.0;  ///< blocks filled once, read multiple.
-    double woroFraction = 0.0;  ///< blocks touched effectively once.
-    double wmFraction = 0.0;    ///< blocks written multiple times.
 };
 
 Profile
 profile(const fuse::BenchmarkSpec &spec)
 {
-    std::unordered_map<fuse::Addr, std::pair<std::uint32_t,
-                                             std::uint32_t>> blocks;
     const std::uint64_t instrs = 200000;
     std::uint64_t mem_instrs = 0;
     std::uint64_t writes = 0;
@@ -46,13 +41,6 @@ profile(const fuse::BenchmarkSpec &spec)
                         writes += type == fuse::AccessType::Write;
                         transactions +=
                             static_cast<std::uint64_t>(end - begin);
-                        for (const fuse::Addr *a = begin; a != end; ++a) {
-                            auto &b = blocks[fuse::lineAddr(*a)];
-                            if (type == fuse::AccessType::Write)
-                                ++b.second;
-                            else
-                                ++b.first;
-                        }
                     });
 
     Profile p;
@@ -63,26 +51,6 @@ profile(const fuse::BenchmarkSpec &spec)
                           : 0.0;
     p.transPerMemInstr =
         mem_instrs ? static_cast<double>(transactions) / mem_instrs : 0.0;
-    double wm = 0;
-    double worm = 0;
-    double woro = 0;
-    for (const auto &[line, rw] : blocks) {
-        auto [reads, wr] = rw;
-        if (wr >= 2)
-            wm += 1;
-        else if (reads + wr <= 1)
-            woro += 1;
-        else if (reads >= 2)
-            worm += 1;
-        else
-            woro += 1;
-    }
-    const double total = static_cast<double>(blocks.size());
-    if (total > 0) {
-        p.wmFraction = wm / total;
-        p.wormFraction = worm / total;
-        p.woroFraction = woro / total;
-    }
     return p;
 }
 
@@ -101,17 +69,18 @@ main(int argc, char **argv)
 
     fuse::Report report("workload characterization (trace-level)");
     report.header({"workload", "suite", "APKI (tgt)", "APKI (meas)",
-                   "writes/mem", "trans/mem", "WM", "WORM", "WORO"});
+                   "writes/mem", "trans/mem", "WM", "read-int", "WORM",
+                   "WORO"});
     for (const auto &name : names) {
         const auto &spec = fuse::benchmarkByName(name);
-        Profile p = profile(spec);
+        const Profile p = profile(spec);
+        const fuse::ReadLevelMix mix = fuse::readLevelMix(spec);
         report.row({spec.name, toString(spec.suite),
                     fuse::fmt(spec.apki, 1), fuse::fmt(p.apki, 1),
                     fuse::fmt(p.writeFraction, 2),
                     fuse::fmt(p.transPerMemInstr, 2),
-                    fuse::fmt(p.wmFraction, 2),
-                    fuse::fmt(p.wormFraction, 2),
-                    fuse::fmt(p.woroFraction, 2)});
+                    fuse::fmt(mix.wm, 3), fuse::fmt(mix.readIntensive, 3),
+                    fuse::fmt(mix.worm, 3), fuse::fmt(mix.woro, 3)});
         std::fflush(stdout);
     }
     report.print();

@@ -33,12 +33,10 @@ struct CacheLine
     ReadLevel predictedLevel = ReadLevel::ReadIntensive;
     bool hasPrediction = false;
 
-    /** Insertion timestamp (FIFO) / last-touch timestamp (LRU). */
-    Cycle insertedAt = 0;
-    Cycle lastTouch = 0;
-
+    /** Reset for a fill of @p new_tag. Replacement age lives in the tag
+     *  array's AgeListPolicy, not in the line. */
     void
-    resetForFill(Addr new_tag, Cycle now)
+    resetForFill(Addr new_tag)
     {
         tag = new_tag;
         valid = true;
@@ -47,8 +45,6 @@ struct CacheLine
         readCount = 0;
         hasPrediction = false;
         predictedLevel = ReadLevel::ReadIntensive;
-        insertedAt = now;
-        lastTouch = now;
     }
 };
 

@@ -45,8 +45,9 @@ struct MshrEntry
 class Mshr
 {
   public:
-    /** @param num_entries capacity (paper/GPGPU-Sim default: 32). */
-    explicit Mshr(std::uint32_t num_entries, StatGroup *stats = nullptr);
+    /** @param num_entries capacity (paper/GPGPU-Sim default: 32).
+     *  @param stats       the owner's group; counts "mshr_allocated". */
+    Mshr(std::uint32_t num_entries, StatGroup &stats);
 
     /**
      * Allocate a fresh entry for @p line_addr without re-probing the
@@ -87,24 +88,12 @@ class Mshr
     std::uint32_t capacity() const { return capacity_; }
     bool full() const { return entries_.size() >= capacity_; }
 
-  protected:
-    /** Erase @p line_addr from the entry file and keep the presence
-     *  summary in lockstep (the only erase path). Its ready-queue record
-     *  goes stale and is discarded when it surfaces. */
-    bool eraseEntry(Addr line_addr)
-    {
-        if (!entries_.erase(line_addr))
-            return false;
-        presence_.remove(line_addr);
-        return true;
-    }
-
   private:
     static constexpr Cycle kNever = ~Cycle(0);
 
-    /** One allocation's position in the ready queue. A record goes stale
-     *  when its entry is erased early or its address is re-allocated;
-     *  stale records are discarded when they surface at the top. */
+    /** One allocation's position in the ready queue. Entries leave only
+     *  through retireReady(), so every record names a live entry with
+     *  the same readyAt. */
     struct ReadyRec
     {
         Cycle readyAt = 0;
@@ -130,17 +119,14 @@ class Mshr
     FlatAddrMap<MshrEntry> entries_;
     /** Exact membership summary over entries_ (u16 counters: an MSHR
      *  file is tens of entries, far under the exact-mode bound), updated
-     *  by allocate()/eraseEntry() only. */
+     *  by allocate() and retireReady() only. */
     PresenceSummary presence_;
-    /** Binary min-heap on readyAt over every live allocation (plus lazily
-     *  discarded stale records). */
+    /** Binary min-heap on readyAt, one record per live allocation. */
     std::vector<ReadyRec> ready_;
     /** Exact minimum readyAt among in-flight entries after a retireReady
      *  sweep; lowered eagerly by allocate() in between. */
     Cycle minReadyAt_ = kNever;
-    /** Cached "mshr_allocated" counter (null when the owner passed no
-     *  stats group). */
-    StatGroup::Scalar *statAllocated_ = nullptr;
+    StatGroup::Scalar *statAllocated_;
 };
 
 } // namespace fuse

@@ -87,10 +87,8 @@ TagArray::lookup(Addr line_addr) const
 CacheLine *
 TagArray::hitLine(const Probe &p, Cycle now)
 {
-    CacheLine &line = lines_[p.slot];
-    line.lastTouch = now;
     repl_.onHit(p.set, p.way, now);
-    return &line;
+    return &lines_[p.slot];
 }
 
 std::optional<Eviction>
@@ -103,7 +101,6 @@ TagArray::fillAt(const Probe &p, Addr line_addr, Cycle now,
     // Refill over an existing copy (shouldn't normally happen, but be
     // safe): recency updates, insertion age does not.
     if (p.hit()) {
-        ways[p.way].lastTouch = now;
         repl_.onHit(set, p.way, now);
         if (filled)
             *filled = &ways[p.way];
@@ -114,7 +111,7 @@ TagArray::fillAt(const Probe &p, Addr line_addr, Cycle now,
     if (freeCount_[set] > 0) {
         const std::uint32_t w = lowestFreeWay(set);
         markOccupied(set, w);
-        ways[w].resetForFill(line_addr, now);
+        ways[w].resetForFill(line_addr);
         repl_.onFill(set, w, now);
         tagMap_[std::size_t(set) * numWays_ + w] = line_addr;
         if (index_)
@@ -132,7 +129,7 @@ TagArray::fillAt(const Probe &p, Addr line_addr, Cycle now,
         index_->erase(ev.line.tag);
         *index_->insert(line_addr) = victim;
     }
-    ways[victim].resetForFill(line_addr, now);
+    ways[victim].resetForFill(line_addr);
     repl_.onFill(set, victim, now);
     if (filled)
         *filled = &ways[victim];

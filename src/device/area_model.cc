@@ -51,12 +51,11 @@ constexpr std::uint64_t kDyFuseDecoderT = 1686;
 } // namespace
 
 AreaEstimate
-AreaModel::l1Sram(std::uint32_t size_bytes, std::uint32_t num_ways)
+AreaModel::l1Sram(std::uint32_t size_bytes)
 {
     AreaEstimate est;
     const std::uint64_t data_bits = std::uint64_t(size_bytes) * 8;
     const std::uint64_t num_lines = size_bytes / kLineSize;
-    (void)num_ways;
 
     // 32KB x 8 x 6T = 1,572,864 — matches Table III exactly.
     est.components.push_back({"data array", data_bits * kSramCellT});

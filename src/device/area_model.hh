@@ -45,8 +45,7 @@ class AreaModel
 {
   public:
     /** Table III, left column: conventional 32KB 4-way SRAM L1D. */
-    static AreaEstimate l1Sram(std::uint32_t size_bytes = 32 * 1024,
-                               std::uint32_t num_ways = 4);
+    static AreaEstimate l1Sram(std::uint32_t size_bytes = 32 * 1024);
 
     /** Table III, right column: Dy-FUSE (16KB SRAM + 64KB STT-MRAM). */
     static AreaEstimate dyFuse(std::uint32_t sram_bytes = 16 * 1024,

@@ -1,8 +1,6 @@
 #include "energy/energy_model.hh"
 
 #include "cache/cache_bank.hh"
-#include "device/sram_model.hh"
-#include "device/sttmram_model.hh"
 #include "gpu/gpu.hh"
 
 namespace fuse
@@ -26,26 +24,6 @@ leakageNj(double milliwatts, double seconds)
     return milliwatts * 1e6 * seconds;
 }
 
-/** Table I device energies of one bank at its capacity. */
-struct BankEnergy
-{
-    double readNj;
-    double writeNj;
-    double leakageMw;
-};
-
-BankEnergy
-bankEnergy(const CacheBank &bank)
-{
-    const std::uint32_t bytes = bank.config().sizeBytes;
-    if (bank.config().tech == BankTech::SttMram) {
-        const SttMramParams p = SttMramModel::scaled(bytes);
-        return {p.readEnergy, p.writeEnergy, p.leakagePower};
-    }
-    const SramParams p = SramModel::scaled(bytes);
-    return {p.readEnergy, p.writeEnergy, p.leakagePower};
-}
-
 /** Accumulate one L1D's dynamic/leakage energy into the breakdown. */
 void
 addL1dEnergy(const L1DCache &l1d, double seconds, EnergyBreakdown &out)
@@ -54,8 +32,8 @@ addL1dEnergy(const L1DCache &l1d, double seconds, EnergyBreakdown &out)
     if (banks.empty()) {
         // Oracle: charge the baseline SRAM leakage so comparisons stay
         // conservative.
-        SramParams p = SramModel::scaled(32 * 1024);
-        out.l1dLeakage += leakageNj(p.leakagePower, seconds);
+        out.l1dLeakage +=
+            leakageNj(sramBankEnergy(32 * 1024).leakageMw, seconds);
         return;
     }
     // Leakage power sums over the banks before it becomes energy.
@@ -69,6 +47,14 @@ addL1dEnergy(const L1DCache &l1d, double seconds, EnergyBreakdown &out)
 }
 
 } // namespace
+
+BankEnergy
+bankEnergy(const CacheBank &bank)
+{
+    const std::uint32_t bytes = bank.config().sizeBytes;
+    return bank.config().tech == BankTech::SttMram ? sttBankEnergy(bytes)
+                                                   : sramBankEnergy(bytes);
+}
 
 EnergyBreakdown
 EnergyModel::evaluate(const Gpu &gpu) const

@@ -2,8 +2,8 @@
  * @file
  * GPUWattch-substitute energy accounting: per-event dynamic energies plus
  * leakage x busy time for the L1D banks, L2, DRAM, interconnect, and SM
- * compute. Event counts come from the simulator's stat groups; device
- * scalars come from the Table I models in src/device.
+ * compute. Event counts come from the simulator's stat groups; L1D bank
+ * energies come from the Table I scalars in device/bank_energy.hh.
  */
 
 #ifndef FUSE_ENERGY_ENERGY_MODEL_HH
@@ -12,11 +12,17 @@
 #include <cstdint>
 
 #include "common/types.hh"
+#include "device/bank_energy.hh"
 
 namespace fuse
 {
 
+class CacheBank;
 class Gpu;
+
+/** Table I energies of @p bank for its technology and capacity: what
+ *  EnergyModel charges per array access and for leakage. */
+BankEnergy bankEnergy(const CacheBank &bank);
 
 /** Per-event energies (nJ) and leakage (mW) of the non-L1D components. */
 struct EnergyParams
@@ -24,8 +30,8 @@ struct EnergyParams
     /** GPU core clock (Hz) — converts cycles to seconds for leakage. */
     double coreClockHz = 700e6;  ///< §III-A: 700MHz external bus clock.
 
-    // Dynamic energy per event, nJ. L1D banks use the src/device models;
-    // these cover the rest of the chip.
+    // Dynamic energy per event, nJ. L1D banks use bankEnergy(); these
+    // cover the rest of the chip.
     double l2AccessEnergy = 0.9;       ///< ECC-protected banked L2 access.
     double dramAccessEnergy = 24.0;    ///< 128B GDDR5 burst (~23 pJ/bit
                                        ///< I/O + activation amortised).

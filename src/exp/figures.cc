@@ -2,13 +2,15 @@
 
 #include <cstdio>
 #include <map>
+#include <memory>
 
 #include "cache/cache_bank.hh"
 #include "device/area_model.hh"
-#include "device/sram_model.hh"
-#include "device/sttmram_model.hh"
+#include "energy/energy_model.hh"
 #include "exp/sweep_runner.hh"
 #include "exp/trace_studies.hh"
+#include "fuse/l1d_factory.hh"
+#include "mem/hierarchy.hh"
 #include "sim/report.hh"
 #include "workload/benchmarks.hh"
 
@@ -647,39 +649,30 @@ table1Render(const ResultSet &results, unsigned)
     banks.header({"config", "SRAM KB", "STT KB", "SRAM sets/ways",
                   "STT sets/ways", "SRAM R/W nJ", "STT R/W nJ",
                   "leak mW"});
-    struct RowSpec
-    {
-        const char *name;
-        std::uint32_t sram;
-        std::uint32_t stt;
-        const char *sram_geom;
-        const char *stt_geom;
-    };
-    const std::vector<RowSpec> rows = {
-        {"L1-SRAM", 32 * 1024, 0, "64/4", "-"},
-        {"By-NVM", 0, 128 * 1024, "-", "256/4"},
-        {"Hybrid", 16 * 1024, 64 * 1024, "64/2", "256/2"},
-        {"Base-FUSE", 16 * 1024, 64 * 1024, "64/2", "256/2"},
-        {"FA-FUSE", 16 * 1024, 64 * 1024, "64/2", "1/512"},
-        {"Dy-FUSE", 16 * 1024, 64 * 1024, "64/2", "1/512"},
-    };
-    for (const auto &r : rows) {
-        std::string sram_e = "-";
-        std::string stt_e = "-";
+    // Each row is the organisation a run builds: its banks' geometry
+    // and the energies EnergyModel charges them (SRAM column 0, STT 1).
+    MemoryHierarchy hierarchy(c.gpu.noc, c.gpu.l2, c.gpu.dram);
+    for (L1DKind kind : {L1DKind::L1Sram, L1DKind::ByNvm, L1DKind::Hybrid,
+                         L1DKind::BaseFuse, L1DKind::FaFuse,
+                         L1DKind::DyFuse}) {
+        const std::unique_ptr<L1DCache> l1d =
+            makeL1D(kind, c.l1d, hierarchy);
+        std::string kb[2] = {"0", "0"};
+        std::string geom[2] = {"-", "-"};
+        std::string energy[2] = {"-", "-"};
         double leak = 0.0;
-        if (r.sram) {
-            SramParams p = SramModel::scaled(r.sram);
-            sram_e = fmt(p.readEnergy, 2) + "/" + fmt(p.writeEnergy, 2);
-            leak += p.leakagePower;
+        for (const CacheBank *bank : l1d->banks()) {
+            const BankConfig &b = bank->config();
+            const int col = b.tech == BankTech::SttMram ? 1 : 0;
+            const BankEnergy e = bankEnergy(*bank);
+            kb[col] = std::to_string(b.sizeBytes / 1024);
+            geom[col] = std::to_string(b.numSets) + "/"
+                        + std::to_string(b.numWays);
+            energy[col] = fmt(e.readNj, 2) + "/" + fmt(e.writeNj, 2);
+            leak += e.leakageMw;
         }
-        if (r.stt) {
-            SttMramParams p = SttMramModel::scaled(r.stt);
-            stt_e = fmt(p.readEnergy, 2) + "/" + fmt(p.writeEnergy, 2);
-            leak += p.leakagePower;
-        }
-        banks.row({r.name, std::to_string(r.sram / 1024),
-                   std::to_string(r.stt / 1024), r.sram_geom, r.stt_geom,
-                   sram_e, stt_e, fmt(leak, 1)});
+        banks.row({toString(kind), kb[0], kb[1], geom[0], geom[1],
+                   energy[0], energy[1], fmt(leak, 1)});
     }
     banks.print();
 }

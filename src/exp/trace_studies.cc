@@ -20,9 +20,9 @@ struct BlockStats
     std::uint32_t writes = 0;
 };
 
-/** Classify one block's lifetime access counts (the fill that brings a
- *  block on chip counts as its first write, hence "write-once" families
- *  for load-only data). */
+/** Classify one block's lifetime access counts. @c writes counts stores
+ *  only — the fill is not a write here — so load-only data lands in the
+ *  WORM/WORO classes and read-intensive needs exactly one store. */
 ReadLevel
 classify(const BlockStats &b)
 {

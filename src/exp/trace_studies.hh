@@ -40,9 +40,12 @@ struct ReadLevelMix
 };
 
 /**
- * Replay one SM's worth of @p spec's trace and classify every distinct
- * data block by its lifetime read/write behaviour (the fill that brings
- * a block on chip counts as its first write).
+ * Replay the first 240,000 instructions of one SM's trace of @p spec and
+ * classify every distinct data block by the loads and stores it sees.
+ * Only stores count as writes (the fill that brings a block on chip does
+ * not), so a load-only block is WORM with two or more loads and WORO
+ * otherwise, and read-intensive needs exactly one store and four or more
+ * loads.
  */
 ReadLevelMix readLevelMix(const BenchmarkSpec &spec);
 

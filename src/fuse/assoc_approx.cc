@@ -21,8 +21,7 @@ partitionMix(std::uint64_t key)
 AssocApprox::AssocApprox(const AssocApproxConfig &config,
                          std::uint32_t num_lines)
     : config_(config),
-      linesPerPartition_(num_lines / (config.numCbfs ? config.numCbfs : 1)),
-      stats_("assoc_approx")
+      linesPerPartition_(num_lines / (config.numCbfs ? config.numCbfs : 1))
 {
     if (config.numCbfs == 0)
         fuse_fatal("approximation logic needs at least one CBF");
@@ -34,12 +33,6 @@ AssocApprox::AssocApprox(const AssocApproxConfig &config,
                            config.counterBits);
     residents_.resize(config.numCbfs);
     lastSaturations_.assign(config.numCbfs, 0);
-    statRefreshes_ = &stats_.scalar("cbf_refreshes");
-    statInserts_ = &stats_.scalar("inserts");
-    statRemoves_ = &stats_.scalar("removes");
-    statSearches_ = &stats_.scalar("searches");
-    statFalsePositivePolls_ = &stats_.scalar("false_positive_polls");
-    statSearchCycles_ = &stats_.average("search_cycles");
 }
 
 void
@@ -49,7 +42,6 @@ AssocApprox::refresh(std::uint32_t p)
     for (Addr line : residents_[p])
         cbfs_[p].insert(line);
     lastSaturations_[p] = cbfs_[p].saturations();
-    ++(*statRefreshes_);
 }
 
 std::uint32_t
@@ -64,7 +56,6 @@ AssocApprox::insertAt(Addr line_addr, std::uint32_t partition)
 {
     cbfs_[partition].insert(line_addr);
     residents_[partition].push_back(line_addr);
-    ++(*statInserts_);
 }
 
 void
@@ -82,44 +73,24 @@ AssocApprox::removeAt(Addr line_addr, std::uint32_t p)
     // from its resident tags to clear the residue.
     if (cbfs_[p].saturations() != lastSaturations_[p])
         refresh(p);
-    ++(*statRemoves_);
 }
 
 TagSearchResult
-AssocApprox::finish(const CbfProbe &test, bool actually_present)
+AssocApprox::finish(const CbfProbe &test) const
 {
-    TagSearchResult result;
-    result.partition = test.partition;
-
     // Stage 1 happened in test(): the NVM-CBF sense. All CBF columns are
     // sensed in parallel in the 2D MTJ island, so the test costs one
     // STT-MRAM read (§IV-C measures 591ps — under one cache cycle; we
-    // charge 1 cycle).
-    const bool positive = test.positive;
-    accuracy_.record(positive, actually_present);
-    result.cycles = 1;
-
-    if (!positive) {
-        // Definite miss: no polling at all.
-        result.found = false;
-        ++(*statSearches_);
-        statSearchCycles_->sample(result.cycles);
-        return result;
+    // charge 1 cycle). A negative test is a definite miss: no polling.
+    TagSearchResult result;
+    result.partition = test.partition;
+    if (test.positive) {
+        // Stage 2: poll the positive partition's tag entries with the
+        // limited comparator pool: ceil(lines / comparators) serialized
+        // cycles.
+        result.cycles += (linesPerPartition_ + config_.comparators - 1)
+                         / config_.comparators;
     }
-
-    // Stage 2: poll the positive partition's tag entries with the limited
-    // comparator pool: ceil(lines / comparators) serialized cycles.
-    result.partitionsPolled = 1;
-    const std::uint32_t poll_cycles =
-        (linesPerPartition_ + config_.comparators - 1) / config_.comparators;
-    result.cycles += poll_cycles;
-    result.found = actually_present;
-    result.falsePositive = !actually_present;
-    if (result.falsePositive)
-        ++(*statFalsePositivePolls_);
-
-    ++(*statSearches_);
-    statSearchCycles_->sample(result.cycles);
     return result;
 }
 

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "cache/bloom.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace fuse
@@ -35,13 +34,10 @@ struct AssocApproxConfig
     std::uint32_t comparators = 4;    ///< Parallel tag comparators.
 };
 
-/** Result of a tag search through the approximation logic. */
+/** Cost of a tag search through the approximation logic. */
 struct TagSearchResult
 {
-    bool found = false;
     std::uint32_t cycles = 1;     ///< Serialized search cycles spent.
-    std::uint32_t partitionsPolled = 0;
-    bool falsePositive = false;   ///< Some CBF fired but tags mismatched.
     /** Partition the searched line hashes to — handed back so a fill
      *  of the same line in the same access reuses it instead of
      *  re-running the partition hash (the single-probe pipeline). */
@@ -87,7 +83,7 @@ class AssocApprox
     };
 
     /**
-     * Stage 1 alone: the parallel CBF-column sense (§IV-C), no stats.
+     * Stage 1 alone: the parallel CBF-column sense (§IV-C).
      * A negative result proves absence — CBF counters saturate rather
      * than overflow, so the filter never produces a false negative —
      * which lets the owner skip the tag-array residency lookup entirely
@@ -100,17 +96,13 @@ class AssocApprox
     }
 
     /**
-     * Stage 2: finish the serialized search given the stage-1 test and
-     * @p actually_present, the ground truth from the owner's tag array;
-     * records the search's stats and accuracy. On a negative test
-     * @p actually_present is necessarily false and the owner may pass
-     * false without looking.
+     * Stage 2: the cost of the serialized search after the stage-1
+     * @p test. A negative test ends the search; a positive one polls the
+     * partition's tag entries, whether the line is resident or not.
      */
-    TagSearchResult finish(const CbfProbe &test, bool actually_present);
+    TagSearchResult finish(const CbfProbe &test) const;
 
     const AssocApproxConfig &config() const { return config_; }
-    StatGroup &stats() { return stats_; }
-    const BloomAccuracy &accuracy() const { return accuracy_; }
 
   private:
     /**
@@ -129,15 +121,6 @@ class AssocApprox
     std::vector<std::vector<Addr>> residents_;
     /** Saturation count at the last refresh, per partition. */
     std::vector<std::uint64_t> lastSaturations_;
-    BloomAccuracy accuracy_;
-    StatGroup stats_;
-    // Cached hot-path stats: finish() runs per STT-side L1D access.
-    StatGroup::Scalar *statRefreshes_;
-    StatGroup::Scalar *statInserts_;
-    StatGroup::Scalar *statRemoves_;
-    StatGroup::Scalar *statSearches_;
-    StatGroup::Scalar *statFalsePositivePolls_;
-    StatGroup::Average *statSearchCycles_;
 };
 
 } // namespace fuse

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hh"
-
 namespace fuse
 {
 
@@ -19,8 +17,8 @@ HybridL1D::HybridL1D(L1DKind kind, const L1DParams &params,
       stt_(makeSttBankConfig(params.hybridSttBytes(), params.sttWays,
                              approxFullAssoc_),
            "l1d.hybrid.stt"),
-      tagQueue_(params.tagQueueEntries, &stats_),
-      swapBuffer_(params.swapBufferEntries, &stats_),
+      tagQueue_(params.tagQueueEntries, stats_),
+      swapBuffer_(params.swapBufferEntries, stats_),
       predictor_(params.predictor)
 {
     if (approxFullAssoc_) {
@@ -31,7 +29,6 @@ HybridL1D::HybridL1D(L1DKind kind, const L1DParams &params,
     statMigrationsSramToStt_ = &stats_.scalar("migrations_sram_to_stt");
     statMigrationsSttToSram_ = &stats_.scalar("migrations_stt_to_sram");
     statMigrationsDrained_ = &stats_.scalar("migrations_drained");
-    statMigrationFallback_ = &stats_.scalar("migration_fallback_to_l2");
     statWoroEvictions_ = &stats_.scalar("woro_evictions_to_l2");
     statStallStt_ = &stats_.scalar("stall_stt");
     statSramHits_ = &stats_.scalar("sram_hits");
@@ -80,16 +77,16 @@ HybridL1D::installInStt(const CacheLine &line, Cycle now,
     }
 }
 
-bool
+void
 HybridL1D::migrateToStt(const CacheLine &victim, Cycle now)
 {
+    ++(*statMigrationsSramToStt_);
     if (!nonBlocking_) {
         // Plain Hybrid: the migration is a synchronous STT-MRAM write on
         // the demand port — the whole L1D blocks behind it (the paper's
         // motivation for the swap buffer + tag queue).
         installInStt(victim, now, CacheBank::Port::Demand);
-        ++(*statMigrationsSramToStt_);
-        return true;
+        return;
     }
 
     // FUSE path: park the line in the swap buffer and queue an "F"
@@ -98,33 +95,19 @@ HybridL1D::migrateToStt(const CacheLine &victim, Cycle now)
     // the bank's presence summary — fillAt removed both in one step), so
     // while parked it is serviced by the snoop path, never by an SRAM
     // tag search: the summary needs no transition here to stay exact.
-    if (swapBuffer_.full() || tagQueue_.full()) {
-        ++(*statStallStt_);
-        return false;
-    }
     swapBuffer_.push(victim);
-    TagQueueEntry entry;
-    entry.command = TagCommand::Migrate;
-    entry.lineAddr = victim.tag;
-    entry.enqueuedAt = now;
-    tagQueue_.push(entry);
-    ++(*statMigrationsSramToStt_);
-    return true;
+    tagQueue_.push({TagCommand::Migrate, victim.tag});
 }
 
 void
-HybridL1D::flushTagQueue(Cycle now)
+HybridL1D::flushTagQueue()
 {
     tagQueue_.flush();
     // Re-queue migrations for lines still parked in the swap buffer: their
     // payload survives the flush, only the meta entries were dropped.
-    for (const Addr line : swapBuffer_.residents()) {
-        TagQueueEntry entry;
-        entry.command = TagCommand::Migrate;
-        entry.lineAddr = line;
-        entry.enqueuedAt = now;
-        tagQueue_.push(entry);
-    }
+    // Every parked line had its own entry, so they all fit again.
+    for (const Addr line : swapBuffer_.residents())
+        tagQueue_.push({TagCommand::Migrate, line});
 }
 
 L1DResult
@@ -154,7 +137,7 @@ HybridL1D::sttHit(const MemRequest &req, Cycle now,
         // (The tag-queue flush touches neither bank's tag array, so the
         // probes resolved at the top of access() are still current.)
         if (!tagQueue_.empty())
-            flushTagQueue(now);
+            flushTagQueue();
         auto moved = stt_.invalidateAt(stt_probe);
         if (approx_)
             approx_->removeAt(line, stt_partition);
@@ -171,8 +154,16 @@ HybridL1D::sttHit(const MemRequest &req, Cycle now,
             }
             filled->dirty = true;
         }
-        if (victim && !migrateToStt(victim->line, now))
-            evictToL2(victim->line, now);
+        if (victim) {
+            if (migrationBlocked()) {
+                // No swap-buffer slot or queue entry to park the SRAM
+                // victim in: it leaves the L1D instead.
+                ++(*statStallStt_);
+                evictToL2(victim->line, now);
+            } else {
+                migrateToStt(victim->line, now);
+            }
+        }
         ++(*statMigrationsSttToSram_);
         countHit(req);
         return {L1DResult::Kind::Hit, done + 1};
@@ -183,14 +174,14 @@ HybridL1D::sttHit(const MemRequest &req, Cycle now,
     // (flushTagQueue re-queues the Migrate commands of lines still parked
     // in the swap buffer, or they would be stranded there forever.)
     if (nonBlocking_ && !tagQueue_.empty())
-        flushTagQueue(now);
+        flushTagQueue();
     Cycle done = 0;
     stt_.accessAt(stt_probe, AccessType::Write, now, &done);
     countHit(req);
     return {L1DResult::Kind::Hit, done};
 }
 
-bool
+void
 HybridL1D::fillSram(const MemRequest &req, Cycle now,
                     const TagArray::Probe &sram_probe)
 {
@@ -204,7 +195,7 @@ HybridL1D::fillSram(const MemRequest &req, Cycle now,
         filled->hasPrediction = true;
     }
     if (!victim)
-        return true;
+        return;
 
     // SRAM eviction: the arbitrator consults the predictor — WORO victims
     // go straight to L2; everything else migrates to STT-MRAM.
@@ -213,36 +204,19 @@ HybridL1D::fillSram(const MemRequest &req, Cycle now,
         && victim->line.predictedLevel == ReadLevel::WORO) {
         evictToL2(victim->line, now);
         ++(*statWoroEvictions_);
-        return true;
+        return;
     }
-    if (!migrateToStt(victim->line, now)) {
-        // Swap buffer / tag queue full despite the pre-check (possible
-        // when the same access triggered multiple evictions): drop the
-        // victim to L2 rather than lose the fill.
-        evictToL2(victim->line, now);
-        ++(*statMigrationFallback_);
-    }
-    return true;
+    migrateToStt(victim->line, now);
 }
 
-bool
+void
 HybridL1D::fillStt(const MemRequest &req, Cycle now,
                    const TagArray::Probe &stt_probe,
                    std::uint32_t stt_partition)
 {
     const Addr line = req.line();
-    if (nonBlocking_) {
-        if (tagQueue_.full()) {
-            ++(*statStallStt_);
-            return false;
-        }
-        TagQueueEntry entry;
-        entry.command = TagCommand::Fill;
-        entry.lineAddr = line;
-        entry.enqueuedAt = now;
-        entry.warpId = req.warpId;
-        tagQueue_.push(entry);
-    }
+    if (nonBlocking_)
+        tagQueue_.push({TagCommand::Fill, line});
     Cycle done = 0;
     CacheLine *filled = nullptr;
     auto victim = stt_.fillAt(stt_probe, line, req.type, now, &done,
@@ -258,7 +232,6 @@ HybridL1D::fillStt(const MemRequest &req, Cycle now,
             approx_->remove(victim->line.tag);
         evictToL2(victim->line, now);
     }
-    return true;
 }
 
 L1DResult
@@ -303,8 +276,7 @@ HybridL1D::handleMiss(const MemRequest &req, Cycle now,
     // under the non-blocking design) a tag-queue slot.
     if (auto stall = mshrFullStall(now))
         return *stall;
-    if (destination == BankId::Sram && nonBlocking_
-        && (swapBuffer_.full() || tagQueue_.full())) {
+    if (destination == BankId::Sram && nonBlocking_ && migrationBlocked()) {
         // The fill may evict an SRAM line whose migration needs a swap
         // buffer slot and a tag-queue entry; real hardware holds the fill
         // until the drain frees them.
@@ -325,12 +297,10 @@ HybridL1D::handleMiss(const MemRequest &req, Cycle now,
     // the probes resolved at the top of access() still describe the fill
     // target.
     const Cycle ready = issueMiss(req, line, now);
-
-    bool filled = destination == BankId::Sram
-                      ? fillSram(req, now, sram_probe)
-                      : fillStt(req, now, stt_probe, stt_partition);
-    if (!filled)
-        fuse_panic("fill failed after structural checks passed");
+    if (destination == BankId::Sram)
+        fillSram(req, now, sram_probe);
+    else
+        fillStt(req, now, stt_probe, stt_partition);
     return {L1DResult::Kind::Miss, ready};
 }
 
@@ -408,7 +378,7 @@ HybridL1D::access(const MemRequest &req, Cycle now)
         } else {
             stt_probe.set = stt_.tags().setIndex(line);
         }
-        search = approx_->finish(cbf, stt_line != nullptr);
+        search = approx_->finish(cbf);
         if (search.cycles > 1) {
             // Serialized polling beyond the CBF test cycle is the
             // tag-search overhead Fig. 15 plots; the tag queue hides it
@@ -439,12 +409,7 @@ HybridL1D::access(const MemRequest &req, Cycle now)
                 return {L1DResult::Kind::Stall,
                         std::max(now + 1, stt_.busyUntil())};
             }
-            TagQueueEntry entry;
-            entry.command = TagCommand::Read;
-            entry.lineAddr = line;
-            entry.enqueuedAt = now;
-            entry.warpId = req.warpId;
-            tagQueue_.push(entry);
+            tagQueue_.push({TagCommand::Read, line});
             Cycle ready = stt_.busyUntil() + search.cycles
                           + stt_.config().readLatency;
             ++stt_line->readCount;

@@ -83,12 +83,14 @@ class HybridL1D : public L1DCache
                          const TagArray::Probe &stt_probe,
                          std::uint32_t stt_partition);
 
-    /** Fill @p req's line into the SRAM bank, migrating the victim. */
-    bool fillSram(const MemRequest &req, Cycle now,
+    /** Fill @p req's line into the SRAM bank, migrating the victim.
+     *  Pre-condition (non-blocking kinds): !migrationBlocked(). */
+    void fillSram(const MemRequest &req, Cycle now,
                   const TagArray::Probe &sram_probe);
 
-    /** Fill @p req's line into the STT-MRAM bank. */
-    bool fillStt(const MemRequest &req, Cycle now,
+    /** Fill @p req's line into the STT-MRAM bank. Pre-condition
+     *  (non-blocking kinds): the tag queue is not full. */
+    void fillStt(const MemRequest &req, Cycle now,
                  const TagArray::Probe &stt_probe,
                  std::uint32_t stt_partition);
 
@@ -105,15 +107,23 @@ class HybridL1D : public L1DCache
     void installInStt(const CacheLine &line, Cycle now,
                       CacheBank::Port port);
 
-    /** Migrate an SRAM victim towards the STT bank (swap buffer path). */
-    bool migrateToStt(const CacheLine &victim, Cycle now);
+    /** True when an SRAM victim has no swap-buffer slot or tag-queue
+     *  entry to migrate through (non-blocking kinds). */
+    bool migrationBlocked() const
+    {
+        return swapBuffer_.full() || tagQueue_.full();
+    }
+
+    /** Migrate an SRAM victim towards the STT bank (swap buffer path).
+     *  Pre-condition (non-blocking kinds): !migrationBlocked(). */
+    void migrateToStt(const CacheLine &victim, Cycle now);
 
     /**
      * Flush the tag queue for a payload write, then re-queue a Migrate
      * command for every line still parked in the swap buffer (their data
      * survives the flush; only the meta entries were dropped).
      */
-    void flushTagQueue(Cycle now);
+    void flushTagQueue();
 
     L1DKind kind_;
     /** Swap buffer + tag queue (Base-FUSE onward); without them a busy
@@ -137,7 +147,6 @@ class HybridL1D : public L1DCache
     StatGroup::Scalar *statMigrationsSramToStt_;
     StatGroup::Scalar *statMigrationsSttToSram_;
     StatGroup::Scalar *statMigrationsDrained_;
-    StatGroup::Scalar *statMigrationFallback_;
     StatGroup::Scalar *statWoroEvictions_;
     StatGroup::Scalar *statStallStt_;
     StatGroup::Scalar *statSramHits_;

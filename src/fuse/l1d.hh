@@ -99,7 +99,7 @@ class L1DCache
              std::uint32_t mshr_entries, SmId sm)
         : L1DCache(std::move(name), hierarchy)
     {
-        mshr_.emplace(mshr_entries, &stats_);
+        mshr_.emplace(mshr_entries, stats_);
         sm_ = sm;
     }
     virtual ~L1DCache() = default;
@@ -188,7 +188,7 @@ class L1DCache
     Cycle issueMiss(const MemRequest &req, Addr line, Cycle now)
     {
         countMiss(req);
-        const Cycle ready = hierarchy_->access(req, now).doneAt;
+        const Cycle ready = hierarchy_->access(req, now);
         mshr_->allocate(line, ready);
         return ready;
     }
@@ -197,7 +197,7 @@ class L1DCache
     L1DResult bypass(const MemRequest &req, Cycle now)
     {
         countBypass(req);
-        return {L1DResult::Kind::Miss, hierarchy_->access(req, now).doneAt};
+        return {L1DResult::Kind::Miss, hierarchy_->access(req, now)};
     }
 
     /** Write @p line back to L2, through the owning SM's NoC port, if it

@@ -14,8 +14,7 @@ OracleL1D::access(const MemRequest &req, Cycle now)
     // Compulsory miss: fetch once, resident forever.
     countMiss(req);
     resident_.insert(line);
-    OffchipResult off = hierarchy_->access(req, now);
-    return {L1DResult::Kind::Miss, off.doneAt};
+    return {L1DResult::Kind::Miss, hierarchy_->access(req, now)};
 }
 
 } // namespace fuse

@@ -1,32 +1,23 @@
 #include "fuse/swap_buffer.hh"
 
-#include <algorithm>
+#include "common/log.hh"
 
 namespace fuse
 {
 
-SwapBuffer::SwapBuffer(std::uint32_t capacity, StatGroup *stats)
-    : capacity_(capacity)
+SwapBuffer::SwapBuffer(std::uint32_t capacity, StatGroup &stats)
+    : capacity_(capacity), statPushes_(&stats.scalar("swap_buffer_pushes"))
 {
     entries_.reserve(capacity);
-    if (stats) {
-        statFull_ = &stats->scalar("swap_buffer_full");
-        statPushes_ = &stats->scalar("swap_buffer_pushes");
-    }
 }
 
-bool
+void
 SwapBuffer::push(const CacheLine &line)
 {
-    if (full()) {
-        if (statFull_)
-            ++(*statFull_);
-        return false;
-    }
+    if (full())
+        fuse_panic("push into a full swap buffer (%u entries)", capacity_);
     entries_.push_back(line);
-    if (statPushes_)
-        ++(*statPushes_);
-    return true;
+    ++(*statPushes_);
 }
 
 CacheLine *

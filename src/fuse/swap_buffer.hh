@@ -35,15 +35,16 @@ namespace fuse
 /**
  * Bounded pool of in-flight migration lines (Table I: 3 entries). Holds
  * the evicted line's metadata; the timing model treats buffer residency as
- * instantly readable.
+ * instantly readable. The owner checks full() before every push.
  */
 class SwapBuffer
 {
   public:
-    explicit SwapBuffer(std::uint32_t capacity, StatGroup *stats = nullptr);
+    /** Counts pushes in the owner's @p stats. */
+    SwapBuffer(std::uint32_t capacity, StatGroup &stats);
 
-    /** Park an evicted line; false (and a stall stat) when full. */
-    bool push(const CacheLine &line);
+    /** Park an evicted line. Pre-condition: !full(); panics otherwise. */
+    void push(const CacheLine &line);
 
     /** Line lookup — migrating lines remain readable (snoop path). */
     CacheLine *find(Addr line_addr);
@@ -65,9 +66,7 @@ class SwapBuffer
   private:
     std::uint32_t capacity_;
     std::vector<CacheLine> entries_;
-    // Cached counters (null without a stats group).
-    StatGroup::Scalar *statFull_ = nullptr;
-    StatGroup::Scalar *statPushes_ = nullptr;
+    StatGroup::Scalar *statPushes_;
 };
 
 } // namespace fuse

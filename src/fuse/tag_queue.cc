@@ -1,31 +1,25 @@
 #include "fuse/tag_queue.hh"
 
+#include "common/log.hh"
+
 namespace fuse
 {
 
-TagQueue::TagQueue(std::uint32_t capacity, StatGroup *stats)
-    : capacity_(capacity)
+TagQueue::TagQueue(std::uint32_t capacity, StatGroup &stats)
+    : capacity_(capacity),
+      statPushes_(&stats.scalar("tag_queue_pushes")),
+      statFlushes_(&stats.scalar("tag_queue_flushes")),
+      statFlushedEntries_(&stats.scalar("tag_queue_flushed_entries"))
 {
-    if (stats) {
-        statFull_ = &stats->scalar("tag_queue_full");
-        statPushes_ = &stats->scalar("tag_queue_pushes");
-        statFlushes_ = &stats->scalar("tag_queue_flushes");
-        statFlushedEntries_ = &stats->scalar("tag_queue_flushed_entries");
-    }
 }
 
-bool
+void
 TagQueue::push(const TagQueueEntry &entry)
 {
-    if (full()) {
-        if (statFull_)
-            ++(*statFull_);
-        return false;
-    }
+    if (full())
+        fuse_panic("push into a full tag queue (%u entries)", capacity_);
     queue_.push_back(entry);
-    if (statPushes_)
-        ++(*statPushes_);
-    return true;
+    ++(*statPushes_);
 }
 
 const TagQueueEntry *
@@ -41,26 +35,12 @@ TagQueue::pop()
         queue_.pop_front();
 }
 
-std::uint32_t
+void
 TagQueue::flush()
 {
-    auto dropped = static_cast<std::uint32_t>(queue_.size());
+    ++(*statFlushes_);
+    statFlushedEntries_->add(queue_.size());
     queue_.clear();
-    if (statFlushes_) {
-        ++(*statFlushes_);
-        statFlushedEntries_->add(dropped);
-    }
-    return dropped;
-}
-
-bool
-TagQueue::contains(Addr line_addr) const
-{
-    for (const auto &e : queue_) {
-        if (e.lineAddr == line_addr)
-            return true;
-    }
-    return false;
 }
 
 } // namespace fuse

@@ -41,21 +41,21 @@ struct TagQueueEntry
 {
     TagCommand command = TagCommand::Read;
     Addr lineAddr = 0;
-    Cycle enqueuedAt = 0;
-    WarpId warpId = 0;
 };
 
 /**
  * Bounded FIFO (Table I: 16 entries). The owner drains it as the STT-MRAM
- * bank frees up; push() fails when full (the SM then observes a stall).
+ * bank frees up and checks full() before every push (a full queue stalls
+ * the SM), so a push into a full queue is a simulator bug.
  */
 class TagQueue
 {
   public:
-    explicit TagQueue(std::uint32_t capacity, StatGroup *stats = nullptr);
+    /** Counts pushes and flushes in the owner's @p stats. */
+    TagQueue(std::uint32_t capacity, StatGroup &stats);
 
-    /** Enqueue; returns false (and counts a stall) when full. */
-    bool push(const TagQueueEntry &entry);
+    /** Enqueue. Pre-condition: !full(); panics otherwise. */
+    void push(const TagQueueEntry &entry);
 
     /** Oldest entry, or nullptr when empty. */
     const TagQueueEntry *front() const;
@@ -65,10 +65,10 @@ class TagQueue
 
     /**
      * Flush the queue (mispredicted WM write hits STT-MRAM data: payload
-     * can't wait behind meta-only entries). Returns the number dropped —
-     * the owner replays them as fresh accesses.
+     * can't wait behind meta-only entries). The owner re-queues what must
+     * survive (the swap buffer's pending migrations).
      */
-    std::uint32_t flush();
+    void flush();
 
     bool empty() const { return queue_.empty(); }
     bool full() const { return queue_.size() >= capacity_; }
@@ -78,18 +78,13 @@ class TagQueue
     }
     std::uint32_t capacity() const { return capacity_; }
 
-    /** True if any queued entry targets @p line_addr (coherence check). */
-    bool contains(Addr line_addr) const;
-
   private:
     std::uint32_t capacity_;
     std::deque<TagQueueEntry> queue_;
-    // Cached counters (null without a stats group) — push/flush sit on the
-    // per-access hot path.
-    StatGroup::Scalar *statFull_ = nullptr;
-    StatGroup::Scalar *statPushes_ = nullptr;
-    StatGroup::Scalar *statFlushes_ = nullptr;
-    StatGroup::Scalar *statFlushedEntries_ = nullptr;
+    // Cached counters — push/flush sit on the per-access hot path.
+    StatGroup::Scalar *statPushes_;
+    StatGroup::Scalar *statFlushes_;
+    StatGroup::Scalar *statFlushedEntries_;
 };
 
 } // namespace fuse

@@ -18,10 +18,9 @@ MemoryHierarchy::MemoryHierarchy(const NocConfig &noc_config,
     statRoundTrip_ = &stats_.average("round_trip");
 }
 
-OffchipResult
+Cycle
 MemoryHierarchy::access(const MemRequest &req, Cycle now)
 {
-    OffchipResult result;
     ++(*statRequests_);
     ++(*(req.isWrite() ? statWriteRequests_ : statReadRequests_));
 
@@ -30,18 +29,14 @@ MemoryHierarchy::access(const MemRequest &req, Cycle now)
 
     // Request network: SM -> L2 bank.
     Cycle at_l2 = noc_.smToL2(req.smId, bank, now);
-    Cycle out_net = at_l2 - now;
 
     // L2 bank access.
     L2Result l2r = l2_.access(line, req.type, at_l2);
-    result.l2Hit = l2r.hit;
     Cycle data_ready = l2r.doneAt;
 
     if (!l2r.hit) {
         ++(*statDramRequests_);
-        Cycle dram_done = dram_.service(line, req.isWrite(), l2r.doneAt);
-        result.dramCycles = dram_done - l2r.doneAt;
-        data_ready = dram_done;
+        data_ready = dram_.service(line, req.isWrite(), l2r.doneAt);
     }
     if (l2r.writeback) {
         // L2 dirty eviction to DRAM; fire-and-forget bank traffic.
@@ -51,11 +46,8 @@ MemoryHierarchy::access(const MemRequest &req, Cycle now)
 
     // Response network: L2 bank -> SM.
     Cycle at_sm = noc_.l2ToSm(bank, req.smId, data_ready);
-    result.networkCycles = out_net + (at_sm - data_ready);
-    result.doneAt = at_sm;
-
     statRoundTrip_->sample(static_cast<double>(at_sm - now));
-    return result;
+    return at_sm;
 }
 
 void

@@ -21,15 +21,6 @@
 namespace fuse
 {
 
-/** Outcome of one off-chip (post-L1D) request. */
-struct OffchipResult
-{
-    Cycle doneAt = 0;       ///< Fill data back at the requesting SM.
-    bool l2Hit = false;
-    Cycle networkCycles = 0;  ///< Round-trip time spent in the NoC.
-    Cycle dramCycles = 0;     ///< Extra time spent in DRAM (0 on L2 hit).
-};
-
 /**
  * The shared memory system below the L1Ds. Not thread-safe: one GPU
  * clock drives it, and requests arrive in that clock's (cycle, smId)
@@ -45,8 +36,9 @@ class MemoryHierarchy
      * Service an L1D miss (or bypassed access).
      * @param req  the transaction (sm id selects the NoC port).
      * @param now  issue time from the L1D/MSHR.
+     * @return the cycle the fill data is back at the requesting SM.
      */
-    OffchipResult access(const MemRequest &req, Cycle now);
+    Cycle access(const MemRequest &req, Cycle now);
 
     /**
      * Write-back of a dirty line evicted from an L1D. Occupies the request

@@ -2,8 +2,8 @@
  * @file
  * Test-only reference operations of the cache layer: the two-lookup
  * entry points the single-probe pipeline replaced (each call resolves
- * residency itself) and the MSHR's merge-or-allocate register and early
- * retire. No organisation calls them. test_probe_parity and
+ * residency itself) and the MSHR's merge-or-allocate register. No
+ * organisation calls them. test_probe_parity and
  * test_presence_parity check the production paths against them, and the
  * unit tests use them to set up and inspect state in one call.
  */
@@ -95,7 +95,7 @@ struct MshrResult
     MshrEntry *entry = nullptr;
 };
 
-/** An Mshr with merge-or-allocate registration and early retirement. */
+/** An Mshr with merge-or-allocate registration. */
 class ReferenceMshr : public Mshr
 {
   public:
@@ -111,9 +111,6 @@ class ReferenceMshr : public Mshr
             return {MshrResult::Kind::Full, nullptr};
         return {MshrResult::Kind::NewMiss, allocate(line_addr, ready_at)};
     }
-
-    /** Remove @p line_addr's entry before its fill time. */
-    void retire(Addr line_addr) { eraseEntry(line_addr); }
 };
 
 } // namespace fuse

@@ -2,12 +2,14 @@
  * @file
  * Unit tests for the associativity-approximation logic (§III-B, §IV-C):
  * CBF-mirrored membership, search-cost accounting, false-positive
- * behaviour, and the 1-2 cycle average search the paper reports.
+ * behaviour, and the 1-2 cycle average search the paper reports. The
+ * tests keep the ground truth (which lines are resident) themselves.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "common/stats.hh"
 #include "fuse/assoc_approx.hh"
 
 namespace fuse
@@ -24,23 +26,21 @@ paperConfig()
 TEST(AssocApprox, MissWithoutInsertIsOneCycle)
 {
     AssocApprox approx(paperConfig(), 512);
-    TagSearchResult r =
-        approx.finish(approx.test(0x1234), /*actually_present=*/false);
-    EXPECT_FALSE(r.found);
+    const AssocApprox::CbfProbe probe = approx.test(0x1234);
     // Cold CBF: negative after the single test cycle, no polling.
-    EXPECT_EQ(r.cycles, 1u);
-    EXPECT_EQ(r.partitionsPolled, 0u);
+    EXPECT_FALSE(probe.positive);
+    EXPECT_EQ(approx.finish(probe).cycles, 1u);
 }
 
 TEST(AssocApprox, InsertedLineIsFoundWithPolling)
 {
     AssocApprox approx(paperConfig(), 512);
     approx.insert(0x40);
-    TagSearchResult r = approx.finish(approx.test(0x40), true);
-    EXPECT_TRUE(r.found);
+    const AssocApprox::CbfProbe probe = approx.test(0x40);
+    EXPECT_TRUE(probe.positive);
+    const TagSearchResult r = approx.finish(probe);
     EXPECT_GE(r.cycles, 2u);  // CBF test + at least one poll cycle.
-    EXPECT_EQ(r.partitionsPolled, 1u);
-    EXPECT_FALSE(r.falsePositive);
+    EXPECT_EQ(r.partition, approx.partitionOf(0x40));
 }
 
 TEST(AssocApprox, RemoveRestoresFastNegative)
@@ -48,12 +48,12 @@ TEST(AssocApprox, RemoveRestoresFastNegative)
     AssocApprox approx(paperConfig(), 512);
     approx.insert(0x40);
     approx.remove(0x40);
-    TagSearchResult r = approx.finish(approx.test(0x40), false);
-    EXPECT_FALSE(r.found);
-    EXPECT_EQ(r.cycles, 1u);
+    const AssocApprox::CbfProbe probe = approx.test(0x40);
+    EXPECT_FALSE(probe.positive);
+    EXPECT_EQ(approx.finish(probe).cycles, 1u);
 }
 
-TEST(AssocApprox, FalsePositiveCostsPollingButReportsMiss)
+TEST(AssocApprox, FalsePositiveCostsPolling)
 {
     AssocApprox approx(paperConfig(), 512);
     // Force a false positive: find another line in the same partition and
@@ -69,15 +69,14 @@ TEST(AssocApprox, FalsePositiveCostsPollingButReportsMiss)
         if (other == target || approx.partitionOf(other) != p)
             continue;
         approx.insert(other);
-        TagSearchResult r = approx.finish(approx.test(target), false);
-        if (r.falsePositive) {
-            EXPECT_FALSE(r.found);
-            EXPECT_GE(r.cycles, 2u);
+        // 'target' was never inserted: a positive test is a false one.
+        const AssocApprox::CbfProbe probe = approx.test(target);
+        if (probe.positive) {
+            EXPECT_GE(approx.finish(probe).cycles, 2u);
             produced = true;
         }
     }
     EXPECT_TRUE(produced) << "could not provoke a false positive";
-    EXPECT_GT(approx.accuracy().falsePositives(), 0u);
 }
 
 TEST(AssocApprox, AverageSearchWithinPaperBound)
@@ -92,19 +91,15 @@ TEST(AssocApprox, AverageSearchWithinPaperBound)
         approx.insert(line);
         resident.push_back(line);
     }
+    StatGroup::Average cycles;
     for (int i = 0; i < 20000; ++i) {
-        if (rng.chance(0.5)) {
-            Addr line = resident[rng.below(resident.size())];
-            approx.finish(approx.test(line), true);
-        } else {
-            approx.finish(approx.test(rng.below(1 << 20)), false);
-        }
+        const Addr line = rng.chance(0.5)
+                              ? resident[rng.below(resident.size())]
+                              : rng.below(1 << 20);
+        cycles.sample(approx.finish(approx.test(line)).cycles);
     }
-    const StatGroup::Average *cycles =
-        approx.stats().findAverage("search_cycles");
-    ASSERT_NE(cycles, nullptr);
-    EXPECT_GE(cycles->mean(), 1.0);
-    EXPECT_LE(cycles->mean(), 2.0);
+    EXPECT_GE(cycles.mean(), 1.0);
+    EXPECT_LE(cycles.mean(), 2.0);
 }
 
 TEST(AssocApprox, PartitionAssignmentIsStable)
@@ -127,8 +122,8 @@ TEST(AssocApprox, PartitionsReasonablyBalanced)
     }
 }
 
-/** Property: a search never reports found=false for a line the owner
- *  says is present (CBFs cannot produce false negatives). */
+/** Property: a line the owner holds always tests positive (CBFs cannot
+ *  produce false negatives), so its search always polls. */
 TEST(AssocApproxProperty, NoFalseNegatives)
 {
     AssocApprox approx(paperConfig(), 512);
@@ -141,9 +136,10 @@ TEST(AssocApproxProperty, NoFalseNegatives)
             resident.push_back(line);
         } else if (!resident.empty()) {
             std::size_t idx = rng.below(resident.size());
-            TagSearchResult r =
-                approx.finish(approx.test(resident[idx]), true);
-            EXPECT_TRUE(r.found);
+            const AssocApprox::CbfProbe probe = approx.test(resident[idx]);
+            ASSERT_TRUE(probe.positive) << "false negative for resident "
+                                        << resident[idx];
+            EXPECT_GE(approx.finish(probe).cycles, 2u);
             if (rng.chance(0.3)) {
                 approx.remove(resident[idx]);
                 resident.erase(resident.begin()
@@ -151,7 +147,8 @@ TEST(AssocApproxProperty, NoFalseNegatives)
             }
         }
     }
-    EXPECT_EQ(approx.accuracy().falseNegatives(), 0u);
+    for (const Addr line : resident)
+        EXPECT_TRUE(approx.test(line).positive) << "line " << line;
 }
 
 } // namespace

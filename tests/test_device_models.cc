@@ -1,86 +1,74 @@
 /**
  * @file
- * Unit tests for the SRAM/STT-MRAM device models and the Table III area
- * estimator.
+ * Unit tests for the SRAM/STT-MRAM bank energies, the bank builders'
+ * device latencies, and the Table III area estimator.
  */
 
 #include <gtest/gtest.h>
 
+#include "cache/cache_bank.hh"
 #include "device/area_model.hh"
-#include "device/sram_model.hh"
-#include "device/sttmram_model.hh"
+#include "device/bank_energy.hh"
 
 namespace fuse
 {
 namespace
 {
 
-TEST(SramModel, TableIPublishedPoints)
+TEST(SramBankEnergy, TableIPublishedPoints)
 {
-    SramParams p32 = SramModel::scaled(32 * 1024);
-    EXPECT_DOUBLE_EQ(p32.readEnergy, 0.15);
-    EXPECT_DOUBLE_EQ(p32.writeEnergy, 0.12);
-    EXPECT_DOUBLE_EQ(p32.leakagePower, 58.0);
-    SramParams p16 = SramModel::scaled(16 * 1024);
-    EXPECT_DOUBLE_EQ(p16.readEnergy, 0.09);
-    EXPECT_DOUBLE_EQ(p16.writeEnergy, 0.07);
-    EXPECT_DOUBLE_EQ(p16.leakagePower, 36.0);
+    const BankEnergy p32 = sramBankEnergy(32 * 1024);
+    EXPECT_DOUBLE_EQ(p32.readNj, 0.15);
+    EXPECT_DOUBLE_EQ(p32.writeNj, 0.12);
+    EXPECT_DOUBLE_EQ(p32.leakageMw, 58.0);
+    const BankEnergy p16 = sramBankEnergy(16 * 1024);
+    EXPECT_DOUBLE_EQ(p16.readNj, 0.09);
+    EXPECT_DOUBLE_EQ(p16.writeNj, 0.07);
+    EXPECT_DOUBLE_EQ(p16.leakageMw, 36.0);
 }
 
-TEST(SramModel, LatencyIsOneCycle)
+TEST(SramBank, LatencyIsOneCycle)
 {
-    SramModel model(SramModel::scaled(32 * 1024));
-    EXPECT_EQ(model.readLatency(), 1u);
-    EXPECT_EQ(model.writeLatency(), 1u);
+    const BankConfig c = makeSramBankConfig(32 * 1024, 4);
+    EXPECT_EQ(c.readLatency, 1u);
+    EXPECT_EQ(c.writeLatency, 1u);
 }
 
-TEST(SramModel, EnergyScalesMonotonically)
+TEST(SramBankEnergy, EnergyScalesMonotonically)
 {
-    SramParams small = SramModel::scaled(8 * 1024);
-    SramParams large = SramModel::scaled(64 * 1024);
-    EXPECT_LT(small.readEnergy, large.readEnergy);
-    EXPECT_LT(small.leakagePower, large.leakagePower);
+    const BankEnergy small = sramBankEnergy(8 * 1024);
+    const BankEnergy large = sramBankEnergy(64 * 1024);
+    EXPECT_LT(small.readNj, large.readNj);
+    EXPECT_LT(small.leakageMw, large.leakageMw);
 }
 
-TEST(SttModel, TableIPublishedPoints)
+TEST(SttBankEnergy, TableIPublishedPoints)
 {
-    SttMramParams p128 = SttMramModel::scaled(128 * 1024);
-    EXPECT_DOUBLE_EQ(p128.readEnergy, 1.2);
-    EXPECT_DOUBLE_EQ(p128.writeEnergy, 2.9);
-    EXPECT_DOUBLE_EQ(p128.leakagePower, 2.8);
-    SttMramParams p64 = SttMramModel::scaled(64 * 1024);
-    EXPECT_DOUBLE_EQ(p64.readEnergy, 0.26);
-    EXPECT_DOUBLE_EQ(p64.writeEnergy, 2.4);
-    EXPECT_DOUBLE_EQ(p64.leakagePower, 2.6);
+    const BankEnergy p128 = sttBankEnergy(128 * 1024);
+    EXPECT_DOUBLE_EQ(p128.readNj, 1.2);
+    EXPECT_DOUBLE_EQ(p128.writeNj, 2.9);
+    EXPECT_DOUBLE_EQ(p128.leakageMw, 2.8);
+    const BankEnergy p64 = sttBankEnergy(64 * 1024);
+    EXPECT_DOUBLE_EQ(p64.readNj, 0.26);
+    EXPECT_DOUBLE_EQ(p64.writeNj, 2.4);
+    EXPECT_DOUBLE_EQ(p64.leakageMw, 2.6);
 }
 
-TEST(SttModel, WriteAsymmetry)
+TEST(SttBankEnergy, WriteAsymmetry)
 {
-    SttMramModel model(SttMramModel::scaled(64 * 1024));
     // The MTJ write penalty: 5x read latency, much higher write energy.
-    EXPECT_EQ(model.readLatency(), 1u);
-    EXPECT_EQ(model.writeLatency(), 5u);
-    EXPECT_GT(model.writeEnergy(), 3.0 * model.readEnergy());
+    const BankConfig c = makeSttBankConfig(64 * 1024, 2, false);
+    EXPECT_EQ(c.readLatency, 1u);
+    EXPECT_EQ(c.writeLatency, 5u);
+    const BankEnergy e = sttBankEnergy(64 * 1024);
+    EXPECT_GT(e.writeNj, 3.0 * e.readNj);
 }
 
-TEST(SttModel, LeakageFarBelowSram)
+TEST(SttBankEnergy, LeakageFarBelowSram)
 {
     // MTJs don't leak; only the CMOS peripherals do.
-    SramParams sram = SramModel::scaled(32 * 1024);
-    SttMramParams stt = SttMramModel::scaled(128 * 1024);
-    EXPECT_LT(stt.leakagePower * 10, sram.leakagePower);
-}
-
-TEST(SttModel, DensityAdvantage)
-{
-    // 140F^2 6T SRAM vs 36F^2 1T-1MTJ: ~4x denser at equal area.
-    SramModel sram(SramModel::scaled(32 * 1024));
-    SttMramModel stt(SttMramModel::scaled(128 * 1024));
-    // 4x the bits in ~equal silicon area (same F process):
-    const double sram_area = sram.arrayAreaF2();
-    const double stt_area = stt.arrayAreaF2();
-    EXPECT_NEAR(stt_area / sram_area, 4.0 * 36.0 / 140.0, 0.05);
-    EXPECT_DOUBLE_EQ(kSttDensityVsSram, 4.0);
+    EXPECT_LT(sttBankEnergy(128 * 1024).leakageMw * 10,
+              sramBankEnergy(32 * 1024).leakageMw);
 }
 
 TEST(AreaModel, BaselineMatchesTableIII)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/cache_bank.hh"
 #include "energy/energy_model.hh"
 #include "gpu/gpu.hh"
 #include "sim/sim_config.hh"
@@ -22,6 +23,16 @@ tinyGpu()
     SimConfig c = SimConfig::testScale();
     c.gpu.instructionBudgetPerSm = 8000;
     return c.gpu;
+}
+
+TEST(Energy, BanksAreChargedByTechnologyAndCapacity)
+{
+    const CacheBank sram(makeSramBankConfig(16 * 1024, 2), "sram");
+    const CacheBank stt(makeSttBankConfig(64 * 1024, 2, true), "stt");
+    EXPECT_DOUBLE_EQ(bankEnergy(sram).writeNj,
+                     sramBankEnergy(16 * 1024).writeNj);
+    EXPECT_DOUBLE_EQ(bankEnergy(stt).writeNj,
+                     sttBankEnergy(64 * 1024).writeNj);
 }
 
 TEST(Energy, BreakdownFieldsArePositiveAfterARun)

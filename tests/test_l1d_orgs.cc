@@ -288,8 +288,8 @@ TEST_F(L1DFixture, BaseFuseDrainWritesBackThroughOwningSm)
     MemRequest probe = read(1);
     probe.smId = 0;
     MemoryHierarchy unloaded(NocConfig{}, L2Config{}, DramConfig{});
-    EXPECT_EQ(hierarchy_.access(probe, drained).doneAt,
-              unloaded.access(probe, drained).doneAt);
+    EXPECT_EQ(hierarchy_.access(probe, drained),
+              unloaded.access(probe, drained));
 }
 
 TEST_F(L1DFixture, FaFuseHoldsConflictStorm)

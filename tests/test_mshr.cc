@@ -15,7 +15,8 @@ namespace
 
 TEST(Mshr, AllocatesNewMiss)
 {
-    ReferenceMshr mshr(4);
+    StatGroup stats("l1d");
+    ReferenceMshr mshr(4, stats);
     auto r = mshr.access(10, 100);
     EXPECT_EQ(r.kind, MshrResult::Kind::NewMiss);
     ASSERT_NE(r.entry, nullptr);
@@ -25,7 +26,8 @@ TEST(Mshr, AllocatesNewMiss)
 
 TEST(Mshr, MergesSecondaryMiss)
 {
-    ReferenceMshr mshr(4);
+    StatGroup stats("l1d");
+    ReferenceMshr mshr(4, stats);
     mshr.access(10, 100);
     auto r = mshr.access(10, 120);
     EXPECT_EQ(r.kind, MshrResult::Kind::Merged);
@@ -36,7 +38,8 @@ TEST(Mshr, MergesSecondaryMiss)
 
 TEST(Mshr, FullWhenAllEntriesInFlight)
 {
-    ReferenceMshr mshr(2);
+    StatGroup stats("l1d");
+    ReferenceMshr mshr(2, stats);
     mshr.access(1, 100);
     mshr.access(2, 100);
     auto r = mshr.access(3, 100);
@@ -46,19 +49,23 @@ TEST(Mshr, FullWhenAllEntriesInFlight)
     EXPECT_EQ(merged.kind, MshrResult::Kind::Merged);
 }
 
-TEST(Mshr, RetireFreesEntry)
+TEST(Mshr, RetireReadyFreesEntries)
 {
-    ReferenceMshr mshr(1);
+    StatGroup stats("l1d");
+    ReferenceMshr mshr(1, stats);
     mshr.access(1, 10);
     EXPECT_TRUE(mshr.full());
-    mshr.retire(1);
+    mshr.retireReady(9);
+    EXPECT_TRUE(mshr.full());
+    mshr.retireReady(10);
     EXPECT_FALSE(mshr.full());
     EXPECT_EQ(mshr.find(1), nullptr);
 }
 
 TEST(Mshr, RetireReadyFreesOnlyElapsedEntries)
 {
-    ReferenceMshr mshr(4);
+    StatGroup stats("l1d");
+    ReferenceMshr mshr(4, stats);
     mshr.access(1, 10);
     mshr.access(2, 20);
     mshr.access(3, 30);
@@ -71,7 +78,7 @@ TEST(Mshr, RetireReadyFreesOnlyElapsedEntries)
 TEST(Mshr, StatsCountOnlyAllocations)
 {
     StatGroup stats("l1d");
-    ReferenceMshr mshr(1, &stats);
+    ReferenceMshr mshr(1, stats);
     EXPECT_EQ(mshr.access(1, 10).kind, MshrResult::Kind::NewMiss);
     EXPECT_EQ(mshr.access(1, 10).kind, MshrResult::Kind::Merged);
     EXPECT_EQ(mshr.access(2, 10).kind, MshrResult::Kind::Full);
@@ -81,7 +88,8 @@ TEST(Mshr, StatsCountOnlyAllocations)
 /** Property: size never exceeds capacity under random traffic. */
 TEST(MshrProperty, BoundedSize)
 {
-    ReferenceMshr mshr(8);
+    StatGroup stats("l1d");
+    ReferenceMshr mshr(8, stats);
     for (Cycle t = 0; t < 1000; ++t) {
         mshr.access(t % 23, t + 50);
         if (t % 7 == 0)

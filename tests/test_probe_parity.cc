@@ -55,8 +55,6 @@ expectSameLine(const CacheLine &a, const CacheLine &b, const char *what)
     EXPECT_EQ(a.tag, b.tag) << what;
     EXPECT_EQ(a.valid, b.valid) << what;
     EXPECT_EQ(a.dirty, b.dirty) << what;
-    EXPECT_EQ(a.lastTouch, b.lastTouch) << what;
-    EXPECT_EQ(a.insertedAt, b.insertedAt) << what;
     EXPECT_EQ(a.readCount, b.readCount) << what;
     EXPECT_EQ(a.writeCount, b.writeCount) << what;
 }

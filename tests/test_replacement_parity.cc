@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "cache/line.hh"
 #include "cache/replacement.hh"
 #include "common/rng.hh"
 
@@ -33,16 +32,24 @@ namespace
 // contains these loops).
 // --------------------------------------------------------------------
 
+/** What the legacy scan read of one way: the stamps the lines carried. */
+struct ShadowWay
+{
+    bool valid = false;
+    Cycle inserted = 0;   ///< Fill cycle (FIFO age).
+    Cycle touched = 0;    ///< Last fill or hit cycle (LRU age).
+};
+
 /** LRU scans last-touch times, FIFO insertion times; the lowest way
  *  index wins ties. */
 std::uint32_t
-legacyVictim(ReplPolicy kind, const std::vector<CacheLine> &ways)
+legacyVictim(ReplPolicy kind, const std::vector<ShadowWay> &ways)
 {
     std::uint32_t v = 0;
     for (std::uint32_t w = 1; w < ways.size(); ++w) {
         const bool older = kind == ReplPolicy::LRU
-                               ? ways[w].lastTouch < ways[v].lastTouch
-                               : ways[w].insertedAt < ways[v].insertedAt;
+                               ? ways[w].touched < ways[v].touched
+                               : ways[w].inserted < ways[v].inserted;
         if (older)
             v = w;
     }
@@ -80,14 +87,13 @@ runParity(ReplPolicy kind, Geometry geom, std::uint64_t seed,
 
     AgeListPolicy engine(kind, sets, ways);
 
-    // Shadow line state, exactly what the legacy scan reads.
-    std::vector<std::vector<CacheLine>> shadow(
-        sets, std::vector<CacheLine>(ways));
+    // Shadow way state, exactly what the legacy scan reads.
+    std::vector<std::vector<ShadowWay>> shadow(
+        sets, std::vector<ShadowWay>(ways));
     std::vector<std::uint32_t> valid_count(sets, 0);
 
     Rng rng(seed);
     Cycle now = 1;
-    Addr next_addr = 1;
     std::size_t evictions = 0;
 
     for (std::size_t i = 0; i < events; ++i) {
@@ -106,7 +112,7 @@ runParity(ReplPolicy kind, Geometry geom, std::uint64_t seed,
             do {
                 w = static_cast<std::uint32_t>(rng.below(ways));
             } while (!lines[w].valid);
-            lines[w].lastTouch = now;
+            lines[w].touched = now;
             engine.onHit(set, w, now);
         } else if (roll < 0.55 && valid_count[set] > 0) {
             // Invalidate a random valid way (the legacy code had no
@@ -140,7 +146,7 @@ runParity(ReplPolicy kind, Geometry geom, std::uint64_t seed,
             } else {
                 ++valid_count[set];
             }
-            lines[w].resetForFill(next_addr++, now);
+            lines[w] = {true, now, now};
             engine.onFill(set, w, now);
         }
     }

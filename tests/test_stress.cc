@@ -132,7 +132,6 @@ TEST_F(StressFixture, FaFuseApproxStateStaysConsistent)
         ++checked;
     });
     EXPECT_GT(checked, 0u);
-    EXPECT_EQ(l1d.approx()->accuracy().falseNegatives(), 0u);
 }
 
 TEST_F(StressFixture, ZeroWriteTrafficNeverWritesBack)

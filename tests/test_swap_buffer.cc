@@ -26,8 +26,9 @@ line(Addr tag, bool dirty = false)
 
 TEST(SwapBuffer, PushFindRelease)
 {
-    SwapBuffer buf(3);
-    EXPECT_TRUE(buf.push(line(7, true)));
+    StatGroup stats("l1d");
+    SwapBuffer buf(3, stats);
+    buf.push(line(7, true));
     CacheLine *parked = buf.find(7);
     ASSERT_NE(parked, nullptr);
     EXPECT_TRUE(parked->dirty);
@@ -35,23 +36,33 @@ TEST(SwapBuffer, PushFindRelease)
     ASSERT_TRUE(released.has_value());
     EXPECT_EQ(released->tag, 7u);
     EXPECT_EQ(buf.find(7), nullptr);
+    EXPECT_DOUBLE_EQ(stats.get("swap_buffer_pushes"), 1.0);
 }
 
-TEST(SwapBuffer, CapacityEnforced)
+TEST(SwapBuffer, FullAtCapacity)
 {
     StatGroup stats("l1d");
-    SwapBuffer buf(3, &stats);
-    EXPECT_TRUE(buf.push(line(1)));
-    EXPECT_TRUE(buf.push(line(2)));
-    EXPECT_TRUE(buf.push(line(3)));
+    SwapBuffer buf(3, stats);
+    buf.push(line(1));
+    buf.push(line(2));
+    EXPECT_FALSE(buf.full());
+    buf.push(line(3));
     EXPECT_TRUE(buf.full());
-    EXPECT_FALSE(buf.push(line(4)));
-    EXPECT_DOUBLE_EQ(stats.get("swap_buffer_full"), 1.0);
+}
+
+TEST(SwapBufferDeathTest, PushIntoAFullBufferDies)
+{
+    // Every owner checks full() first: a push past capacity is a bug.
+    StatGroup stats("l1d");
+    SwapBuffer buf(1, stats);
+    buf.push(line(1));
+    EXPECT_DEATH(buf.push(line(2)), "full swap buffer");
 }
 
 TEST(SwapBuffer, SnoopPathReadsParkedLine)
 {
-    SwapBuffer buf(3);
+    StatGroup stats("l1d");
+    SwapBuffer buf(3, stats);
     buf.push(line(42));
     // A read during migration hits the buffer (Fig. 10's coherence path).
     CacheLine *parked = buf.find(42);
@@ -62,13 +73,15 @@ TEST(SwapBuffer, SnoopPathReadsParkedLine)
 
 TEST(SwapBuffer, ReleaseMissingReturnsNothing)
 {
-    SwapBuffer buf(3);
+    StatGroup stats("l1d");
+    SwapBuffer buf(3, stats);
     EXPECT_FALSE(buf.release(5).has_value());
 }
 
 TEST(SwapBuffer, ResidentsListsParkedLines)
 {
-    SwapBuffer buf(3);
+    StatGroup stats("l1d");
+    SwapBuffer buf(3, stats);
     buf.push(line(10));
     buf.push(line(20));
     auto residents = buf.residents();
@@ -79,11 +92,14 @@ TEST(SwapBuffer, ResidentsListsParkedLines)
 
 TEST(SwapBuffer, ReleaseFreesCapacity)
 {
-    SwapBuffer buf(1);
+    StatGroup stats("l1d");
+    SwapBuffer buf(1, stats);
     buf.push(line(1));
     EXPECT_TRUE(buf.full());
     buf.release(1);
-    EXPECT_TRUE(buf.push(line(2)));
+    EXPECT_FALSE(buf.full());
+    buf.push(line(2));
+    EXPECT_NE(buf.find(2), nullptr);
 }
 
 } // namespace

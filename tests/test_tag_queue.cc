@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the tag queue (§IV-A): FIFO order, capacity, flush
- * semantics, and membership checks.
+ * Unit tests for the tag queue (§IV-A): FIFO order, capacity, and flush
+ * semantics.
  */
 
 #include <gtest/gtest.h>
@@ -14,18 +14,15 @@ namespace
 {
 
 TagQueueEntry
-entry(TagCommand cmd, Addr line, Cycle at = 0)
+entry(TagCommand cmd, Addr line)
 {
-    TagQueueEntry e;
-    e.command = cmd;
-    e.lineAddr = line;
-    e.enqueuedAt = at;
-    return e;
+    return {cmd, line};
 }
 
 TEST(TagQueue, StartsEmpty)
 {
-    TagQueue q(16);
+    StatGroup stats("l1d");
+    TagQueue q(16, stats);
     EXPECT_TRUE(q.empty());
     EXPECT_FALSE(q.full());
     EXPECT_EQ(q.front(), nullptr);
@@ -33,7 +30,8 @@ TEST(TagQueue, StartsEmpty)
 
 TEST(TagQueue, FifoOrder)
 {
-    TagQueue q(16);
+    StatGroup stats("l1d");
+    TagQueue q(16, stats);
     q.push(entry(TagCommand::Read, 1));
     q.push(entry(TagCommand::Migrate, 2));
     q.push(entry(TagCommand::Fill, 3));
@@ -46,55 +44,49 @@ TEST(TagQueue, FifoOrder)
     EXPECT_EQ(q.front()->lineAddr, 3u);
     q.pop();
     EXPECT_TRUE(q.empty());
-}
-
-TEST(TagQueue, RejectsWhenFull)
-{
-    StatGroup stats("l1d");
-    TagQueue q(2, &stats);
-    EXPECT_TRUE(q.push(entry(TagCommand::Read, 1)));
-    EXPECT_TRUE(q.push(entry(TagCommand::Read, 2)));
-    EXPECT_TRUE(q.full());
-    EXPECT_FALSE(q.push(entry(TagCommand::Read, 3)));
-    EXPECT_DOUBLE_EQ(stats.get("tag_queue_full"), 1.0);
-    EXPECT_EQ(q.size(), 2u);
+    EXPECT_DOUBLE_EQ(stats.get("tag_queue_pushes"), 3.0);
 }
 
 TEST(TagQueue, FlushDropsAllAndCounts)
 {
     StatGroup stats("l1d");
-    TagQueue q(16, &stats);
+    TagQueue q(16, stats);
     for (Addr a = 0; a < 5; ++a)
         q.push(entry(TagCommand::Read, a));
-    EXPECT_EQ(q.flush(), 5u);
+    q.flush();
     EXPECT_TRUE(q.empty());
     EXPECT_DOUBLE_EQ(stats.get("tag_queue_flushes"), 1.0);
     EXPECT_DOUBLE_EQ(stats.get("tag_queue_flushed_entries"), 5.0);
 }
 
-TEST(TagQueue, ContainsChecksAllEntries)
-{
-    TagQueue q(16);
-    q.push(entry(TagCommand::Read, 10));
-    q.push(entry(TagCommand::Migrate, 20));
-    EXPECT_TRUE(q.contains(10));
-    EXPECT_TRUE(q.contains(20));
-    EXPECT_FALSE(q.contains(30));
-}
-
 TEST(TagQueue, PopOnEmptyIsSafe)
 {
-    TagQueue q(4);
+    StatGroup stats("l1d");
+    TagQueue q(4, stats);
     q.pop();  // must not crash
     EXPECT_TRUE(q.empty());
 }
 
 TEST(TagQueue, CapacityMatchesTableI)
 {
-    TagQueue q(16);
-    for (Addr a = 0; a < 16; ++a)
-        EXPECT_TRUE(q.push(entry(TagCommand::Read, a)));
-    EXPECT_FALSE(q.push(entry(TagCommand::Read, 99)));
+    StatGroup stats("l1d");
+    TagQueue q(16, stats);
+    for (Addr a = 0; a < 16; ++a) {
+        EXPECT_FALSE(q.full());
+        q.push(entry(TagCommand::Read, a));
+    }
+    EXPECT_TRUE(q.full());
+    EXPECT_EQ(q.size(), 16u);
+}
+
+TEST(TagQueueDeathTest, PushIntoAFullQueueDies)
+{
+    // Every owner checks full() first: a push past capacity is a bug.
+    StatGroup stats("l1d");
+    TagQueue q(2, stats);
+    q.push(entry(TagCommand::Read, 1));
+    q.push(entry(TagCommand::Read, 2));
+    EXPECT_DEATH(q.push(entry(TagCommand::Read, 3)), "full tag queue");
 }
 
 } // namespace
