@@ -22,60 +22,45 @@ Sm::Sm(SmId id, const SmConfig &config, std::unique_ptr<L1DCache> l1d,
     statTransactions_ = &stats_.scalar("l1d_transactions");
     statTransactionsMissed_ = &stats_.scalar("l1d_transactions_missed");
     statLoadBlock_ = &stats_.scalar("load_block_cycles");
+    for (std::uint32_t w = 0; w < config.warpsPerSm; ++w)
+        decodeNext(w);
 }
 
-bool
-Sm::popInstructions(std::uint32_t w)
+void
+Sm::decodeNext(std::uint32_t w)
 {
     WarpContext &warp = warps_[w];
-    if (warp.hasPending)
-        return false;
-    InstructionBatch &batch = warp.batch;
-    // Refill the warp's batch from the generator + coalescer when it
-    // runs dry: one refill hands the issue path kCapacity pre-coalesced
-    // instructions.
-    if (batch.exhausted()) {
-        // Clamp decode-ahead to the SM's remaining budget so the run's
-        // tail generates no instruction nobody will issue. (Popped but
-        // unissued instructions make this bound slightly loose;
-        // exactness comes from counting at the issue, the bound only
-        // trims generator work.)
-        kernel_->nextBatch(w, batch,
-                           config_.instructionBudget - instructionsIssued_);
-        coalescer_.coalesceBatch(batch);
-    }
-    std::uint32_t end = batch.consumed;
-    while (end < batch.size && !batch.instr[end].isMem)
-        ++end;
-    if (end > batch.consumed) {
-        credits_[w] = static_cast<std::uint8_t>(end - batch.consumed);
-        batch.consumed = end;
-        return true;
-    }
+    credits_[w] = kernel_->nextMemory(w, warp.instr);
+    std::vector<Addr> &addrs = warp.instr.addrs;
+    warp.lanes = static_cast<std::uint32_t>(addrs.size());
+    addrs.resize(Coalescer::coalesceSpan(addrs.data(), warp.lanes));
+}
 
-    warp.cur = batch.consumed++;
+void
+Sm::beginMemory(std::uint32_t w)
+{
+    WarpContext &warp = warps_[w];
     warp.hasPending = true;
-    const InstructionBatch::Decoded &popped = batch.instr[warp.cur];
-    warp.nextTransaction = popped.txBegin;
+    warp.nextTransaction = 0;
     warp.maxFillReady = 0;
-    // Coalesce statistics count at consumption, not at batch refill:
-    // pre-decoded but never-issued instructions must stay invisible.
-    coalescer_.noteConsumed(popped.lanes, popped.txEnd - popped.txBegin);
-    return false;
+    // Coalesce statistics count at consumption, not at decode: the
+    // instruction a warp holds when the run ends must stay invisible.
+    const auto transactions =
+        static_cast<std::uint32_t>(warp.instr.addrs.size());
+    coalescer_.noteConsumed(warp.lanes, transactions);
 }
 
 void
 Sm::issueTransaction(std::uint32_t w, Cycle now)
 {
     WarpContext &warp = warps_[w];
-    const InstructionBatch &batch = warp.batch;
-    const InstructionBatch::Decoded &instr = batch.instr[warp.cur];
+    const MemInstruction &instr = warp.instr;
 
     // The LSU issues one coalesced transaction per cycle; an L1D
     // structural stall blocks the LSU for this cycle (the paper's L1D
     // stall).
     MemRequest req;
-    req.addr = batch.addrs[warp.nextTransaction];
+    req.addr = instr.addrs[warp.nextTransaction];
     req.pc = instr.pc;
     req.smId = id_;
     req.warpId = w;
@@ -102,7 +87,7 @@ Sm::issueTransaction(std::uint32_t w, Cycle now)
         ++warp.uncountedMissed;
     ++warp.nextTransaction;
 
-    if (warp.nextTransaction < instr.txEnd) {
+    if (warp.nextTransaction < instr.addrs.size()) {
         // More transactions to issue next cycle.
         wake(w, now, now + 1);
         return;
@@ -115,7 +100,9 @@ Sm::issueTransaction(std::uint32_t w, Cycle now)
     ++(*statMemInstr_);
     flushWarpTransactions(warp);
     warp.hasPending = false;
-    if (instr.type == AccessType::Read) {
+    const bool load = instr.type == AccessType::Read;
+    decodeNext(w);
+    if (load) {
         wake(w, now, std::max(now + 1, warp.maxFillReady));
         if (warp.maxFillReady > now + 1) {
             statLoadBlock_->add(warp.maxFillReady - (now + 1));

@@ -96,12 +96,13 @@ class Sm
     struct WarpContext
     {
         bool hasPending = false;    ///< Mid-way through a mem instruction.
-        /** Decoded-instruction queue: one nextBatch() + coalesceBatch()
-         *  refill hands the issue path kCapacity instructions, keeping
-         *  the generator and coalescer off the per-cycle path. */
-        InstructionBatch batch;
-        std::uint32_t cur = 0;      ///< Batch slot of the in-flight instr.
-        /** Next transaction to issue — absolute index into batch.addrs. */
+        /** The warp's next memory instruction, decoded by nextMemory()
+         *  and coalesced in place (addrs holds its transactions). It
+         *  becomes pending when the warp's credit runs out. */
+        MemInstruction instr;
+        /** Its pre-coalesce lane count, for the coalesce statistics. */
+        std::uint32_t lanes = 0;
+        /** Next transaction to issue — index into instr.addrs. */
         std::uint32_t nextTransaction = 0;
         Cycle maxFillReady = 0;     ///< Latest load-data arrival.
         bool stalledTransaction = false;  ///< Current txn is a retry.
@@ -129,13 +130,16 @@ class Sm
     /**
      * Issue warp @p w's next instruction if it is a compute instruction,
      * from the warp's credit and without touching its context. False
-     * when its next step is a memory transaction (popInstructions() has
-     * then made that instruction pending).
+     * when its next step is a memory transaction (its held instruction
+     * is then pending).
      */
     bool issueCompute(std::uint32_t w)
     {
-        if (!credits_[w] && !popInstructions(w))
+        if (!credits_[w]) {
+            if (!warps_[w].hasPending)
+                beginMemory(w);
             return false;
+        }
         --credits_[w];
         ++instructionsIssued_;
         ++uncountedCompute_;
@@ -144,14 +148,13 @@ class Sm
         return true;
     }
 
-    /**
-     * Pop warp @p w's next instructions (its credit ran out), refilling
-     * its batch when it is dry. The run of compute instructions at the
-     * batch head becomes the warp's credit (true); a memory instruction
-     * at the head becomes its pending instruction (false). False too
-     * while a memory instruction is pending.
-     */
-    bool popInstructions(std::uint32_t w);
+    /** Decode and coalesce warp @p w's next memory instruction; the
+     *  compute instructions before it become the warp's credit. */
+    void decodeNext(std::uint32_t w);
+
+    /** Warp @p w's credit ran out: its held memory instruction becomes
+     *  pending. */
+    void beginMemory(std::uint32_t w);
 
     /** Issue the next transaction of warp @p w's pending memory
      *  instruction. */
@@ -202,11 +205,11 @@ class Sm
      *  ready bitmap instead of scanning a readyAt array each cycle. */
     WarpScheduler scheduler_;
     std::vector<WarpContext> warps_;
-    /** Per-warp compute credit: the popped compute instructions at the
-     *  head of the warp's batch not yet issued (at most one batch). */
-    std::vector<std::uint8_t> credits_;
-    static_assert(InstructionBatch::kCapacity <= 255,
-                  "a compute credit holds at most one batch");
+    /** Per-warp compute credit: the compute instructions before the
+     *  warp's held memory instruction not yet issued — its whole gap,
+     *  kept apart from the contexts so a compute issue touches one
+     *  word. */
+    std::vector<std::uint64_t> credits_;
     std::uint64_t instructionsIssued_ = 0;
     /** Compute instructions issued since the last flushIssueStats(). */
     std::uint64_t uncountedCompute_ = 0;

@@ -12,8 +12,9 @@ namespace
 {
 /** Per-stream virtual address regions are spaced far apart. */
 constexpr Addr kRegionStride = Addr(1) << 30;
-/** Benchmarks get distinct PC pages so predictor state can't alias. */
-constexpr Addr kPcBase = 0x1000;
+/** Benchmarks get distinct PC pages so predictor state can't alias.
+ *  The stream PCs start just above the generic compute PC. */
+constexpr Addr kPcBase = KernelGenerator::kComputePc + 4;
 } // namespace
 
 KernelGenerator::KernelGenerator(const BenchmarkSpec &spec, SmId sm,
@@ -25,6 +26,9 @@ KernelGenerator::KernelGenerator(const BenchmarkSpec &spec, SmId sm,
 {
     if (spec.streams.empty())
         fuse_fatal("benchmark '%s' has no streams", spec.name.c_str());
+    if (!(std::isfinite(spec.apki) && spec.apki > 0.0))
+        fuse_fatal("benchmark '%s' has apki %g; it must be finite and "
+                   "positive", spec.name.c_str(), spec.apki);
 
     cumulativeWeights_.reserve(spec.streams.size());
     streamBases_.reserve(spec.streams.size());
@@ -73,9 +77,13 @@ KernelGenerator::computeGap(WarpState &state)
     double u = state.rng.uniform();
     if (u <= 0.0)
         u = 1e-12;
-    auto gap = static_cast<std::uint64_t>(
-        std::log(u) / logOneMinusMemProb_);
-    return gap;
+    const double gap = std::log(u) / logOneMinusMemProb_;
+    // A rate too small to move 1 - p makes the quotient -inf: a draw
+    // beyond any budget saturates rather than leave the conversion's
+    // range.
+    if (!(gap >= 0.0 && gap < 0x1p64))
+        return ~std::uint64_t(0);
+    return static_cast<std::uint64_t>(gap);
 }
 
 std::uint32_t
@@ -90,77 +98,99 @@ KernelGenerator::pickStream(WarpState &state)
 }
 
 void
+KernelGenerator::decodeMemory(WarpId warp, Addr &pc, AccessType &type,
+                              std::vector<Addr> &addrs)
+{
+    WarpState &state = warps_[warp];
+    // Stream s's cursor appends the instruction's transactions.
+    auto generate = [&](std::uint32_t s) {
+        state.cursors[s].generate(spec_->streams[s], streamBases_[s],
+                                  sm_ * warpsPerSm_ + warp,
+                                  numSms_ * warpsPerSm_, state.rng, addrs);
+    };
+    if (state.pendingStream >= 0) {
+        // Forced follow-up: the store half of a read-modify-write or the
+        // second touch of a shared-reuse pair.
+        const auto s = static_cast<std::uint32_t>(state.pendingStream);
+        const bool is_write = state.pendingIsWrite;
+        state.pendingStream = -1;
+        type = is_write ? AccessType::Write : AccessType::Read;
+        pc = streamPc(s, is_write);
+        generate(s);
+        return;
+    }
+    // Fresh memory instruction: draw the gap to the next one, pick a
+    // stream, generate transactions.
+    state.instructionsUntilMem = computeGap(state);
+    const std::uint32_t s = pickStream(state);
+    const StreamSpec &stream = spec_->streams[s];
+    const bool is_write = state.rng.chance(stream.writeProb);
+    if (stream.kind == PatternKind::PrivateAccum) {
+        // Accumulators are explicit load+store pairs when the draw says
+        // "update": load now, store next instruction.
+        type = AccessType::Read;
+        pc = streamPc(s, /*write_half=*/false);
+        generate(s);
+        if (is_write) {
+            state.pendingStream = static_cast<std::int32_t>(s);
+            state.pendingIsWrite = true;
+        }
+        return;
+    }
+    type = is_write ? AccessType::Write : AccessType::Read;
+    pc = streamPc(s, is_write);
+    generate(s);
+    // Shared structures are touched twice back-to-back.
+    if (stream.kind == PatternKind::SharedReuse
+        && state.cursors[s].position() % 2 == 1) {
+        state.pendingStream = static_cast<std::int32_t>(s);
+        state.pendingIsWrite = is_write;
+    }
+}
+
+std::uint64_t
+KernelGenerator::nextMemory(WarpId warp, MemInstruction &out)
+{
+    WarpState &state = warps_[warp];
+    // A follow-up comes next whatever is left of the gap.
+    std::uint64_t gap = 0;
+    if (state.pendingStream < 0) {
+        gap = state.instructionsUntilMem;
+        state.instructionsUntilMem = 0;
+    }
+    out.addrs.clear();
+    decodeMemory(warp, out.pc, out.type, out.addrs);
+    return gap;
+}
+
+void
 KernelGenerator::nextBatch(WarpId warp, InstructionBatch &out,
                            std::uint64_t max_instructions)
 {
     WarpState &state = warps_[warp];
-    const WarpId global_warp = sm_ * warpsPerSm_ + warp;
-    const std::uint32_t total_warps = numSms_ * warpsPerSm_;
-    // Stream s's cursor appends the current instruction's transactions.
-    auto generate = [&](std::uint32_t s) {
-        state.cursors[s].generate(spec_->streams[s], streamBases_[s],
-                                  global_warp, total_warps, state.rng,
-                                  out.addrs);
-    };
     out.clear();
-    // Decode-ahead clamp: never pre-decode past what the SM can still
-    // issue. The caller guarantees at least one instruction is wanted.
+    // Decode-ahead clamp: never pre-decode past what the caller can
+    // still take. The caller guarantees at least one instruction is
+    // wanted.
     const std::uint32_t target = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(InstructionBatch::kCapacity,
                                 std::max<std::uint64_t>(max_instructions,
                                                         1)));
     while (out.size < target) {
-        InstructionBatch::Decoded &d = out.instr[out.size];
-        d.isMem = false;
-        d.type = AccessType::Read;
-        d.pc = 0;
+        InstructionBatch::Decoded &d = out.instr[out.size++];
         d.txBegin = static_cast<std::uint16_t>(out.addrs.size());
-
-        if (state.pendingStream >= 0) {
-            // Forced follow-up: the store half of a read-modify-write or
-            // the second touch of a shared-reuse pair.
-            const auto s = static_cast<std::uint32_t>(state.pendingStream);
-            const bool is_write = state.pendingIsWrite;
-            state.pendingStream = -1;
-            d.isMem = true;
-            d.type = is_write ? AccessType::Write : AccessType::Read;
-            d.pc = streamPc(s, is_write);
-            generate(s);
-        } else if (state.instructionsUntilMem > 0) {
+        if (state.pendingStream < 0 && state.instructionsUntilMem > 0) {
+            // One instruction of the gap, written out as a record.
             --state.instructionsUntilMem;
-            d.pc = kPcBase - 4;  // generic compute PC
+            d.isMem = false;
+            d.type = AccessType::Read;
+            d.pc = kComputePc;
         } else {
-            // Memory instruction: pick a stream, generate transactions.
-            state.instructionsUntilMem = computeGap(state);
-            const std::uint32_t s = pickStream(state);
-            const StreamSpec &stream = spec_->streams[s];
             d.isMem = true;
-            const bool is_write = state.rng.chance(stream.writeProb);
-            if (stream.kind == PatternKind::PrivateAccum) {
-                // Accumulators are explicit load+store pairs when the
-                // draw says "update": load now, store next instruction.
-                d.type = AccessType::Read;
-                d.pc = streamPc(s, /*write_half=*/false);
-                generate(s);
-                if (is_write) {
-                    state.pendingStream = static_cast<std::int32_t>(s);
-                    state.pendingIsWrite = true;
-                }
-            } else {
-                d.type = is_write ? AccessType::Write : AccessType::Read;
-                d.pc = streamPc(s, is_write);
-                generate(s);
-                // Shared structures are touched twice back-to-back.
-                if (stream.kind == PatternKind::SharedReuse
-                    && state.cursors[s].position() % 2 == 1) {
-                    state.pendingStream = static_cast<std::int32_t>(s);
-                    state.pendingIsWrite = is_write;
-                }
-            }
+            decodeMemory(warp, d.pc, d.type, out.addrs);
         }
         d.txEnd = static_cast<std::uint16_t>(out.addrs.size());
         d.lanes = static_cast<std::uint16_t>(d.txEnd - d.txBegin);
-        ++out.size;
     }
 }
 

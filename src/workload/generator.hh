@@ -1,11 +1,14 @@
 /**
  * @file
- * KernelGenerator: turns a BenchmarkSpec into per-warp instruction streams,
- * decoded a batch at a time. Deterministic (seeded per benchmark/SM/warp)
- * so every L1D configuration sees byte-identical traces — required for
- * fair cross-config comparison. The one-instruction-at-a-time decoder the
- * batch path replaced survives as the reference model in
- * tests/frontend_reference.hh.
+ * KernelGenerator: turns a BenchmarkSpec into per-warp instruction streams.
+ * The SM decodes one memory instruction at a time (nextMemory), the
+ * compute instructions before it arriving as one count; nextBatch writes
+ * the same stream out one record per instruction for walkTrace,
+ * perfbench's frontend replay and the parity tier. Deterministic (seeded
+ * per benchmark/SM/warp) so every L1D configuration sees byte-identical
+ * traces — required for fair cross-config comparison. The
+ * one-instruction-at-a-time decoder these replaced survives as the
+ * reference model in tests/frontend_reference.hh.
  */
 
 #ifndef FUSE_WORKLOAD_GENERATOR_HH
@@ -40,19 +43,32 @@ class KernelGenerator
                     std::uint32_t num_sms, std::uint32_t warps_per_sm,
                     std::uint64_t seed = 1);
 
+    /** The PC every compute record of nextBatch carries. */
+    static constexpr Addr kComputePc = 0xFFC;
+
     /**
-     * Decode the warp's next InstructionBatch::kCapacity instructions
-     * into @p out in one call (transactions appended to the shared addrs
-     * buffer). Every warp owns its RNG and cursors, and each memory
-     * instruction's cursor generates at its decode point, so the decoded
+     * Decode warp @p warp's next memory instruction into @p out (its PC,
+     * type and uncoalesced lanes; out.addrs is replaced) and return the
+     * number of compute instructions the warp executes before it. A
+     * forced follow-up (the store half of a read-modify-write, the
+     * second touch of a shared-reuse pair) returns 0. A warp's RNG is
+     * drawn only when one of its memory instructions is decoded, so the
      * stream is the one a decoder taking one instruction at a time would
      * produce (tests/test_batch_parity.cc checks this against the scalar
      * reference model).
+     */
+    std::uint64_t nextMemory(WarpId warp, MemInstruction &out);
+
+    /**
+     * Decode the warp's next InstructionBatch::kCapacity instructions
+     * into @p out in one call: compute gaps become one record per
+     * instruction, memory instructions come from nextMemory's decoder
+     * (transactions appended to the shared addrs buffer).
      *
-     * @p max_instructions bounds decode-ahead at the end of the run: the
+     * @p max_instructions bounds decode-ahead at the end of a walk: the
      * batch is clamped to min(kCapacity, max_instructions) instructions,
-     * so an SM about to retire its budget does not decode instructions
-     * nobody will consume. The decoded stream is a pure function of the
+     * so a reader about to reach its budget does not decode instructions
+     * it will not consume. The decoded stream is a pure function of the
      * warp's cursor and RNG state, so the clamp changes no trace.
      */
     void nextBatch(WarpId warp, InstructionBatch &out,
@@ -73,9 +89,16 @@ class KernelGenerator
          *  pair. */
         std::int32_t pendingStream = -1;
         bool pendingIsWrite = false;
+        /** Compute instructions before the next fresh memory
+         *  instruction (the unspent part of its gap). */
         std::uint64_t instructionsUntilMem = 0;
     };
 
+    /** Decode warp @p warp's memory instruction that is due (its gap
+     *  is spent): into @p pc and @p type, its lanes appended to
+     *  @p addrs. A fresh one also draws the gap to the next. */
+    void decodeMemory(WarpId warp, Addr &pc, AccessType &type,
+                      std::vector<Addr> &addrs);
     std::uint32_t pickStream(WarpState &state);
     std::uint64_t computeGap(WarpState &state);
 
@@ -87,7 +110,8 @@ class KernelGenerator
     std::vector<double> cumulativeWeights_;
     std::vector<Addr> streamBases_;
     double totalWeight_ = 0.0;
-    /** spec_->memProbability(), cached — computeGap runs per instruction. */
+    /** spec_->memProbability(), cached — computeGap runs per memory
+     *  instruction. */
     double memProb_ = 0.0;
     /** log(1 - memProb_), hoisted out of computeGap's inverse-CDF draw
      *  (the quotient is still computed per draw, so the sampled gaps are

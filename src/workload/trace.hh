@@ -1,8 +1,12 @@
 /**
  * @file
- * The decoded warp-instruction batch produced by workload generators and
- * consumed by the SM model. A memory instruction may expand into several
- * coalesced 128B transactions when threads diverge.
+ * The decoded forms of a warp's instruction stream. The SM takes one
+ * memory instruction at a time (MemInstruction, from
+ * KernelGenerator::nextMemory), with the compute instructions before it
+ * as a count; InstructionBatch writes the same stream out one record per
+ * instruction for the trace walks (walkTrace, perfbench's frontend
+ * replay) and the parity tier. A memory instruction may expand into
+ * several coalesced 128B transactions when threads diverge.
  */
 
 #ifndef FUSE_WORKLOAD_TRACE_HH
@@ -20,31 +24,35 @@ namespace fuse
 constexpr std::uint32_t kMaxTransactions = 32;
 
 /**
- * A decoded run of one warp's instructions — the unit the batch pipeline
- * moves. KernelGenerator::nextBatch fills it (one packed metadata record
- * per instruction; each memory instruction's transactions a
- * [txBegin, txEnd) span into the shared `addrs` buffer, instead of a
- * vector embedded in every instruction), Coalescer::coalesceBatch
- * shrinks the spans in place (txEnd moves; `lanes` keeps the
- * pre-coalesce width for the consumption-time statistics), and the SM
- * consumes instructions through `consumed` — so the generator and
- * coalescer run once per kCapacity instructions instead of once per
- * cycle.
- *
- * Layout note: per-warp state is sized and packed for the L1 cache
- * first, amortisation second — the SM's issue loop round-robins across
- * all resident warps, so a batch decoded now is issued dozens of warp
- * turns later and every byte of it is a probable cache miss at issue
- * time. Hence a small kCapacity and one 16-byte record per instruction
- * (pc + span + type bits in a single line-adjacent array) rather than a
- * separate array per field.
+ * One decoded warp memory instruction. KernelGenerator::nextMemory
+ * fills it (its lanes' line-aligned addresses in lane order, before
+ * coalescing); the SM coalesces `addrs` in place and keeps the
+ * instruction until the warp's compute credit runs out. `addrs` keeps
+ * its capacity across decodes, so a warp's decodes do not allocate in
+ * steady state.
+ */
+struct MemInstruction
+{
+    Addr pc = 0;
+    AccessType type = AccessType::Read;
+    std::vector<Addr> addrs;
+};
+
+/**
+ * A decoded run of one warp's instructions, one record per instruction.
+ * KernelGenerator::nextBatch fills it from the same memory-instruction
+ * decoder nextMemory uses, writing the compute gaps out as records (one
+ * packed metadata record per instruction; each memory instruction's
+ * transactions a [txBegin, txEnd) span into the shared `addrs` buffer),
+ * Coalescer::coalesceBatch shrinks the spans in place (txEnd moves;
+ * `lanes` keeps the pre-coalesce width), and a reader walks the records
+ * through `consumed`.
  */
 struct InstructionBatch
 {
-    /** Instructions decoded per generator call. Deliberately small (see
-     *  layout note): decode is already cheap per instruction. With
-     *  kMaxTransactions transactions each, span indices stay
-     *  comfortably inside the std::uint16_t span fields. */
+    /** Instructions decoded per generator call. With kMaxTransactions
+     *  transactions each, span indices stay comfortably inside the
+     *  std::uint16_t span fields. */
     static constexpr std::uint32_t kCapacity = 8;
 
     /** One instruction's decoded metadata, 16 bytes. */

@@ -1,11 +1,13 @@
 /**
  * @file
  * Test-only reference model of the workload frontend: the scalar decoder
- * and coalescer the batch pipeline replaced (one instruction per call,
- * its transactions in a vector of their own), and BatchReader, which
- * consumes the production batch path the way the SM does.
- * test_batch_parity checks the two against each other field by field;
- * test_workload pins both to the pre-batch trace fingerprints.
+ * and coalescer the production frontend replaced (one instruction per
+ * call, its transactions in a vector of their own); MemoryReader, which
+ * consumes the production memory-instruction path the way the SM does;
+ * and BatchReader, which consumes the batch path the way the trace walks
+ * do. test_batch_parity checks the production paths against the scalar
+ * model field by field; test_workload pins all three to the pre-batch
+ * trace fingerprints.
  */
 
 #ifndef FUSE_TESTS_FRONTEND_REFERENCE_HH
@@ -65,6 +67,12 @@ class ScalarKernelGenerator
             state.cursors.resize(spec.streams.size());
             state.instructionsUntilMem = computeGap(state);
         }
+    }
+
+    /** Warp @p warp's next instruction is a forced follow-up access. */
+    bool followUpDue(WarpId warp) const
+    {
+        return warps_[warp].pendingStream >= 0;
     }
 
     /** Produce warp @p warp's next instruction. */
@@ -205,10 +213,57 @@ coalesceReference(std::vector<Addr> &addresses)
 }
 
 /**
- * Consumes a production KernelGenerator the way the SM does: one
- * InstructionBatch per warp, refilled through nextBatch() (and, given a
- * coalescer, coalesceBatch()) when exhausted. Instructions still decoded
- * at the end are never popped (the SM's run-end over-generation).
+ * Consumes a production KernelGenerator the way the SM does: each warp
+ * holds its next memory instruction, decoded through nextMemory(), and
+ * a credit of the compute instructions before it. next() issues from
+ * the credit, then hands out the held instruction (uncoalesced) and
+ * decodes the warp's following one. Instructions still held at the end
+ * are never consumed (the SM's run-end over-generation).
+ */
+class MemoryReader
+{
+  public:
+    MemoryReader(const BenchmarkSpec &spec, SmId sm, std::uint32_t num_sms,
+                 std::uint32_t warps_per_sm, std::uint64_t seed = 1)
+        : gen_(spec, sm, num_sms, warps_per_sm, seed), warps_(warps_per_sm)
+    {
+        for (WarpId w = 0; w < warps_per_sm; ++w)
+            warps_[w].credit = gen_.nextMemory(w, warps_[w].instr);
+    }
+
+    /** Warp @p w's next instruction as a scalar record. */
+    WarpInstruction
+    next(WarpId w)
+    {
+        Warp &warp = warps_[w];
+        if (warp.credit) {
+            --warp.credit;
+            return {false, AccessType::Read, KernelGenerator::kComputePc,
+                    {}};
+        }
+        WarpInstruction instr{true, warp.instr.type, warp.instr.pc,
+                              warp.instr.addrs};
+        warp.credit = gen_.nextMemory(w, warp.instr);
+        return instr;
+    }
+
+  private:
+    struct Warp
+    {
+        MemInstruction instr;
+        std::uint64_t credit = 0;
+    };
+
+    KernelGenerator gen_;
+    std::vector<Warp> warps_;
+};
+
+/**
+ * Consumes a production KernelGenerator through the batch path, the way
+ * walkTrace and perfbench's frontend replay do: one InstructionBatch per
+ * warp, refilled through nextBatch() (and, given a coalescer,
+ * coalesceBatch()) when exhausted. Instructions still decoded at the end
+ * are never popped.
  */
 class BatchReader
 {

@@ -1,17 +1,21 @@
 /**
  * @file
- * Differential parity tier for the batch access pipeline: the scalar
- * decoder and coalescer of tests/frontend_reference.hh are the reference
- * model, and nextBatch() / coalesceBatch() must reproduce them
- * bit-for-bit — instruction kinds, PCs, types, transaction addresses,
- * coalesced spans, and coalesce statistics. Cases cover every PatternKind
- * in isolation (divergence 1/4/8 explicitly) plus real benchmark mixes,
- * driven in the SM's interleaved warp order so pending follow-ups and
- * per-warp RNG streams cross batch boundaries.
+ * Differential parity tier for the frontend: the scalar decoder and
+ * coalescer of tests/frontend_reference.hh are the reference model, and
+ * both production paths must reproduce them bit-for-bit — the batch path
+ * (nextBatch() / coalesceBatch(): instruction kinds, PCs, types,
+ * transaction addresses, coalesced spans, and coalesce statistics) and
+ * the memory-instruction path the SM runs (nextMemory() /
+ * coalesceSpan(): the compute gap before each memory instruction, then
+ * the same fields). Cases cover every PatternKind in isolation
+ * (divergence 1/4/8 explicitly) plus real benchmark mixes, driven in the
+ * SM's interleaved warp order so pending follow-ups and per-warp RNG
+ * streams cross batch and warp-turn boundaries.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -183,6 +187,105 @@ TEST(BatchParity, CoalescedSpansAndStatsMatchScalarPipeline)
         expectCoalescedParity(c.spec, 50000, c.name);
     for (const char *name : {"ATAX", "GEMM", "SM"})
         expectCoalescedParity(benchmarkByName(name), 50000, name);
+}
+
+/** What a memory-instruction parity run reached: forced follow-ups
+ *  and the longest compute gap. */
+struct MemoryParitySeen
+{
+    std::uint64_t followUps = 0;
+    std::uint64_t maxGap = 0;
+};
+
+/** Memory-instruction parity: nextMemory() + coalesceSpan() +
+ *  consumption-time statistics for @p mem_instructions memory
+ *  instructions, one per warp turn in the SM's interleaved warp order,
+ *  against the scalar decoder, whose compute instructions before each
+ *  memory instruction are the expected gap. */
+void
+expectMemoryParity(const BenchmarkSpec &spec, int mem_instructions,
+                   const char *label, MemoryParitySeen &seen)
+{
+    constexpr std::uint32_t kWarps = 48;
+    StatGroup stats("memory");
+    Coalescer coalescer(&stats);
+    double ref_transactions = 0;
+    double ref_lanes_merged = 0;
+
+    ScalarKernelGenerator scalar(spec, 3, 15, kWarps, 1);
+    KernelGenerator gen(spec, 3, 15, kWarps, 1);
+    MemInstruction instr;
+
+    for (int i = 0; i < mem_instructions; ++i) {
+        const WarpId w = static_cast<WarpId>(i % kWarps);
+        const bool follow_up = scalar.followUpDue(w);
+        std::uint64_t ref_gap = 0;
+        WarpInstruction ref = scalar.next(w);
+        for (; !ref.isMem; ref = scalar.next(w))
+            ++ref_gap;
+
+        const std::uint64_t gap = gen.nextMemory(w, instr);
+        ASSERT_EQ(gap, ref_gap) << label << " @" << i;
+        if (follow_up) {
+            ASSERT_EQ(gap, 0u) << label << " @" << i;
+            ++seen.followUps;
+        }
+        seen.maxGap = std::max(seen.maxGap, gap);
+        ASSERT_EQ(instr.pc, ref.pc) << label << " @" << i;
+        ASSERT_EQ(instr.type, ref.type) << label << " @" << i;
+        ASSERT_EQ(instr.addrs, ref.transactions) << label << " @" << i;
+
+        const auto lanes = static_cast<std::uint32_t>(instr.addrs.size());
+        const std::uint32_t txns =
+            Coalescer::coalesceSpan(instr.addrs.data(), lanes);
+        coalescer.noteConsumed(lanes, txns);
+        coalesceReference(ref.transactions);
+        ref_transactions += ref.transactions.size();
+        ref_lanes_merged += lanes - ref.transactions.size();
+        ASSERT_EQ(txns, ref.transactions.size()) << label << " @" << i;
+        for (std::uint32_t t = 0; t < txns; ++t)
+            ASSERT_EQ(instr.addrs[t], ref.transactions[t])
+                << label << " @" << i << " txn " << t;
+    }
+    EXPECT_EQ(stats.get("coalesce_instructions"),
+              static_cast<double>(mem_instructions))
+        << label;
+    EXPECT_EQ(stats.get("coalesce_transactions"), ref_transactions)
+        << label;
+    EXPECT_EQ(stats.get("coalesce_lanes_merged"), ref_lanes_merged)
+        << label;
+}
+
+TEST(BatchParity, MemoryInstructionsMatchScalarGenerator)
+{
+    for (const KindCase &c : kindCases()) {
+        MemoryParitySeen seen;
+        expectMemoryParity(c.spec, 20000, c.name, seen);
+        // Store halves of read-modify-writes and second touches of
+        // shared-reuse pairs arrived, each with gap 0.
+        const PatternKind kind = c.spec.streams[0].kind;
+        if (kind == PatternKind::PrivateAccum
+            || kind == PatternKind::SharedReuse) {
+            EXPECT_GT(seen.followUps, 1000u) << c.name;
+        }
+    }
+    for (const char *name : {"ATAX", "GEMM", "SM", "PVC", "2DCONV", "histo",
+                             "pathf", "mri-g", "cfd", "srad_v1"}) {
+        MemoryParitySeen seen;
+        expectMemoryParity(benchmarkByName(name), 20000, name, seen);
+    }
+}
+
+TEST(BatchParity, GapsPastOneByteMatchScalarGenerator)
+{
+    // A sparse stream kernel: its gaps run past 255, where the SM's old
+    // one-byte compute credit stopped.
+    BenchmarkSpec spec = kindCases()[0].spec;
+    spec.name = "k-sparse";
+    spec.apki = 0.2;
+    MemoryParitySeen seen;
+    expectMemoryParity(spec, 5000, "sparse", seen);
+    EXPECT_GT(seen.maxGap, 255u);
 }
 
 } // namespace

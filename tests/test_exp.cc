@@ -267,8 +267,9 @@ TEST(ExperimentSpec, StrictNumbersKeepValidSpellings)
 
 TEST(ExperimentSpec, CommittedSpecFilesParseAndValidate)
 {
-    for (const char *file : {"ratio_volta.spec", "plumbing_depth.spec",
-                             "comparators.spec"}) {
+    for (const char *file :
+         {"ratio_volta.spec", "plumbing_depth.spec", "comparators.spec",
+          "run_length.spec", "run_length_volta.spec"}) {
         std::ifstream in(std::string(FUSE_REPO_DIR) + "/tools/" + file);
         ASSERT_TRUE(in) << file;
         std::stringstream text;

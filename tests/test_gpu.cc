@@ -281,5 +281,41 @@ TEST(Gpu, StatIdentitiesHoldForEveryOrganisation)
     }
 }
 
+TEST(Gpu, CoalesceCountersCountConsumedInstructions)
+{
+    // coalesce_instructions, coalesce_transactions and
+    // coalesce_lanes_merged reach no Metrics field, export or golden, so
+    // a frontend that counted them at decode instead of at consumption
+    // would pass every other tier. These sums were taken from the
+    // batch-decoding frontend. On histo/Dy-FUSE the instructions exceed
+    // mem_instructions: some warps end the run holding a partly issued
+    // instruction, which counts as consumed.
+    struct Pin
+    {
+        const char *benchmark;
+        L1DKind kind;
+        double instructions;
+        double transactions;
+        double lanesMerged;
+        double memInstructions;
+    };
+    const Pin pins[] = {
+        {"ATAX", L1DKind::L1Sram, 69869, 92245, 29881, 69869},
+        {"ATAX", L1DKind::DyFuse, 69841, 92216, 29894, 69840},
+        {"histo", L1DKind::L1Sram, 12825, 25099, 41, 12825},
+        {"histo", L1DKind::DyFuse, 12859, 25208, 41, 12854},
+    };
+    const SimConfig c = SimConfig::testScale();
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(std::string(pin.benchmark) + " " + toString(pin.kind));
+        Gpu gpu(c.gpu, pin.kind, c.l1d, benchmarkByName(pin.benchmark));
+        gpu.run();
+        EXPECT_EQ(gpu.sumSmStat("coalesce_instructions"), pin.instructions);
+        EXPECT_EQ(gpu.sumSmStat("coalesce_transactions"), pin.transactions);
+        EXPECT_EQ(gpu.sumSmStat("coalesce_lanes_merged"), pin.lanesMerged);
+        EXPECT_EQ(gpu.sumSmStat("mem_instructions"), pin.memInstructions);
+    }
+}
+
 } // namespace
 } // namespace fuse

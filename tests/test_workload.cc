@@ -2,13 +2,15 @@
  * @file
  * Unit tests for the workload subsystem: pattern cursors, the benchmark
  * table (Table II coverage), and the kernel generator's determinism and
- * statistical properties (APKI, write mix, read-level structure), all
- * read through the batch path the simulator runs. The trace
- * fingerprints pin that path and the scalar reference model alike.
+ * statistical properties (APKI, write mix, read-level structure), read
+ * through the batch path. The trace fingerprints pin the scalar
+ * reference model, the batch path and the memory-instruction path the
+ * SM runs alike.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -274,8 +276,9 @@ TEST(Generator, TracesAreByteIdenticalToPreOptimizationGoldens)
     // figure's byte-identity rests on the traces. These fingerprints were
     // captured from the pre-optimization scalar generator over workloads
     // covering all six pattern kinds; any change to instruction kinds,
-    // PCs, types, or transaction addresses moves the hash. Both the
-    // scalar reference model and the batch path must land on them.
+    // PCs, types, or transaction addresses moves the hash. The scalar
+    // reference model, the batch path and the memory-instruction path
+    // must all land on them.
     struct Golden
     {
         const char *benchmark;
@@ -297,6 +300,8 @@ TEST(Generator, TracesAreByteIdenticalToPreOptimizationGoldens)
             << golden.benchmark << " (scalar)";
         EXPECT_EQ(traceFingerprint<BatchReader>(spec), golden.hash)
             << golden.benchmark << " (batch)";
+        EXPECT_EQ(traceFingerprint<MemoryReader>(spec), golden.hash)
+            << golden.benchmark << " (memory)";
     }
 }
 
@@ -306,8 +311,8 @@ TEST(Generator, SingleKindTracesMatchPreBatchGoldens)
     // PatternKind in isolation, with divergence 1/4/8 covered explicitly
     // (the benchmark-mix goldens above weight the kinds unevenly). The
     // fingerprints were captured from the pre-batch scalar generator;
-    // both the scalar reference model and the batch path must land on
-    // them.
+    // the scalar reference model, the batch path and the
+    // memory-instruction path must all land on them.
     auto mk = [](const char *name, StreamSpec s) {
         BenchmarkSpec b;
         b.name = name;
@@ -370,7 +375,36 @@ TEST(Generator, SingleKindTracesMatchPreBatchGoldens)
             << golden.label << " (scalar)";
         EXPECT_EQ(traceFingerprint<BatchReader>(golden.spec), golden.hash)
             << golden.label << " (batch)";
+        EXPECT_EQ(traceFingerprint<MemoryReader>(golden.spec), golden.hash)
+            << golden.label << " (memory)";
     }
+}
+
+TEST(GeneratorDeathTest, RejectsAMemoryRateThatIsNotFiniteAndPositive)
+{
+    // apki = 0 made every gap a -inf cast to an integer; a negative rate
+    // and NaN ran and reported a wrong APKI.
+    for (const double apki :
+         {0.0, -5.0, std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity()}) {
+        BenchmarkSpec spec = benchmarkByName("ATAX");
+        spec.apki = apki;
+        EXPECT_EXIT({ KernelGenerator(spec, 0, 1, 4, 1); },
+                    ::testing::ExitedWithCode(1),
+                    "benchmark 'ATAX' has apki .*finite and positive")
+            << apki;
+    }
+}
+
+TEST(Generator, GapBeyondAnyBudgetSaturates)
+{
+    // A rate too small to move 1 - p: every gap is beyond any budget.
+    BenchmarkSpec spec = benchmarkByName("ATAX");
+    spec.apki = 1e-300;
+    KernelGenerator gen(spec, 0, 1, 4, 1);
+    MemInstruction instr;
+    EXPECT_EQ(gen.nextMemory(0, instr), ~std::uint64_t(0));
+    EXPECT_FALSE(instr.addrs.empty());
 }
 
 } // namespace
