@@ -35,22 +35,22 @@ Cycle
 Gpu::run()
 {
     // Next-event clock. Instead of lock-step ticking every SM every
-    // cycle, each SM carries the next cycle the clock must tick it at.
-    // After each tick the SM runs on by itself (Sm::tickPrivate) through
-    // the cycles that touch nothing outside it — compute issues, and
-    // sleeping until a warp wakes — and hands back the first cycle that
-    // does touch the memory system: a memory transaction, or deferred
-    // L1D work (tag-queue drains run per cycle). Only those cycles are
-    // ordered here, SMs in index order at each, which preserves the
-    // shared memory hierarchy's arbitration order under lock-step
-    // ticking. The clock jumps straight to the earliest one.
+    // cycle, each SM carries the next cycle the clock must run it at.
+    // Sm::advance runs that cycle and then the cycles that touch nothing
+    // outside the SM — compute issues, and sleeping until a warp wakes —
+    // and hands back the first cycle that does touch the memory system:
+    // a memory transaction, or deferred L1D work (tag-queue drains run
+    // per cycle). Only those cycles are ordered here, SMs in index order
+    // at each, which preserves the shared memory hierarchy's arbitration
+    // order under lock-step ticking. The clock jumps straight to the
+    // earliest one.
     constexpr Cycle kNever = ~Cycle(0);
     cycles_ = 0;
     const std::size_t n = sms_.size();
     if (n == 0)
         return 0;
     const Cycle cap = config_.maxCycles;
-    // next_tick[i]: the next cycle the clock ticks SM i at.
+    // next_tick[i]: the next cycle the clock runs SM i at.
     std::vector<Cycle> next_tick(n, 0);
 
     std::size_t done_count = 0;
@@ -67,11 +67,10 @@ Gpu::run()
             if (next_tick[i] == now) {
                 Sm &sm = *sms_[i];
                 const bool was_done = sm.done();
-                sm.tick(now);
-                Cycle next = sm.tickPrivate(now + 1, cap);
+                Cycle next = sm.advance(now, cap);
                 if (sm.done()) {
-                    // tickPrivate stops on the cycle after the SM's last
-                    // issue, wherever that issue ran.
+                    // advance stops on the cycle after the SM's last
+                    // issue.
                     if (!was_done) {
                         ++done_count;
                         last_done = std::max(last_done, next - 1);
@@ -94,11 +93,6 @@ Gpu::run()
     if (cycles_ >= cap)
         fuse_warn("simulation hit the %llu-cycle safety cap",
                   static_cast<unsigned long long>(cap));
-    // Compute issues and warps holding a partially issued instruction
-    // still carry batched counts; drain them so stats are exact for
-    // every reader downstream of run().
-    for (const auto &sm : sms_)
-        sm->flushIssueStats();
     return cycles_;
 }
 

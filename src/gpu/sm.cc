@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "gpu/coalescer.hh"
+
 namespace fuse
 {
 
@@ -10,7 +12,6 @@ Sm::Sm(SmId id, const SmConfig &config, std::unique_ptr<L1DCache> l1d,
     : id_(id), config_(config), l1d_(std::move(l1d)),
       kernel_(std::move(kernel)),
       stats_("sm" + std::to_string(id)),
-      coalescer_(&stats_),
       scheduler_(config.warpsPerSm),
       warps_(config.warpsPerSm), credits_(config.warpsPerSm, 0)
 {
@@ -22,6 +23,9 @@ Sm::Sm(SmId id, const SmConfig &config, std::unique_ptr<L1DCache> l1d,
     statTransactions_ = &stats_.scalar("l1d_transactions");
     statTransactionsMissed_ = &stats_.scalar("l1d_transactions_missed");
     statLoadBlock_ = &stats_.scalar("load_block_cycles");
+    statCoalesceInstr_ = &stats_.scalar("coalesce_instructions");
+    statCoalesceTx_ = &stats_.scalar("coalesce_transactions");
+    statCoalesceMerged_ = &stats_.scalar("coalesce_lanes_merged");
     for (std::uint32_t w = 0; w < config.warpsPerSm; ++w)
         decodeNext(w);
 }
@@ -47,7 +51,9 @@ Sm::beginMemory(std::uint32_t w)
     // instruction a warp holds when the run ends must stay invisible.
     const auto transactions =
         static_cast<std::uint32_t>(warp.instr.addrs.size());
-    coalescer_.noteConsumed(warp.lanes, transactions);
+    ++(*statCoalesceInstr_);
+    statCoalesceTx_->add(transactions);
+    statCoalesceMerged_->add(warp.lanes - transactions);
 }
 
 void
@@ -68,7 +74,6 @@ Sm::issueTransaction(std::uint32_t w, Cycle now)
     req.retry = warp.stalledTransaction;
 
     L1DResult result = l1d_->access(req, now);
-    l1dTickPending_ = !l1d_->tickIdle();
     if (result.kind == L1DResult::Kind::Stall) {
         // The warp parks at this transaction until the structural hazard
         // clears; the wait counts as L1D stall cycles.
@@ -81,10 +86,9 @@ Sm::issueTransaction(std::uint32_t w, Cycle now)
     warp.stalledTransaction = false;
 
     warp.maxFillReady = std::max(warp.maxFillReady, result.readyAt);
-    // Batched into the warp context; one Scalar add at instruction exit.
-    ++warp.uncountedTransactions;
+    ++(*statTransactions_);
     if (result.kind == L1DResult::Kind::Miss)
-        ++warp.uncountedMissed;
+        ++(*statTransactionsMissed_);
     ++warp.nextTransaction;
 
     if (warp.nextTransaction < instr.addrs.size()) {
@@ -98,7 +102,6 @@ Sm::issueTransaction(std::uint32_t w, Cycle now)
     // are posted — the warp proceeds once the requests are accepted.
     ++instructionsIssued_;
     ++(*statMemInstr_);
-    flushWarpTransactions(warp);
     warp.hasPending = false;
     const bool load = instr.type == AccessType::Read;
     decodeNext(w);
@@ -112,39 +115,31 @@ Sm::issueTransaction(std::uint32_t w, Cycle now)
     }
 }
 
-void
-Sm::tick(Cycle now)
+Cycle
+Sm::advance(Cycle now, Cycle limit)
 {
-    // Tick the L1D only while it has deferred work; the flag spares the
-    // virtual call on the (dominant) idle cycles.
-    if (l1dTickPending_) {
+    // Cycle now, the one that may touch the memory system. The L1D is
+    // ticked only while it has deferred work.
+    if (!l1d_->tickIdle())
         l1d_->tick(now);
-        l1dTickPending_ = !l1d_->tickIdle();
-    }
     if (pickedAt_ == now) {
         issueTransaction(pickedWarp_, now);
-        return;
+    } else if (!done()) {
+        // Idle fast path: every warp is blocked until sleepUntil_, so
+        // skip the pick.
+        if (sleepUntil_ > now) {
+            idle(1);
+        } else {
+            const std::uint32_t w = pick(now);
+            if (w != WarpScheduler::kNone && !issueCompute(w))
+                issueTransaction(w, now);
+        }
     }
-    if (done())
-        return;
 
-    // Idle fast path: every warp is blocked until sleepUntil_, so skip
-    // the pick.
-    if (sleepUntil_ > now) {
-        idle(1);
-        return;
-    }
-    const std::uint32_t w = pick(now);
-    if (w != WarpScheduler::kNone && !issueCompute(w))
-        issueTransaction(w, now);
-}
-
-Cycle
-Sm::tickPrivate(Cycle now, Cycle limit)
-{
-    // Only an access leaves L1D work behind, and no private cycle makes
-    // one.
-    if (l1dTickPending_)
+    // The private cycles after it. Only an access or an L1D tick leaves
+    // L1D work behind, and no private cycle makes one.
+    ++now;
+    if (!l1d_->tickIdle())
         return now;
     while (now < limit && !done()) {
         if (sleepUntil_ > now) {

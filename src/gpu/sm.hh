@@ -17,7 +17,6 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "fuse/l1d.hh"
-#include "gpu/coalescer.hh"
 #include "gpu/scheduler.hh"
 #include "workload/generator.hh"
 
@@ -39,44 +38,25 @@ class Sm
     Sm(SmId id, const SmConfig &config, std::unique_ptr<L1DCache> l1d,
        std::unique_ptr<KernelGenerator> kernel);
 
-    /** Advance one cycle. */
-    void tick(Cycle now);
-
     /**
-     * Keep ticking from cycle @p now through the cycles that touch
-     * nothing outside this SM — compute issues and sleeps — and return
-     * the first cycle that does, or that ends the run of private cycles:
-     *  - a memory transaction (the warp picked for it is kept, and the
-     *    tick() of that cycle issues it);
-     *  - pending L1D work (the deferred work runs through tick());
+     * Run cycle @p now, which the GPU clock orders against the other
+     * SMs' cycles that touch the memory system, then the SM's private
+     * cycles: those that touch nothing outside it — compute issues and
+     * sleeps. Return the first cycle not run, which is
+     *  - a memory transaction's (the warp picked for it is kept, and the
+     *    next advance() issues it);
+     *  - any cycle while the L1D has deferred work (a tag-queue drain
+     *    runs per cycle);
      *  - the cycle after the SM retired its budget;
-     *  - @p limit.
-     * Every cycle before the returned one is ticked or credited idle.
-     * The GPU calls this after each tick(); other SMs' ticks in the
-     * skipped cycles cannot affect this SM, or it them.
+     *  - @p limit, or now + 1 if that is later.
+     * Every cycle before the returned one is run or credited idle, and
+     * every counter is exact on return. advance(now, now + 1) runs cycle
+     * @p now alone, which is the lock-step clock.
      */
-    Cycle tickPrivate(Cycle now, Cycle limit);
+    Cycle advance(Cycle now, Cycle limit);
 
     /** All warps retired their share of the instruction budget. */
     bool done() const { return instructionsIssued_ >= config_.instructionBudget; }
-
-    /**
-     * Flush batched issue counters into the stat group. The issue path
-     * counts compute instructions in one SM-local counter and each
-     * instruction's l1d_transactions / l1d_transactions_missed in its
-     * warp, flushing the latter in one add at instruction exit; warps
-     * holding a partially issued instruction when the run ends still
-     * carry unflushed counts, so Gpu::run() calls this before returning.
-     * Idempotent (counters drain on flush) — stats are exact at every
-     * external observation point, i.e. after run() returns.
-     */
-    void flushIssueStats()
-    {
-        statCompute_->add(uncountedCompute_);
-        uncountedCompute_ = 0;
-        for (WarpContext &warp : warps_)
-            flushWarpTransactions(warp);
-    }
 
     std::uint64_t instructionsIssued() const { return instructionsIssued_; }
     L1DCache &l1d() { return *l1d_; }
@@ -106,12 +86,6 @@ class Sm
         std::uint32_t nextTransaction = 0;
         Cycle maxFillReady = 0;     ///< Latest load-data arrival.
         bool stalledTransaction = false;  ///< Current txn is a retry.
-        /** Transactions issued (and missed) since the last stat flush:
-         *  the per-transaction increment cluster lands in these warp-
-         *  local counters and drains in one Scalar add at instruction
-         *  exit (or flushIssueStats at end of run). */
-        std::uint32_t uncountedTransactions = 0;
-        std::uint32_t uncountedMissed = 0;
     };
 
     /** The scheduler's pick at @p now. With no warp ready the SM
@@ -142,7 +116,7 @@ class Sm
         }
         --credits_[w];
         ++instructionsIssued_;
-        ++uncountedCompute_;
+        ++(*statCompute_);
         // It can issue again next cycle: it keeps its ready bit.
         scheduler_.issued(w);
         return true;
@@ -153,7 +127,7 @@ class Sm
     void decodeNext(std::uint32_t w);
 
     /** Warp @p w's credit ran out: its held memory instruction becomes
-     *  pending. */
+     *  pending, and the coalesce counters count it. */
     void beginMemory(std::uint32_t w);
 
     /** Issue the next transaction of warp @p w's pending memory
@@ -178,27 +152,11 @@ class Sm
         statMemWait_->add(cycles);
     }
 
-    /** Drain @p warp's batched transaction counters into the group. */
-    void flushWarpTransactions(WarpContext &warp)
-    {
-        if (warp.uncountedTransactions) {
-            statTransactions_->add(warp.uncountedTransactions);
-            warp.uncountedTransactions = 0;
-        }
-        if (warp.uncountedMissed) {
-            statTransactionsMissed_->add(warp.uncountedMissed);
-            warp.uncountedMissed = 0;
-        }
-    }
-
     SmId id_;
     SmConfig config_;
     std::unique_ptr<L1DCache> l1d_;
     std::unique_ptr<KernelGenerator> kernel_;
-    /** Declared before coalescer_, whose constructor caches stat handles
-     *  out of this group (member construction order matters here). */
     StatGroup stats_;
-    Coalescer coalescer_;
     /** Owns warp readiness: the issue path puts a warp to sleep until
      *  the cycle it can issue again (a warp due back next cycle stays
      *  ready), and pick() asks it for the round-robin choice from a
@@ -211,20 +169,13 @@ class Sm
      *  word. */
     std::vector<std::uint64_t> credits_;
     std::uint64_t instructionsIssued_ = 0;
-    /** Compute instructions issued since the last flushIssueStats(). */
-    std::uint64_t uncountedCompute_ = 0;
-    /** The warp tickPrivate() picked for cycle pickedAt_, whose next
-     *  step is a memory transaction, left for that cycle's tick(). */
+    /** The warp a private cycle picked for cycle pickedAt_, whose next
+     *  step is a memory transaction, left for the advance() that runs
+     *  that cycle. */
     std::uint32_t pickedWarp_ = 0;
     Cycle pickedAt_ = ~Cycle(0);
     /** No warp becomes ready before this cycle (idle fast path). */
     Cycle sleepUntil_ = 0;
-    /** The L1D has deferred work (tag-queue drain): tick it. Set when
-     *  an access leaves the L1D not tick-idle, cleared when it reports
-     *  tick-idle — skips the virtual tick() call on the (dominant) idle
-     *  cycles, and lets tickPrivate() start right after an access that
-     *  left no work. */
-    bool l1dTickPending_ = false;
 
     // Cached references for the per-cycle hot path (StatGroup::scalar is
     // a map lookup; references stay valid for the group's lifetime).
@@ -236,6 +187,9 @@ class Sm
     StatGroup::Scalar *statTransactions_;
     StatGroup::Scalar *statTransactionsMissed_;
     StatGroup::Scalar *statLoadBlock_;
+    StatGroup::Scalar *statCoalesceInstr_;
+    StatGroup::Scalar *statCoalesceTx_;
+    StatGroup::Scalar *statCoalesceMerged_;
 };
 
 } // namespace fuse

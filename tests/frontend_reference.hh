@@ -261,7 +261,7 @@ class MemoryReader
 /**
  * Consumes a production KernelGenerator through the batch path, the way
  * walkTrace and perfbench's frontend replay do: one InstructionBatch per
- * warp, refilled through nextBatch() (and, given a coalescer,
+ * warp, refilled through nextBatch() (and, when asked to coalesce,
  * coalesceBatch()) when exhausted. Instructions still decoded at the end
  * are never popped.
  */
@@ -278,13 +278,13 @@ class BatchReader
     /** Pop warp @p w's next decoded instruction; its transactions are
      *  batch(w).addrs[txBegin, txEnd). */
     const InstructionBatch::Decoded &
-    pop(WarpId w, Coalescer *coalescer = nullptr)
+    pop(WarpId w, bool coalesce = false)
     {
         InstructionBatch &batch = batches_[w];
         if (batch.exhausted()) {
             gen_.nextBatch(w, batch);
-            if (coalescer)
-                coalescer->coalesceBatch(batch);
+            if (coalesce)
+                Coalescer::coalesceBatch(batch);
         }
         return batch.instr[batch.consumed++];
     }

@@ -4,7 +4,7 @@
  * coalescer of tests/frontend_reference.hh are the reference model, and
  * both production paths must reproduce them bit-for-bit — the batch path
  * (nextBatch() / coalesceBatch(): instruction kinds, PCs, types,
- * transaction addresses, coalesced spans, and coalesce statistics) and
+ * transaction addresses and coalesced spans) and
  * the memory-instruction path the SM runs (nextMemory() /
  * coalesceSpan(): the compute gap before each memory instruction, then
  * the same fields). Cases cover every PatternKind in isolation
@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hh"
 #include "frontend_reference.hh"
 #include "gpu/coalescer.hh"
 #include "workload/benchmarks.hh"
@@ -133,37 +132,25 @@ TEST(BatchParity, RealBenchmarkMixesMatchScalarGenerator)
         expectGeneratorParity(benchmarkByName(name), 100000, name);
 }
 
-/** Full-pipeline parity: batch decode + coalesceBatch + consumption-time
- *  statistics against scalar decode + the scalar coalescer, whose
- *  statistics are counted here at the same per-instruction points. */
+/** Full-pipeline parity: batch decode + coalesceBatch against scalar
+ *  decode + the scalar coalescer. */
 void
 expectCoalescedParity(const BenchmarkSpec &spec, int instructions,
                       const char *label)
 {
     constexpr std::uint32_t kWarps = 48;
-    StatGroup batch_stats("batch");
-    Coalescer batch_coalescer(&batch_stats);
-    double ref_instructions = 0;
-    double ref_transactions = 0;
-    double ref_lanes_merged = 0;
-
     ScalarKernelGenerator scalar(spec, 3, 15, kWarps, 1);
     BatchReader batch(spec, 3, 15, kWarps, 1);
 
     for (int i = 0; i < instructions; ++i) {
         const WarpId w = static_cast<WarpId>(i % kWarps);
         WarpInstruction ref = scalar.next(w);
-        const InstructionBatch::Decoded &d = batch.pop(w, &batch_coalescer);
+        const InstructionBatch::Decoded &d = batch.pop(w, /*coalesce=*/true);
         if (!ref.isMem) {
             ASSERT_FALSE(d.isMem) << label << " @" << i;
             continue;
         }
-        const std::size_t lanes = ref.transactions.size();
         coalesceReference(ref.transactions);
-        ref_instructions += 1;
-        ref_transactions += ref.transactions.size();
-        ref_lanes_merged += lanes - ref.transactions.size();
-        batch_coalescer.noteConsumed(d.lanes, d.txEnd - d.txBegin);
 
         const std::vector<Addr> &addrs = batch.batch(w).addrs;
         const std::uint32_t txns = d.txEnd - d.txBegin;
@@ -172,13 +159,6 @@ expectCoalescedParity(const BenchmarkSpec &spec, int instructions,
             ASSERT_EQ(addrs[d.txBegin + t], ref.transactions[t])
                 << label << " @" << i << " txn " << t;
     }
-    // Consumption-time accounting must land on the scalar totals exactly.
-    EXPECT_EQ(batch_stats.get("coalesce_instructions"), ref_instructions)
-        << label;
-    EXPECT_EQ(batch_stats.get("coalesce_transactions"), ref_transactions)
-        << label;
-    EXPECT_EQ(batch_stats.get("coalesce_lanes_merged"), ref_lanes_merged)
-        << label;
 }
 
 TEST(BatchParity, CoalescedSpansAndStatsMatchScalarPipeline)
@@ -197,21 +177,16 @@ struct MemoryParitySeen
     std::uint64_t maxGap = 0;
 };
 
-/** Memory-instruction parity: nextMemory() + coalesceSpan() +
- *  consumption-time statistics for @p mem_instructions memory
- *  instructions, one per warp turn in the SM's interleaved warp order,
- *  against the scalar decoder, whose compute instructions before each
- *  memory instruction are the expected gap. */
+/** Memory-instruction parity: nextMemory() + coalesceSpan() for
+ *  @p mem_instructions memory instructions, one per warp turn in the
+ *  SM's interleaved warp order, against the scalar decoder, whose
+ *  compute instructions before each memory instruction are the expected
+ *  gap. */
 void
 expectMemoryParity(const BenchmarkSpec &spec, int mem_instructions,
                    const char *label, MemoryParitySeen &seen)
 {
     constexpr std::uint32_t kWarps = 48;
-    StatGroup stats("memory");
-    Coalescer coalescer(&stats);
-    double ref_transactions = 0;
-    double ref_lanes_merged = 0;
-
     ScalarKernelGenerator scalar(spec, 3, 15, kWarps, 1);
     KernelGenerator gen(spec, 3, 15, kWarps, 1);
     MemInstruction instr;
@@ -238,22 +213,12 @@ expectMemoryParity(const BenchmarkSpec &spec, int mem_instructions,
         const auto lanes = static_cast<std::uint32_t>(instr.addrs.size());
         const std::uint32_t txns =
             Coalescer::coalesceSpan(instr.addrs.data(), lanes);
-        coalescer.noteConsumed(lanes, txns);
         coalesceReference(ref.transactions);
-        ref_transactions += ref.transactions.size();
-        ref_lanes_merged += lanes - ref.transactions.size();
         ASSERT_EQ(txns, ref.transactions.size()) << label << " @" << i;
         for (std::uint32_t t = 0; t < txns; ++t)
             ASSERT_EQ(instr.addrs[t], ref.transactions[t])
                 << label << " @" << i << " txn " << t;
     }
-    EXPECT_EQ(stats.get("coalesce_instructions"),
-              static_cast<double>(mem_instructions))
-        << label;
-    EXPECT_EQ(stats.get("coalesce_transactions"), ref_transactions)
-        << label;
-    EXPECT_EQ(stats.get("coalesce_lanes_merged"), ref_lanes_merged)
-        << label;
 }
 
 TEST(BatchParity, MemoryInstructionsMatchScalarGenerator)

@@ -1,19 +1,23 @@
 /**
  * @file
- * Differential tier for the GPU clock. Gpu::run ticks an SM only at the
+ * Differential tier for the GPU clock. Gpu::run runs an SM only at the
  * cycles it touches the shared memory system, in SM index order, and
  * lets the SM run its compute issues and sleeps on its own in between
- * (Sm::tickPrivate). The reference model here is the lock-step clock the
- * simulator started from: every SM ticks every cycle through Sm::tick,
- * in index order. Both clocks must stop at the same cycle with every
- * statistic of every component byte-equal — idle cycles, stall cycles
- * and the memory system's arbitration outcomes included.
+ * (Sm::advance up to the cap). The reference model here is the lock-step
+ * clock the simulator started from: every SM runs every cycle alone
+ * through Sm::advance(now, now + 1), in index order. Both clocks must
+ * stop at the same cycle with every statistic of every component
+ * byte-equal — idle cycles, stall cycles and the memory system's
+ * arbitration outcomes included. The lock-step loop also checks after
+ * every cycle that each SM's issue counters agree with its instruction
+ * count and its L1D's outcome counts.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cache/cache_bank.hh"
 #include "gpu/gpu.hh"
@@ -24,25 +28,74 @@ namespace fuse
 namespace
 {
 
-/** Tick every SM every cycle, in index order, until all are done or the
- *  cap; returns the cycles elapsed, as Gpu::run does. */
+/**
+ * One SM's issue counters next to its instruction count and its L1D's
+ * outcome counts. Every counter is registered when the SM and its L1D
+ * are built, so fetching it here adds nothing to a dump.
+ */
+struct SmCounters
+{
+    explicit SmCounters(Sm &sm)
+        : sm(sm), compute(sm.stats().scalar("compute_instructions")),
+          memory(sm.stats().scalar("mem_instructions")),
+          transactions(sm.stats().scalar("l1d_transactions")),
+          missed(sm.stats().scalar("l1d_transactions_missed")),
+          hits(sm.l1d().stats().scalar("hits")),
+          misses(sm.l1d().stats().scalar("misses")),
+          bypasses(sm.l1d().stats().scalar("bypasses"))
+    {
+    }
+
+    /** Each issued instruction was counted as compute or memory, and
+     *  each accepted L1D transaction as one hit, miss or bypass of the
+     *  L1D (a missed one as a miss or a bypass). */
+    bool exact() const
+    {
+        const double l1d_missed = misses.value() + bypasses.value();
+        return compute.value() + memory.value()
+                   == static_cast<double>(sm.instructionsIssued())
+               && transactions.value() == hits.value() + l1d_missed
+               && missed.value() == l1d_missed;
+    }
+
+    const Sm &sm;
+    const StatGroup::Scalar &compute;
+    const StatGroup::Scalar &memory;
+    const StatGroup::Scalar &transactions;
+    const StatGroup::Scalar &missed;
+    const StatGroup::Scalar &hits;
+    const StatGroup::Scalar &misses;
+    const StatGroup::Scalar &bypasses;
+};
+
+/** Run every SM every cycle, in index order, until all are done or the
+ *  cap; returns the cycles elapsed, as Gpu::run does. The counters must
+ *  be exact after every cycle. */
 Cycle
 runLockStep(Gpu &gpu)
 {
     const Cycle cap = gpu.config().maxCycles;
+    std::vector<SmCounters> counters;
+    for (const auto &sm : gpu.sms())
+        counters.emplace_back(*sm);
     Cycle cycles = 0;
+    bool exact = true;
     for (Cycle now = 0; now < cap; ++now) {
         bool all_done = true;
         for (const auto &sm : gpu.sms()) {
-            sm->tick(now);
+            sm->advance(now, now + 1);
             all_done = all_done && sm->done();
+        }
+        // One report, for the first cycle and SM that break them.
+        for (std::size_t i = 0; exact && i < counters.size(); ++i) {
+            exact = counters[i].exact();
+            EXPECT_TRUE(exact) << "sm" << i << " counters after cycle "
+                               << now;
         }
         cycles = now + 1;
         if (all_done)
             break;
     }
-    for (const auto &sm : gpu.sms())
-        sm->flushIssueStats();
     return cycles;
 }
 

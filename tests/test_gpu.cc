@@ -55,29 +55,6 @@ TEST(Coalescer, BatchCoalescesEachSpanInPlace)
     EXPECT_EQ(batch.instr[2].lanes, 3u);
 }
 
-TEST(Coalescer, BatchRecordsNoStatsUntilConsumption)
-{
-    StatGroup stats("sm");
-    Coalescer c(&stats);
-    InstructionBatch batch;
-    batch.size = 1;
-    batch.instr[0].isMem = true;
-    batch.instr[0].txBegin = 0;
-    batch.addrs = {0, 4, 8};
-    batch.instr[0].txEnd = 3;
-    batch.instr[0].lanes = 3;
-
-    c.coalesceBatch(batch);
-    EXPECT_DOUBLE_EQ(stats.get("coalesce_instructions"), 0.0);
-    EXPECT_DOUBLE_EQ(stats.get("coalesce_transactions"), 0.0);
-
-    // Consumption records the instruction: 3 lanes became 1 transaction.
-    c.noteConsumed(batch.instr[0].lanes, batch.instr[0].txEnd - batch.instr[0].txBegin);
-    EXPECT_DOUBLE_EQ(stats.get("coalesce_instructions"), 1.0);
-    EXPECT_DOUBLE_EQ(stats.get("coalesce_transactions"), 1.0);
-    EXPECT_DOUBLE_EQ(stats.get("coalesce_lanes_merged"), 2.0);
-}
-
 TEST(Scheduler, RoundRobinRotates)
 {
     WarpScheduler sched(4);
