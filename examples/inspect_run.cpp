@@ -15,6 +15,7 @@
 
 #include "fuse/hybrid_l1d.hh"
 #include "sim/simulator.hh"
+#include "workload/generator.hh"
 
 int
 main(int argc, char **argv)
@@ -55,8 +56,8 @@ main(int argc, char **argv)
         const auto &bench = fuse::benchmarkByName(benchmark);
         for (std::uint32_t s = 0; s < bench.streams.size(); ++s) {
             for (bool wr : {false, true}) {
-                // Reconstruct the stream PCs the generator uses.
-                fuse::Addr pc = 0x1000 + (s * 2 + (wr ? 1 : 0)) * 4;
+                const fuse::Addr pc =
+                    fuse::KernelGenerator::streamPc(s, wr);
                 std::printf("stream %u (%s) %s pc=0x%llx -> %s\n", s,
                             toString(bench.streams[s].kind),
                             wr ? "store" : "load",

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cache/bloom.hh"
+#include "fuse/assoc_approx.hh"
 #include "workload/generator.hh"
 
 namespace fuse
@@ -47,16 +48,26 @@ walkTrace(const BenchmarkSpec &spec, std::uint64_t instructions,
     constexpr std::uint32_t kWarps = 48;
     KernelGenerator gen(spec, /*sm=*/0, /*num_sms=*/15, kWarps,
                         /*seed=*/1);
-    std::vector<InstructionBatch> batches(kWarps);
+    // As in the SM, each warp holds its next memory instruction and a
+    // credit of the compute instructions before it.
+    struct Warp
+    {
+        MemInstruction instr;
+        std::uint64_t credit = 0;
+    };
+    std::vector<Warp> warps(kWarps);
+    for (WarpId w = 0; w < kWarps; ++w)
+        warps[w].credit = gen.nextMemory(w, warps[w].instr);
     for (std::uint64_t i = 0; i < instructions; ++i) {
         const auto w = static_cast<WarpId>(i % kWarps);
-        InstructionBatch &batch = batches[w];
-        if (batch.exhausted())
-            gen.nextBatch(w, batch);
-        const InstructionBatch::Decoded &d = batch.instr[batch.consumed++];
-        if (d.isMem)
-            fn(d.type, batch.addrs.data() + d.txBegin,
-               batch.addrs.data() + d.txEnd);
+        Warp &warp = warps[w];
+        if (warp.credit) {
+            --warp.credit;
+            continue;
+        }
+        const std::vector<Addr> &addrs = warp.instr.addrs;
+        fn(warp.instr.type, addrs.data(), addrs.data() + addrs.size());
+        warp.credit = gen.nextMemory(w, warp.instr);
     }
 }
 
@@ -98,39 +109,38 @@ double
 cbfFalsePositiveRate(const BenchmarkSpec &spec, std::uint32_t slots,
                      std::uint32_t hashes)
 {
-    CountingBloomFilter cbf(slots, hashes);
-    BloomAccuracy acc;
-    std::deque<Addr> window;
-    std::unordered_set<Addr> resident;
     // Each CBF guards one partition of the 512-line STT bank: with 128
     // CBFs that is a 4-line data set (the paper's operating point),
-    // independent of the slot-count sweep.
+    // independent of the slot-count sweep. One AssocApprox partition of
+    // that size replays it, saturation refresh included.
     const std::size_t capacity = 4;
+    AssocApproxConfig config;
+    config.numCbfs = 1;
+    config.cbfSlots = slots;
+    config.numHashes = hashes;
+    AssocApprox approx(config, capacity);
+    BloomAccuracy acc;
+    // The ground truth: the partition's lines, evicted first in, first
+    // out.
+    std::deque<Addr> window;
+    std::unordered_set<Addr> resident;
 
-    std::uint64_t last_saturations = 0;
     walkTrace(spec, 120000, [&](AccessType, const Addr *begin,
                                 const Addr *end) {
         for (const Addr *a = begin; a != end; ++a) {
             const Addr line = lineAddr(*a);
             const bool present = resident.count(line) != 0;
-            acc.record(cbf.test(line), present);
+            acc.record(approx.test(line).positive, present);
             if (present)
                 continue;
-            cbf.insert(line);
+            approx.insert(line);
             resident.insert(line);
             window.push_back(line);
             if (window.size() > capacity) {
-                Addr victim = window.front();
+                const Addr victim = window.front();
                 window.pop_front();
-                cbf.remove(victim);
+                approx.remove(victim);
                 resident.erase(victim);
-                // Saturation refresh, as in AssocApprox::refresh().
-                if (cbf.saturations() != last_saturations) {
-                    cbf.clear();
-                    for (Addr r : resident)
-                        cbf.insert(r);
-                    last_saturations = cbf.saturations();
-                }
             }
         }
     });

@@ -23,8 +23,9 @@ namespace fuse
  * Walk the first @p instructions instructions of SM 0's trace of @p spec
  * (15 SMs, 48 warps, seed 1; workloads are symmetric across SMs), one
  * instruction per warp in warp order 0..47, round robin, through the
- * batch frontend the simulator runs. @p fn sees each memory instruction's
- * type and its uncoalesced transaction span [begin, end).
+ * memory-instruction decoder the simulator runs (nextMemory). @p fn sees
+ * each memory instruction's type and its uncoalesced transaction span
+ * [begin, end).
  */
 void walkTrace(const BenchmarkSpec &spec, std::uint64_t instructions,
                const std::function<void(AccessType type, const Addr *begin,
@@ -51,7 +52,8 @@ ReadLevelMix readLevelMix(const BenchmarkSpec &spec);
 
 /**
  * Replay @p spec's block stream against one CBF partition of the STT
- * bank (insert on fill, decrement on evict, test on every access) and
+ * bank, an AssocApprox with one CBF over 4 lines (insert on fill,
+ * decrement and saturation refresh on evict, test on every access), and
  * return the measured false-positive rate (Fig. 20).
  */
 double cbfFalsePositiveRate(const BenchmarkSpec &spec,

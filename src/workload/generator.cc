@@ -57,7 +57,7 @@ KernelGenerator::KernelGenerator(const BenchmarkSpec &spec, SmId sm,
 }
 
 Addr
-KernelGenerator::streamPc(std::uint32_t stream_index, bool write_half) const
+KernelGenerator::streamPc(std::uint32_t stream_index, bool write_half)
 {
     // Each stream is "a static memory instruction" in the kernel: one PC
     // for its load half and one for its store half — exactly the

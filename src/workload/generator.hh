@@ -1,10 +1,11 @@
 /**
  * @file
  * KernelGenerator: turns a BenchmarkSpec into per-warp instruction streams.
- * The SM decodes one memory instruction at a time (nextMemory), the
- * compute instructions before it arriving as one count; nextBatch writes
- * the same stream out one record per instruction for walkTrace,
- * perfbench's frontend replay and the parity tier. Deterministic (seeded
+ * The SM and walkTrace decode one memory instruction at a time
+ * (nextMemory), the compute instructions before it arriving as one
+ * count; nextBatch writes the same stream out one record per instruction
+ * and stays only for perfbench's frontend replay and the parity tier.
+ * Deterministic (seeded
  * per benchmark/SM/warp) so every L1D configuration sees byte-identical
  * traces — required for fair cross-config comparison. The
  * one-instruction-at-a-time decoder these replaced survives as the
@@ -76,8 +77,9 @@ class KernelGenerator
 
     const BenchmarkSpec &spec() const { return *spec_; }
 
-    /** PC of stream @p stream_index's memory instruction. */
-    Addr streamPc(std::uint32_t stream_index, bool write_half) const;
+    /** PC of stream @p stream_index's memory instruction: its load half,
+     *  or its store half when @p write_half. */
+    static Addr streamPc(std::uint32_t stream_index, bool write_half);
 
   private:
     struct WarpState

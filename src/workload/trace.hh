@@ -1,11 +1,11 @@
 /**
  * @file
- * The decoded forms of a warp's instruction stream. The SM takes one
- * memory instruction at a time (MemInstruction, from
+ * The decoded forms of a warp's instruction stream. The SM and walkTrace
+ * take one memory instruction at a time (MemInstruction, from
  * KernelGenerator::nextMemory), with the compute instructions before it
  * as a count; InstructionBatch writes the same stream out one record per
- * instruction for the trace walks (walkTrace, perfbench's frontend
- * replay) and the parity tier. A memory instruction may expand into
+ * instruction. InstructionBatch stays only for perfbench's frontend
+ * replay and the parity tier. A memory instruction may expand into
  * several coalesced 128B transactions when threads diverge.
  */
 
@@ -44,9 +44,10 @@ struct MemInstruction
  * decoder nextMemory uses, writing the compute gaps out as records (one
  * packed metadata record per instruction; each memory instruction's
  * transactions a [txBegin, txEnd) span into the shared `addrs` buffer),
- * Coalescer::coalesceBatch shrinks the spans in place (txEnd moves;
- * `lanes` keeps the pre-coalesce width), and a reader walks the records
- * through `consumed`.
+ * and Coalescer::coalesceBatch shrinks the spans in place (txEnd moves;
+ * `lanes` keeps the pre-coalesce width). Only perfbench's frontend
+ * replay (driveFrontend) and the parity tier read it; it goes with
+ * nextBatch and coalesceBatch when perfbench next changes.
  */
 struct InstructionBatch
 {
@@ -68,7 +69,6 @@ struct InstructionBatch
     };
 
     std::uint32_t size = 0;      ///< Decoded instructions in the batch.
-    std::uint32_t consumed = 0;  ///< Instructions the consumer took.
 
     Decoded instr[kCapacity] = {};
 
@@ -77,14 +77,11 @@ struct InstructionBatch
      *  compaction the consumer never walks). */
     std::vector<Addr> addrs;
 
-    bool exhausted() const { return consumed >= size; }
-
     /** Reset for refill; addrs keeps its capacity (no reallocation in
      *  steady state). */
     void clear()
     {
         size = 0;
-        consumed = 0;
         addrs.clear();
     }
 };

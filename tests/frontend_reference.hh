@@ -4,8 +4,8 @@
  * and coalescer the production frontend replaced (one instruction per
  * call, its transactions in a vector of their own); MemoryReader, which
  * consumes the production memory-instruction path the way the SM does;
- * and BatchReader, which consumes the batch path the way the trace walks
- * do. test_batch_parity checks the production paths against the scalar
+ * and BatchReader, which consumes the batch path the way perfbench's
+ * frontend replay does. test_batch_parity checks the production paths against the scalar
  * model field by field; test_workload pins all three to the pre-batch
  * trace fingerprints.
  */
@@ -260,10 +260,10 @@ class MemoryReader
 
 /**
  * Consumes a production KernelGenerator through the batch path, the way
- * walkTrace and perfbench's frontend replay do: one InstructionBatch per
- * warp, refilled through nextBatch() (and, when asked to coalesce,
- * coalesceBatch()) when exhausted. Instructions still decoded at the end
- * are never popped.
+ * perfbench's frontend replay does: one InstructionBatch per warp,
+ * refilled through nextBatch() (and, when asked to coalesce,
+ * coalesceBatch()) once every record is popped. Instructions still
+ * decoded at the end are never popped.
  */
 class BatchReader
 {
@@ -271,7 +271,7 @@ class BatchReader
     BatchReader(const BenchmarkSpec &spec, SmId sm, std::uint32_t num_sms,
                 std::uint32_t warps_per_sm, std::uint64_t seed = 1)
         : gen_(spec, sm, num_sms, warps_per_sm, seed),
-          batches_(warps_per_sm)
+          batches_(warps_per_sm), consumed_(warps_per_sm, 0)
     {
     }
 
@@ -281,12 +281,14 @@ class BatchReader
     pop(WarpId w, bool coalesce = false)
     {
         InstructionBatch &batch = batches_[w];
-        if (batch.exhausted()) {
+        std::uint32_t &consumed = consumed_[w];
+        if (consumed == batch.size) {
             gen_.nextBatch(w, batch);
+            consumed = 0;
             if (coalesce)
                 Coalescer::coalesceBatch(batch);
         }
-        return batch.instr[batch.consumed++];
+        return batch.instr[consumed++];
     }
 
     const InstructionBatch &batch(WarpId w) const { return batches_[w]; }
@@ -305,6 +307,8 @@ class BatchReader
   private:
     KernelGenerator gen_;
     std::vector<InstructionBatch> batches_;
+    /** Records of each warp's batch already popped. */
+    std::vector<std::uint32_t> consumed_;
 };
 
 } // namespace fuse
