@@ -157,8 +157,8 @@ HybridL1D::sttHit(const MemRequest &req, Cycle now,
         if (victim) {
             if (migrationBlocked()) {
                 // No swap-buffer slot or queue entry to park the SRAM
-                // victim in: it leaves the L1D instead.
-                ++(*statStallStt_);
+                // victim in: it leaves the L1D instead, and the access
+                // does not wait.
                 evictToL2(victim->line, now);
             } else {
                 migrateToStt(victim->line, now);

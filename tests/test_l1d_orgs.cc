@@ -355,6 +355,42 @@ TEST_F(L1DFixture, DyFuseWriteHitOnSttMigratesToSram)
     EXPECT_DOUBLE_EQ(l1d.stats().get("migrations_stt_to_sram"), 1.0);
 }
 
+TEST_F(L1DFixture, DyFuseBlockedMigrationIsNoSttStall)
+{
+    HybridL1D l1d(L1DKind::DyFuse, L1DParams{}, hierarchy_);
+    Cycle now = 0;
+    // Neutral-classified read misses fill STT; let the tag queue drain.
+    for (Addr line : {0, 64, 128}) {
+        drive(l1d, read(line), now);
+        now += 2000;
+    }
+    for (int i = 0; i < 50; ++i)
+        l1d.tick(now + i);
+    now += 100000;
+    // Write hits on lines 0 and 64 migrate them into SRAM set 0 (64
+    // sets, 2 ways).
+    for (Addr line : {0, 64}) {
+        ASSERT_EQ(drive(l1d, write(line), now).kind, L1DResult::Kind::Hit);
+        now += 100;
+    }
+    ASSERT_TRUE(holds(l1d.sramBank(), 0));
+    ASSERT_TRUE(holds(l1d.sramBank(), 64));
+    // Fill the swap buffer, so the next SRAM victim cannot park there.
+    for (Addr line : {5000, 5001, 5002}) {
+        CacheLine parked;
+        parked.tag = line;
+        parked.valid = true;
+        l1d.swapBuffer().push(parked);
+    }
+    // Line 128's migration evicts dirty line 0 from SRAM set 0 to L2.
+    // The access still hits and never waits, so no STT stall cycle.
+    const L1DResult r = l1d.access(write(128), now);
+    EXPECT_EQ(r.kind, L1DResult::Kind::Hit);
+    EXPECT_DOUBLE_EQ(l1d.stats().get("writebacks"), 1.0);
+    EXPECT_FALSE(holds(l1d.sramBank(), 0));
+    EXPECT_DOUBLE_EQ(l1d.stats().get("stall_stt"), 0.0);
+}
+
 TEST_F(L1DFixture, SingleCopyInvariantAcrossBanks)
 {
     HybridL1D l1d(L1DKind::DyFuse, L1DParams{}, hierarchy_);
