@@ -25,6 +25,9 @@ HybridL1D::HybridL1D(L1DKind kind, const L1DParams &params,
         approx_ = std::make_unique<AssocApprox>(params.approx,
                                                 stt_.tags().numLines());
     }
+    // tick() only drains the tag queue of the non-blocking kinds.
+    if (nonBlocking_)
+        deferred_ = &tagQueue_;
     statStallTagSearch_ = &stats_.scalar("stall_tag_search");
     statMigrationsSramToStt_ = &stats_.scalar("migrations_sram_to_stt");
     statMigrationsSttToSram_ = &stats_.scalar("migrations_stt_to_sram");

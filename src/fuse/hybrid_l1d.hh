@@ -39,12 +39,6 @@ class HybridL1D : public L1DCache
 
     L1DResult access(const MemRequest &req, Cycle now) override;
     void tick(Cycle now) override;
-    bool tickIdle() const override
-    {
-        // tick() only drains the tag queue; with nothing queued it is a
-        // guaranteed no-op until the next access enqueues work.
-        return !nonBlocking_ || tagQueue_.empty();
-    }
     L1DKind kind() const override { return kind_; }
     std::vector<const CacheBank *> banks() const override
     {

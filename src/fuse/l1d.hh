@@ -20,6 +20,7 @@
 #include "cache/mshr.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "fuse/tag_queue.hh"
 #include "mem/hierarchy.hh"
 #include "mem/request.hh"
 
@@ -115,11 +116,11 @@ class L1DCache
 
     /**
      * True when tick() is guaranteed to be a no-op at every cycle until
-     * the next access() — the GPU loop uses this to fast-forward across
-     * all-warps-asleep windows. Organisations with deferred work (a
-     * non-empty tag queue) must return false.
+     * the next access(): no deferred work is queued. The SM asks before
+     * and after each cycle that may touch the memory system, so this is
+     * an inline read, not a virtual call.
      */
-    virtual bool tickIdle() const { return true; }
+    bool tickIdle() const { return !deferred_ || deferred_->empty(); }
 
     /** Organisation identity (for reports). */
     virtual L1DKind kind() const = 0;
@@ -141,6 +142,10 @@ class L1DCache
     const StatGroup &stats() const { return stats_; }
 
   protected:
+    /** The queue of work tick() drains, in an organisation that defers
+     *  work (the non-blocking FUSE tag queue); null otherwise. */
+    const TagQueue *deferred_ = nullptr;
+
     /** Record a hit/miss in the common stats vocabulary. */
     void countHit(const MemRequest &req);
     void countMiss(const MemRequest &req);
