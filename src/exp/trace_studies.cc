@@ -113,7 +113,7 @@ cbfFalsePositiveRate(const BenchmarkSpec &spec, std::uint32_t slots,
     // CBFs that is a 4-line data set (the paper's operating point),
     // independent of the slot-count sweep. One AssocApprox partition of
     // that size replays it, saturation refresh included.
-    const std::size_t capacity = 4;
+    const std::uint32_t capacity = 4;
     AssocApproxConfig config;
     config.numCbfs = 1;
     config.cbfSlots = slots;

@@ -5,11 +5,11 @@
  * (nextMemory), the compute instructions before it arriving as one
  * count; nextBatch writes the same stream out one record per instruction
  * and stays only for perfbench's frontend replay and the parity tier.
- * Deterministic (seeded
- * per benchmark/SM/warp) so every L1D configuration sees byte-identical
- * traces — required for fair cross-config comparison. The
- * one-instruction-at-a-time decoder these replaced survives as the
- * reference model in tests/frontend_reference.hh.
+ * Deterministic (seeded per benchmark/SM/warp) so every L1D
+ * configuration sees byte-identical traces — required for fair
+ * cross-config comparison. The one-instruction-at-a-time decoder these
+ * replaced survives as the reference model in
+ * tests/frontend_reference.hh.
  */
 
 #ifndef FUSE_WORKLOAD_GENERATOR_HH

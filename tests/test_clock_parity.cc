@@ -86,7 +86,7 @@ runLockStep(Gpu &gpu)
             sm->advance(now, now + 1);
             all_done = all_done && sm->done();
         }
-        // One report, for the first cycle and SM that break them.
+        // One report: the first cycle and SM whose counters disagree.
         for (std::size_t i = 0; exact && i < counters.size(); ++i) {
             exact = counters[i].exact();
             EXPECT_TRUE(exact) << "sm" << i << " counters after cycle "
