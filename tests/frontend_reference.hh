@@ -5,9 +5,9 @@
  * call, its transactions in a vector of their own); MemoryReader, which
  * consumes the production memory-instruction path the way the SM does;
  * and BatchReader, which consumes the batch path the way perfbench's
- * frontend replay does. test_batch_parity checks the production paths against the scalar
- * model field by field; test_workload pins all three to the pre-batch
- * trace fingerprints.
+ * frontend replay does. test_batch_parity checks the production paths
+ * against the scalar model field by field; test_workload pins all three
+ * to the pre-batch trace fingerprints.
  */
 
 #ifndef FUSE_TESTS_FRONTEND_REFERENCE_HH
