@@ -4,14 +4,14 @@
  * fill in flight, which a secondary miss to the same line joins (the
  * L1D base class owns that protocol, fuse/l1d.hh).
  *
- * The entry file is an open-addressing flat table (common/flat_map.hh)
- * sized from the configured capacity — probed on every L1D access, so it
- * must not pay std::unordered_map's node allocations and pointer chases.
- * Retirement is driven by a ready queue (binary min-heap on readyAt):
- * retireReady() pops exactly the elapsed entries instead of sweeping the
- * whole slot array per ready batch, and minReadyAt() stays the exact
- * minimum over in-flight entries (it is timing-observable — Full stalls
- * schedule their retry from it).
+ * The entry file is one array reserved to the configured capacity,
+ * behind an exact presence summary (cache/presence.hh) that answers most
+ * absence-proving probes without touching it. A lookup the summary lets
+ * through and a retirement each scan the array: at most the 32 entries
+ * every preset runs (GPGPU-Sim's default). A spec at the 65,535-entry
+ * bound stays correct but retires more slowly. minReadyAt() stays the
+ * exact minimum over in-flight entries (it is timing-observable — Full
+ * stalls schedule their retry from it).
  */
 
 #ifndef FUSE_CACHE_MSHR_HH
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "cache/presence.hh"
-#include "common/flat_map.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -40,7 +39,9 @@ struct MshrEntry
  * lazily: retireReady() drops every entry whose fill has arrived.
  *
  * Entry pointers returned by allocate()/find() are valid only until the
- * next retireReady() — the flat table compacts probe chains on erase.
+ * next retireReady(), which moves entries into the gaps it leaves. The
+ * array never reallocates: allocate() appends below the reserved
+ * capacity.
  */
 class Mshr
 {
@@ -65,12 +66,16 @@ class Mshr
     {
         if (!presence_.mayContain(line_addr))
             return nullptr;
-        return entries_.find(line_addr);
+        for (MshrEntry &entry : entries_) {
+            if (entry.lineAddr == line_addr)
+                return &entry;
+        }
+        return nullptr;
     }
 
     /** Free every entry whose readyAt <= now (bulk lazy cleanup).
-     *  O(1) when nothing is ready yet (guarded by a cached minimum),
-     *  O(log entries) per entry actually freed. */
+     *  O(1) when nothing is ready yet (guarded by the exact minimum),
+     *  one pass over the entries otherwise. */
     void retireReady(Cycle now)
     {
         if (entries_.empty() || now < minReadyAt_)
@@ -91,40 +96,17 @@ class Mshr
   private:
     static constexpr Cycle kNever = ~Cycle(0);
 
-    /** One allocation's position in the ready queue. Entries leave only
-     *  through retireReady(), so every record names a live entry with
-     *  the same readyAt. */
-    struct ReadyRec
-    {
-        Cycle readyAt = 0;
-        Addr lineAddr = 0;
-    };
-
-    /** Min-heap order: the earliest readyAt surfaces at the front. A
-     *  functor (not a function pointer) so the heap sifts inline the
-     *  comparison instead of making an indirect call per level. */
-    struct LaterReady
-    {
-        bool operator()(const ReadyRec &a, const ReadyRec &b) const
-        {
-            return a.readyAt > b.readyAt;
-        }
-    };
-
     void retireReadySlow(Cycle now);
-    void pushReady(Cycle ready_at, Addr line_addr);
-    void popReady();
 
     std::uint32_t capacity_;
-    FlatAddrMap<MshrEntry> entries_;
+    /** The in-flight entries, unordered; reserved to capacity_. */
+    std::vector<MshrEntry> entries_;
     /** Exact membership summary over entries_ (u16 counters: an MSHR
      *  file is tens of entries, far under the exact-mode bound), updated
      *  by allocate() and retireReady() only. */
     PresenceSummary presence_;
-    /** Binary min-heap on readyAt, one record per live allocation. */
-    std::vector<ReadyRec> ready_;
     /** Exact minimum readyAt among in-flight entries after a retireReady
-     *  sweep; lowered eagerly by allocate() in between. */
+     *  pass; lowered eagerly by allocate() in between. */
     Cycle minReadyAt_ = kNever;
     StatGroup::Scalar *statAllocated_;
 };

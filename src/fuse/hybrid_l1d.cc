@@ -33,7 +33,6 @@ HybridL1D::HybridL1D(L1DKind kind, const L1DParams &params,
     statMigrationsSttToSram_ = &stats_.scalar("migrations_stt_to_sram");
     statMigrationsDrained_ = &stats_.scalar("migrations_drained");
     statWoroEvictions_ = &stats_.scalar("woro_evictions_to_l2");
-    statStallStt_ = &stats_.scalar("stall_stt");
     statSramHits_ = &stats_.scalar("sram_hits");
     statSttReadHits_ = &stats_.scalar("stt_read_hits");
     statSttWriteHits_ = &stats_.scalar("stt_write_hits");
@@ -283,18 +282,11 @@ HybridL1D::handleMiss(const MemRequest &req, Cycle now,
         // The fill may evict an SRAM line whose migration needs a swap
         // buffer slot and a tag-queue entry; real hardware holds the fill
         // until the drain frees them.
-        statStallStt_->add(
-            std::max<Cycle>(stt_.fillBusyUntil(), now + 1) - now);
-        return {L1DResult::Kind::Stall,
-                std::max(now + 1, stt_.fillBusyUntil())};
+        return sttStall(stt_.fillBusyUntil(), now);
     }
     if (destination == BankId::SttMram && nonBlocking_
-        && tagQueue_.full()) {
-        statStallStt_->add(std::max<Cycle>(stt_.busyUntil(), now + 1)
-                           - now);
-        return {L1DResult::Kind::Stall,
-                std::max(now + 1, stt_.busyUntil())};
-    }
+        && tagQueue_.full())
+        return sttStall(stt_.busyUntil(), now);
 
     // The off-chip issue and MSHR allocation touch no bank tag array, so
     // the probes resolved at the top of access() still describe the fill
@@ -320,11 +312,8 @@ HybridL1D::access(const MemRequest &req, Cycle now)
 
     // Plain Hybrid blocks the whole L1D while an STT-MRAM write is in
     // flight (§V: "any write on STT-MRAM will result in a long L1D stall").
-    if (!nonBlocking_ && stt_.busy(now)) {
-        // The whole L1D blocks until the in-flight MTJ write finishes.
-        statStallStt_->add(stt_.busyUntil() - now);
-        return {L1DResult::Kind::Stall, stt_.busyUntil()};
-    }
+    if (!nonBlocking_ && stt_.busy(now))
+        return sttStall(stt_.busyUntil(), now);
 
     if (auto merged = mergeInFlight(req, line, now))
         return *merged;
@@ -406,12 +395,8 @@ HybridL1D::access(const MemRequest &req, Cycle now)
                 return sttHit(req, now, stt_probe, sram_probe,
                               search.partition);
             }
-            if (tagQueue_.full()) {
-                statStallStt_->add(
-                    std::max<Cycle>(stt_.busyUntil(), now + 1) - now);
-                return {L1DResult::Kind::Stall,
-                        std::max(now + 1, stt_.busyUntil())};
-            }
+            if (tagQueue_.full())
+                return sttStall(stt_.busyUntil(), now);
             tagQueue_.push({TagCommand::Read, line});
             Cycle ready = stt_.busyUntil() + search.cycles
                           + stt_.config().readLatency;

@@ -142,7 +142,6 @@ class HybridL1D : public L1DCache
     StatGroup::Scalar *statMigrationsSttToSram_;
     StatGroup::Scalar *statMigrationsDrained_;
     StatGroup::Scalar *statWoroEvictions_;
-    StatGroup::Scalar *statStallStt_;
     StatGroup::Scalar *statSramHits_;
     StatGroup::Scalar *statSttReadHits_;
     StatGroup::Scalar *statSttWriteHits_;

@@ -70,8 +70,9 @@ struct L1DResult
  * (and is what the paper counts as an L1D stall).
  *
  * Every organisation but the Oracle owns an MSHR file, and the miss
- * protocol around it (secondary-miss merge, full stall, off-chip issue,
- * dirty write-back) lives here once, as the protected helpers below.
+ * protocol around it (secondary-miss merge, full stall, STT-bank stall,
+ * off-chip issue, dirty write-back) lives here once, as the protected
+ * helpers below.
  */
 class L1DCache
 {
@@ -91,6 +92,7 @@ class L1DCache
         statWriteBypasses_ = &stats_.scalar("write_bypasses");
         statMshrSecondary_ = &stats_.scalar("mshr_secondary");
         statStallMshrFull_ = &stats_.scalar("stall_mshr_full");
+        statStallStt_ = &stats_.scalar("stall_stt");
         statWritebacks_ = &stats_.scalar("writebacks");
     }
 
@@ -184,6 +186,19 @@ class L1DCache
     }
 
     /**
+     * A stall behind the STT-MRAM bank: a busy MTJ write, or a tag queue
+     * or swap buffer full until the bank drains them. Retried at
+     * @p until, or next cycle if that is later; every cycle of the wait
+     * counts as "stall_stt". An SRAM bank never takes this path.
+     */
+    L1DResult sttStall(Cycle until, Cycle now)
+    {
+        const Cycle retry = std::max(now + 1, until);
+        statStallStt_->add(retry - now);
+        return {L1DResult::Kind::Stall, retry};
+    }
+
+    /**
      * Send a primary miss off chip and hold an MSHR entry until its data
      * arrives; returns that cycle. Pre-condition: mergeInFlight() and
      * mshrFullStall() both came back empty, which proves a fresh
@@ -229,6 +244,7 @@ class L1DCache
     StatGroup::Scalar *statWriteBypasses_;
     StatGroup::Scalar *statMshrSecondary_;
     StatGroup::Scalar *statStallMshrFull_;
+    StatGroup::Scalar *statStallStt_;
     StatGroup::Scalar *statWritebacks_;
 };
 

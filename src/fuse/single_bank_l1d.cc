@@ -49,8 +49,6 @@ SingleBankL1D::SingleBankL1D(L1DKind kind, const L1DParams &params,
 {
     if (kind == L1DKind::ByNvm)
         predictor_.emplace(params.predictor);
-    if (sttKind(kind))
-        statStallStt_ = &stats_.scalar("stall_stt");
 }
 
 L1DResult
@@ -67,11 +65,10 @@ SingleBankL1D::access(const MemRequest &req, Cycle now)
         return *merged;
 
     // The STT-MRAM bank blocks during MTJ writes: any access that arrives
-    // while one is in flight stalls the L1D (no tag queue here).
-    if (statStallStt_ && bank_.busy(now)) {
-        statStallStt_->add(bank_.busyUntil() - now);
-        return {L1DResult::Kind::Stall, bank_.busyUntil()};
-    }
+    // while one is in flight stalls the L1D (no tag queue here). An SRAM
+    // bank is never busy at an access.
+    if (bank_.busy(now))
+        return sttStall(bank_.busyUntil(), now);
 
     // The request's one residency resolution: the probe serves the hit
     // path and, on a miss, the eager fill below (the bypass decision and

@@ -48,10 +48,6 @@ class SingleBankL1D : public L1DCache
     /** The dead-write predictor: By-NVM only, the one kind that
      *  bypasses. */
     std::optional<ReadLevelPredictor> predictor_;
-    /** Cycles the whole L1D stalled on a busy MTJ write, booked as
-     *  "stall_stt" like the hybrid's (STT-MRAM bank only; null on SRAM,
-     *  whose accesses never stall on the bank). */
-    StatGroup::Scalar *statStallStt_ = nullptr;
 };
 
 } // namespace fuse
