@@ -63,13 +63,8 @@ HybridL1D::installInStt(const CacheLine &line, Cycle now,
     CacheLine *filled = nullptr;
     auto stt_evicted = stt_.fill(line.tag, AccessType::Read, now, &done,
                                  &filled, port);
-    if (filled) {
-        filled->dirty = line.dirty;
-        filled->writeCount = line.writeCount;
-        filled->readCount = line.readCount;
-        filled->predictedLevel = line.predictedLevel;
-        filled->hasPrediction = line.hasPrediction;
-    }
+    if (filled)
+        *filled = line;
     if (approx_)
         approx_->insert(line.tag);
     if (stt_evicted) {
@@ -130,16 +125,16 @@ HybridL1D::sttHit(const MemRequest &req, Cycle now,
     }
 
     // Write hit on STT-MRAM data: a misprediction (WM block placed in the
-    // read-oriented bank).
+    // read-oriented bank). The meta-only tag queue cannot hold the 128B
+    // payload, so it flushes first. flushTagQueue re-queues the parked
+    // lines' migrations and touches neither bank's tag array, so the
+    // probes resolved at the top of access() are still current.
     ++(*statSttWriteHits_);
+    if (!tagQueue_.empty())
+        flushTagQueue();
     if (usePredictor_) {
         // Dy-FUSE: migrate the block to SRAM right away, invalidate the
-        // STT copy, and serve the write from SRAM (§III-A). The payload
-        // write can't wait behind meta-only queue entries: flush.
-        // (The tag-queue flush touches neither bank's tag array, so the
-        // probes resolved at the top of access() are still current.)
-        if (!tagQueue_.empty())
-            flushTagQueue();
+        // STT copy, and serve the write from SRAM (§III-A).
         auto moved = stt_.invalidateAt(stt_probe);
         if (approx_)
             approx_->removeAt(line, stt_partition);
@@ -171,12 +166,7 @@ HybridL1D::sttHit(const MemRequest &req, Cycle now,
         return {L1DResult::Kind::Hit, done + 1};
     }
 
-    // Base-FUSE / FA-FUSE / Hybrid: write the STT array in place. The tag
-    // queue (if any) must flush first — it cannot hold the 128B payload.
-    // (flushTagQueue re-queues the Migrate commands of lines still parked
-    // in the swap buffer, or they would be stranded there forever.)
-    if (nonBlocking_ && !tagQueue_.empty())
-        flushTagQueue();
+    // Base-FUSE / FA-FUSE / Hybrid: write the STT array in place.
     Cycle done = 0;
     stt_.accessAt(stt_probe, AccessType::Write, now, &done);
     countHit(req);
@@ -185,7 +175,7 @@ HybridL1D::sttHit(const MemRequest &req, Cycle now,
 
 void
 HybridL1D::fillSram(const MemRequest &req, Cycle now,
-                    const TagArray::Probe &sram_probe)
+                    const TagArray::Probe &sram_probe, ReadLevel level)
 {
     const Addr line = req.line();
     Cycle done = 0;
@@ -193,7 +183,7 @@ HybridL1D::fillSram(const MemRequest &req, Cycle now,
     auto victim = sram_.fillAt(sram_probe, line, req.type, now, &done,
                                &filled);
     if (filled && usePredictor_) {
-        filled->predictedLevel = predictor_.classify(req.pc);
+        filled->predictedLevel = level;
         filled->hasPrediction = true;
     }
     if (!victim)
@@ -214,7 +204,7 @@ HybridL1D::fillSram(const MemRequest &req, Cycle now,
 void
 HybridL1D::fillStt(const MemRequest &req, Cycle now,
                    const TagArray::Probe &stt_probe,
-                   std::uint32_t stt_partition)
+                   std::uint32_t stt_partition, ReadLevel level)
 {
     const Addr line = req.line();
     if (nonBlocking_)
@@ -224,7 +214,7 @@ HybridL1D::fillStt(const MemRequest &req, Cycle now,
     auto victim = stt_.fillAt(stt_probe, line, req.type, now, &done,
                               &filled);
     if (filled && usePredictor_) {
-        filled->predictedLevel = predictor_.classify(req.pc);
+        filled->predictedLevel = level;
         filled->hasPrediction = true;
     }
     if (approx_)
@@ -253,8 +243,10 @@ HybridL1D::handleMiss(const MemRequest &req, Cycle now,
     // (Hybrid/Base-FUSE), everything fills SRAM first and the STT bank is
     // a victim buffer — the strawman organisation §III-A measures.
     BankId destination = BankId::Sram;
+    ReadLevel level = ReadLevel::ReadIntensive;
     if (usePredictor_) {
-        switch (predictor_.classify(req.pc)) {
+        level = predictor_.classify(req.pc);
+        switch (level) {
           case ReadLevel::WM:
             destination = BankId::Sram;
             break;
@@ -293,9 +285,9 @@ HybridL1D::handleMiss(const MemRequest &req, Cycle now,
     // target.
     const Cycle ready = issueMiss(req, line, now);
     if (destination == BankId::Sram)
-        fillSram(req, now, sram_probe);
+        fillSram(req, now, sram_probe, level);
     else
-        fillStt(req, now, stt_probe, stt_partition);
+        fillStt(req, now, stt_probe, stt_partition, level);
     return {L1DResult::Kind::Miss, ready};
 }
 
@@ -420,8 +412,6 @@ HybridL1D::tick(Cycle now)
     // Drain the tag queue head when the STT bank is free. Reads complete
     // by themselves (their ready time was promised at enqueue); migrations
     // perform the deferred array write and release the swap buffer.
-    if (!nonBlocking_)
-        return;
     const TagQueueEntry *head = tagQueue_.front();
     if (!head)
         return;

@@ -77,16 +77,19 @@ class HybridL1D : public L1DCache
                          const TagArray::Probe &stt_probe,
                          std::uint32_t stt_partition);
 
-    /** Fill @p req's line into the SRAM bank, migrating the victim.
-     *  Pre-condition (non-blocking kinds): !migrationBlocked(). */
+    /** Fill @p req's line into the SRAM bank, migrating the victim;
+     *  with the predictor, the line records @p level, the placement's
+     *  classification. Pre-condition (non-blocking kinds):
+     *  !migrationBlocked(). */
     void fillSram(const MemRequest &req, Cycle now,
-                  const TagArray::Probe &sram_probe);
+                  const TagArray::Probe &sram_probe, ReadLevel level);
 
-    /** Fill @p req's line into the STT-MRAM bank. Pre-condition
-     *  (non-blocking kinds): the tag queue is not full. */
+    /** Fill @p req's line into the STT-MRAM bank, recording @p level as
+     *  fillSram() does. Pre-condition (non-blocking kinds): the tag
+     *  queue is not full. */
     void fillStt(const MemRequest &req, Cycle now,
                  const TagArray::Probe &stt_probe,
-                 std::uint32_t stt_partition);
+                 std::uint32_t stt_partition, ReadLevel level);
 
     /** Evict @p line out of the L1D (scored by the predictor, written
      *  back to L2 if dirty). */
