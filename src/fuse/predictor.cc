@@ -26,6 +26,8 @@ ReadLevelPredictor::ReadLevelPredictor(const PredictorConfig &config)
         fuse_fatal("sampler needs nonzero geometry");
     if (config.historyEntries == 0)
         fuse_fatal("history table needs entries");
+    if (config.sampledWarps == 0 || config.sampledWarps > config.warpsPerSm)
+        fuse_fatal("sampler needs 1 to %u sampled warps", config.warpsPerSm);
     if (config.unusedThreshold >= (1u << config.counterBits))
         fuse_fatal("unused threshold %u exceeds counter range",
                    config.unusedThreshold);
@@ -72,14 +74,16 @@ ReadLevelPredictor::samplerVictim(std::uint32_t set) const
 void
 ReadLevelPredictor::observe(const MemRequest &req)
 {
-    // Hardware samples only a handful of representative warps: warps of a
-    // kernel execute the same instructions, so a few suffice (§IV-B).
-    if (req.warpId % (48 / config_.sampledWarps) != 0)
+    // Hardware samples only a handful of representative warps, spread
+    // evenly over the SM's: warps of a kernel execute the same
+    // instructions, so a few suffice (§IV-B).
+    const std::uint32_t stride = config_.warpsPerSm / config_.sampledWarps;
+    const std::uint32_t rank = req.warpId / stride;
+    if (req.warpId % stride != 0 || rank >= config_.sampledWarps)
         return;
     ++(*statSampledRequests_);
 
-    const std::uint32_t set =
-        (req.warpId / (48 / config_.sampledWarps)) % config_.samplerSets;
+    const std::uint32_t set = rank % config_.samplerSets;
     const std::uint32_t tag = static_cast<std::uint32_t>(
         req.line() & ((1u << config_.tagBits) - 1));
     const std::uint32_t sig = signatureOf(req.pc);

@@ -32,7 +32,10 @@ struct PredictorConfig
     std::uint32_t counterBits = 4;      ///< Saturating counter width.
     std::uint32_t unusedThreshold = 14; ///< counter > th  => WORO.
     std::uint32_t counterInit = 8;      ///< Initial counter value.
-    std::uint32_t sampledWarps = 4;     ///< Representative warps (of 48).
+    std::uint32_t sampledWarps = 4;     ///< Representative warps.
+    /** Warps per SM, over which the representative warps spread. Gpu
+     *  sets it from gpu.warpsPerSm; it has no spec key. */
+    std::uint32_t warpsPerSm = 48;
 };
 
 /**
@@ -47,7 +50,8 @@ class ReadLevelPredictor
     /**
      * Feed one memory request through the sampler. Only requests from the
      * representative warps update state (matching the hardware's sampling
-     * filter); all others are ignored for free.
+     * filter): the first sampledWarps multiples of warpsPerSm /
+     * sampledWarps. All others are ignored for free.
      */
     void observe(const MemRequest &req);
 

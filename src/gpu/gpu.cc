@@ -15,6 +15,8 @@ Gpu::Gpu(const GpuConfig &config, L1DKind l1d_kind, const L1DParams &l1d,
     noc.numSmPorts = config.numSms;
     hierarchy_ = std::make_unique<MemoryHierarchy>(noc, config.l2,
                                                    config.dram);
+    L1DParams l1d_params = l1d;
+    l1d_params.predictor.warpsPerSm = config.warpsPerSm;
 
     sms_.reserve(config.numSms);
     for (SmId s = 0; s < config.numSms; ++s) {
@@ -24,7 +26,7 @@ Gpu::Gpu(const GpuConfig &config, L1DKind l1d_kind, const L1DParams &l1d,
         auto kernel = std::make_unique<KernelGenerator>(
             benchmark, s, config.numSms, config.warpsPerSm,
             config.traceSeed);
-        auto l1d_cache = makeL1D(l1d_kind, l1d, *hierarchy_, s);
+        auto l1d_cache = makeL1D(l1d_kind, l1d_params, *hierarchy_, s);
         sms_.push_back(std::make_unique<Sm>(s, sm_config,
                                             std::move(l1d_cache),
                                             std::move(kernel)));

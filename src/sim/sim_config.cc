@@ -150,7 +150,8 @@ configFields()
         FUSE_FIELD(l1d.swapBufferEntries, 1, kEntries),
         // ReadLevelPredictor: a u8 LRU age orders 256 sampler ways, the
         // history counter is a u8, tagBits and 2 + signatureBits shift a
-        // u32 and a u64, and 48 / sampledWarps divides.
+        // u32 and a u64, and warpsPerSm / sampledWarps divides (Gpu sets
+        // the predictor's warpsPerSm, so it has no row).
         FUSE_FIELD(l1d.predictor.samplerSets, 1, kUnits),
         FUSE_FIELD(l1d.predictor.samplerWays, 1, 256),
         FUSE_FIELD(l1d.predictor.historyEntries, 1, kEntries),
@@ -159,7 +160,7 @@ configFields()
         FUSE_FIELD(l1d.predictor.counterBits, 1, 8),
         FUSE_FIELD(l1d.predictor.unusedThreshold, 0, kAny),
         FUSE_FIELD(l1d.predictor.counterInit, 0, kAny),
-        FUSE_FIELD(l1d.predictor.sampledWarps, 1, 48),
+        FUSE_FIELD(l1d.predictor.sampledWarps, 1, kUnits),
         // AssocApprox: each CBF operation loops over the hashes, a CBF
         // counter is a u8, and the search divides by the comparators.
         FUSE_FIELD(l1d.approx.numCbfs, 1, kEntries),
@@ -206,6 +207,12 @@ SimConfig::validate() const
                        "l1d.predictor.counterBits = %u counter holds",
                        key, value, counter_max, pred.counterBits);
     }
+    // The predictor's sampling stride, warpsPerSm / sampledWarps, must
+    // not be zero.
+    if (pred.sampledWarps > gpu.warpsPerSm)
+        fuse_fatal("invalid config: l1d.predictor.sampledWarps = %u "
+                   "exceeds gpu.warpsPerSm = %u", pred.sampledWarps,
+                   gpu.warpsPerSm);
     // The bank builders clamp the set count to one but keep every way,
     // so more ways than lines would silently enlarge the bank.
     const struct

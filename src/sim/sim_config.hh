@@ -66,7 +66,8 @@ struct ConfigField
     std::string range() const;
 };
 
-/** Every SimConfig field but gpu.noc.numSmPorts, which Gpu sets. */
+/** Every SimConfig field but gpu.noc.numSmPorts and
+ *  l1d.predictor.warpsPerSm, which Gpu sets. */
 const std::vector<ConfigField> &configFields();
 
 } // namespace fuse

@@ -326,6 +326,10 @@ TEST(ConfigValidateDeathTest, EveryRejectedValueNamesItsKey)
         {"gpu.warpsPerSm", 4e9},
         {"l1d.sttDensity", 1e6},
         {"gpu.dram.rowBytes", 64},
+        // More sampled warps than the SM has (the default 4 of 2 warps
+        // made a zero sampling stride and a SIGFPE).
+        {"gpu.warpsPerSm", 2},
+        {"l1d.predictor.sampledWarps", 49},
         // A value the 4-bit predictor counter cannot hold (counterInit=100
         // used to exit 0 with a Dy-FUSE miss rate of 1.000), or a counter
         // too narrow for the default threshold 14 and initial value 8.

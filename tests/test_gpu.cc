@@ -178,9 +178,9 @@ TEST(Gpu, StopsAtMaxCyclesCap)
     Gpu gpu(c.gpu, L1DKind::DyFuse, c.l1d, benchmarkByName("PVC"));
     EXPECT_EQ(gpu.run(), 5000u);
     EXPECT_EQ(gpu.cycles(), 5000u);
-    EXPECT_EQ(gpu.totalInstructions(), 5091u);
-    EXPECT_DOUBLE_EQ(gpu.sumSmStat("idle_cycles"), 14622.0);
-    EXPECT_DOUBLE_EQ(gpu.sumSmStat("mem_wait_cycles"), 14622.0);
+    EXPECT_EQ(gpu.totalInstructions(), 5098u);
+    EXPECT_DOUBLE_EQ(gpu.sumSmStat("idle_cycles"), 14615.0);
+    EXPECT_DOUBLE_EQ(gpu.sumSmStat("mem_wait_cycles"), 14615.0);
 }
 
 TEST(Gpu, ZeroBudgetTicksOnceAndRetiresNothing)
@@ -264,9 +264,11 @@ TEST(Gpu, CoalesceCountersCountConsumedInstructions)
     // coalesce_lanes_merged reach no Metrics field, export or golden, so
     // a frontend that counted them at decode instead of at consumption
     // would pass every other tier. These sums were taken from the
-    // batch-decoding frontend. On histo/Dy-FUSE the instructions exceed
-    // mem_instructions: some warps end the run holding a partly issued
-    // instruction, which counts as consumed.
+    // batch-decoding frontend; the Dy-FUSE rows were retaken when its
+    // predictor came to sample 4 of the test scale's 16 warps, not 2. On
+    // histo/Dy-FUSE the instructions exceed mem_instructions: some warps
+    // end the run holding a partly issued instruction, which counts as
+    // consumed.
     struct Pin
     {
         const char *benchmark;
@@ -278,9 +280,9 @@ TEST(Gpu, CoalesceCountersCountConsumedInstructions)
     };
     const Pin pins[] = {
         {"ATAX", L1DKind::L1Sram, 69869, 92245, 29881, 69869},
-        {"ATAX", L1DKind::DyFuse, 69841, 92216, 29894, 69840},
+        {"ATAX", L1DKind::DyFuse, 69836, 92203, 29893, 69836},
         {"histo", L1DKind::L1Sram, 12825, 25099, 41, 12825},
-        {"histo", L1DKind::DyFuse, 12859, 25208, 41, 12854},
+        {"histo", L1DKind::DyFuse, 12855, 25168, 41, 12852},
     };
     const SimConfig c = SimConfig::testScale();
     for (const Pin &pin : pins) {

@@ -85,6 +85,28 @@ TEST(Predictor, OnlySampledWarpsUpdateState)
         << "unsampled warp should not train the predictor";
 }
 
+TEST(Predictor, SamplesTheConfiguredWarpCountAtAnyWarpsPerSm)
+{
+    // One request from every warp of the SM: exactly sampledWarps of
+    // them are sampled, whatever the SM's warp count.
+    const struct
+    {
+        std::uint32_t warpsPerSm;
+        std::uint32_t sampledWarps;
+    } cases[] = {{16, 4}, {48, 4}, {64, 4}, {48, 5}};
+    for (const auto &c : cases) {
+        PredictorConfig config;
+        config.warpsPerSm = c.warpsPerSm;
+        config.sampledWarps = c.sampledWarps;
+        ReadLevelPredictor pred(config);
+        for (WarpId w = 0; w < c.warpsPerSm; ++w)
+            pred.observe(makeReq(w, 0x7000, w, AccessType::Read));
+        EXPECT_DOUBLE_EQ(pred.stats().get("sampled_requests"),
+                         c.sampledWarps)
+            << c.warpsPerSm << " warps, " << c.sampledWarps << " sampled";
+    }
+}
+
 TEST(Predictor, DistinctPcsTrainIndependently)
 {
     ReadLevelPredictor pred(defaultConfig());
