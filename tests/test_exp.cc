@@ -10,15 +10,22 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <type_traits>
+#include <utility>
 #include <variant>
 
+#include "common/rng.hh"
 #include "exp/canonical.hh"
 #include "exp/experiment.hh"
 #include "exp/export.hh"
@@ -265,19 +272,79 @@ TEST(ExperimentSpec, StrictNumbersKeepValidSpellings)
     EXPECT_DOUBLE_EQ(spec.variants[1].overrides[0].value, 4.0);
 }
 
-TEST(ExperimentSpec, CommittedSpecFilesParseAndValidate)
+/** Every spec file committed under tools/ as {name, text}, by name. */
+std::vector<std::pair<std::string, std::string>>
+committedSpecs()
 {
-    for (const char *file :
-         {"ratio_volta.spec", "plumbing_depth.spec", "comparators.spec",
-          "run_length.spec", "run_length_volta.spec"}) {
-        std::ifstream in(std::string(FUSE_REPO_DIR) + "/tools/" + file);
-        ASSERT_TRUE(in) << file;
+    std::vector<std::pair<std::string, std::string>> specs;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::string(FUSE_REPO_DIR) + "/tools")) {
+        if (entry.path().extension() != ".spec")
+            continue;
+        std::ifstream in(entry.path());
         std::stringstream text;
         text << in.rdbuf();
-        const ExperimentSpec spec = ExperimentSpec::parse(text.str());
+        specs.emplace_back(entry.path().filename().string(), text.str());
+    }
+    std::sort(specs.begin(), specs.end());
+    return specs;
+}
+
+TEST(ExperimentSpec, CommittedSpecFilesParseAndValidate)
+{
+    const auto specs = committedSpecs();
+    ASSERT_FALSE(specs.empty());
+    for (const auto &[file, text] : specs) {
+        const ExperimentSpec spec = ExperimentSpec::parse(text);
         EXPECT_GT(spec.variantCount(), 1u) << file;
         for (std::size_t v = 0; v < spec.variantCount(); ++v)
             spec.configFor(v).validate();
+    }
+}
+
+/** A damaged spec either parses (the child then exits 0) or is a clean
+ *  fatal (exit 1), never an abort or a crash. */
+bool
+parsedOrFatal(int status)
+{
+    return WIFEXITED(status)
+           && (WEXITSTATUS(status) == 0 || WEXITSTATUS(status) == 1);
+}
+
+/** Parse @p text in a death-test child: "parsed" and exit 0, or the
+ *  parser's own fatal. */
+void
+parseAndExit(const std::string &text)
+{
+    ExperimentSpec::parse(text);
+    std::fputs("parsed\n", stderr);
+    std::exit(0);
+}
+
+TEST(ExperimentSpecDeathTest, EveryCutOrSubstitutedSpecParsesOrFails)
+{
+    // The spec half of the parser-robustness tier: each committed spec
+    // cut short anywhere, or with one byte replaced, runs or fatals
+    // with a message.
+    constexpr std::size_t kCuts = 30;
+    constexpr int kSubstitutions = 16;
+    Rng rng(36);
+    for (const auto &[file, text] : committedSpecs()) {
+        for (std::size_t c = 0; c < kCuts; ++c) {
+            const std::size_t cut = text.size() * c / kCuts;
+            EXPECT_EXIT(parseAndExit(text.substr(0, cut)), parsedOrFatal,
+                        "parsed|fatal: ")
+                << file << " cut at " << cut;
+        }
+        for (int s = 0; s < kSubstitutions; ++s) {
+            std::string damaged = text;
+            const std::size_t at = rng.below(text.size());
+            damaged[at] = static_cast<char>(rng.below(256));
+            EXPECT_EXIT(parseAndExit(damaged), parsedOrFatal,
+                        "parsed|fatal: ")
+                << file << " byte " << at << " = "
+                << static_cast<int>(static_cast<unsigned char>(damaged[at]));
+        }
     }
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache_reference.hh"
 
 namespace fuse
@@ -83,6 +85,27 @@ TEST(Mshr, StatsCountOnlyAllocations)
     EXPECT_EQ(mshr.access(1, 10).kind, MshrResult::Kind::Merged);
     EXPECT_EQ(mshr.access(2, 10).kind, MshrResult::Kind::Full);
     EXPECT_DOUBLE_EQ(stats.get("mshr_allocated"), 1.0);
+}
+
+TEST(Mshr, EntryPointersSurviveAllocationUpToCapacity)
+{
+    // The entry array is reserved to capacity, so an allocation never
+    // moves the entries already in flight. A reallocation would leave
+    // the held pointers dangling, which the sanitized build reports.
+    constexpr std::uint32_t kCapacity = 32;
+    StatGroup stats("l1d");
+    Mshr mshr(kCapacity, stats);
+    std::vector<const MshrEntry *> held;
+    for (Addr line = 0; line < kCapacity; ++line) {
+        mshr.allocate(line, 100 + line);
+        held.push_back(mshr.find(line));
+        for (Addr l = 0; l <= line; ++l) {
+            ASSERT_EQ(held[l], mshr.find(l)) << "line " << l;
+            EXPECT_EQ(held[l]->lineAddr, l);
+            EXPECT_EQ(held[l]->readyAt, 100 + l);
+        }
+    }
+    EXPECT_TRUE(mshr.full());
 }
 
 /** Property: size never exceeds capacity under random traffic. */
