@@ -1,10 +1,10 @@
 /**
  * @file
  * FlatAddrMap: a small open-addressing hash table keyed by line address,
- * built for the simulation hot path. Replaces std::unordered_map in the
- * MSHR file and backs the tag-array residency index: one contiguous slot
- * array, linear probing, backward-shift deletion (no tombstones), and a
- * capacity fixed at construction so the table never rehashes mid-run.
+ * built for the simulation hot path. Backs the wide tag arrays'
+ * residency index: one contiguous slot array, linear probing,
+ * backward-shift deletion (no tombstones), and a capacity fixed at
+ * construction so the table never rehashes mid-run.
  *
  * Pointer contract: value pointers returned by find()/insert()
  * are valid only until the next erase()/clear() — backward-shift deletion
@@ -34,7 +34,7 @@ class FlatAddrMap
   public:
     /** @param capacity greatest number of live entries the caller will
      *  store (the map itself never refuses an insert below slot count;
-     *  the owner enforces its own capacity, e.g. MSHR entries). */
+     *  the owner enforces its own capacity, e.g. tag-array lines). */
     explicit FlatAddrMap(std::uint32_t capacity)
     {
         std::size_t slots = 8;

@@ -1,7 +1,5 @@
 #include "fuse/hybrid_l1d.hh"
 
-#include <algorithm>
-
 namespace fuse
 {
 
