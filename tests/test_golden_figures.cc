@@ -4,22 +4,24 @@
  * every paper figure's sweep grid through SweepRunner, figure by figure
  * and in one runAll pass, and compares an FNV-1a hash of each canonical
  * JSON export against checksums committed in
- * tests/goldens/figure_checksums.txt. The static tables simulate nothing,
- * so for them (table1, table3) the same file pins the hash of the
- * rendered text.
+ * tests/goldens/figure_checksums.txt. A second tier renders every
+ * registry entry from its reduced grid (the trace studies over the same
+ * first three workloads) and compares the hash of the printed text
+ * against tests/goldens/rendered_checksums.txt, so a renderer cannot
+ * drift by a byte. The static tables simulate nothing, so
+ * figure_checksums.txt pins them (table1, table3) by that same text.
  *
  * The goldens were generated from the pre-refactor scan-based replacement
  * engine, so any observational-equivalence break in victim selection, MSHR
  * retirement, or sweep plumbing fails here — in ctest, not in figure
  * review. Regenerate (only after deliberately changing simulated
- * behaviour) with:
+ * behaviour or a figure's layout) with:
  *
  *     FUSE_UPDATE_GOLDENS=1 ./test_golden_figures
  *
  * The hashes cover raw metric bit patterns (%.17g), so they are pinned to
- * one platform/compiler configuration — the repo's CI image and this
- * container. That strictness is the point: byte-identical means
- * byte-identical.
+ * one platform/compiler configuration, the one CI builds with. That
+ * strictness is the point: byte-identical means byte-identical.
  */
 
 #include <gtest/gtest.h>
@@ -46,8 +48,13 @@ namespace fuse
 namespace
 {
 
-const char *const kGoldenPath =
+const char *const kGridGoldens =
     FUSE_REPO_DIR "/tests/goldens/figure_checksums.txt";
+const char *const kRenderedGoldens =
+    FUSE_REPO_DIR "/tests/goldens/rendered_checksums.txt";
+
+/** figure name -> FNV-1a checksum (hex), the form of a golden file. */
+using Checksums = std::map<std::string, std::string>;
 
 std::uint64_t
 fnv1a(const std::string &text)
@@ -69,7 +76,8 @@ hex(std::uint64_t v)
     return buf;
 }
 
-/** The static tables the tier pins by their rendered text. */
+/** The tables that simulate nothing: figure_checksums.txt pins them by
+ *  their rendered text, as rendered_checksums.txt does. */
 const std::set<std::string> kStaticTables = {"table1", "table3"};
 
 /**
@@ -78,15 +86,16 @@ const std::set<std::string> kStaticTables = {"table1", "table3"};
  * for the 84-SM Volta study). Everything else — kinds, variants, seed —
  * stays exactly as the figure defines it, so the golden still walks the
  * full replacement/MSHR/approximation machinery of every organisation.
+ * A trace study keeps only the workload cut.
  */
 ExperimentSpec
 reducedSpec(const Figure &fig)
 {
     ExperimentSpec spec = fig.makeSpec();
-    if (spec.runCount() == 0)
-        return spec; // Static table / trace study: nothing to sweep.
     if (spec.benchmarks.size() > 3)
         spec.benchmarks.resize(3);
+    if (spec.runCount() == 0)
+        return spec; // Static table / trace study: nothing to sweep.
     const double budget = spec.base == "volta" ? 750.0 : 3000.0;
     if (spec.variants.empty())
         spec.variants.push_back({"", {}});
@@ -110,10 +119,10 @@ reducedSpecs()
 }
 
 /** figure name -> checksum of the grid's canonical JSON. */
-std::map<std::string, std::string>
+Checksums
 checksums(const std::vector<ResultSet> &grids)
 {
-    std::map<std::string, std::string> sums;
+    Checksums sums;
     for (const ResultSet &results : grids) {
         std::stringstream json;
         writeJson(json, results);
@@ -123,7 +132,7 @@ checksums(const std::vector<ResultSet> &grids)
 }
 
 /** Each reduced grid swept on its own, as `fuse_sweep --figure` does. */
-std::map<std::string, std::string>
+Checksums
 computeChecksums()
 {
     const SweepRunner runner(1);
@@ -133,26 +142,31 @@ computeChecksums()
     return checksums(grids);
 }
 
-/** table name -> checksum of the text its renderer prints. */
-std::map<std::string, std::string>
-staticChecksums()
+/** Every registry entry -> checksum of the text its renderer prints over
+ *  its reduced grid; one pass simulates the grids. */
+Checksums
+renderedChecksums()
 {
-    std::map<std::string, std::string> sums;
-    for (const std::string &name : kStaticTables) {
-        const Figure *fig = findFigure(name);
-        const ResultSet results = SweepRunner(1).run(fig->makeSpec());
+    std::vector<ExperimentSpec> specs;
+    for (const Figure &fig : figures())
+        specs.push_back(reducedSpec(fig));
+    const SweepRunner runner(4);
+    const std::vector<ResultSet> grids = runner.runAll(specs);
+    Checksums sums;
+    for (std::size_t i = 0; i < grids.size(); ++i) {
+        const Figure &fig = figures()[i];
         testing::internal::CaptureStdout();
-        fig->render(results, 1);
-        sums[name] = hex(fnv1a(testing::internal::GetCapturedStdout()));
+        fig.render(grids[i], runner.threads());
+        sums[fig.name] = hex(fnv1a(testing::internal::GetCapturedStdout()));
     }
     return sums;
 }
 
-std::map<std::string, std::string>
-readGoldens()
+Checksums
+readGoldens(const char *path)
 {
-    std::map<std::string, std::string> sums;
-    std::ifstream is(kGoldenPath);
+    Checksums sums;
+    std::ifstream is(path);
     if (!is)
         return sums;
     std::string name, sum;
@@ -161,29 +175,46 @@ readGoldens()
     return sums;
 }
 
-/** Compare @p current against the committed lines of its tier: the
- *  static tables' when @p static_tables, the sweeps' otherwise. */
 void
-expectGoldens(const std::map<std::string, std::string> &current,
-              bool static_tables = false)
+writeGoldens(const char *path, const Checksums &sums)
 {
-    const std::map<std::string, std::string> golden = readGoldens();
+    std::ofstream os(path);
+    ASSERT_TRUE(os) << "cannot write " << path;
+    for (const auto &entry : sums)
+        os << entry.first << ' ' << entry.second << '\n';
+    std::printf("updated %s (%zu figures)\n", path, sums.size());
+}
+
+bool
+updatingGoldens()
+{
+    const char *update = std::getenv("FUSE_UPDATE_GOLDENS");
+    return update && update[0] == '1';
+}
+
+/** Compare @p current against the committed lines of @p path, except
+ *  the lines of the figures @p skip names. */
+void
+expectGoldens(const char *path, const Checksums &current,
+              const std::set<std::string> &skip = {})
+{
+    const Checksums golden = readGoldens(path);
     ASSERT_FALSE(golden.empty())
-        << "missing " << kGoldenPath
+        << "missing " << path
         << " — generate it from a known-good build with "
            "FUSE_UPDATE_GOLDENS=1 ./test_golden_figures";
 
     for (const auto &entry : golden) {
-        if ((kStaticTables.count(entry.first) > 0) != static_tables)
+        if (skip.count(entry.first) > 0)
             continue;
         const auto it = current.find(entry.first);
         ASSERT_NE(it, current.end())
             << "figure " << entry.first
-            << " has a committed golden but produced no sweep";
+            << " has a committed golden but produced no output";
         EXPECT_EQ(it->second, entry.second)
             << entry.first
-            << ": simulated output diverged from the committed golden — "
-               "the change is not observationally equivalent";
+            << ": output diverged from the committed golden in " << path
+            << " — the change is not observationally equivalent";
     }
     // New figures must come with goldens, not silently skip the tier.
     for (const auto &entry : current)
@@ -202,34 +233,47 @@ TEST(GoldenFigures, HashIsFnv1a)
 
 TEST(GoldenFigures, ReducedGridsMatchCommittedChecksums)
 {
-    const std::map<std::string, std::string> current = computeChecksums();
+    const Checksums current = computeChecksums();
     ASSERT_FALSE(current.empty());
 
-    if (const char *update = std::getenv("FUSE_UPDATE_GOLDENS");
-        update && update[0] == '1') {
-        std::map<std::string, std::string> all = current;
-        all.merge(staticChecksums());
-        std::ofstream os(kGoldenPath);
-        ASSERT_TRUE(os) << "cannot write " << kGoldenPath;
-        for (const auto &entry : all)
-            os << entry.first << ' ' << entry.second << '\n';
-        std::printf("updated %s (%zu figures)\n", kGoldenPath, all.size());
+    if (updatingGoldens()) {
+        Checksums all = current;
+        const Checksums rendered = renderedChecksums();
+        for (const std::string &name : kStaticTables)
+            all[name] = rendered.at(name);
+        writeGoldens(kGridGoldens, all);
         return;
     }
 
-    expectGoldens(current);
+    expectGoldens(kGridGoldens, current, kStaticTables);
 }
 
 TEST(GoldenFigures, OnePassMatchesCommittedChecksums)
 {
     // One pass over every reduced grid, as `fuse_sweep --figure all`
     // runs the paper: the cells the figures share are simulated once.
-    expectGoldens(checksums(SweepRunner(4).runAll(reducedSpecs())));
+    expectGoldens(kGridGoldens,
+                  checksums(SweepRunner(4).runAll(reducedSpecs())),
+                  kStaticTables);
 }
 
-TEST(GoldenFigures, StaticTablesMatchCommittedChecksums)
+TEST(GoldenFigures, RenderedTextMatchesCommittedChecksums)
 {
-    expectGoldens(staticChecksums(), /*static_tables=*/true);
+    // Every figure's printed tables, byte for byte: the JSON goldens pin
+    // what the grids hold, this pins what the renderers make of it.
+    const Checksums rendered = renderedChecksums();
+    ASSERT_EQ(rendered.size(), figures().size());
+    if (updatingGoldens()) {
+        writeGoldens(kRenderedGoldens, rendered);
+        return;
+    }
+
+    expectGoldens(kRenderedGoldens, rendered);
+    const Checksums grid = readGoldens(kGridGoldens);
+    for (const std::string &name : kStaticTables) {
+        ASSERT_TRUE(grid.count(name)) << name;
+        EXPECT_EQ(grid.at(name), rendered.at(name)) << name;
+    }
 }
 
 } // namespace
