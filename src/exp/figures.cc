@@ -1,6 +1,7 @@
 #include "exp/figures.hh"
 
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 
@@ -20,161 +21,180 @@ namespace fuse
 namespace
 {
 
-/** Spec over every Table II workload with the given kind list. */
-ExperimentSpec
-gridSpec(const char *name, std::vector<L1DKind> kinds,
-         const char *benchmarks = "all", const char *base = "fermi")
+/** One numeric column of a workload-by-column table. */
+struct Column
 {
-    ExperimentSpec spec;
-    spec.name = name;
-    spec.base = base;
-    spec.benchmarks = ExperimentSpec::resolveBenchmarks(benchmarks);
-    spec.kinds = std::move(kinds);
-    return spec;
-}
+    std::string header;
+    std::function<double(std::size_t row)> value;
+    int precision = 3;
+    bool summarised = true; ///< False: blank in the summary row.
+};
 
-/** A spec with no simulation grid (static tables, trace studies). */
-ExperimentSpec
-staticSpec(const char *name, const char *benchmarks = "")
+/** The aggregate row under a table, if any. */
+enum class Summary
 {
-    ExperimentSpec spec;
-    spec.name = name;
-    if (benchmarks[0] != '\0')
-        spec.benchmarks = ExperimentSpec::resolveBenchmarks(benchmarks);
-    return spec;
-}
+    None,
+    Mean,
+    Geomean
+};
 
-/** Each kind's IPC normalised to L1-SRAM, one row per workload, then a
- *  GMEAN row (Figs. 13 and 19). */
-void
-printNormalisedIpc(const ResultSet &results, std::string title,
-                   const std::vector<L1DKind> &kinds)
+/**
+ * Print one row per entry of @p rows (the "workload" column) and one
+ * column per entry of @p columns, then the @p summary row: the mean()
+ * or geomean() of each summarised column over the rows, in order.
+ * @return each column's values, in row order.
+ */
+std::vector<std::vector<double>>
+printTable(std::string title, const std::vector<std::string> &rows,
+           const std::vector<Column> &columns,
+           Summary summary = Summary::None)
 {
     Report report(std::move(title));
     std::vector<std::string> header = {"workload"};
-    for (L1DKind k : kinds)
-        header.push_back(toString(k));
-    report.header(header);
+    for (const Column &column : columns)
+        header.push_back(column.header);
+    report.header(std::move(header));
 
-    std::vector<std::vector<double>> norms(kinds.size());
-    for (const auto &name : results.benchmarks()) {
-        const Metrics &base = results.metrics(name, L1DKind::L1Sram);
-        std::vector<std::string> row = {name};
-        for (std::size_t k = 0; k < kinds.size(); ++k) {
-            const Metrics &m = results.metrics(name, kinds[k]);
-            const double norm = base.ipc > 0 ? m.ipc / base.ipc : 0.0;
-            norms[k].push_back(norm);
-            row.push_back(fmt(norm, 2));
+    std::vector<std::vector<double>> values(columns.size());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        std::vector<std::string> cells = {rows[r]};
+        for (std::size_t c = 0; c < columns.size(); ++c) {
+            values[c].push_back(columns[c].value(r));
+            cells.push_back(fmt(values[c].back(), columns[c].precision));
         }
-        report.row(row);
+        report.row(std::move(cells));
     }
-    std::vector<std::string> gmean = {"GMEAN"};
-    for (const auto &v : norms)
-        gmean.push_back(fmt(geomean(v), 2));
-    report.row(gmean);
+    if (summary != Summary::None) {
+        const bool is_mean = summary == Summary::Mean;
+        std::vector<std::string> cells = {is_mean ? "MEAN" : "GMEAN"};
+        for (std::size_t c = 0; c < columns.size(); ++c) {
+            const double v = is_mean ? mean(values[c]) : geomean(values[c]);
+            cells.push_back(
+                columns[c].summarised ? fmt(v, columns[c].precision) : "");
+        }
+        report.row(std::move(cells));
+    }
     report.print();
+    return values;
+}
+
+/** The metrics of row @p r's workload under @p kind. */
+const Metrics &
+cell(const ResultSet &results, std::size_t r, L1DKind kind,
+     std::size_t variant = 0)
+{
+    return results.metrics(results.benchmarks()[r], kind, variant);
+}
+
+/** A column value: @p field of each row's @p kind cell. */
+std::function<double(std::size_t)>
+metric(const ResultSet &results, L1DKind kind, double Metrics::*field)
+{
+    return [&results, kind, field](std::size_t r) {
+        return cell(results, r, kind).*field;
+    };
+}
+
+/** A column that prints @p value on every row (a normalisation base). */
+Column
+constantColumn(std::string header, double value, int precision)
+{
+    return {std::move(header), [value](std::size_t) { return value; },
+            precision};
+}
+
+/** Each kind's IPC normalised to L1-SRAM's (0.0 where that is 0), one
+ *  column per kind of the grid but L1-SRAM (Figs. 13 and 19). */
+std::vector<Column>
+normalisedIpcColumns(const ResultSet &results)
+{
+    std::vector<Column> columns;
+    for (L1DKind kind : results.kinds()) {
+        if (kind == L1DKind::L1Sram)
+            continue;
+        auto norm = [&results, kind](std::size_t r) {
+            const double base = cell(results, r, L1DKind::L1Sram).ipc;
+            return base > 0 ? cell(results, r, kind).ipc / base : 0.0;
+        };
+        columns.push_back({toString(kind), norm, 2});
+    }
+    return columns;
 }
 
 // ------------------------------------------------------------- Fig. 1
 
-ExperimentSpec
-fig01Spec()
-{
-    return gridSpec("fig01", {L1DKind::L1Sram});
-}
-
 void
 fig01Render(const ResultSet &results, unsigned)
 {
-    Report time_report(
-        "Fig. 1a — execution-time decomposition (L1-SRAM)");
-    time_report.header({"workload", "off-chip frac", "network", "DRAM",
-                        "on-chip"});
-    Report energy_report(
-        "Fig. 1b — GPU energy decomposition (L1-SRAM)");
-    energy_report.header({"workload", "off-chip frac", "L2+NoC+DRAM (uJ)",
-                          "L1D (uJ)", "SM compute (uJ)"});
+    auto sram = [&](std::size_t r) -> const Metrics & {
+        return cell(results, r, L1DKind::L1Sram);
+    };
+    auto off = [&](std::size_t r) { return sram(r).memWaitFraction; };
+    auto share = [&](double Metrics::*field) {
+        return [off, sram, field](std::size_t r) {
+            return off(r) * (sram(r).*field);
+        };
+    };
+    printTable("Fig. 1a — execution-time decomposition (L1-SRAM)",
+               results.benchmarks(),
+               {{"off-chip frac", off},
+                {"network", share(&Metrics::networkShare), 3, false},
+                {"DRAM", share(&Metrics::dramShare), 3, false},
+                {"on-chip", [&](std::size_t r) { return 1.0 - off(r); }, 3,
+                 false}},
+               Summary::Mean);
 
-    double time_sum = 0.0;
-    double energy_sum = 0.0;
-    int n = 0;
-    for (const auto &name : results.benchmarks()) {
-        const Metrics &m = results.metrics(name, L1DKind::L1Sram);
-        const double off = m.memWaitFraction;
-        time_report.row({name, fmt(off, 3),
-                         fmt(off * m.networkShare, 3),
-                         fmt(off * m.dramShare, 3), fmt(1.0 - off, 3)});
-        const double eoff = m.energy.offchipFraction();
-        energy_report.row({name, fmt(eoff, 3),
-                           fmt(m.energy.offchip() / 1000.0, 1),
-                           fmt(m.energy.l1dTotal() / 1000.0, 1),
-                           fmt((m.energy.compute + m.energy.smLeakage)
-                                   / 1000.0, 1)});
-        time_sum += off;
-        energy_sum += eoff;
-        ++n;
-    }
-    time_report.row({"MEAN", fmt(time_sum / n, 3), "", "", ""});
-    energy_report.row({"MEAN", fmt(energy_sum / n, 3), "", "", ""});
-
-    time_report.print();
-    energy_report.print();
+    auto uj = [&](auto energy) {
+        return [sram, energy](std::size_t r) {
+            return energy(sram(r).energy) / 1000.0;
+        };
+    };
+    printTable(
+        "Fig. 1b — GPU energy decomposition (L1-SRAM)", results.benchmarks(),
+        {{"off-chip frac",
+          [&](std::size_t r) { return sram(r).energy.offchipFraction(); }},
+         {"L2+NoC+DRAM (uJ)",
+          uj([](const EnergyBreakdown &e) { return e.offchip(); }), 1, false},
+         {"L1D (uJ)",
+          uj([](const EnergyBreakdown &e) { return e.l1dTotal(); }), 1, false},
+         {"SM compute (uJ)",
+          uj([](const EnergyBreakdown &e) { return e.compute + e.smLeakage; }),
+          1, false}},
+        Summary::Mean);
     std::printf("\npaper reference: off-chip ~75%% of execution time and "
                 "~71%% of energy on average\n");
 }
 
 // ------------------------------------------------------------- Fig. 3
 
-ExperimentSpec
-fig03Spec()
-{
-    return gridSpec("fig03",
-                    {L1DKind::L1Sram, L1DKind::PureNvm, L1DKind::Oracle},
-                    "motivation");
-}
-
 void
 fig03Render(const ResultSet &results, unsigned)
 {
-    Report miss("Fig. 3a — L1D miss rate");
-    miss.header({"workload", "Vanilla", "STT-MRAM", "Oracle"});
-    Report ipc("Fig. 3b — IPC normalised to Vanilla");
-    ipc.header({"workload", "Vanilla", "STT-MRAM", "Oracle"});
-
-    std::vector<double> stt_norm;
-    std::vector<double> oracle_norm;
-    std::vector<double> vanilla_miss;
-    std::vector<double> oracle_miss;
-    for (const auto &name : results.benchmarks()) {
-        const Metrics &v = results.metrics(name, L1DKind::L1Sram);
-        const Metrics &s = results.metrics(name, L1DKind::PureNvm);
-        const Metrics &o = results.metrics(name, L1DKind::Oracle);
-        miss.row({name, fmt(v.l1dMissRate, 3), fmt(s.l1dMissRate, 3),
-                  fmt(o.l1dMissRate, 3)});
-        ipc.row({name, "1.00", fmt(s.ipc / v.ipc, 2),
-                 fmt(o.ipc / v.ipc, 2)});
-        stt_norm.push_back(s.ipc / v.ipc);
-        oracle_norm.push_back(o.ipc / v.ipc);
-        vanilla_miss.push_back(v.l1dMissRate);
-        oracle_miss.push_back(o.l1dMissRate);
-    }
-    ipc.row({"GMEAN", "1.00", fmt(geomean(stt_norm), 2),
-             fmt(geomean(oracle_norm), 2)});
-    miss.print();
-    ipc.print();
+    // Vanilla is L1-SRAM; IPC over its IPC divides without a guard.
+    auto ipc_vs_vanilla = [&](L1DKind kind) {
+        return [&results, kind](std::size_t r) {
+            return cell(results, r, kind).ipc
+                   / cell(results, r, L1DKind::L1Sram).ipc;
+        };
+    };
+    const auto miss_rate = &Metrics::l1dMissRate;
+    const std::vector<std::vector<double>> miss = printTable(
+        "Fig. 3a — L1D miss rate", results.benchmarks(),
+        {{"Vanilla", metric(results, L1DKind::L1Sram, miss_rate)},
+         {"STT-MRAM", metric(results, L1DKind::PureNvm, miss_rate)},
+         {"Oracle", metric(results, L1DKind::Oracle, miss_rate)}});
+    printTable("Fig. 3b — IPC normalised to Vanilla", results.benchmarks(),
+               {constantColumn("Vanilla", 1.0, 2),
+                {"STT-MRAM", ipc_vs_vanilla(L1DKind::PureNvm), 2},
+                {"Oracle", ipc_vs_vanilla(L1DKind::Oracle), 2}},
+               Summary::Geomean);
 
     std::printf("\nmeasured: Oracle cuts the average miss rate from %.2f "
                 "to %.2f; paper reference: -58%% miss rate, ~6x IPC\n",
-                mean(vanilla_miss), mean(oracle_miss));
+                mean(miss[0]), mean(miss[2]));
 }
 
 // ------------------------------------------------------------- Fig. 6
-
-ExperimentSpec
-fig06Spec()
-{
-    return staticSpec("fig06", "all");
-}
 
 void
 fig06Render(const ResultSet &results, unsigned threads)
@@ -185,40 +205,20 @@ fig06Render(const ResultSet &results, unsigned threads)
         mixes[i] = readLevelMix(benchmarkByName(names[i]));
     });
 
-    Report report("Fig. 6 — read-level analysis (block fractions)");
-    report.header({"workload", "WM", "read-intensive", "WORM", "WORO"});
-
-    ReadLevelMix avg;
-    int n = 0;
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        const ReadLevelMix &mix = mixes[i];
-        report.row({names[i], fmt(mix.wm, 3), fmt(mix.readIntensive, 3),
-                    fmt(mix.worm, 3), fmt(mix.woro, 3)});
-        avg.wm += mix.wm;
-        avg.readIntensive += mix.readIntensive;
-        avg.worm += mix.worm;
-        avg.woro += mix.woro;
-        ++n;
-    }
-    report.row({"MEAN", fmt(avg.wm / n, 3), fmt(avg.readIntensive / n, 3),
-                fmt(avg.worm / n, 3), fmt(avg.woro / n, 3)});
-    report.print();
+    auto share = [&](double ReadLevelMix::*level) {
+        return [&mixes, level](std::size_t r) { return mixes[r].*level; };
+    };
+    printTable("Fig. 6 — read-level analysis (block fractions)", names,
+               {{"WM", share(&ReadLevelMix::wm)},
+                {"read-intensive", share(&ReadLevelMix::readIntensive)},
+                {"WORM", share(&ReadLevelMix::worm)},
+                {"WORO", share(&ReadLevelMix::woro)}},
+               Summary::Mean);
     std::printf("\npaper reference: WORM dominates (~80%% of blocks on "
                 "average); PVC/PVR/SS carry large WM populations\n");
 }
 
 // ------------------------------------------------------------- Fig. 7
-
-ExperimentSpec
-fig07Spec()
-{
-    ExperimentSpec spec = gridSpec("fig07", {L1DKind::FaFuse});
-    spec.variants = {
-        {"approx", {{"l1d.approx.comparators", 4}}},
-        {"ideal", {{"l1d.approx.comparators", 4096}}},
-    };
-    return spec;
-}
 
 void
 fig07Render(const ResultSet &results, unsigned)
@@ -255,22 +255,11 @@ fig07Render(const ResultSet &results, unsigned)
 
 // ------------------------------------------------------------ Fig. 13
 
-ExperimentSpec
-fig13Spec()
-{
-    return gridSpec("fig13",
-                    {L1DKind::L1Sram, L1DKind::ByNvm, L1DKind::FaSram,
-                     L1DKind::Hybrid, L1DKind::BaseFuse, L1DKind::FaFuse,
-                     L1DKind::DyFuse});
-}
-
 void
 fig13Render(const ResultSet &results, unsigned)
 {
-    printNormalisedIpc(results, "Fig. 13 — IPC normalised to L1-SRAM",
-                       {L1DKind::ByNvm, L1DKind::FaSram, L1DKind::Hybrid,
-                        L1DKind::BaseFuse, L1DKind::FaFuse,
-                        L1DKind::DyFuse});
+    printTable("Fig. 13 — IPC normalised to L1-SRAM", results.benchmarks(),
+               normalisedIpcColumns(results), Summary::Geomean);
     std::printf("\npaper reference (GMEAN vs L1-SRAM): Dy-FUSE ~3.17x, "
                 "FA-FUSE ~2.6x, Base-FUSE ~0.86x, Hybrid ~0.77x, "
                 "By-NVM ~1.6x\n");
@@ -278,92 +267,44 @@ fig13Render(const ResultSet &results, unsigned)
 
 // ------------------------------------------------------------ Fig. 14
 
-ExperimentSpec
-fig14Spec()
-{
-    return gridSpec("fig14",
-                    {L1DKind::L1Sram, L1DKind::ByNvm, L1DKind::FaSram,
-                     L1DKind::Hybrid, L1DKind::BaseFuse, L1DKind::FaFuse,
-                     L1DKind::DyFuse});
-}
-
 void
 fig14Render(const ResultSet &results, unsigned)
 {
-    const std::vector<L1DKind> kinds = {
-        L1DKind::L1Sram, L1DKind::ByNvm,    L1DKind::FaSram,
-        L1DKind::Hybrid, L1DKind::BaseFuse, L1DKind::FaFuse,
-        L1DKind::DyFuse,
-    };
-
-    Report report("Fig. 14 — L1D miss rate");
-    std::vector<std::string> header = {"workload"};
-    for (L1DKind k : kinds)
-        header.push_back(toString(k));
-    report.header(header);
-
-    std::vector<double> sums(kinds.size(), 0.0);
-    for (const auto &name : results.benchmarks()) {
-        std::vector<std::string> row = {name};
-        for (std::size_t k = 0; k < kinds.size(); ++k) {
-            const Metrics &m = results.metrics(name, kinds[k]);
-            sums[k] += m.l1dMissRate;
-            row.push_back(fmt(m.l1dMissRate, 3));
-        }
-        report.row(row);
-    }
-    std::vector<std::string> mean_row = {"MEAN"};
-    for (double s : sums)
-        mean_row.push_back(
-            fmt(s / static_cast<double>(results.benchmarks().size()), 3));
-    report.row(mean_row);
-    report.print();
-
+    std::vector<Column> columns;
+    for (L1DKind kind : results.kinds())
+        columns.push_back(
+            {toString(kind), metric(results, kind, &Metrics::l1dMissRate)});
+    printTable("Fig. 14 — L1D miss rate", results.benchmarks(), columns,
+               Summary::Mean);
     std::printf("\npaper reference: hybrid organisations ~21.6%% lower "
                 "miss rate than L1-SRAM; FA-FUSE ~= Dy-FUSE\n");
 }
 
 // ------------------------------------------------------------ Fig. 15
 
-ExperimentSpec
-fig15Spec()
-{
-    return gridSpec("fig15", {L1DKind::Hybrid, L1DKind::BaseFuse,
-                              L1DKind::FaFuse});
-}
-
 void
 fig15Render(const ResultSet &results, unsigned)
 {
-    Report report(
-        "Fig. 15 — L1D stalls normalised to Hybrid's STT-MRAM stalls");
-    report.header({"workload", "Hybrid stt", "Base-FUSE stt",
-                   "Base tag", "FA-FUSE stt", "FA tag"});
-
-    double base_sum = 0.0;
-    double fa_sum = 0.0;
-    double fa_tag_sum = 0.0;
-    int n = 0;
-    for (const auto &name : results.benchmarks()) {
-        const Metrics &hybrid = results.metrics(name, L1DKind::Hybrid);
-        const Metrics &base = results.metrics(name, L1DKind::BaseFuse);
-        const Metrics &fa = results.metrics(name, L1DKind::FaFuse);
-        const double norm =
-            hybrid.sttStallCycles > 0 ? hybrid.sttStallCycles : 1.0;
-        report.row({name, fmt(1.0, 2),
-                    fmt(base.sttStallCycles / norm, 3),
-                    fmt(base.tagSearchStallCycles / norm, 3),
-                    fmt(fa.sttStallCycles / norm, 3),
-                    fmt(fa.tagSearchStallCycles / norm, 3)});
-        base_sum += base.sttStallCycles / norm;
-        fa_sum += fa.sttStallCycles / norm;
-        fa_tag_sum += fa.tagSearchStallCycles / norm;
-        ++n;
-    }
-    report.row({"MEAN", "1.00", fmt(base_sum / n, 3), "",
-                fmt(fa_sum / n, 3), fmt(fa_tag_sum / n, 3)});
-    report.print();
-
+    // A stall count over Hybrid's STT stalls, or over 1 without any.
+    auto stalls = [&](L1DKind kind, double Metrics::*field) {
+        return [&results, kind, field](std::size_t r) {
+            const double hybrid =
+                cell(results, r, L1DKind::Hybrid).sttStallCycles;
+            return cell(results, r, kind).*field
+                   / (hybrid > 0 ? hybrid : 1.0);
+        };
+    };
+    const auto stt = &Metrics::sttStallCycles;
+    const auto tag = &Metrics::tagSearchStallCycles;
+    printTable(
+        "Fig. 15 — L1D stalls normalised to Hybrid's STT-MRAM stalls",
+        results.benchmarks(),
+        {constantColumn("Hybrid stt", 1.0, 2),
+         {"Base-FUSE stt", stalls(L1DKind::BaseFuse, stt)},
+         {"Base tag", stalls(L1DKind::BaseFuse, tag), 3, false},
+         {"FA-FUSE stt", stalls(L1DKind::FaFuse, stt)},
+         {"FA tag", stalls(L1DKind::FaFuse, tag)}},
+        Summary::Mean);
     std::printf("\npaper reference: Base-FUSE -78%% stalls vs Hybrid; "
                 "FA-FUSE a further -18%%; tag-search overhead ~3%% of "
                 "Hybrid's STT stalls\n");
@@ -371,82 +312,51 @@ fig15Render(const ResultSet &results, unsigned)
 
 // ------------------------------------------------------------ Fig. 16
 
-ExperimentSpec
-fig16Spec()
-{
-    return gridSpec("fig16", {L1DKind::DyFuse});
-}
-
 void
 fig16Render(const ResultSet &results, unsigned)
 {
-    Report report("Fig. 16 — read-level predictor accuracy");
-    report.header({"workload", "true", "neutral", "false"});
+    const L1DKind dy = L1DKind::DyFuse;
+    const std::vector<double> trues =
+        printTable(
+            "Fig. 16 — read-level predictor accuracy", results.benchmarks(),
+            {{"true", metric(results, dy, &Metrics::predTrue)},
+             {"neutral", metric(results, dy, &Metrics::predNeutral), 3,
+              false},
+             {"false", metric(results, dy, &Metrics::predFalse), 3, false}},
+            Summary::Mean)
+            .front();
 
     double true_sum = 0.0;
     double worst_true = 1.0;
-    int n = 0;
-    for (const auto &name : results.benchmarks()) {
-        const Metrics &m = results.metrics(name, L1DKind::DyFuse);
-        report.row({name, fmt(m.predTrue, 3), fmt(m.predNeutral, 3),
-                    fmt(m.predFalse, 3)});
-        true_sum += m.predTrue;
-        if (m.predTrue < worst_true && m.predTrue > 0)
-            worst_true = m.predTrue;
-        ++n;
+    for (double t : trues) {
+        true_sum += t;
+        if (t < worst_true && t > 0)
+            worst_true = t;
     }
-    report.row({"MEAN", fmt(true_sum / n, 3), "", ""});
-    report.print();
-
     std::printf("\nmeasured: mean true-rate %.1f%%, worst %.1f%%; paper "
                 "reference: ~95%% average, 85%% worst case\n",
-                100.0 * true_sum / n, 100.0 * worst_true);
+                100.0 * true_sum / static_cast<double>(trues.size()),
+                100.0 * worst_true);
 }
 
 // ------------------------------------------------------------ Fig. 17
 
-ExperimentSpec
-fig17Spec()
-{
-    return gridSpec("fig17",
-                    {L1DKind::L1Sram, L1DKind::ByNvm, L1DKind::BaseFuse,
-                     L1DKind::FaFuse, L1DKind::DyFuse});
-}
-
 void
 fig17Render(const ResultSet &results, unsigned)
 {
-    const std::vector<L1DKind> kinds = {
-        L1DKind::ByNvm, L1DKind::BaseFuse, L1DKind::FaFuse,
-        L1DKind::DyFuse,
-    };
-
-    Report report("Fig. 17 — L1D energy normalised to L1-SRAM");
-    std::vector<std::string> header = {"workload", "L1-SRAM"};
-    for (L1DKind k : kinds)
-        header.push_back(toString(k));
-    report.header(header);
-
-    std::vector<std::vector<double>> norms(kinds.size());
-    for (const auto &name : results.benchmarks()) {
-        const Metrics &base = results.metrics(name, L1DKind::L1Sram);
-        const double ref =
-            base.energy.l1dTotal() > 0 ? base.energy.l1dTotal() : 1.0;
-        std::vector<std::string> row = {name, "1.00"};
-        for (std::size_t k = 0; k < kinds.size(); ++k) {
-            const Metrics &m = results.metrics(name, kinds[k]);
-            const double norm = m.energy.l1dTotal() / ref;
-            norms[k].push_back(norm);
-            row.push_back(fmt(norm, 2));
-        }
-        report.row(row);
+    // Each kind's L1D energy over L1-SRAM's, or over 1 without any.
+    std::vector<Column> columns;
+    for (L1DKind kind : results.kinds()) {
+        auto norm = [&results, kind](std::size_t r) {
+            const double base =
+                cell(results, r, L1DKind::L1Sram).energy.l1dTotal();
+            return cell(results, r, kind).energy.l1dTotal()
+                   / (base > 0 ? base : 1.0);
+        };
+        columns.push_back({toString(kind), norm, 2});
     }
-    std::vector<std::string> gmean = {"GMEAN", "1.00"};
-    for (const auto &v : norms)
-        gmean.push_back(fmt(geomean(v), 2));
-    report.row(gmean);
-    report.print();
-
+    printTable("Fig. 17 — L1D energy normalised to L1-SRAM",
+               results.benchmarks(), columns, Summary::Geomean);
     std::printf("\npaper reference: Dy-FUSE saves ~24%% L1D energy vs "
                 "By-NVM and ~7%% vs FA-FUSE; overall FUSE saves ~53%% "
                 "total energy vs the SRAM baseline\n");
@@ -454,96 +364,45 @@ fig17Render(const ResultSet &results, unsigned)
 
 // ------------------------------------------------------------ Fig. 18
 
-ExperimentSpec
-fig18Spec()
-{
-    ExperimentSpec spec =
-        gridSpec("fig18", {L1DKind::DyFuse}, "sensitivity");
-    spec.variants = {
-        {"1/16", {{"l1d.sramAreaFraction", 1.0 / 16}}},
-        {"1/8", {{"l1d.sramAreaFraction", 1.0 / 8}}},
-        {"1/4", {{"l1d.sramAreaFraction", 1.0 / 4}}},
-        {"1/2", {{"l1d.sramAreaFraction", 1.0 / 2}}},
-        {"3/4", {{"l1d.sramAreaFraction", 3.0 / 4}}},
-    };
-    return spec;
-}
-
 void
 fig18Render(const ResultSet &results, unsigned)
 {
-    const std::vector<std::string> &ratios = results.variantLabels();
-
-    Report ipc_report(
-        "Fig. 18a — Dy-FUSE IPC normalised to the 1/16 split");
-    Report miss_report("Fig. 18b — Dy-FUSE L1D miss rate");
-    std::vector<std::string> header = {"workload"};
-    for (const auto &label : ratios)
-        header.push_back(label);
-    ipc_report.header(header);
-    miss_report.header(header);
-
-    std::vector<std::vector<double>> ipc_norm(ratios.size());
-    for (const auto &name : results.benchmarks()) {
-        std::vector<double> ipcs;
-        std::vector<double> misses;
-        for (std::size_t r = 0; r < ratios.size(); ++r) {
-            const Metrics &m = results.metrics(name, L1DKind::DyFuse, r);
-            ipcs.push_back(m.ipc);
-            misses.push_back(m.l1dMissRate);
-        }
-        std::vector<std::string> ipc_row = {name};
-        std::vector<std::string> miss_row = {name};
-        for (std::size_t r = 0; r < ratios.size(); ++r) {
-            const double norm = ipcs[0] > 0 ? ipcs[r] / ipcs[0] : 0.0;
-            ipc_norm[r].push_back(norm);
-            ipc_row.push_back(fmt(norm, 2));
-            miss_row.push_back(fmt(misses[r], 3));
-        }
-        ipc_report.row(ipc_row);
-        miss_report.row(miss_row);
+    auto dy = [&](std::size_t r, std::size_t v) -> const Metrics & {
+        return cell(results, r, L1DKind::DyFuse, v);
+    };
+    std::vector<Column> ipc;
+    std::vector<Column> miss;
+    for (std::size_t v = 0; v < results.variantLabels().size(); ++v) {
+        const std::string &label = results.variantLabels()[v];
+        auto norm = [dy, v](std::size_t r) {
+            const double first = dy(r, 0).ipc;
+            return first > 0 ? dy(r, v).ipc / first : 0.0;
+        };
+        ipc.push_back({label, norm, 2});
+        miss.push_back(
+            {label, [dy, v](std::size_t r) { return dy(r, v).l1dMissRate; }});
     }
-    std::vector<std::string> gmean = {"GMEAN"};
-    for (const auto &v : ipc_norm)
-        gmean.push_back(fmt(geomean(v), 2));
-    ipc_report.row(gmean);
-
-    ipc_report.print();
-    miss_report.print();
+    printTable("Fig. 18a — Dy-FUSE IPC normalised to the 1/16 split",
+               results.benchmarks(), ipc, Summary::Geomean);
+    printTable("Fig. 18b — Dy-FUSE L1D miss rate", results.benchmarks(),
+               miss);
     std::printf("\npaper reference: 1/2 SRAM fraction is optimal across "
                 "the sweep\n");
 }
 
 // ------------------------------------------------------------ Fig. 19
 
-ExperimentSpec
-fig19Spec()
-{
-    return gridSpec("fig19",
-                    {L1DKind::L1Sram, L1DKind::ByNvm, L1DKind::Hybrid,
-                     L1DKind::BaseFuse, L1DKind::FaFuse, L1DKind::DyFuse},
-                    "all", "volta");
-}
-
 void
 fig19Render(const ResultSet &results, unsigned)
 {
-    printNormalisedIpc(results,
-                       "Fig. 19 — Volta-class GPU, IPC normalised to "
-                       "L1-SRAM",
-                       {L1DKind::ByNvm, L1DKind::Hybrid, L1DKind::BaseFuse,
-                        L1DKind::FaFuse, L1DKind::DyFuse});
+    printTable("Fig. 19 — Volta-class GPU, IPC normalised to L1-SRAM",
+               results.benchmarks(), normalisedIpcColumns(results),
+               Summary::Geomean);
     std::printf("\npaper reference (vs L1-SRAM): Base-FUSE +35%%, "
                 "FA-FUSE +82%%, Dy-FUSE +96%%\n");
 }
 
 // ------------------------------------------------------------ Fig. 20
-
-ExperimentSpec
-fig20Spec()
-{
-    return staticSpec("fig20", "sensitivity");
-}
 
 void
 fig20Render(const ResultSet &results, unsigned threads)
@@ -566,40 +425,32 @@ fig20Render(const ResultSet &results, unsigned threads)
                             cbfFalsePositiveRate(spec, s, 3));
                 });
 
-    Report hash_report(
-        "Fig. 20a — CBF false-positive rate vs hash functions (16 slots)");
-    hash_report.header({"workload", "1 func", "2 func", "3 func",
-                        "4 func", "5 func"});
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        std::vector<std::string> row = {workloads[i]};
-        for (double rate : hash_rates[i])
-            row.push_back(fmt(rate, 4));
-        hash_report.row(row);
-    }
-    hash_report.print();
-
-    Report slot_report(
-        "Fig. 20b — CBF false-positive rate vs slots (3 hash functions)");
-    slot_report.header({"workload", "32 slots", "64 slots", "128 slots"});
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        std::vector<std::string> row = {workloads[i]};
-        for (double rate : slot_rates[i])
-            row.push_back(fmt(rate, 5));
-        slot_report.row(row);
-    }
-    slot_report.print();
+    // One column per configuration of @p rates, under @p headers.
+    auto columns = [](const std::vector<std::vector<double>> &rates,
+                      const std::vector<std::string> &headers,
+                      int precision) {
+        std::vector<Column> out;
+        for (std::size_t c = 0; c < headers.size(); ++c)
+            out.push_back({headers[c],
+                           [&rates, c](std::size_t r) { return rates[r][c]; },
+                           precision});
+        return out;
+    };
+    printTable(
+        "Fig. 20a — CBF false-positive rate vs hash functions (16 slots)",
+        workloads,
+        columns(hash_rates,
+                {"1 func", "2 func", "3 func", "4 func", "5 func"}, 4));
+    printTable(
+        "Fig. 20b — CBF false-positive rate vs slots (3 hash functions)",
+        workloads,
+        columns(slot_rates, {"32 slots", "64 slots", "128 slots"}, 5));
 
     std::printf("\npaper reference: 3 hash functions cut false positives "
                 "~98%% vs 1; 128 slots ~99%% vs 32\n");
 }
 
 // ------------------------------------------------------------ Table I
-
-ExperimentSpec
-table1Spec()
-{
-    return staticSpec("table1");
-}
 
 void
 table1Render(const ResultSet &results, unsigned)
@@ -679,12 +530,6 @@ table1Render(const ResultSet &results, unsigned)
 
 // ----------------------------------------------------------- Table II
 
-ExperimentSpec
-table2Spec()
-{
-    return gridSpec("table2", {L1DKind::ByNvm});
-}
-
 void
 table2Render(const ResultSet &results, unsigned)
 {
@@ -707,12 +552,6 @@ table2Render(const ResultSet &results, unsigned)
 }
 
 // ---------------------------------------------------------- Table III
-
-ExperimentSpec
-table3Spec()
-{
-    return staticSpec("table3");
-}
 
 void
 table3Render(const ResultSet &results, unsigned)
@@ -743,40 +582,69 @@ table3Render(const ResultSet &results, unsigned)
 
 } // namespace
 
+ExperimentSpec
+Figure::makeSpec() const
+{
+    ExperimentSpec spec;
+    spec.name = name;
+    spec.base = base;
+    if (benchmarks[0] != '\0')
+        spec.benchmarks = ExperimentSpec::resolveBenchmarks(benchmarks);
+    spec.kinds = kinds;
+    spec.variants = variants;
+    return spec;
+}
+
 const std::vector<Figure> &
 figures()
 {
+    using K = L1DKind;
     static const std::vector<Figure> all = {
         {"fig01", "off-chip time and energy decomposition (L1-SRAM)",
-         fig01Spec, fig01Render},
-        {"fig03", "motivation: Vanilla vs STT-MRAM vs Oracle",
-         fig03Spec, fig03Render},
+         fig01Render, "all", {K::L1Sram}},
+        {"fig03", "motivation: Vanilla vs STT-MRAM vs Oracle", fig03Render,
+         "motivation", {K::L1Sram, K::PureNvm, K::Oracle}},
         {"fig06", "read-level analysis of every workload's blocks",
-         fig06Spec, fig06Render},
+         fig06Render, "all", {}},
         {"fig07", "associativity approximation vs ideal full assoc",
-         fig07Spec, fig07Render},
-        {"fig13", "IPC of the L1D organisations vs L1-SRAM",
-         fig13Spec, fig13Render},
-        {"fig14", "L1D miss rate of the L1D organisations",
-         fig14Spec, fig14Render},
-        {"fig15", "L1D stall decomposition vs Hybrid",
-         fig15Spec, fig15Render},
+         fig07Render, "all", {K::FaFuse}, "fermi",
+         {{"approx", {{"l1d.approx.comparators", 4}}},
+          {"ideal", {{"l1d.approx.comparators", 4096}}}}},
+        {"fig13", "IPC of the L1D organisations vs L1-SRAM", fig13Render,
+         "all",
+         {K::L1Sram, K::ByNvm, K::FaSram, K::Hybrid, K::BaseFuse,
+          K::FaFuse, K::DyFuse}},
+        {"fig14", "L1D miss rate of the L1D organisations", fig14Render,
+         "all",
+         {K::L1Sram, K::ByNvm, K::FaSram, K::Hybrid, K::BaseFuse,
+          K::FaFuse, K::DyFuse}},
+        {"fig15", "L1D stall decomposition vs Hybrid", fig15Render, "all",
+         {K::Hybrid, K::BaseFuse, K::FaFuse}},
         {"fig16", "read-level predictor accuracy under Dy-FUSE",
-         fig16Spec, fig16Render},
+         fig16Render, "all", {K::DyFuse}},
         {"fig17", "L1D energy of the organisations vs L1-SRAM",
-         fig17Spec, fig17Render},
+         fig17Render, "all",
+         {K::L1Sram, K::ByNvm, K::BaseFuse, K::FaFuse, K::DyFuse}},
         {"fig18", "SRAM:STT area-ratio sensitivity of Dy-FUSE",
-         fig18Spec, fig18Render},
+         fig18Render, "sensitivity", {K::DyFuse}, "fermi",
+         {{"1/16", {{"l1d.sramAreaFraction", 1.0 / 16}}},
+          {"1/8", {{"l1d.sramAreaFraction", 1.0 / 8}}},
+          {"1/4", {{"l1d.sramAreaFraction", 1.0 / 4}}},
+          {"1/2", {{"l1d.sramAreaFraction", 1.0 / 2}}},
+          {"3/4", {{"l1d.sramAreaFraction", 3.0 / 4}}}}},
         {"fig19", "Volta-class study of the L1D organisations",
-         fig19Spec, fig19Render},
-        {"fig20", "counting-Bloom-filter accuracy sweeps",
-         fig20Spec, fig20Render},
+         fig19Render, "all",
+         {K::L1Sram, K::ByNvm, K::Hybrid, K::BaseFuse, K::FaFuse,
+          K::DyFuse},
+         "volta"},
+        {"fig20", "counting-Bloom-filter accuracy sweeps", fig20Render,
+         "sensitivity", {}},
         {"table1", "instantiated Table I configuration matrix",
-         table1Spec, table1Render},
+         table1Render, "", {}},
         {"table2", "per-workload APKI and bypass-ratio validation",
-         table2Spec, table2Render},
-        {"table3", "transistor-count area estimates",
-         table3Spec, table3Render},
+         table2Render, "all", {K::ByNvm}},
+        {"table3", "transistor-count area estimates", table3Render, "",
+         {}},
     };
     return all;
 }
