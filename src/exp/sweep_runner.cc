@@ -117,13 +117,7 @@ SweepRunner::SweepRunner(unsigned threads)
 ResultSet
 SweepRunner::run(const ExperimentSpec &spec) const
 {
-    std::vector<Grid> grids;
-    grids.emplace_back(spec);
-    std::vector<Cell> cells;
-    for (std::size_t i = 0; i < spec.runCount(); ++i)
-        cells.push_back({0, i});
-    simulate(grids, cells, threads_, progress_);
-    return std::move(grids.front().results);
+    return std::move(runAll({spec}).front());
 }
 
 std::vector<ResultSet>

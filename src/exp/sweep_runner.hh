@@ -47,7 +47,9 @@ class SweepRunner
         std::function<void(const RunResult &, std::size_t, std::size_t)>;
     void onProgress(Progress progress) { progress_ = std::move(progress); }
 
-    /** Execute the grid and return the dense, ordered results. */
+    /** Execute the grid and return the dense, ordered results: runAll
+     *  of @p spec alone, so variants that materialise identically are
+     *  one simulation. */
     ResultSet run(const ExperimentSpec &spec) const;
 
     /**
