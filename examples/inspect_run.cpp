@@ -13,7 +13,7 @@
 #include <iostream>
 #include <string>
 
-#include "fuse/hybrid_l1d.hh"
+#include "fuse/l1d.hh"
 #include "sim/simulator.hh"
 #include "workload/generator.hh"
 
@@ -47,12 +47,13 @@ main(int argc, char **argv)
     // SM 0 is representative (workloads are symmetric across SMs).
     std::printf("--- SM0 ---\n");
     gpu.sms()[0]->stats().dump(std::cout);
+    const fuse::L1DCache &l1d = gpu.sms()[0]->l1d();
     std::printf("--- SM0 L1D ---\n");
-    gpu.sms()[0]->l1d().stats().dump(std::cout);
-    if (auto *hybrid =
-            dynamic_cast<fuse::HybridL1D *>(&gpu.sms()[0]->l1d())) {
+    l1d.stats().dump(std::cout);
+    // The organisations whose placement or bypass a predictor decides.
+    if (const fuse::ReadLevelPredictor *predictor = l1d.predictor()) {
         std::printf("--- SM0 predictor ---\n");
-        hybrid->predictor().stats().dump(std::cout);
+        predictor->stats().dump(std::cout);
         const auto &bench = fuse::benchmarkByName(benchmark);
         for (std::uint32_t s = 0; s < bench.streams.size(); ++s) {
             for (bool wr : {false, true}) {
@@ -62,7 +63,7 @@ main(int argc, char **argv)
                             toString(bench.streams[s].kind),
                             wr ? "store" : "load",
                             static_cast<unsigned long long>(pc),
-                            toString(hybrid->predictor().classify(pc)));
+                            toString(predictor->classify(pc)));
             }
         }
     }

@@ -44,14 +44,13 @@ class HybridL1D : public L1DCache
     {
         return {&sram_, &stt_};
     }
-    const StatGroup *predictorStats() const override
+    const ReadLevelPredictor *predictor() const override
     {
-        return &predictor_.stats();
+        return usePredictor_ ? &predictor_ : nullptr;
     }
 
     CacheBank &sramBank() { return sram_; }
     CacheBank &sttBank() { return stt_; }
-    ReadLevelPredictor &predictor() { return predictor_; }
     SwapBuffer &swapBuffer() { return swapBuffer_; }
     AssocApprox *approx() { return approx_.get(); }
 

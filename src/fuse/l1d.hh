@@ -20,6 +20,7 @@
 #include "cache/mshr.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "fuse/predictor.hh"
 #include "fuse/tag_queue.hh"
 #include "mem/hierarchy.hh"
 #include "mem/request.hh"
@@ -134,11 +135,19 @@ class L1DCache
     virtual std::vector<const CacheBank *> banks() const { return {}; }
 
     /**
-     * Stats of the read-level predictor, when this organisation has one
-     * whose accuracy the paper reports (Dy-FUSE family), so metrics
-     * extraction needs no concrete organisation type.
+     * The read-level predictor that decides this organisation's
+     * placement or bypass (Dy-FUSE, and By-NVM's dead-write bypass);
+     * null for the others.
      */
-    virtual const StatGroup *predictorStats() const { return nullptr; }
+    virtual const ReadLevelPredictor *predictor() const { return nullptr; }
+
+    /** Stats of predictor(), or null without one, so metrics extraction
+     *  needs no concrete organisation type. */
+    const StatGroup *predictorStats() const
+    {
+        const ReadLevelPredictor *p = predictor();
+        return p ? &p->stats() : nullptr;
+    }
 
     StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }

@@ -41,6 +41,10 @@ class SingleBankL1D : public L1DCache
     {
         return {&bank_};
     }
+    const ReadLevelPredictor *predictor() const override
+    {
+        return predictor_ ? &*predictor_ : nullptr;
+    }
 
   private:
     L1DKind kind_;

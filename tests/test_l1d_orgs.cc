@@ -331,8 +331,8 @@ TEST_F(L1DFixture, DyFuseBypassesWoroAndProtectsWm)
                                     ? wr.readyAt : now + 1);
         l1d.tick(now);
     }
-    EXPECT_EQ(l1d.predictor().classify(dead_pc), ReadLevel::WORO);
-    EXPECT_EQ(l1d.predictor().classify(wm_pc), ReadLevel::WM);
+    EXPECT_EQ(l1d.predictor()->classify(dead_pc), ReadLevel::WORO);
+    EXPECT_EQ(l1d.predictor()->classify(wm_pc), ReadLevel::WM);
     EXPECT_GT(l1d.stats().get("bypasses"), 0.0);
     // The hot WM lines live in SRAM, not STT.
     EXPECT_TRUE(holds(l1d.sramBank(), 900000));
