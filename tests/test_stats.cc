@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the stats framework's cached-handle contract and the
- * open-addressing flat table behind the MSHR and tag-array index: the
- * simulation hot path keeps Scalar/Average pointers for a component's
- * lifetime and probes line addresses through FlatAddrMap, so both
- * contracts are regression-guarded here.
+ * Tests for the stats framework's cached-handle contract, the
+ * open-addressing flat table behind the tag-array index, and the MSHR's
+ * entry array: the simulation hot path keeps Scalar/Average pointers for
+ * a component's lifetime, probes wide tag arrays through FlatAddrMap and
+ * merges misses in the MSHR, so all three contracts are
+ * regression-guarded here.
  */
 
 #include <gtest/gtest.h>
@@ -189,9 +190,9 @@ TEST(FlatAddrMap, SlotReuseAfterChurn)
     }
 }
 
-// ------------------------------------------------------- MSHR flat table
+// ------------------------------------------------------ MSHR entry array
 
-TEST(MshrFlatTable, FillToCapacityAndReuse)
+TEST(MshrEntryArray, FillToCapacityAndReuse)
 {
     StatGroup stats("l1d");
     ReferenceMshr mshr(32, stats);
@@ -212,11 +213,11 @@ TEST(MshrFlatTable, FillToCapacityAndReuse)
     EXPECT_TRUE(mshr.full());
 }
 
-TEST(MshrFlatTable, CollidingLinesStayFindable)
+TEST(MshrEntryArray, CollidingLinesStayFindable)
 {
-    // Line addresses crafted to collide in a small table: strided
-    // high-bit patterns. Every in-flight entry must remain findable and
-    // retire cleanly regardless of probe-chain shape.
+    // Line addresses that differ only in their high bits. Every
+    // in-flight entry must remain findable, and retire cleanly while
+    // retirement moves the survivors into the gaps it leaves.
     StatGroup stats("l1d");
     ReferenceMshr mshr(8, stats);
     std::vector<Addr> lines;
@@ -241,7 +242,7 @@ TEST(MshrFlatTable, CollidingLinesStayFindable)
     }
 }
 
-TEST(MshrFlatTable, MinReadyAtTracksAcrossRetires)
+TEST(MshrEntryArray, MinReadyAtTracksAcrossRetires)
 {
     StatGroup stats("l1d");
     ReferenceMshr mshr(4, stats);
@@ -256,16 +257,17 @@ TEST(MshrFlatTable, MinReadyAtTracksAcrossRetires)
     EXPECT_EQ(mshr.size(), 0u);
 }
 
-// --------------------------------------------------- MSHR ready queue
+// ------------------------------------------------------ MSHR retirement
 //
-// retireReady() used to sweep the whole slot array per ready batch; it
-// now pops a ready min-heap. The observable contract — which entries
-// survive each sweep, and the exact minReadyAt (it schedules Full-stall
-// retries, so it is timing-visible) — must be bit-identical to the old
-// sweep. The reference below reimplements the historical semantics over
-// a plain vector.
+// retireReady() frees every elapsed entry by moving the array's last
+// entry into its gap, where it once swept a slot table and then popped a
+// ready min-heap. The observable contract — which entries survive each
+// retirement, and the exact minReadyAt (it schedules Full-stall retries,
+// so it is timing-visible) — must be bit-identical to the old sweep. The
+// reference below reimplements the historical semantics over a plain
+// vector.
 
-/** The pre-heap Mshr retirement semantics, kept as a test reference. */
+/** The slot-sweep Mshr retirement semantics, kept as a test reference. */
 class LegacySweepMshr
 {
   public:
@@ -329,7 +331,7 @@ class LegacySweepMshr
     Cycle minReadyAt_ = ~Cycle(0);
 };
 
-TEST(MshrReadyQueue, RetirementMatchesLegacySweepUnderChurn)
+TEST(MshrRetirement, RetirementMatchesLegacySweepUnderChurn)
 {
     constexpr std::uint32_t kCapacity = 16;
     StatGroup stats("l1d");
@@ -338,7 +340,7 @@ TEST(MshrReadyQueue, RetirementMatchesLegacySweepUnderChurn)
     Rng rng(2024);
 
     // A small address pool forces merges, re-allocations of retired
-    // lines, and probe-chain collisions in the flat table.
+    // lines, and lines that differ only in their high bits.
     std::vector<Addr> pool;
     for (Addr i = 0; i < 40; ++i)
         pool.push_back(((i % 5) << 40) | (i * 128));
