@@ -50,7 +50,6 @@ main(int argc, char **argv)
     const fuse::L1DCache &l1d = gpu.sms()[0]->l1d();
     std::printf("--- SM0 L1D ---\n");
     l1d.stats().dump(std::cout);
-    // The organisations whose placement or bypass a predictor decides.
     if (const fuse::ReadLevelPredictor *predictor = l1d.predictor()) {
         std::printf("--- SM0 predictor ---\n");
         predictor->stats().dump(std::cout);
